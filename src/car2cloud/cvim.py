@@ -133,6 +133,18 @@ class PackagingConfig:
         # span at most 65 whole seconds.
         if not 1 <= self.aggregate_ticks <= 65:
             raise ConfigError("cvim.aggregate_ticks must be in [1, 65]")
+        # BLAKE2b takes keys of at most 64 bytes.
+        if len(self.pseudonym_key.encode("utf-8")) > 64:
+            raise ConfigError("cvim.pseudonym_key must be at most 64 bytes")
+
+    @property
+    def records_per_tick(self) -> int:
+        """Channel records one vehicle produces in one tick (see tick_records)."""
+        return len(BASE_CHANNELS) + self.n_extra_channels
+
+    def payload_bytes(self, n_records: int) -> int:
+        """Size of a package holding n_records records."""
+        return self.header_bytes + self.record_bytes * n_records
 
 
 DEFAULT_CONFIG = PackagingConfig()
@@ -219,7 +231,7 @@ def package(
         interval_start=interval_start,
         duration=duration,
         records=recs,
-        payload_bytes=config.header_bytes + config.record_bytes * len(recs),
+        payload_bytes=config.payload_bytes(len(recs)),
         meta=meta,
     )
 
@@ -320,7 +332,7 @@ def parse_package(
         interval_start=interval_start,
         duration=duration,
         records=tuple(records),
-        payload_bytes=config.header_bytes + config.record_bytes * count,
+        payload_bytes=config.payload_bytes(count),
         meta=PackageMeta(owner=owner, privacy_level=privacy, checksum=stored_checksum),
     )
 
@@ -345,7 +357,10 @@ class TransmitQueue:
     """Per-vehicle FIFO of pending packages, with optional priority class.
 
     Packages the predicate marks high-priority are served before the rest;
-    order within each class stays first-in-first-out.
+    order within each class stays first-in-first-out.  Entries are
+    (payload_bytes, package_id) pairs, so a caller that only tracks sizes
+    queues them with push_size; such entries have no id and join the normal
+    class.
     """
 
     def __init__(
@@ -355,53 +370,60 @@ class TransmitQueue:
     ):
         self.vehicle_id = vehicle_id
         self._priority = priority
-        self._high: deque[CvimDataPackage] = deque()
-        self._normal: deque[CvimDataPackage] = deque()
+        self._high: deque[tuple[int, str | None]] = deque()
+        self._normal: deque[tuple[int, str | None]] = deque()
+        self._bytes = 0
 
     def push(self, pkg: CvimDataPackage) -> None:
+        entry = (pkg.payload_bytes, pkg.package_id)
         if self._priority is not None and self._priority(pkg):
-            self._high.append(pkg)
+            self._high.append(entry)
         else:
-            self._normal.append(pkg)
+            self._normal.append(entry)
+        self._bytes += pkg.payload_bytes
+
+    def push_size(self, payload_bytes: int) -> None:
+        """Queue a package known only by its size."""
+        self._normal.append((payload_bytes, None))
+        self._bytes += payload_bytes
 
     def __len__(self) -> int:
         return len(self._high) + len(self._normal)
 
     @property
     def queued_bytes(self) -> int:
-        return sum(p.payload_bytes for p in self._high) + sum(
-            p.payload_bytes for p in self._normal
-        )
+        return self._bytes
 
-    def _head(self) -> CvimDataPackage | None:
+    def _head(self) -> tuple[int, str | None] | None:
         if self._high:
             return self._high[0]
         if self._normal:
             return self._normal[0]
         return None
 
-    def _pop(self) -> CvimDataPackage:
-        return self._high.popleft() if self._high else self._normal.popleft()
+    def _pop(self) -> None:
+        size, _ = self._high.popleft() if self._high else self._normal.popleft()
+        self._bytes -= size
 
 
-def try_transmit(queue: TransmitQueue, capacity_bits: int) -> tuple[list[str], int]:
+def try_transmit(queue: TransmitQueue, capacity_bits: int) -> tuple[list[str | None], int]:
     """Drain the queue against this tick's capacity, whole packages only.
 
     Service stops at the first package that does not fit; nothing is
-    fragmented or reordered past it.  Returns the sent package ids and the
-    capacity left over.
+    fragmented or reordered past it.  Returns the sent package ids (None
+    for entries queued by size) and the capacity left over.
     """
     if capacity_bits < 0:
         raise ConfigError("capacity_bits must be non-negative")
     remaining = capacity_bits
-    sent: list[str] = []
+    sent: list[str | None] = []
     while True:
         head = queue._head()
-        if head is None or head.payload_bytes * 8 > remaining:
+        if head is None or head[0] * 8 > remaining:
             return sent, remaining
         queue._pop()
-        remaining -= head.payload_bytes * 8
-        sent.append(head.package_id)
+        remaining -= head[0] * 8
+        sent.append(head[1])
 
 
 class TickRow(Protocol):

@@ -1,12 +1,14 @@
 """Per-second simulation loop and its file interfaces.
 
 Each tick: vehicles present in the traces are associated to their best-SNR
-station, every cell splits its resource blocks Round-Robin, each vehicle's
-rate follows from its share and the rate model, one CVIM package is
-generated (or buffered, in aggregate mode) and the transmit queue drains
-against the tick's capacity.  The loop is strictly sequential over ticks,
-so queue state is causal, and all outputs are byte-identical across runs
-with equal inputs.
+station (a numpy screen over all present vehicles, exact scalar SNR for
+the winner), every cell splits its resource blocks Round-Robin, each
+vehicle's rate follows from its share and the rate model, one CVIM package
+is generated (or buffered, in aggregate mode) and the transmit queue drains
+against the tick's capacity.  Queues hold package sizes only; no output
+reads package contents.  The loop is strictly sequential over ticks, so
+queue state is causal, and all outputs are byte-identical across runs with
+equal inputs.
 
 Config files are flat ``section.key = value`` text; unknown keys are
 rejected outright so typos cannot silently fall back to defaults.
@@ -19,12 +21,14 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from . import cvim, scheduler
 from .cvim import PackagingConfig, TransmitQueue
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, ValidationError
 from .linkrate import RateModel, RbRateParams, model_from_params
 from .mobility import KraussParams, RoadSpec, TraceSample, VehicleTrace
-from .radio import BaseStation, LinkBudgetConfig, best_link
+from .radio import BaseStation, LinkBudgetConfig, best_link, screen_links, snr
 
 RESULTS_CSV_HEADER = (
     "t,vehicle_id,serving_station,snr_db,rb_share,rate_bps,"
@@ -186,35 +190,6 @@ def config_echo(config: SimConfig) -> dict[str, str]:
     return echo
 
 
-class _Aggregator:
-    """Per-vehicle record buffer for the reduced-resolution package mode."""
-
-    def __init__(self, window: int):
-        self.window = window
-        self._records: dict[str, list[cvim.ChannelRecord]] = {}
-        self._window_start: dict[str, int] = {}
-
-    def add(self, sample: TraceSample, config: PackagingConfig) -> None:
-        vid = sample.vehicle_id
-        if vid not in self._records:
-            self._records[vid] = []
-            self._window_start[vid] = sample.t - sample.t % self.window
-        self._records[vid].extend(cvim.tick_records(sample, config))
-
-    def flush(
-        self, vid: str, config: PackagingConfig
-    ) -> cvim.CvimDataPackage:
-        records = self._records.pop(vid)
-        start = self._window_start.pop(vid)
-        return cvim.package(vid, start, records, config, duration=self.window)
-
-    def should_flush(self, vid: str, t: int, last_tick: int) -> bool:
-        return (t + 1) % self.window == 0 or t == last_tick
-
-    def has(self, vid: str) -> bool:
-        return vid in self._records
-
-
 def run(
     config: SimConfig,
     traces: Iterable[VehicleTrace],
@@ -227,6 +202,8 @@ def run(
         raise ConfigError("simulation needs at least one base station")
     model = rate_model or model_from_params(config.rate)
     pkg_cfg = config.packaging
+    # Package metadata is checked here once, as no package object is built.
+    cvim.PackageMeta(owner=pkg_cfg.owner, privacy_level=pkg_cfg.privacy_level)
     n_rb = config.effective_n_rb
     mode = config.scheduler_mode
 
@@ -239,41 +216,52 @@ def run(
             if last is None or s.t > last:
                 last_tick[s.vehicle_id] = s.t
 
+    # Queues hold package sizes: a package carries the records of the ticks
+    # buffered since the vehicle's last flush (one tick unless aggregating).
     queues: dict[str, TransmitQueue] = {}
-    aggregator = _Aggregator(pkg_cfg.aggregate_ticks) if pkg_cfg.aggregate_ticks > 1 else None
+    buffered: dict[str, int] = {}
+    window = pkg_cfg.aggregate_ticks
     results: list[TickResult] = []
 
     for t in sorted(samples_by_tick):
         present = sorted(samples_by_tick[t], key=lambda s: s.vehicle_id)
-        links: dict[str, tuple[str, float]] = {}
+        state = np.array([(s.x, s.y, s.speed) for s in present])
+        finite = np.isfinite(state).all(axis=1)
+        if not finite.all():
+            bad = present[int(np.argmin(finite))]
+            raise ValidationError(
+                f"vehicle {bad.vehicle_id!r} at t={t}: non-finite position or speed"
+            )
+        winners, unsure = screen_links(state[:, :2], stations, config.link)
+        links: list[tuple[str, float]] = []
         cells: dict[str, list[str]] = {}
-        for s in present:
-            station, link = best_link((s.x, s.y), stations, config.link)
-            links[s.vehicle_id] = (station.station_id, link.snr)
+        for s, winner, needs_scalar in zip(present, winners.tolist(), unsure.tolist()):
+            if needs_scalar:
+                station, link = best_link((s.x, s.y), stations, config.link)
+            else:
+                station = stations[winner]
+                link = snr((s.x, s.y), station, config.link)
+            links.append((station.station_id, link.snr))
             cells.setdefault(station.station_id, []).append(s.vehicle_id)
         shares: dict[str, float] = {}
         for sid in sorted(cells):
             cell = scheduler.CellTickState(sid, t, tuple(cells[sid]))
             allocation = scheduler.rr_allocate(cell, n_rb, mode, rotation_offset=t)
             shares.update(allocation.shares)
-        for s in present:
+        for s, (sid, snr_db) in zip(present, links):
             vid = s.vehicle_id
-            sid, snr_db = links[vid]
             share = shares[vid]
             rate = scheduler.vehicle_rate(share, snr_db, s.speed, model)
             queue = queues.get(vid)
             if queue is None:
                 queue = queues[vid] = TransmitQueue(vid)
-            if aggregator is None:
-                queue.push(cvim.generate_tick_package(s, pkg_cfg))
+            ticks = buffered.pop(vid, 0) + 1
+            if (t + 1) % window == 0 or t == last_tick[vid]:
+                queue.push_size(pkg_cfg.payload_bytes(pkg_cfg.records_per_tick * ticks))
                 generated = 1
             else:
-                aggregator.add(s, pkg_cfg)
-                if aggregator.should_flush(vid, t, last_tick[vid]):
-                    queue.push(aggregator.flush(vid, pkg_cfg))
-                    generated = 1
-                else:
-                    generated = 0
+                buffered[vid] = ticks
+                generated = 0
             capacity = int(rate * config.tick)
             _, remaining = cvim.try_transmit(queue, capacity)
             results.append(

@@ -23,6 +23,18 @@ from .errors import ConfigError, ParseError, SimulationError, ValidationError
 
 TRACE_CSV_HEADER = ("vehicle_id", "t", "x", "y", "speed")
 
+# Ids are written unquoted into comma-separated outputs, so these characters
+# would split or break a row there.
+ID_FORBIDDEN_CHARS = ',"\r\n'
+
+
+def check_id(value: str, where: str, what: str) -> None:
+    """Reject an id that the CSV outputs could not hold as one field."""
+    if any(c in value for c in ID_FORBIDDEN_CHARS):
+        raise ValidationError(
+            f"{where}: {what} {value!r} contains a comma, quote or line break"
+        )
+
 # Per-vehicle desired-speed factors are clamped to keep pathological normal
 # draws out of the dynamics; the 0.1 deviation only fixes the spread.
 SPEED_FACTOR_MIN = 0.7
@@ -94,6 +106,10 @@ class RoadSpec:
             raise ConfigError("road.length must be positive")
         if self.inflow <= 0:
             raise ConfigError("road.inflow must be positive")
+        if self.topology == "ring" and not float(self.inflow).is_integer():
+            raise ConfigError(
+                f"road.inflow is the vehicle count on a ring, got {self.inflow!r}"
+            )
         if self.duration < 0:
             raise ConfigError("road.duration must be non-negative")
 
@@ -412,6 +428,9 @@ def parse_trace_csv(stream: IO[str]) -> list[VehicleTrace]:
             raise ParseError(f"line {lineno}: {exc}") from None
         if not vid:
             raise ParseError(f"line {lineno}: empty vehicle_id")
+        check_id(vid, f"line {lineno}", "vehicle_id")
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(speed)):
+            raise ValidationError(f"line {lineno}: non-finite x, y or speed")
         if t < 0:
             raise ValidationError(f"line {lineno}: negative tick {t}")
         if speed < 0:
@@ -469,10 +488,14 @@ def parse_fcd_xml(stream: IO) -> list[VehicleTrace]:
                         f"attribute {name!r}"
                     )
                 attrs[name] = value
+            path = f"timestep[time={raw_t!r}]/vehicle[id={attrs['id']!r}]"
+            check_id(attrs["id"], path, "vehicle id")
             try:
                 x, y, speed = (float(attrs[k]) for k in ("x", "y", "speed"))
             except ValueError as exc:
                 raise ParseError(f"timestep[time={raw_t!r}]/vehicle: {exc}") from None
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(speed)):
+                raise ValidationError(f"{path}: non-finite x, y or speed")
             if speed < 0:
                 raise ValidationError(
                     f"vehicle {attrs['id']!r} at t={t}: negative speed {speed}"

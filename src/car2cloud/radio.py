@@ -14,15 +14,23 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, ParseError, ValidationError
+from .mobility import check_id
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
 # The B1 formula is not validated below roughly 10 m; shorter distances are
 # clamped so SNR stays bounded as a vehicle drives past a station.
 MIN_MODEL_DISTANCE = 10.0
+
+# numpy's hypot and log10 may differ from math's in the last ulp, so the
+# vectorised screen leaves rows whose two best SNRs are this close to the
+# scalar best_link.  Real ulp errors are around 1e-14 dB.
+SCREEN_TIE_DB = 1e-9
 
 
 @dataclass(frozen=True)
@@ -154,6 +162,60 @@ def best_link(
     return best, best_sample
 
 
+def screen_links(
+    positions: np.ndarray,
+    stations: Sequence[BaseStation],
+    cfg: LinkBudgetConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised best-SNR screen over an (n, 2) array of positions.
+
+    ``stations`` must be in canonical id order, as best_link orders them.
+    Returns the screened winner's index into ``stations`` per row and a mask
+    of the rows the screen cannot decide exactly: the two best SNRs lie
+    within SCREEN_TIE_DB, a station sits at the breakpoint distance (where
+    an ulp picks the other B1 slope), or a value is not finite.  Every other
+    row has the same winner as best_link; compute its SNR with snr() to get
+    best_link's value bit for bit.
+    """
+    sx = np.array([s.x for s in stations])
+    sy = np.array([s.y for s in stations])
+    gain = np.array([s.antenna_gain for s in stations])
+    h_bs = np.array([s.height for s in stations]) - 1.0
+    # Same formulas as breakpoint_distance and path_loss_b1; a UE height of
+    # 1 m or less yields non-finite values, so those rows reach best_link,
+    # which raises the ConfigError.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h_ue = np.float64(cfg.ue_height_m - 1.0)
+        f_rel = cfg.carrier_freq_ghz / 5.0
+        d_bp = 4.0 * h_bs * h_ue * cfg.carrier_freq_ghz * 1e9 / SPEED_OF_LIGHT
+        d = np.maximum(
+            np.hypot(positions[:, :1] - sx, positions[:, 1:2] - sy), MIN_MODEL_DISTANCE
+        )
+        log_d = np.log10(d)
+        near = 22.7 * log_d + 41.0 + 20.0 * math.log10(f_rel)
+        far = (
+            40.0 * log_d
+            + 9.45
+            - 17.3 * np.log10(h_bs)
+            - 17.3 * np.log10(h_ue)
+            + 2.7 * math.log10(f_rel)
+        )
+        loss = np.where(d <= d_bp, near, far) + cfg.extra_loss_db
+        value = (
+            cfg.tx_power_dbm
+            + cfg.ue_gain_dbi
+            + gain
+            - loss
+            - (cfg.noise_power_dbm + cfg.noise_figure_db)
+        )
+        unsure = ~np.isfinite(value).all(axis=1)
+        unsure |= (np.abs(d - d_bp) <= 1e-12 * d_bp).any(axis=1)
+        if len(stations) > 1:
+            top2 = np.partition(value, -2, axis=1)[:, -2:]
+            unsure |= top2[:, 1] - top2[:, 0] <= SCREEN_TIE_DB
+    return np.argmax(value, axis=1), unsure
+
+
 def associate(
     vehicle_pos: tuple[float, float],
     stations: Iterable[BaseStation],
@@ -202,6 +264,7 @@ def parse_stations_csv(stream: IO[str]) -> list[BaseStation]:
         sid = row[0]
         if not sid:
             raise ParseError(f"line {lineno}: empty station_id")
+        check_id(sid, f"line {lineno}", "station_id")
         if sid in seen:
             raise ValidationError(f"line {lineno}: duplicate station_id {sid!r}")
         seen.add(sid)
@@ -211,5 +274,7 @@ def parse_stations_csv(stream: IO[str]) -> list[BaseStation]:
             height = float(row[4]) if len(row) > 4 and row[4] != "" else 10.0
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
+        if not all(math.isfinite(v) for v in (x, y, gain, height)):
+            raise ValidationError(f"line {lineno}: non-finite station value")
         stations.append(BaseStation(sid, x, y, antenna_gain=gain, height=height))
     return stations

@@ -195,3 +195,29 @@ def test_analyze_label_count_mismatch_exits_2(workspace):
                  "--label", "a", "--label", "b",
                  "--out-dir", str(workspace / "s")])
     assert code == 2
+
+
+def test_simulate_non_finite_trace_exits_3_naming_the_line(tmp_path, capsys):
+    traces = tmp_path / "traces.csv"
+    traces.write_text("vehicle_id,t,x,y,speed\nv1,0,0,0,1\nv1,1,nan,0,1\n", encoding="utf-8")
+    (tmp_path / "stations.csv").write_text(STATIONS, encoding="utf-8")
+    code = main([
+        "simulate", "--traces", str(traces),
+        "--stations", str(tmp_path / "stations.csv"), "--out-dir", str(tmp_path / "o"),
+    ])
+    assert code == 3
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_simulate_rejects_comma_in_vehicle_id(tmp_path, capsys):
+    # Unquoted in results.csv, such an id would split its row into 10 fields.
+    traces = tmp_path / "traces.csv"
+    traces.write_text('vehicle_id,t,x,y,speed\n"a,b",0,0,0,1\n', encoding="utf-8")
+    (tmp_path / "stations.csv").write_text(STATIONS, encoding="utf-8")
+    code = main([
+        "simulate", "--traces", str(traces),
+        "--stations", str(tmp_path / "stations.csv"), "--out-dir", str(tmp_path / "o"),
+    ])
+    assert code == 3
+    assert "line 2" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.csv").exists()

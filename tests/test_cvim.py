@@ -91,8 +91,8 @@ def test_generate_tick_package_default_channels():
 def test_generate_tick_package_extra_channels():
     config = PackagingConfig(n_extra_channels=7)
     pkg = generate_tick_package(TraceSample("veh1", 7, 0.0, 0.0, 0.0), config)
-    assert len(pkg.records) == 10
-    assert pkg.payload_bytes == 224
+    assert len(pkg.records) == 10 == config.records_per_tick
+    assert pkg.payload_bytes == 224 == config.payload_bytes(config.records_per_tick)
 
 
 def test_consecutive_ticks_consecutive_intervals():
@@ -172,6 +172,22 @@ def test_queue_conservation_of_bytes():
     assert queue.queued_bytes == total - 64 - 80
 
 
+def test_size_entries_share_the_drain_rule():
+    queue = TransmitQueue("v")
+    queue.push(package("v", 0, records(2)))  # 96 B
+    queue.push_size(224)
+    queue.push_size(64)
+    assert queue.queued_bytes == 384 and len(queue) == 3
+    sent, remaining = try_transmit(queue, 2000)  # 768 bits, then 1792 > 1232
+    assert sent == ["v@0"] and remaining == 1232
+    assert queue.queued_bytes == 288
+    sent, remaining = try_transmit(queue, 2304)
+    assert sent == [None, None] and remaining == 0
+    assert queue.queued_bytes == 0 and len(queue) == 0
+    with pytest.raises(ConfigError):
+        try_transmit(queue, -1)
+
+
 def test_serialize_parse_round_trip_checksum():
     config = PackagingConfig(owner="fleet-9", privacy_level="private")
     pkg = package("veh42", 17, records(4, t=17.25), config)
@@ -242,6 +258,8 @@ def test_packaging_config_validation():
         PackagingConfig(aggregate_ticks=100)
     with pytest.raises(ConfigError):
         PackagingConfig(header_bytes=0)
+    with pytest.raises(ConfigError):
+        PackagingConfig(pseudonym_key="k" * 65)
 
 
 def test_owner_too_long():

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import math
 
 import pytest
 
@@ -15,7 +17,8 @@ from car2cloud.engine import (
     write_results_csv,
     write_summary_json,
 )
-from car2cloud.errors import ConfigError, ParseError
+from car2cloud.cvim import PackagingConfig
+from car2cloud.errors import ConfigError, ParseError, ValidationError
 from car2cloud.linkrate import rb_rate
 from car2cloud.mobility import TraceSample, VehicleTrace
 from car2cloud.radio import BaseStation
@@ -285,3 +288,77 @@ def test_run_accepts_fcd_parsed_traces():
     results = run(SimConfig(), traces, STATION)
     assert [r.t for r in results] == [0, 1]
     assert results[0].rb_share == 100.0
+
+
+def queue_scenario():
+    """Integer RR over 2 RBs, 4 s packages with 5 extra channels: queues build.
+
+    Vehicle "w" is parked exactly halfway between the twin stations bs0 and
+    bs1, so its association is an exact SNR tie every tick.
+    """
+    cfg = parse_config_text("", overrides=[
+        "scheduler.mode=integer", "cell.rb_limit=2",
+        "cvim.aggregate_ticks=4", "cvim.n_extra_channels=5",
+    ])
+    stations = [
+        BaseStation("bs2", 2400.0, 40.0, antenna_gain=5.0, height=25.0),
+        BaseStation("bs0", 0.0, 30.0),
+        BaseStation("bs1", 1000.0, 30.0),
+    ]
+    traces = []
+    for k in range(16):
+        vid = f"v{k:02d}"
+        t0, n = k % 7, 18 + (k * 5) % 17
+        x0, v = float((k * 211) % 2600), float(4 + k % 9)
+        traces.append(VehicleTrace(
+            vid, tuple(TraceSample(vid, t0 + i, x0 + v * i, 0.0, v) for i in range(n))
+        ))
+    traces.append(VehicleTrace("w", tuple(TraceSample("w", t, 500.0, 0.0, 0.0) for t in range(30))))
+    return cfg, traces, stations
+
+
+def test_queue_scenario_golden_digest():
+    cfg, traces, stations = queue_scenario()
+    results = run(cfg, traces, stations)
+    buf = io.StringIO()
+    write_results_csv(results, buf)
+    # SHA-256 of this results.csv from the package-object engine, which
+    # built and checksummed every CVIM package.
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "36657144dc0feaaab51f89a9973eb7f27aaa372afafe0bfc0c807b543c52e697"
+    )
+    assert max(r.queue_bytes for r in results) >= 2 * (64 + 16 * 8 * 4)
+    assert {r.serving_station for r in results if r.vehicle_id == "w"} == {"bs0"}
+
+
+def test_queue_scenario_conserves_bytes():
+    cfg, traces, stations = queue_scenario()
+    results = run(cfg, traces, stations)
+    pkg = cfg.packaging
+    channels = 3 + pkg.n_extra_channels
+    generated = (
+        pkg.header_bytes * sum(r.packages_generated for r in results)
+        + pkg.record_bytes * channels * len(results)
+    )
+    leftover = undelivered_bytes(results)
+    assert leftover  # some vehicles leave with data still queued
+    assert generated == sum(r.bits_sent for r in results) // 8 + sum(leftover.values())
+    assert all(r.bits_sent % 8 == 0 for r in results)
+
+
+@pytest.mark.parametrize("field", ["x", "y", "speed"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_run_rejects_non_finite_samples(field, value):
+    good = TraceSample("a", 4, 10.0, 0.0, 5.0)
+    bad = TraceSample("b", 4, **{"x": 20.0, "y": 0.0, "speed": 5.0, field: value})
+    with pytest.raises(ValidationError) as err:
+        run(SimConfig(), [VehicleTrace("a", (good,)), VehicleTrace("b", (bad,))], STATION)
+    assert "'b'" in str(err.value) and "t=4" in str(err.value)
+
+
+def test_run_checks_package_metadata():
+    traces = [trace("v1", [0, 10])]
+    with pytest.raises(ValidationError):
+        run(SimConfig(packaging=PackagingConfig(owner="x" * 17)), traces, STATION)
+    with pytest.raises(ConfigError):
+        run(SimConfig(packaging=PackagingConfig(privacy_level="secret")), traces, STATION)

@@ -295,3 +295,44 @@ def test_strip_samples_begin_after_entry_instant():
     for tr in traces:
         first = tr.samples[0]
         assert 0.0 <= first.x <= 36.11 * 1.3
+
+
+@pytest.mark.parametrize("row", ["a,1,nan,0,1", "a,1,0,inf,1", "a,1,0,0,-inf"])
+def test_parse_trace_csv_rejects_non_finite(row):
+    data = f"vehicle_id,t,x,y,speed\na,0,0,0,1\n{row}\n"
+    with pytest.raises(ValidationError) as err:
+        parse_trace_csv(io.StringIO(data))
+    assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("attr", ["x", "y", "speed"])
+def test_parse_fcd_xml_rejects_non_finite(attr):
+    values = {"x": "10.0", "y": "0.0", "speed": "10.0", attr: "NaN"}
+    late = " ".join(f'{k}="{v}"' for k, v in values.items())
+    xml = FCD.replace('x="10.0" y="0.0" speed="10.0"', late)
+    with pytest.raises(ValidationError) as err:
+        parse_fcd_xml(io.StringIO(xml))
+    assert "timestep[time='1.00']/vehicle[id='v1']" in str(err.value)
+
+
+@pytest.mark.parametrize("vid", ['"a,b"', '"a""b"', '"a\r\nb"'])
+def test_parse_trace_csv_rejects_delimiters_in_id(vid):
+    data = f"vehicle_id,t,x,y,speed\nok,0,0,0,1\n{vid},0,0,0,1\n"
+    with pytest.raises(ValidationError) as err:
+        parse_trace_csv(io.StringIO(data))
+    assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("vid", ["a,b", "a&quot;b", "a&#10;b"])
+def test_parse_fcd_xml_rejects_delimiters_in_id(vid):
+    xml = FCD.replace('id="v1"', f'id="{vid}"', 1)
+    with pytest.raises(ValidationError) as err:
+        parse_fcd_xml(io.StringIO(xml))
+    assert "timestep[time='0.00']" in str(err.value)
+
+
+def test_ring_inflow_must_be_a_vehicle_count():
+    with pytest.raises(ConfigError):
+        RoadSpec(topology="ring", inflow=10.5)
+    assert RoadSpec(topology="ring", inflow=10.0).inflow == 10.0
+    assert RoadSpec(topology="strip", inflow=10.5).inflow == 10.5

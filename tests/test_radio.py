@@ -2,9 +2,14 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from car2cloud.engine import SimConfig, run
 from car2cloud.errors import ConfigError, ParseError, ValidationError
+from car2cloud.mobility import TraceSample, VehicleTrace
 from car2cloud.radio import (
     BaseStation,
     LinkBudgetConfig,
@@ -13,6 +18,7 @@ from car2cloud.radio import (
     breakpoint_distance,
     parse_stations_csv,
     path_loss_b1,
+    screen_links,
     snr,
     snr_sample,
 )
@@ -201,3 +207,111 @@ def test_parse_stations_csv_duplicate_id():
 def test_parse_stations_csv_bad_header():
     with pytest.raises(ParseError):
         parse_stations_csv(io.StringIO("x,y,station_id\n"))
+
+
+@pytest.mark.parametrize("sid", ['"a,b"', '"a""b"', '"a\nb"'])
+def test_parse_stations_csv_rejects_delimiters_in_id(sid):
+    data = f"station_id,x,y\nbs1,0,0\n{sid},1,1\n"
+    with pytest.raises(ValidationError) as err:
+        parse_stations_csv(io.StringIO(data))
+    assert "line 3" in str(err.value)
+
+
+def test_parse_stations_csv_rejects_non_finite():
+    with pytest.raises(ValidationError) as err:
+        parse_stations_csv(io.StringIO("station_id,x,y\nbs1,nan,0\n"))
+    assert "line 2" in str(err.value)
+
+
+def test_screen_flags_exact_ties_and_breakpoint():
+    twins = [BaseStation("a", -300.0, 30.0), BaseStation("b", 300.0, 30.0)]
+    d_bp = breakpoint_distance(CFG, 10.0)
+    positions = np.array([[0.0, 0.0], [-290.0, 0.0], [300.0 + d_bp, 30.0]])
+    winners, unsure = screen_links(positions, twins, CFG)
+    assert unsure.tolist() == [True, False, True]
+    assert winners[1] == 0
+
+
+def test_screen_defers_ulp_near_ties():
+    # Two stations at one distance from the vehicle in exact arithmetic;
+    # numpy's screen ranks them the other way round from math.
+    pos = (-1179.7889344024943, 525.4836368613569)
+    stations = [
+        BaseStation("a", 2294.8740049911466, 2077.1845105698767),
+        BaseStation("b", -4601.03138107375, -1140.6971051226328),
+    ]
+    _, unsure = screen_links(np.array([pos]), stations, CFG)
+    assert unsure.tolist() == [True]
+    station, link = best_link(pos, stations, CFG)
+    row = run(SimConfig(), [VehicleTrace("v", (TraceSample("v", 0, *pos, 1.0),))], stations)[0]
+    assert (row.serving_station, row.snr_db) == (station.station_id, link.snr)
+
+
+def test_screen_sends_bad_ue_height_to_scalar_path():
+    cfg = LinkBudgetConfig(ue_height_m=1.0)
+    _, unsure = screen_links(np.array([[500.0, 0.0]]), [BaseStation("a", 0.0, 0.0)], cfg)
+    assert unsure.tolist() == [True]
+    with pytest.raises(ConfigError):
+        best_link((500.0, 0.0), [BaseStation("a", 0.0, 0.0)], cfg)
+
+
+coords = st.integers(-1500, 1500).map(lambda v: 2.0 * v)
+station_specs = st.lists(
+    st.tuples(coords, coords, st.sampled_from([0.0, 5.0, 15.0, 20.0]),
+              st.sampled_from([1.5, 10.0, 25.0])),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def layouts(draw):
+    """Stations with mixed gains and heights, plus positions that include
+    free points, exact station sites and exact midpoints of station pairs.
+
+    Twin stations are copies of a station rotated about a position: equal
+    distance in exact arithmetic, so their SNRs tie to within an ulp or two
+    and numpy and math may rank them differently.
+    """
+    specs = draw(station_specs)
+    stations = [
+        BaseStation(f"s{i}", x, y, antenna_gain=g, height=h)
+        for i, (x, y, g, h) in enumerate(specs)
+    ]
+    free = st.tuples(st.floats(-4000, 4000), st.floats(-4000, 4000))
+    pair = st.tuples(st.sampled_from(stations), st.sampled_from(stations))
+    midpoint = pair.map(lambda ab: ((ab[0].x + ab[1].x) / 2, (ab[0].y + ab[1].y) / 2))
+    positions = draw(st.lists(st.one_of(free, midpoint), min_size=1, max_size=12))
+    for angle in draw(st.lists(st.floats(0.1, 6.2), max_size=4)):
+        px, py = draw(st.sampled_from(positions))
+        src = draw(st.sampled_from(stations))
+        dx, dy = src.x - px, src.y - py
+        stations.append(BaseStation(
+            f"t{len(stations)}",
+            px + dx * math.cos(angle) - dy * math.sin(angle),
+            py + dx * math.sin(angle) + dy * math.cos(angle),
+            antenna_gain=src.antenna_gain,
+            height=src.height,
+        ))
+    extra = draw(st.sampled_from([0.0, 3.5, -2.25, 17.0]))
+    order = draw(st.permutations(stations))
+    return order, positions, LinkBudgetConfig(extra_loss_db=extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(layouts())
+def test_columnar_association_matches_best_link(layout):
+    stations, positions, cfg = layout
+    canonical = sorted(stations, key=lambda s: s.station_id)
+    winners, unsure = screen_links(np.array(positions), canonical, cfg)
+    traces = [
+        VehicleTrace(f"v{i:02d}", (TraceSample(f"v{i:02d}", 0, x, y, 10.0),))
+        for i, (x, y) in enumerate(positions)
+    ]
+    rows = run(SimConfig(link=cfg), traces, stations)
+    for pos, winner, tie, row in zip(positions, winners, unsure, rows):
+        station, link = best_link(pos, stations, cfg)
+        assert (row.serving_station, row.snr_db) == (station.station_id, link.snr)
+        if not tie:
+            assert canonical[winner] == station
+            assert snr(pos, station, cfg).snr == link.snr
