@@ -1,8 +1,8 @@
 """Common vehicle information model: channels, one-second packages, queues.
 
-Three layers: proprietary signals (brand-tagged, never serialized),
-measurement channels that harmonize raw signal values into SI units via an
-affine map, and data packages that bundle one interval's channel records
+Proprietary in-vehicle signals stay in the vehicle and are never
+serialized.  Measurement channels harmonize their raw values into SI units
+via an affine map, and data packages bundle one interval's channel records
 together with ownership and privacy metadata.  Each vehicle owns a FIFO
 transmit queue that drains against the uplink capacity of the current tick;
 packages are sent atomically or not at all.
@@ -31,12 +31,11 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Protocol
+from typing import Iterable, Protocol
 
 from .errors import ConfigError, ValidationError
 from .mobility import TraceSample
 
-SIGNAL_SOURCES = ("CAN", "OBD", "other")
 PRIVACY_LEVELS = ("public", "restricted", "private")
 
 _HEADER_STRUCT = struct.Struct("<16sQIBHB16sQ8x")
@@ -48,24 +47,8 @@ assert _RECORD_STRUCT.size == 16
 
 
 @dataclass(frozen=True)
-class SignalDescriptor:
-    """Bottom layer: a proprietary in-vehicle signal."""
-
-    signal_id: str
-    source: str
-    raw_unit: str
-    brand_tag: str
-
-    def __post_init__(self) -> None:
-        if self.source not in SIGNAL_SOURCES:
-            raise ConfigError(f"signal source must be one of {SIGNAL_SOURCES}")
-        if not self.brand_tag:
-            raise ConfigError("signal brand_tag must be non-empty")
-
-
-@dataclass(frozen=True)
 class MeasurementChannel:
-    """Middle layer: brand-independent channel with an affine raw->SI map."""
+    """Brand-independent channel with an affine raw->SI map."""
 
     channel_id: int
     name: str
@@ -337,72 +320,39 @@ def parse_package(
     )
 
 
-def channel_allowlist_priority(
-    channel_ids: Iterable[int],
-) -> Callable[[CvimDataPackage], bool]:
-    """Priority predicate: packages carrying any allowlisted channel go first.
-
-    This is the knob for sending only selected, prioritized data when the
-    uplink is scarce; time-uncritical packages stay queued behind them.
-    """
-    allowed = frozenset(channel_ids)
-
-    def predicate(pkg: CvimDataPackage) -> bool:
-        return any(rec.channel_id in allowed for rec in pkg.records)
-
-    return predicate
-
-
 class TransmitQueue:
-    """Per-vehicle FIFO of pending packages, with optional priority class.
+    """Per-vehicle FIFO of pending packages.
 
-    Packages the predicate marks high-priority are served before the rest;
-    order within each class stays first-in-first-out.  Entries are
-    (payload_bytes, package_id) pairs, so a caller that only tracks sizes
-    queues them with push_size; such entries have no id and join the normal
-    class.
+    Entries are (payload_bytes, package_id) pairs, so a caller that only
+    tracks sizes queues them with push_size; such entries have no id.
     """
 
-    def __init__(
-        self,
-        vehicle_id: str,
-        priority: Callable[[CvimDataPackage], bool] | None = None,
-    ):
+    def __init__(self, vehicle_id: str):
         self.vehicle_id = vehicle_id
-        self._priority = priority
-        self._high: deque[tuple[int, str | None]] = deque()
-        self._normal: deque[tuple[int, str | None]] = deque()
+        self._entries: deque[tuple[int, str | None]] = deque()
         self._bytes = 0
 
     def push(self, pkg: CvimDataPackage) -> None:
-        entry = (pkg.payload_bytes, pkg.package_id)
-        if self._priority is not None and self._priority(pkg):
-            self._high.append(entry)
-        else:
-            self._normal.append(entry)
+        self._entries.append((pkg.payload_bytes, pkg.package_id))
         self._bytes += pkg.payload_bytes
 
     def push_size(self, payload_bytes: int) -> None:
         """Queue a package known only by its size."""
-        self._normal.append((payload_bytes, None))
+        self._entries.append((payload_bytes, None))
         self._bytes += payload_bytes
 
     def __len__(self) -> int:
-        return len(self._high) + len(self._normal)
+        return len(self._entries)
 
     @property
     def queued_bytes(self) -> int:
         return self._bytes
 
     def _head(self) -> tuple[int, str | None] | None:
-        if self._high:
-            return self._high[0]
-        if self._normal:
-            return self._normal[0]
-        return None
+        return self._entries[0] if self._entries else None
 
     def _pop(self) -> None:
-        size, _ = self._high.popleft() if self._high else self._normal.popleft()
+        size, _ = self._entries.popleft()
         self._bytes -= size
 
 
@@ -439,32 +389,35 @@ def count_packages_per_cell(results: Iterable[TickRow]) -> dict[str, float]:
     """Mean packages generated per traversal, per cell.
 
     A traversal is a maximal run of consecutive ticks a vehicle stays
-    attached to one station; one package is generated per attached tick.
-    Cells that never see a vehicle are absent from the result.
+    attached to one station; its packages are the sum of packages_generated
+    over those ticks.  That is one per tick without aggregation, and one per
+    aggregate_ticks window (or departure) with it.  Cells that never see a
+    vehicle are absent from the result.
     """
     by_vehicle: dict[str, list[TickRow]] = {}
     for row in results:
         by_vehicle.setdefault(row.vehicle_id, []).append(row)
     if not by_vehicle:
         raise ValidationError("no tick results: nothing ever traversed a cell")
-    traversal_ticks: dict[str, list[int]] = {}
+    traversal_packages: dict[str, list[int]] = {}
     for vid in sorted(by_vehicle):
         rows = sorted(by_vehicle[vid], key=lambda r: r.t)
         run_station = None
-        run_len = 0
+        run_packages = 0
         prev_t = None
         for row in rows:
             contiguous = prev_t is not None and row.t == prev_t + 1
             if row.serving_station == run_station and contiguous:
-                run_len += 1
+                run_packages += row.packages_generated
             else:
                 if run_station is not None:
-                    traversal_ticks.setdefault(run_station, []).append(run_len)
+                    traversal_packages.setdefault(run_station, []).append(run_packages)
                 run_station = row.serving_station
-                run_len = 1
+                run_packages = row.packages_generated
             prev_t = row.t
         if run_station is not None:
-            traversal_ticks.setdefault(run_station, []).append(run_len)
+            traversal_packages.setdefault(run_station, []).append(run_packages)
     return {
-        sid: sum(ticks) / len(ticks) for sid, ticks in sorted(traversal_ticks.items())
+        sid: sum(packages) / len(packages)
+        for sid, packages in sorted(traversal_packages.items())
     }

@@ -280,19 +280,6 @@ def run(
     return results
 
 
-def vehicle_timeseries(
-    results: Iterable[TickResult], vehicle_id: str
-) -> list[tuple[int, float, float]]:
-    """(t, snr_db, rate_bps) projection of one vehicle, in tick order."""
-    series = [
-        (r.t, r.snr_db, r.rate_bps) for r in results if r.vehicle_id == vehicle_id
-    ]
-    if not series:
-        raise KeyError(vehicle_id)
-    series.sort(key=lambda row: row[0])
-    return series
-
-
 def write_results_csv(results: Iterable[TickResult], stream: IO[str]) -> None:
     stream.write(RESULTS_CSV_HEADER + "\n")
     for r in results:

@@ -57,15 +57,6 @@ def rb_rate(snr_db: float, speed: float, params: RbRateParams | None = None) -> 
     return efficiency * p.rb_bandwidth_hz * penalty
 
 
-def cell_peak_rate(
-    n_rb: float, snr_db: float, speed: float, params: RbRateParams | None = None
-) -> float:
-    """Rate of a user holding n_rb resource blocks alone."""
-    if n_rb < 0:
-        raise ConfigError("n_rb must be non-negative")
-    return n_rb * rb_rate(snr_db, speed, params)
-
-
 def model_from_params(params: RbRateParams | None = None) -> RateModel:
     """Bind parameters into the callable form the scheduler and engine use."""
     p = params or RbRateParams()

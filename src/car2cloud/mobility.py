@@ -13,9 +13,8 @@ from __future__ import annotations
 import csv
 import math
 import xml.etree.ElementTree as ET
-from collections import deque
-from dataclasses import dataclass, replace
-from typing import IO, Iterable
+from dataclasses import dataclass
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +28,9 @@ ID_FORBIDDEN_CHARS = ',"\r\n'
 
 
 def check_id(value: str, where: str, what: str) -> None:
-    """Reject an id that the CSV outputs could not hold as one field."""
+    """Reject an id that is empty or that a CSV output could not hold as one field."""
+    if not value:
+        raise ParseError(f"{where}: empty {what}")
     if any(c in value for c in ID_FORBIDDEN_CHARS):
         raise ValidationError(
             f"{where}: {what} {value!r} contains a comma, quote or line break"
@@ -114,50 +115,61 @@ class RoadSpec:
             raise ConfigError("road.duration must be non-negative")
 
 
-@dataclass
-class VehicleKinematicState:
-    """Internal generator state: position is the front bumper along the road."""
-
-    vehicle_id: str
-    position: float
-    speed: float
-    desired_speed_factor: float = 1.0
-
-
 def krauss_step(
-    follower: VehicleKinematicState,
-    leader: VehicleKinematicState | None,
+    position: np.ndarray,
+    speed: np.ndarray,
+    factor: np.ndarray,
+    dawdle: np.ndarray,
     params: KraussParams,
-    dt: float = 1.0,
-    rng_draw: float = 0.0,
-) -> VehicleKinematicState:
-    """Advance one vehicle by one tick of the Krauss safe-speed model.
+    ids: Sequence[str],
+    ring_length: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance an ordered platoon (index 0 = rearmost) by one 1 s tick.
 
-    With gap g = x_leader - x_follower - length - min_gap the safe speed is
+    Every vehicle follows the Krauss safe-speed model.  With gap
+    g = x_leader - x_follower - length - min_gap the safe speed is
 
         v_safe = v_l + (g - v_l*tau) / ((v_l + v) / (2*b_max) + tau)
 
-    and the new speed is the desired speed min(v_max*factor, v + a_max*dt,
-    v_safe) reduced by the random imperfection sigma*a_max*dt*rng_draw,
-    floored at zero.  ``leader`` positions must already be linearized (ring
-    wrap-around resolved by the caller).
+    and the new speed is the desired speed min(v_max*factor, v + a_max,
+    v_safe) reduced by the random imperfection sigma*a_max*dawdle, floored
+    at zero.  The frontmost vehicle of a strip has no leader; on a ring of
+    more than one vehicle the rearmost leads the frontmost, one lap ahead,
+    and new positions wrap into [0, ring_length).  ``ids`` name the vehicles
+    in an overlap error.
+
+    The operations follow the scalar formula's order and every min/max keeps
+    the operand Python's min/max would keep, so results equal the scalar
+    model bit for bit; np.maximum(0.0, -0.0), unlike max, returns -0.0.
     """
-    v = follower.speed
-    v_des = min(params.v_max * follower.desired_speed_factor, v + params.a_max * dt)
-    if leader is not None:
-        gap = leader.position - follower.position - params.veh_length - params.min_gap
-        if gap < 0:
-            raise SimulationError(
-                f"vehicles {follower.vehicle_id} and {leader.vehicle_id} overlap "
-                f"(gap {gap:.3f} m)"
-            )
-        v_l = leader.speed
-        v_safe = v_l + (gap - v_l * params.tau) / (
-            (v_l + v) / (2.0 * params.b_max) + params.tau
+    v_free = params.v_max * factor
+    v_acc = speed + params.a_max
+    v_des = np.where(v_acc < v_free, v_acc, v_free)
+    n = len(position)
+    if ring_length is not None and n > 1:
+        lead_pos = np.append(position[1:], position[0] + ring_length)
+        lead_speed = np.append(speed[1:], speed[0])
+    else:
+        lead_pos, lead_speed = position[1:], speed[1:]
+    m = len(lead_pos)  # vehicles with a leader
+    gap = lead_pos - position[:m] - params.veh_length - params.min_gap
+    overlap = np.flatnonzero(gap < 0)
+    if overlap.size:
+        i = int(overlap[0])
+        raise SimulationError(
+            f"vehicles {ids[i]} and {ids[(i + 1) % n]} overlap (gap {gap[i]:.3f} m)"
         )
-        v_des = min(v_des, v_safe)
-    v_new = max(0.0, v_des - params.sigma * params.a_max * dt * rng_draw)
-    return replace(follower, position=follower.position + v_new * dt, speed=v_new)
+    v = speed[:m]
+    v_safe = lead_speed + (gap - lead_speed * params.tau) / (
+        (lead_speed + v) / (2.0 * params.b_max) + params.tau
+    )
+    v_des[:m] = np.where(v_safe < v_des[:m], v_safe, v_des[:m])
+    v_new = v_des - params.sigma * params.a_max * dawdle
+    v_new = np.where(v_new > 0.0, v_new, 0.0)
+    new_position = position + v_new
+    if ring_length is not None:
+        new_position = np.fmod(new_position, ring_length)
+    return new_position, v_new
 
 
 class _VehicleRng:
@@ -165,7 +177,9 @@ class _VehicleRng:
 
     Splitting per vehicle makes every vehicle's imperfection draws
     independent of insertion order, which keeps whole runs reproducible
-    even if the set of simultaneously active vehicles changes.
+    even if the set of simultaneously active vehicles changes.  A vehicle
+    draws its speed factor first, then all its dawdles in one call; the
+    j-th dawdle is used in the vehicle's j-th step.
     """
 
     def __init__(self, seed: int, vehicle_index: int):
@@ -177,35 +191,24 @@ class _VehicleRng:
         raw = 1.0 + speed_dev * self._rng.standard_normal()
         return min(max(raw, SPEED_FACTOR_MIN), SPEED_FACTOR_MAX)
 
-    def dawdle(self) -> float:
-        return float(self._rng.random())
-
-
-@dataclass
-class _ActiveVehicle:
-    state: VehicleKinematicState
-    rng: _VehicleRng
-    samples: list[TraceSample]
+    def dawdles(self, steps: int) -> list[float]:
+        return self._rng.random(steps).tolist()
 
 
 def _entry_speed(
-    leader: VehicleKinematicState | None, factor: float, params: KraussParams
+    rear_position: float, rear_speed: float, factor: float, params: KraussParams
 ) -> float:
-    """Speed assigned to a vehicle entering the strip at the origin.
+    """Speed assigned to a vehicle entering the strip behind the rear vehicle.
 
     Entrants obey the same safe-speed law as everyone else, evaluated
-    against the rearmost vehicle already on the road; free entries start
-    at their own desired speed.
+    against the rearmost vehicle already on the road.
     """
     v_free = params.v_max * factor
-    if leader is None:
-        return v_free
-    gap = leader.position - params.veh_length - params.min_gap
+    gap = rear_position - params.veh_length - params.min_gap
     if gap < 0:
         raise SimulationError("injection attempted while origin blocked")
-    v_l = leader.speed
-    v_safe = v_l + (gap - v_l * params.tau) / (
-        (v_l + v_l) / (2.0 * params.b_max) + params.tau
+    v_safe = rear_speed + (gap - rear_speed * params.tau) / (
+        (rear_speed + rear_speed) / (2.0 * params.b_max) + params.tau
     )
     return max(0.0, min(v_free, v_safe))
 
@@ -223,37 +226,52 @@ def _arrival_times(road: RoadSpec) -> list[float]:
         times.append(t)
 
 
-def _step_all(active: list[_ActiveVehicle], params: KraussParams, ring_length: float | None) -> None:
-    """Synchronous Krauss update of an ordered platoon (index 0 = rearmost)."""
-    n = len(active)
-    new_states = []
-    for i, veh in enumerate(active):
-        if ring_length is not None and n > 1:
-            nxt = active[(i + 1) % n].state
-            leader = replace(
-                nxt,
-                position=nxt.position + (ring_length if i == n - 1 else 0.0),
-            )
-        elif ring_length is None and i < n - 1:
-            leader = active[i + 1].state
+class _Recorder:
+    """Per-vehicle samples, appended one platoon snapshot per tick.
+
+    A strip position is x with y = 0; a ring position is mapped onto a
+    circle of matching circumference with the scalar math.cos and math.sin,
+    whose results numpy's vectorised versions may miss by an ulp.  Samples
+    are built tick by tick, not from whole-run arrays at the end: freeing
+    arrays of several MB raises glibc's mmap threshold, and with it the peak
+    RSS of whatever runs next in the process.
+    """
+
+    def __init__(self, names: np.ndarray, ring_length: float | None):
+        self.names = names
+        self.radius = None if ring_length is None else ring_length / (2.0 * math.pi)
+        self.samples: list[list[TraceSample]] = [[] for _ in range(len(names))]
+        self.t = 0
+
+    def record(self, vehicles: np.ndarray, position: np.ndarray, speed: np.ndarray) -> None:
+        """Snapshot of the next tick, the first being tick 0."""
+        n = len(vehicles)
+        if self.radius is None:
+            xs = position.tolist()
+            ys = [0.0] * n
         else:
-            leader = None
-        new_states.append(
-            krauss_step(veh.state, leader, params, dt=1.0, rng_draw=veh.rng.dawdle())
+            angles = (position / self.radius).tolist()
+            xs = [self.radius * c for c in map(math.cos, angles)]
+            ys = [self.radius * s for s in map(math.sin, angles)]
+        row = map(
+            TraceSample, self.names[vehicles].tolist(), [self.t] * n, xs, ys, speed.tolist()
         )
-    for veh, state in zip(active, new_states):
-        if ring_length is not None:
-            state = replace(state, position=state.position % ring_length)
-        veh.state = state
+        for k, sample in zip(vehicles.tolist(), row):
+            self.samples[k].append(sample)
+        self.t += 1
+
+    def traces(self) -> list[VehicleTrace]:
+        """Traces of every vehicle that was recorded, sorted by id."""
+        traces = [VehicleTrace(s[0].vehicle_id, tuple(s)) for s in self.samples if s]
+        traces.sort(key=lambda tr: tr.vehicle_id)
+        return traces
 
 
-def _record(active: list[_ActiveVehicle], t: int) -> None:
-    for veh in active:
-        s = veh.state
-        veh.samples.append(TraceSample(s.vehicle_id, t, s.position, 0.0, s.speed))
+def _vehicle_names(count: int) -> np.ndarray:
+    return np.array([f"veh{k:04d}" for k in range(count)], dtype=object)
 
 
-def _generate_strip(road: RoadSpec, params: KraussParams) -> list[_ActiveVehicle]:
+def _generate_strip(road: RoadSpec, params: KraussParams) -> list[VehicleTrace]:
     """Strip run: arrivals enter at the origin, traces end past the far end.
 
     The arrival process is continuous, so entries happen at sub-tick
@@ -264,36 +282,38 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> list[_ActiveVehicle
     safe-speed law at full platoon speed, which lets the road actually
     reach single-lane capacity under jam demand.
     """
-    pending = deque(
-        (
-            arrival,
-            _ActiveVehicle(
-                VehicleKinematicState(f"veh{k:04d}", 0.0, 0.0),
-                _VehicleRng(road.seed, k),
-                [],
-            ),
-        )
-        for k, arrival in enumerate(_arrival_times(road))
-    )
-    for _, veh in pending:
-        veh.state.desired_speed_factor = veh.rng.speed_factor(params.speed_dev)
+    arrivals = _arrival_times(road)
+    names = _vehicle_names(len(arrivals))
+    rngs = [_VehicleRng(road.seed, k) for k in range(len(arrivals))]
+    factors = [rng.speed_factor(params.speed_dev) for rng in rngs]
+    dawdles: dict[int, Iterator[float]] = {}  # drawn on entry
+    recorder = _Recorder(names, ring_length=None)
 
-    done: list[_ActiveVehicle] = []
-    active: list[_ActiveVehicle] = []  # ordered back to front
+    # The platoon, ordered back to front.
+    vehicles = np.zeros(0, dtype=np.int64)
+    position = speed = factor = np.zeros(0)
+    next_k = 0
     front_clearance = params.veh_length + params.min_gap
     for t in range(road.duration):
-        _record(active, t)
-        _step_all(active, params, ring_length=None)
+        recorder.record(vehicles, position, speed)
+        dawdle = np.array([next(dawdles[k]) for k in vehicles.tolist()])
+        position, speed = krauss_step(
+            position, speed, factor, dawdle, params, names[vehicles]
+        )
         # Entries during (t, t+1] appear in the t+1 sample set.  Positions
         # within the window are linear at the post-step speed, matching the
         # discrete position update.
-        while pending and pending[0][0] <= t + 1 and t + 1 <= road.duration - 1:
-            arrival, veh = pending[0]
-            rear = active[0].state if active else None
-            entry_offset = max(arrival - t, 0.0)
+        entered: list[tuple[int, float, float]] = []  # (k, position, speed), rear last
+        rear = (float(position[0]), float(speed[0])) if len(vehicles) else None
+        while (
+            next_k < len(arrivals)
+            and arrivals[next_k] <= t + 1
+            and t + 1 <= road.duration - 1
+        ):
+            entry_offset = max(arrivals[next_k] - t, 0.0)
             if rear is not None:
-                v_r = rear.speed
-                rear_window_start = rear.position - v_r
+                rear_pos, v_r = rear
+                rear_window_start = rear_pos - v_r
                 envelope = front_clearance + v_r * params.tau
                 if v_r <= 0.0:
                     if rear_window_start < envelope:
@@ -304,31 +324,33 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> list[_ActiveVehicle
                     )
             if entry_offset >= 1.0:
                 break
-            pending.popleft()
             if rear is None:
-                speed = params.v_max * veh.state.desired_speed_factor
+                v_in = params.v_max * factors[next_k]
             else:
-                rear_at_entry = VehicleKinematicState(
-                    rear.vehicle_id, rear_window_start + v_r * entry_offset, v_r
+                v_in = _entry_speed(
+                    rear_window_start + v_r * entry_offset, v_r, factors[next_k], params
                 )
-                speed = _entry_speed(
-                    rear_at_entry, veh.state.desired_speed_factor, params
-                )
-            veh.state.speed = speed
-            veh.state.position = speed * (1.0 - entry_offset)
-            active.insert(0, veh)
-        still_on = []
-        for veh in active:
-            if veh.state.position > road.length:
-                done.append(veh)
-            else:
-                still_on.append(veh)
-        active = still_on
-    done.extend(active)
-    return [v for v in done if v.samples]
+            rear = (v_in * (1.0 - entry_offset), v_in)
+            entered.append((next_k, *rear))
+            # one draw for each of its steps, at ticks t+1 .. duration-1
+            dawdles[next_k] = iter(rngs[next_k].dawdles(road.duration - t - 1))
+            next_k += 1
+        if entered:
+            entered.reverse()
+            ks = [e[0] for e in entered]
+            vehicles = np.concatenate([ks, vehicles])
+            position = np.concatenate([[e[1] for e in entered], position])
+            speed = np.concatenate([[e[2] for e in entered], speed])
+            factor = np.concatenate([[factors[k] for k in ks], factor])
+        on_road = position <= road.length
+        if not on_road.all():
+            vehicles, position, speed, factor = (
+                a[on_road] for a in (vehicles, position, speed, factor)
+            )
+    return recorder.traces()
 
 
-def _generate_ring(road: RoadSpec, params: KraussParams) -> list[_ActiveVehicle]:
+def _generate_ring(road: RoadSpec, params: KraussParams) -> list[VehicleTrace]:
     count = int(road.inflow)
     spacing = road.length / count
     if spacing < params.veh_length + params.min_gap:
@@ -336,27 +358,27 @@ def _generate_ring(road: RoadSpec, params: KraussParams) -> list[_ActiveVehicle]
             f"ring of {road.length} m cannot hold {count} vehicles "
             f"(need {params.veh_length + params.min_gap} m each)"
         )
-    active = [
-        _ActiveVehicle(
-            VehicleKinematicState(f"veh{k:04d}", k * spacing, 0.0),
-            _VehicleRng(road.seed, k),
-            [],
+    names = _vehicle_names(count)
+    rngs = [_VehicleRng(road.seed, k) for k in range(count)]
+    factor = np.array([rng.speed_factor(params.speed_dev) for rng in rngs])
+    dawdles = [iter(rng.dawdles(road.duration)) for rng in rngs]
+    recorder = _Recorder(names, ring_length=road.length)
+
+    # The platoon, ordered back to front.
+    vehicles = np.arange(count)
+    position = np.array([k * spacing for k in range(count)])
+    speed = np.zeros(count)
+    for _ in range(road.duration):
+        recorder.record(vehicles, position, speed)
+        dawdle = np.array([next(dawdles[k]) for k in vehicles.tolist()])
+        position, speed = krauss_step(
+            position, speed, factor, dawdle, params, names[vehicles], ring_length=road.length
         )
-        for k in range(count)
-    ]
-    for veh in active:
-        veh.state.desired_speed_factor = veh.rng.speed_factor(params.speed_dev)
-    for t in range(road.duration):
-        _record(active, t)
-        _step_all(active, params, ring_length=road.length)
-        active.sort(key=lambda v: v.state.position)
-    return active
-
-
-def _ring_xy(position: float, length: float) -> tuple[float, float]:
-    radius = length / (2.0 * math.pi)
-    angle = position / radius
-    return radius * math.cos(angle), radius * math.sin(angle)
+        order = np.argsort(position, kind="stable")
+        vehicles, position, speed, factor = (
+            a[order] for a in (vehicles, position, speed, factor)
+        )
+    return recorder.traces()
 
 
 def generate_traces(road: RoadSpec, params: KraussParams | None = None) -> list[VehicleTrace]:
@@ -368,22 +390,8 @@ def generate_traces(road: RoadSpec, params: KraussParams | None = None) -> list[
     """
     params = params or KraussParams()
     if road.topology == "strip":
-        finished = _generate_strip(road, params)
-        traces = [
-            VehicleTrace(v.samples[0].vehicle_id, tuple(v.samples)) for v in finished
-        ]
-    else:
-        finished = _generate_ring(road, params)
-        traces = []
-        for v in finished:
-            mapped = []
-            for s in v.samples:
-                x, y = _ring_xy(s.x, road.length)
-                mapped.append(replace(s, x=x, y=y))
-            if mapped:
-                traces.append(VehicleTrace(mapped[0].vehicle_id, tuple(mapped)))
-    traces.sort(key=lambda tr: tr.vehicle_id)
-    return traces
+        return _generate_strip(road, params)
+    return _generate_ring(road, params)
 
 
 def _build_traces(samples: Iterable[TraceSample]) -> list[VehicleTrace]:
@@ -426,8 +434,6 @@ def parse_trace_csv(stream: IO[str]) -> list[VehicleTrace]:
             x, y, speed = float(row[2]), float(row[3]), float(row[4])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        if not vid:
-            raise ParseError(f"line {lineno}: empty vehicle_id")
         check_id(vid, f"line {lineno}", "vehicle_id")
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(speed)):
             raise ValidationError(f"line {lineno}: non-finite x, y or speed")

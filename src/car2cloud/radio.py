@@ -73,18 +73,6 @@ class LinkSample(NamedTuple):
     snr: float
 
 
-@dataclass(frozen=True)
-class SnrSample:
-    """Per-tick serving-link record; snr satisfies the budget identity."""
-
-    vehicle_id: str
-    t: int
-    serving_station: str
-    distance: float
-    path_loss: float
-    snr: float
-
-
 def breakpoint_distance(cfg: LinkBudgetConfig, bs_height: float = 10.0) -> float:
     """B1 breakpoint distance 4 * h'_bs * h'_ue * f / c in meters."""
     h_bs = bs_height - 1.0
@@ -216,30 +204,6 @@ def screen_links(
     return np.argmax(value, axis=1), unsure
 
 
-def associate(
-    vehicle_pos: tuple[float, float],
-    stations: Iterable[BaseStation],
-    cfg: LinkBudgetConfig,
-) -> str:
-    """Station id the vehicle at this position attaches to."""
-    station, _ = best_link(vehicle_pos, stations, cfg)
-    return station.station_id
-
-
-def snr_sample(
-    vehicle_id: str,
-    t: int,
-    vehicle_pos: tuple[float, float],
-    stations: Iterable[BaseStation],
-    cfg: LinkBudgetConfig,
-) -> SnrSample:
-    """Full serving-link record (association plus budget) for one tick."""
-    station, link = best_link(vehicle_pos, stations, cfg)
-    return SnrSample(
-        vehicle_id, t, station.station_id, link.distance, link.path_loss, link.snr
-    )
-
-
 STATION_CSV_FIELDS = ("station_id", "x", "y", "antenna_gain", "height")
 
 
@@ -262,8 +226,6 @@ def parse_stations_csv(stream: IO[str]) -> list[BaseStation]:
                 f"line {lineno}: expected {len(header)} fields, got {len(row)}"
             )
         sid = row[0]
-        if not sid:
-            raise ParseError(f"line {lineno}: empty station_id")
         check_id(sid, f"line {lineno}", "station_id")
         if sid in seen:
             raise ValidationError(f"line {lineno}: duplicate station_id {sid!r}")

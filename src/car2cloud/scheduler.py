@@ -11,11 +11,9 @@ systematically favored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 from .errors import ConfigError
 from .linkrate import RateModel, RbRateParams, rb_rate
-from .radio import BaseStation, LinkBudgetConfig, associate
 
 MODES = ("fractional", "integer")
 
@@ -35,23 +33,6 @@ class RbAllocation:
     t: int
     mode: str
     shares: dict[str, float] = field(default_factory=dict)
-
-
-def build_cells(
-    positions: Mapping[str, tuple[float, float]],
-    t: int,
-    stations: Iterable[BaseStation],
-    link_cfg: LinkBudgetConfig,
-) -> list[CellTickState]:
-    """Partition the vehicles present at tick t into cells; empty cells omitted."""
-    stations = list(stations)
-    members: dict[str, list[str]] = {}
-    for vid in sorted(positions):
-        sid = associate(positions[vid], stations, link_cfg)
-        members.setdefault(sid, []).append(vid)
-    return [
-        CellTickState(sid, t, tuple(members[sid])) for sid in sorted(members)
-    ]
 
 
 def rr_allocate(

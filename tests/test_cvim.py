@@ -7,9 +7,7 @@ from car2cloud.cvim import (
     ChannelRecord,
     MeasurementChannel,
     PackagingConfig,
-    SignalDescriptor,
     TransmitQueue,
-    channel_allowlist_priority,
     count_packages_per_cell,
     generate_tick_package,
     harmonize,
@@ -55,8 +53,6 @@ def test_channel_validation():
         MeasurementChannel(1, "bad", "u", scale=0.0)
     with pytest.raises(ConfigError):
         MeasurementChannel(70000, "too-big", "u")
-    with pytest.raises(ConfigError):
-        SignalDescriptor("s1", "CAN", "raw", brand_tag="")
 
 
 def test_package_sizes_ten_records():
@@ -139,26 +135,6 @@ def test_try_transmit_head_of_line_blocking():
     assert len(queue) == 2
 
 
-def test_priority_class_served_first():
-    def is_urgent(pkg):
-        return any(r.channel_id == 99 for r in pkg.records)
-
-    queue = TransmitQueue("v", priority=is_urgent)
-    queue.push(package("v", 0, records(2)))
-    queue.push(package("v", 1, [ChannelRecord(99, 1.0, 0.0)]))
-    queue.push(package("v", 2, records(2, t=2.0)))
-    sent, _ = try_transmit(queue, 10_000)
-    assert sent == ["v@1", "v@0", "v@2"]
-
-
-def test_channel_allowlist_priority_predicate():
-    queue = TransmitQueue("v", priority=channel_allowlist_priority([3]))
-    queue.push(package("v", 0, records(2)))              # channels 1, 2
-    queue.push(package("v", 1, records(3, t=1.0)))       # includes channel 3
-    sent, _ = try_transmit(queue, 10_000)
-    assert sent == ["v@1", "v@0"]
-
-
 def test_queue_conservation_of_bytes():
     queue = TransmitQueue("v")
     total = 0
@@ -227,11 +203,12 @@ def test_serialized_package_hides_identifiers():
 
 
 def test_brand_tag_never_serialized():
-    signal = SignalDescriptor("wheel_speed", "CAN", "raw16", brand_tag="OEM-Gamma")
+    # a proprietary CAN signal "wheel_speed" of brand "OEM-Gamma", raw 1234
     channel = MeasurementChannel(3, "speed", "m/s", scale=0.01)
     value = harmonize(1234.0, channel)
     pkg = package("v1", 0, [ChannelRecord(channel.channel_id, 0.0, value)])
-    assert signal.brand_tag.encode() not in serialize_package(pkg)
+    wire = serialize_package(pkg)
+    assert b"OEM-Gamma" not in wire and b"wheel_speed" not in wire
 
 
 def test_pseudonym_is_keyed():
@@ -295,6 +272,14 @@ def test_count_packages_splits_on_station_change_and_gap():
     rows += [Row(t, "v1", "b", 1) for t in range(3, 7)]
     rows += [Row(t, "v1", "a", 1) for t in range(9, 12)]  # gap at 7-8
     assert count_packages_per_cell(rows) == {"a": 3.0, "b": 4.0}
+
+
+def test_count_packages_sums_aggregated_rows():
+    # aggregate_ticks = 4: a package closes every fourth tick and at departure
+    rows = [Row(t, "v1", "a", int(t % 4 == 3)) for t in range(10)]   # 2 packages
+    rows += [Row(t, "v1", "b", int(t % 4 == 3)) for t in range(10, 14)]  # 1
+    rows += [Row(t, "v2", "a", int(t % 4 == 3 or t == 5)) for t in range(6)]  # 2
+    assert count_packages_per_cell(rows) == {"a": 2.0, "b": 1.0}
 
 
 def test_count_packages_empty_errors():

@@ -3,9 +3,12 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from car2cloud.engine import (
     SimConfig,
+    TickResult,
     config_echo,
     load_config,
     parse_config_text,
@@ -13,14 +16,13 @@ from car2cloud.engine import (
     run,
     summarize,
     undelivered_bytes,
-    vehicle_timeseries,
     write_results_csv,
     write_summary_json,
 )
-from car2cloud.cvim import PackagingConfig
+from car2cloud.cvim import PackagingConfig, count_packages_per_cell
 from car2cloud.errors import ConfigError, ParseError, ValidationError
 from car2cloud.linkrate import rb_rate
-from car2cloud.mobility import TraceSample, VehicleTrace
+from car2cloud.mobility import ID_FORBIDDEN_CHARS, TraceSample, VehicleTrace
 from car2cloud.radio import BaseStation
 
 
@@ -129,19 +131,25 @@ def test_aggregate_ticks_mode():
     assert total_bytes == (64 + 9 * 16) * 2 + (64 + 3 * 16)
 
 
+def test_aggregated_packages_per_cell():
+    traces = [trace("v1", range(0, 70, 10))]  # 7 ticks in one cell
+    aggregated = SimConfig(packaging=PackagingConfig(aggregate_ticks=3))
+    assert count_packages_per_cell(run(aggregated, traces, STATION)) == {"bs0": 3.0}
+    assert count_packages_per_cell(run(SimConfig(), traces, STATION)) == {"bs0": 7.0}
+
+
+def vehicle_timeseries(results, vehicle_id):
+    """(t, snr_db, rate_bps) of one vehicle's rows, in tick order."""
+    return sorted((r.t, r.snr_db, r.rate_bps) for r in results if r.vehicle_id == vehicle_id)
+
+
 def test_vehicle_timeseries_projection():
     traces = [trace("v1", [0] * 300, speed=0.0)]
     results = run(SimConfig(), traces, STATION)
     series = vehicle_timeseries(results, "v1")
-    assert len(series) == 300
+    assert [t for t, _, _ in series] == list(range(300))
     assert len({snr for _, snr, _ in series}) == 1
     assert len({rate for _, _, rate in series}) == 1
-
-
-def test_vehicle_timeseries_unknown_vehicle():
-    results = run(SimConfig(), [trace("v1", [0, 10])], STATION)
-    with pytest.raises(KeyError):
-        vehicle_timeseries(results, "ghost")
 
 
 def test_empty_cell_spike():
@@ -362,3 +370,34 @@ def test_run_checks_package_metadata():
         run(SimConfig(packaging=PackagingConfig(owner="x" * 17)), traces, STATION)
     with pytest.raises(ConfigError):
         run(SimConfig(packaging=PackagingConfig(privacy_level="secret")), traces, STATION)
+
+
+IDS = st.text(st.characters(blacklist_characters=ID_FORBIDDEN_CHARS))
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1.7976931348623157e308]
+)
+TICK_RESULTS = st.builds(
+    TickResult,
+    t=st.integers(0, 10**6),
+    vehicle_id=IDS,
+    serving_station=IDS,
+    snr_db=FLOATS,
+    rb_share=FLOATS,
+    rate_bps=FLOATS,
+    packages_generated=st.integers(0, 65),
+    bits_sent=st.integers(0, 10**12),
+    queue_bytes=st.integers(0, 10**12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TICK_RESULTS, max_size=5))
+def test_results_csv_round_trip_property(results):
+    buf = io.StringIO()
+    write_results_csv(results, buf)
+    buf.seek(0)
+    back = read_results_csv(buf)
+    assert back == results
+    again = io.StringIO()
+    write_results_csv(back, again)
+    assert again.getvalue() == buf.getvalue()  # bit for bit, -0.0 included

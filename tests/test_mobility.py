@@ -1,14 +1,18 @@
+import hashlib
 import io
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from car2cloud.errors import ConfigError, ParseError, SimulationError, ValidationError
 from car2cloud.mobility import (
+    ID_FORBIDDEN_CHARS,
     KraussParams,
     RoadSpec,
     TraceSample,
-    VehicleKinematicState,
     VehicleTrace,
     emit_trace_csv,
     generate_traces,
@@ -21,50 +25,124 @@ from car2cloud.mobility import (
 PARAMS = KraussParams()
 
 
+def step(positions, speeds, draws, factors=None, ids=None, ring_length=None):
+    """One krauss_step on a small platoon given back to front."""
+    n = len(positions)
+    position, speed = krauss_step(
+        np.array(positions, dtype=float),
+        np.array(speeds, dtype=float),
+        np.array(factors or [1.0] * n),
+        np.array(draws, dtype=float),
+        PARAMS,
+        ids or [f"v{i}" for i in range(n)],
+        ring_length=ring_length,
+    )
+    return position.tolist(), speed.tolist()
+
+
 def test_krauss_free_acceleration_from_standstill():
-    follower = VehicleKinematicState("f", 0.0, 0.0)
-    out = krauss_step(follower, None, PARAMS, dt=1.0, rng_draw=0.0)
-    assert out.speed == pytest.approx(1.5)
-    assert out.position == pytest.approx(1.5)
+    position, speed = step([0.0], [0.0], [0.0])
+    assert speed[0] == pytest.approx(1.5)
+    assert position[0] == pytest.approx(1.5)
 
 
 def test_krauss_safe_speed_behind_leader():
     # center distance 20 m, length 5, min_gap 2.5 -> gap 12.5;
     # v_safe = 10 + (12.5 - 10) / (20/9 + 1)
-    follower = VehicleKinematicState("f", 0.0, 10.0)
-    leader = VehicleKinematicState("l", 20.0, 10.0)
-    out = krauss_step(follower, leader, PARAMS, dt=1.0, rng_draw=0.0)
+    _, speed = step([0.0, 20.0], [10.0, 10.0], [0.0, 0.0])
     expected = 10.0 + 2.5 / (20.0 / 9.0 + 1.0)
-    assert out.speed == pytest.approx(expected, rel=1e-12)
-    assert out.speed == pytest.approx(10.777, abs=2e-3)
+    assert speed[0] == pytest.approx(expected, rel=1e-12)
+    assert speed[0] == pytest.approx(10.777, abs=2e-3)
+    assert speed[1] == pytest.approx(11.5)  # the leader drives free
 
 
 def test_krauss_clamps_at_desired_speed():
-    follower = VehicleKinematicState("f", 0.0, 36.11, desired_speed_factor=1.0)
-    out = krauss_step(follower, None, PARAMS, dt=1.0, rng_draw=0.0)
-    assert out.speed == pytest.approx(36.11)
+    _, speed = step([0.0], [36.11], [0.0], factors=[1.0])
+    assert speed[0] == pytest.approx(36.11)
 
 
 def test_krauss_imperfection_reduces_speed():
-    follower = VehicleKinematicState("f", 0.0, 10.0)
-    out = krauss_step(follower, None, PARAMS, dt=1.0, rng_draw=1.0)
+    _, speed = step([0.0], [10.0], [1.0])
     # full dawdle: sigma * a_max * dt = 0.75 below the accelerated speed
-    assert out.speed == pytest.approx(11.5 - 0.75)
+    assert speed[0] == pytest.approx(11.5 - 0.75)
 
 
 def test_krauss_speed_never_negative():
-    follower = VehicleKinematicState("f", 0.0, 0.0)
-    leader = VehicleKinematicState("l", 7.5, 0.0)
-    out = krauss_step(follower, leader, PARAMS, dt=1.0, rng_draw=1.0)
-    assert out.speed == 0.0
+    _, speed = step([0.0, 7.5], [0.0, 0.0], [1.0, 0.0])
+    assert speed[0] == 0.0
+    assert math.copysign(1.0, speed[0]) == 1.0  # never -0.0
 
 
 def test_krauss_overlap_raises():
-    follower = VehicleKinematicState("fast", 0.0, 10.0)
-    leader = VehicleKinematicState("slow", 6.0, 10.0)  # gap -1.5
     with pytest.raises(SimulationError) as err:
-        krauss_step(follower, leader, PARAMS)
+        step([0.0, 6.0], [10.0, 10.0], [0.0, 0.0], ids=["fast", "slow"])  # gap -1.5
     assert "fast" in str(err.value) and "slow" in str(err.value)
+    assert "-1.500" in str(err.value)
+
+
+def test_krauss_ring_wrap_around_overlap_raises():
+    # On a 100 m ring the rear vehicle at 2 m leads the front one at 98 m
+    # from one lap ahead: 102 - 98 - 7.5 = -3.5 m.
+    with pytest.raises(SimulationError) as err:
+        step([2.0, 98.0], [0.0, 0.0], [0.0, 0.0], ids=["rear", "front"], ring_length=100.0)
+    assert "front and rear" in str(err.value)
+    assert "-3.500" in str(err.value)
+
+
+def test_krauss_ring_wraps_positions():
+    # the rear vehicle at 20 m leads the front one at 95 m from a lap ahead
+    position, speed = step([20.0, 95.0], [0.0, 10.0], [0.0, 0.0], ring_length=100.0)
+    gap = 120.0 - 95.0 - 5.0 - 2.5
+    v_safe = 0.0 + (gap - 0.0 * 1.0) / ((0.0 + 10.0) / 9.0 + 1.0)
+    assert speed == [1.5, v_safe]
+    assert position == [21.5, math.fmod(95.0 + v_safe, 100.0)]
+    assert position[1] < 5.0
+
+
+def test_krauss_single_vehicle_ring_has_no_leader():
+    position, speed = step([50.0], [36.0], [0.0], ring_length=100.0)
+    assert speed == [36.11]
+    assert position == [math.fmod(50.0 + 36.11, 100.0)]
+
+
+# SHA-256 of emit_trace_csv output, taken from the per-vehicle object
+# generator that the platoon step replaced: the rewrite kept every byte.
+GOLDEN_TRACE_DIGESTS = {
+    "strip_free_s42": (RoadSpec("strip", 3000.0, 1000.0, 120, seed=42),
+                       "f1b72938b341c834ce0ade236be6a7211dca3023d42c6c8389846b0fef3cbbae"),
+    "strip_free_s7": (RoadSpec("strip", 3000.0, 1000.0, 120, seed=7),
+                      "8ae0289aa3c89f13b1945ff410566eac64ee6ba8e899a54e756448c3e00a7865"),
+    "strip_jam_s42": (RoadSpec("strip", 3000.0, 4000.0, 120, seed=42),
+                      "555dfb91baaef8001f9d65735f07fd7c48ef0ba3ddb58b937a100c8f43a7c229"),
+    "strip_jam_s7": (RoadSpec("strip", 3000.0, 4000.0, 120, seed=7),
+                     "8cb0855c0581e132051a4050122996ba724ae74818de2b19a4fb22a5162af9fd"),
+    "ring_s42": (RoadSpec("ring", 2000.0, 40, 120, seed=42),
+                 "820372a10a04aef0c8a53ad8a3e701c20bc06a67985b3bf12e0918a306c3b169"),
+    "ring_s7": (RoadSpec("ring", 2000.0, 40, 120, seed=7),
+                "d814717d3230586cdb4141f21984bd078732a1d17de1bfb450a84e5be34beeea"),
+    # 34 vehicles on 300 m: gaps of 1.3 m, vehicles stop and pass the seam
+    "ring_dense": (RoadSpec("ring", 300.0, 34, 120, seed=3),
+                   "fe0ac71e57ac27d37c020d5289295b832b503cde1e4f93e187c59043ec9142c1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_DIGESTS))
+def test_generated_traces_match_golden_digest(name):
+    road, digest = GOLDEN_TRACE_DIGESTS[name]
+    buf = io.StringIO()
+    emit_trace_csv(generate_traces(road), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def test_dense_ring_golden_case_stops_and_wraps():
+    road, _ = GOLDEN_TRACE_DIGESTS["ring_dense"]
+    traces = generate_traces(road)
+    assert any(s.speed == 0.0 for tr in traces for s in tr.samples)
+    # a wrap shows as the angle jumping from just below 2*pi to just above 0
+    angles = [
+        [math.atan2(s.y, s.x) % (2 * math.pi) for s in tr.samples] for tr in traces
+    ]
+    assert any(b < a - math.pi for seq in angles for a, b in zip(seq, seq[1:]))
 
 
 def test_single_vehicle_ring_converges_to_desired_speed():
@@ -336,3 +414,56 @@ def test_ring_inflow_must_be_a_vehicle_count():
         RoadSpec(topology="ring", inflow=10.5)
     assert RoadSpec(topology="ring", inflow=10.0).inflow == 10.0
     assert RoadSpec(topology="strip", inflow=10.5).inflow == 10.5
+
+
+def test_parse_fcd_xml_rejects_empty_id():
+    xml = FCD.replace('id="v1"', 'id=""', 1)
+    with pytest.raises(ParseError) as err:
+        parse_fcd_xml(io.StringIO(xml))
+    assert "timestep[time='0.00']/vehicle[id='']: empty vehicle id" in str(err.value)
+
+
+def test_parse_trace_csv_rejects_empty_id():
+    with pytest.raises(ParseError) as err:
+        parse_trace_csv(io.StringIO("vehicle_id,t,x,y,speed\n,0,0,0,1\n"))
+    assert "line 2: empty vehicle_id" in str(err.value)
+
+
+# Ids the parsers accept: non-empty, without the CSV delimiters.
+IDS = st.text(st.characters(blacklist_characters=ID_FORBIDDEN_CHARS), min_size=1)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1.7976931348623157e308])
+
+
+@st.composite
+def trace_sets(draw):
+    ids = draw(st.lists(IDS, min_size=0, max_size=4, unique=True))
+    traces = []
+    for vid in sorted(ids):
+        t0 = draw(st.integers(0, 10**6))
+        n = draw(st.integers(1, 4))
+        samples = tuple(
+            TraceSample(
+                vid,
+                t0 + i,
+                draw(FINITE | SPECIAL_FLOATS),
+                draw(FINITE | SPECIAL_FLOATS),
+                abs(draw(FINITE | SPECIAL_FLOATS)),  # the parser rejects negative speeds
+            )
+            for i in range(n)
+        )
+        traces.append(VehicleTrace(vid, samples))
+    return traces
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_sets())
+def test_trace_csv_round_trip_property(traces):
+    buf = io.StringIO()
+    emit_trace_csv(traces, buf)
+    buf.seek(0)
+    back = parse_trace_csv(buf)
+    assert back == traces
+    again = io.StringIO()
+    emit_trace_csv(back, again)
+    assert again.getvalue() == buf.getvalue()  # bit for bit, -0.0 included

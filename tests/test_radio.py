@@ -13,14 +13,12 @@ from car2cloud.mobility import TraceSample, VehicleTrace
 from car2cloud.radio import (
     BaseStation,
     LinkBudgetConfig,
-    associate,
     best_link,
     breakpoint_distance,
     parse_stations_csv,
     path_loss_b1,
     screen_links,
     snr,
-    snr_sample,
 )
 
 CFG = LinkBudgetConfig()
@@ -114,6 +112,12 @@ def test_extra_loss_reduces_snr_exactly():
     assert shadowed.path_loss == pytest.approx(plain.path_loss + 7.0)
 
 
+def associate(vehicle_pos, stations, cfg):
+    """Id of the station best_link attaches the position to."""
+    station, _ = best_link(vehicle_pos, stations, cfg)
+    return station.station_id
+
+
 def test_associate_single_station():
     assert associate((5.0, 5.0), [BaseStation("only", 0, 0)], CFG) == "only"
 
@@ -167,10 +171,10 @@ def test_associate_permutation_invariance():
 
 def test_snr_sample_fields():
     stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 1000.0, 0.0)]
-    sample = snr_sample("v1", 9, (100.0, 0.0), stations, CFG)
-    assert sample.vehicle_id == "v1"
-    assert sample.t == 9
-    assert sample.serving_station == "a"
+    station, sample = best_link((100.0, 0.0), stations, CFG)
+    assert station.station_id == "a"
+    assert sample.distance == 100.0
+    assert sample.path_loss == path_loss_b1(100.0, CFG)
     assert sample.snr == pytest.approx(55.474, abs=1e-3)
 
 
@@ -215,6 +219,12 @@ def test_parse_stations_csv_rejects_delimiters_in_id(sid):
     with pytest.raises(ValidationError) as err:
         parse_stations_csv(io.StringIO(data))
     assert "line 3" in str(err.value)
+
+
+def test_parse_stations_csv_rejects_empty_id():
+    with pytest.raises(ParseError) as err:
+        parse_stations_csv(io.StringIO("station_id,x,y\nbs1,0,0\n,1,1\n"))
+    assert "line 3: empty station_id" in str(err.value)
 
 
 def test_parse_stations_csv_rejects_non_finite():

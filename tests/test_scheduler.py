@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from car2cloud.engine import SimConfig, run
 from car2cloud.errors import ConfigError
 from car2cloud.linkrate import RbRateParams, model_from_params, rb_rate
-from car2cloud.radio import BaseStation, LinkBudgetConfig
-from car2cloud.scheduler import CellTickState, build_cells, rr_allocate, vehicle_rate
+from car2cloud.mobility import TraceSample, VehicleTrace
+from car2cloud.radio import BaseStation
+from car2cloud.scheduler import CellTickState, rr_allocate, vehicle_rate
 
-CFG = LinkBudgetConfig()
 MODEL = model_from_params(RbRateParams())
 
 
@@ -23,18 +24,27 @@ def cell(k: int, t: int = 0) -> CellTickState:
     return CellTickState("cell", t, tuple(f"v{i:02d}" for i in range(k)))
 
 
+def build_cells(positions, t, stations):
+    """Cells engine.run forms at tick t: station id -> attached vehicle ids."""
+    traces = [
+        VehicleTrace(vid, (TraceSample(vid, t, x, y, 0.0),))
+        for vid, (x, y) in sorted(positions.items())
+    ]
+    cells = {}
+    for row in run(SimConfig(), traces, stations):
+        assert row.t == t
+        cells.setdefault(row.serving_station, []).append(row.vehicle_id)
+    return {sid: tuple(members) for sid, members in sorted(cells.items())}
+
+
 def test_build_cells_empty():
-    assert build_cells({}, 0, [BaseStation("a", 0, 0)], CFG) == []
+    assert build_cells({}, 0, [BaseStation("a", 0, 0)]) == {}
 
 
 def test_build_cells_all_to_nearest():
     stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 5000.0, 0.0)]
     positions = {f"v{i}": (float(i), 0.0) for i in range(3)}
-    cells = build_cells(positions, 4, stations, CFG)
-    assert len(cells) == 1
-    assert cells[0].station_id == "a"
-    assert cells[0].t == 4
-    assert cells[0].attached == ("v0", "v1", "v2")
+    assert build_cells(positions, 4, stations) == {"a": ("v0", "v1", "v2")}
 
 
 def test_build_cells_symmetric_split():
@@ -45,9 +55,7 @@ def test_build_cells_symmetric_split():
         "w1": (800.0, 0.0),
         "w2": (900.0, 0.0),
     }
-    cells = build_cells(positions, 0, stations, CFG)
-    assert [c.station_id for c in cells] == ["a", "b"]
-    assert len(cells[0].attached) == len(cells[1].attached) == 2
+    assert build_cells(positions, 0, stations) == {"a": ("u1", "u2"), "b": ("w1", "w2")}
 
 
 def test_single_user_gets_everything():
