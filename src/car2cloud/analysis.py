@@ -5,6 +5,9 @@ sample whose empirical CDF reaches p/100.  No interpolation, so results are
 reproducible bit-for-bit across implementations.  "Minimum rate in 95 % of
 the cases" therefore reads as the 5th percentile of the rate distribution.
 Statistics pool per-vehicle per-tick samples, not per-vehicle means.
+Rates come as a sequence or array, such as a TickTable's rate_bps column;
+they are sorted stably and summed left to right in sorted order, so the
+statistics do not depend on how the rates are held.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
+
+import numpy as np
 
 from .errors import InfeasibleError, ValidationError
 from .linkrate import RbRateParams, rb_rate
@@ -46,9 +51,8 @@ class ScenarioComparison:
     percentile_ratios: dict[int, float]
 
 
-def _rates(results: Iterable) -> list[float]:
-    """Accept TickResult-like rows or bare numbers."""
-    return [float(getattr(r, "rate_bps", r)) for r in results]
+def _sorted_rates(rates: Sequence[float] | np.ndarray) -> np.ndarray:
+    return np.sort(np.asarray(rates, dtype=np.float64), kind="stable")
 
 
 def percentile(sorted_values: Sequence[float], p: int) -> float:
@@ -60,9 +64,9 @@ def percentile(sorted_values: Sequence[float], p: int) -> float:
     return sorted_values[max(idx, 0)]
 
 
-def rate_stats(results: Iterable, scenario_label: str) -> RateStats:
+def rate_stats(rates: Sequence[float] | np.ndarray, scenario_label: str) -> RateStats:
     """Mean and step-convention percentiles of the pooled per-tick rates."""
-    values = sorted(_rates(results))
+    values = _sorted_rates(rates).tolist()
     if not values:
         raise ValidationError("rate_stats needs at least one sample")
     return RateStats(
@@ -73,20 +77,17 @@ def rate_stats(results: Iterable, scenario_label: str) -> RateStats:
     )
 
 
-def cdf(results: Iterable) -> list[tuple[float, float]]:
+def cdf(rates: Sequence[float] | np.ndarray) -> list[tuple[float, float]]:
     """Right-continuous empirical CDF as (rate, cumulative probability) steps."""
-    values = sorted(_rates(results))
-    if not values:
-        raise ValidationError("cdf needs at least one sample")
+    values = _sorted_rates(rates)
     n = len(values)
-    points: list[tuple[float, float]] = []
-    seen = 0
-    for i, v in enumerate(values):
-        seen += 1
-        if i + 1 < n and values[i + 1] == v:
-            continue
-        points.append((v, 1.0 if seen == n else seen / n))
-    return points
+    if n == 0:
+        raise ValidationError("cdf needs at least one sample")
+    # The last index of each run of equal rates; the final point is exactly 1.
+    last = np.append(np.flatnonzero(values[1:] != values[:-1]), n - 1)
+    probs = (last + 1) / n
+    probs[-1] = 1.0
+    return list(zip(values[last].tolist(), probs.tolist()))
 
 
 def plan_rb(

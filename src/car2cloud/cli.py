@@ -61,14 +61,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         traces = mobility.parse_trace_csv(fh)
     with open(args.stations, encoding="utf-8", newline="") as fh:
         stations = radio.parse_stations_csv(fh)
-    results = engine.run(config, traces, stations)
+    table = engine.run(config, traces, stations)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "results.csv", "w", encoding="utf-8", newline="") as fh:
-        engine.write_results_csv(results, fh)
+        engine.write_results_csv(table, fh)
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        engine.write_summary_json(engine.summarize(config, results), fh)
-    print(f"wrote {len(results)} tick results to {out_dir}", file=sys.stderr)
+        engine.write_summary_json(engine.summarize(config, table), fh)
+    print(f"wrote {len(table)} tick results to {out_dir}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -84,21 +84,24 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     labels = list(args.labels or [])
     if labels and len(labels) != len(args.results):
         raise ConfigError("--label must be given once per results file")
+    paths = [Path(p) for p in args.results]
+    labels = [_scenario_label(p, labels[i] if labels else None) for i, p in enumerate(paths)]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(f"scenario label {label!r} names more than one results file")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     all_stats: list[analysis.RateStats] = []
-    for i, results_path in enumerate(args.results):
-        path = Path(results_path)
-        label = _scenario_label(path, labels[i] if labels else None)
+    for i, (path, label) in enumerate(zip(paths, labels)):
         with open(path, encoding="utf-8", newline="") as fh:
-            results = engine.read_results_csv(fh)
-        if not results:
+            table = engine.read_results_csv(fh)
+        if not len(table):
             raise ValidationError(f"results file {path} holds no tick rows")
-        all_stats.append(analysis.rate_stats(results, label))
+        all_stats.append(analysis.rate_stats(table.rate_bps, label))
         suffix = "" if i == 0 else f"_{label}"
         with open(out_dir / f"cdf{suffix}.csv", "w", encoding="utf-8", newline="") as fh:
-            analysis.write_cdf_csv(analysis.cdf(results), fh)
-        per_cell = cvim.count_packages_per_cell(results)
+            analysis.write_cdf_csv(analysis.cdf(table.rate_bps), fh)
+        per_cell = cvim.count_packages_per_cell(table)
         with open(
             out_dir / f"cell_packages{suffix}.csv", "w", encoding="utf-8", newline=""
         ) as fh:

@@ -31,10 +31,15 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Protocol
+from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .mobility import TraceSample
+
+if TYPE_CHECKING:
+    from .engine import TickTable
 
 PRIVACY_LEVELS = ("public", "restricted", "private")
 
@@ -376,16 +381,7 @@ def try_transmit(queue: TransmitQueue, capacity_bits: int) -> tuple[list[str | N
         sent.append(head[1])
 
 
-class TickRow(Protocol):
-    """Shape of a per-tick result row as far as package counting needs."""
-
-    t: int
-    vehicle_id: str
-    serving_station: str
-    packages_generated: int
-
-
-def count_packages_per_cell(results: Iterable[TickRow]) -> dict[str, float]:
+def count_packages_per_cell(table: TickTable) -> dict[str, float]:
     """Mean packages generated per traversal, per cell.
 
     A traversal is a maximal run of consecutive ticks a vehicle stays
@@ -394,30 +390,28 @@ def count_packages_per_cell(results: Iterable[TickRow]) -> dict[str, float]:
     aggregate_ticks window (or departure) with it.  Cells that never see a
     vehicle are absent from the result.
     """
-    by_vehicle: dict[str, list[TickRow]] = {}
-    for row in results:
-        by_vehicle.setdefault(row.vehicle_id, []).append(row)
-    if not by_vehicle:
+    if not len(table):
         raise ValidationError("no tick results: nothing ever traversed a cell")
-    traversal_packages: dict[str, list[int]] = {}
-    for vid in sorted(by_vehicle):
-        rows = sorted(by_vehicle[vid], key=lambda r: r.t)
-        run_station = None
-        run_packages = 0
-        prev_t = None
-        for row in rows:
-            contiguous = prev_t is not None and row.t == prev_t + 1
-            if row.serving_station == run_station and contiguous:
-                run_packages += row.packages_generated
-            else:
-                if run_station is not None:
-                    traversal_packages.setdefault(run_station, []).append(run_packages)
-                run_station = row.serving_station
-                run_packages = row.packages_generated
-            prev_t = row.t
-        if run_station is not None:
-            traversal_packages.setdefault(run_station, []).append(run_packages)
-    return {
-        sid: sum(packages) / len(packages)
-        for sid, packages in sorted(traversal_packages.items())
-    }
+    _, vehicle = _codes(table.vehicle_id)
+    station_ids, station = _codes(table.serving_station)
+    # Rows by vehicle, then tick; a stable sort keeps repeated ticks in order.
+    order = np.lexsort((table.t, vehicle))
+    vehicle, station, t = vehicle[order], station[order], table.t[order]
+    starts = np.flatnonzero(np.concatenate((
+        [True],
+        (vehicle[1:] != vehicle[:-1]) | (station[1:] != station[:-1]) | (t[1:] != t[:-1] + 1),
+    )))
+    packages = np.add.reduceat(table.packages_generated[order], starts)
+    totals = [0] * len(station_ids)
+    counts = [0] * len(station_ids)
+    for code, n in zip(station[starts].tolist(), packages.tolist()):
+        totals[code] += n
+        counts[code] += 1
+    return {sid: total / count for sid, total, count in zip(station_ids, totals, counts)}
+
+
+def _codes(ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct ids, and each id's index among them."""
+    distinct = sorted(set(ids))
+    index = {value: i for i, value in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))

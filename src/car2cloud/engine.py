@@ -8,7 +8,8 @@ is generated (or buffered, in aggregate mode) and the transmit queue drains
 against the tick's capacity.  Queues hold package sizes only; no output
 reads package contents.  The loop is strictly sequential over ticks, so
 queue state is causal, and all outputs are byte-identical across runs with
-equal inputs.
+equal inputs.  Results travel as one column table, TickTable, from the loop
+through the results CSV to the analysis.
 
 Config files are flat ``section.key = value`` text; unknown keys are
 rejected outright so typos cannot silently fall back to defaults.
@@ -17,7 +18,9 @@ rejected outright so typos cannot silently fall back to defaults.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain, repeat
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -36,19 +39,40 @@ RESULTS_CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class TickResult:
-    """One vehicle's communication outcome in one second."""
+# Rows per write call of write_results_csv, about 1 MB of text.  Float repr
+# is most of the cost, so larger chunks are no faster; their transient row
+# strings only raise the peak RSS of simulate.
+WRITE_CHUNK_ROWS = 1 << 13
+# Bytes of results CSV lines read (and parsed) at a time by read_results_csv.
+READ_CHUNK_BYTES = 1 << 20
 
-    t: int
-    vehicle_id: str
-    serving_station: str
-    snr_db: float
-    rb_share: float
-    rate_bps: float
-    packages_generated: int
-    bits_sent: int
-    queue_bytes: int
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+# Conversion of each results CSV field: ids (None) are kept as read.
+_CONVERTERS = (int, None, None, float, float, float, int, int, int)
+_DTYPES = {int: np.int64, float: np.float64}
+
+
+@dataclass(frozen=True, eq=False)
+class TickTable:
+    """Every vehicle's communication outcome in every second, as columns.
+
+    One column per RESULTS_CSV_HEADER field, all of one length: int64
+    arrays for the counts, float64 arrays for the radio values and lists
+    of str for the ids.  Row i is the i-th entry of every column.
+    """
+
+    t: np.ndarray
+    vehicle_id: list[str]
+    serving_station: list[str]
+    snr_db: np.ndarray
+    rb_share: np.ndarray
+    rate_bps: np.ndarray
+    packages_generated: np.ndarray
+    bits_sent: np.ndarray
+    queue_bytes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.vehicle_id)
 
 
 @dataclass(frozen=True)
@@ -195,7 +219,7 @@ def run(
     traces: Iterable[VehicleTrace],
     stations: Sequence[BaseStation],
     rate_model: RateModel | None = None,
-) -> list[TickResult]:
+) -> TickTable:
     """Execute the tick loop over all traces; rows ordered by (t, vehicle_id)."""
     stations = sorted(stations, key=lambda s: str(s.station_id))
     if not stations:
@@ -221,7 +245,15 @@ def run(
     queues: dict[str, TransmitQueue] = {}
     buffered: dict[str, int] = {}
     window = pkg_cfg.aggregate_ticks
-    results: list[TickResult] = []
+    ticks: list[int] = []
+    vehicle_ids: list[str] = []
+    serving: list[str] = []
+    snrs: list[float] = []
+    rb_shares: list[float] = []
+    rates: list[float] = []
+    generated: list[int] = []
+    sent: list[int] = []
+    queued: list[int] = []
 
     for t in sorted(samples_by_tick):
         present = sorted(samples_by_tick[t], key=lambda s: s.vehicle_id)
@@ -233,7 +265,7 @@ def run(
                 f"vehicle {bad.vehicle_id!r} at t={t}: non-finite position or speed"
             )
         winners, unsure = screen_links(state[:, :2], stations, config.link)
-        links: list[tuple[str, float]] = []
+        tick_snrs: list[float] = []
         cells: dict[str, list[str]] = {}
         for s, winner, needs_scalar in zip(present, winners.tolist(), unsure.tolist()):
             if needs_scalar:
@@ -241,118 +273,176 @@ def run(
             else:
                 station = stations[winner]
                 link = snr((s.x, s.y), station, config.link)
-            links.append((station.station_id, link.snr))
+            serving.append(station.station_id)
+            tick_snrs.append(link.snr)
             cells.setdefault(station.station_id, []).append(s.vehicle_id)
         shares: dict[str, float] = {}
         for sid in sorted(cells):
             cell = scheduler.CellTickState(sid, t, tuple(cells[sid]))
             allocation = scheduler.rr_allocate(cell, n_rb, mode, rotation_offset=t)
             shares.update(allocation.shares)
-        for s, (sid, snr_db) in zip(present, links):
+        for s, snr_db in zip(present, tick_snrs):
             vid = s.vehicle_id
             share = shares[vid]
             rate = scheduler.vehicle_rate(share, snr_db, s.speed, model)
             queue = queues.get(vid)
             if queue is None:
                 queue = queues[vid] = TransmitQueue(vid)
-            ticks = buffered.pop(vid, 0) + 1
+            n_ticks = buffered.pop(vid, 0) + 1
             if (t + 1) % window == 0 or t == last_tick[vid]:
-                queue.push_size(pkg_cfg.payload_bytes(pkg_cfg.records_per_tick * ticks))
-                generated = 1
+                queue.push_size(pkg_cfg.payload_bytes(pkg_cfg.records_per_tick * n_ticks))
+                generated.append(1)
             else:
-                buffered[vid] = ticks
-                generated = 0
+                buffered[vid] = n_ticks
+                generated.append(0)
             capacity = int(rate * config.tick)
             _, remaining = cvim.try_transmit(queue, capacity)
-            results.append(
-                TickResult(
-                    t=t,
-                    vehicle_id=vid,
-                    serving_station=sid,
-                    snr_db=snr_db,
-                    rb_share=share,
-                    rate_bps=rate,
-                    packages_generated=generated,
-                    bits_sent=capacity - remaining,
-                    queue_bytes=queue.queued_bytes,
-                )
-            )
-    return results
+            vehicle_ids.append(vid)
+            rb_shares.append(share)
+            rates.append(rate)
+            sent.append(capacity - remaining)
+            queued.append(queue.queued_bytes)
+        ticks.extend([t] * len(present))
+        snrs.extend(tick_snrs)
+    return TickTable(
+        t=np.array(ticks, dtype=np.int64),
+        vehicle_id=vehicle_ids,
+        serving_station=serving,
+        snr_db=np.array(snrs, dtype=np.float64),
+        rb_share=np.array(rb_shares, dtype=np.float64),
+        rate_bps=np.array(rates, dtype=np.float64),
+        packages_generated=np.array(generated, dtype=np.int64),
+        bits_sent=np.array(sent, dtype=np.int64),
+        queue_bytes=np.array(queued, dtype=np.int64),
+    )
 
 
-def write_results_csv(results: Iterable[TickResult], stream: IO[str]) -> None:
+def write_results_csv(table: TickTable, stream: IO[str]) -> None:
+    """Write the table as results CSV, one write call per WRITE_CHUNK_ROWS rows."""
     stream.write(RESULTS_CSV_HEADER + "\n")
-    for r in results:
-        stream.write(
-            f"{r.t},{r.vehicle_id},{r.serving_station},{r.snr_db!r},"
-            f"{r.rb_share!r},{r.rate_bps!r},{r.packages_generated},"
-            f"{r.bits_sent},{r.queue_bytes}\n"
-        )
+    for start in range(0, len(table), WRITE_CHUNK_ROWS):
+        rows = slice(start, start + WRITE_CHUNK_ROWS)
+        stream.write("".join(
+            f"{t},{vid},{sid},{snr_db!r},{share!r},{rate!r},{generated},{sent},{queued}\n"
+            for t, vid, sid, snr_db, share, rate, generated, sent, queued in zip(
+                table.t[rows].tolist(),
+                table.vehicle_id[rows],
+                table.serving_station[rows],
+                table.snr_db[rows].tolist(),
+                table.rb_share[rows].tolist(),
+                table.rate_bps[rows].tolist(),
+                table.packages_generated[rows].tolist(),
+                table.bits_sent[rows].tolist(),
+                table.queue_bytes[rows].tolist(),
+            )
+        ))
 
 
-def read_results_csv(stream: IO[str]) -> list[TickResult]:
-    header = stream.readline().rstrip("\n")
-    if header != RESULTS_CSV_HEADER:
-        raise ParseError(f"bad results header: {header!r}")
-    results = []
-    for lineno, line in enumerate(stream, start=2):
+def _raise_first_bad_line(lines: list[str], first_lineno: int) -> None:
+    """Raise ParseError for the first line of a chunk that cannot be read.
+
+    Runs only once the columnar reading of the chunk failed, and goes line
+    by line, so the error names the line and field a row reader would.
+    """
+    for lineno, line in enumerate(lines, start=first_lineno):
         line = line.rstrip("\n")
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != 9:
             raise ParseError(f"line {lineno}: expected 9 fields, got {len(parts)}")
-        try:
-            results.append(
-                TickResult(
-                    t=int(parts[0]),
-                    vehicle_id=parts[1],
-                    serving_station=parts[2],
-                    snr_db=float(parts[3]),
-                    rb_share=float(parts[4]),
-                    rate_bps=float(parts[5]),
-                    packages_generated=int(parts[6]),
-                    bits_sent=int(parts[7]),
-                    queue_bytes=int(parts[8]),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-    return results
+        for i, convert in enumerate(_CONVERTERS):
+            if convert is None:
+                continue
+            try:
+                value = convert(parts[i])
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+            if convert is int and not _INT64_MIN <= value <= _INT64_MAX:
+                raise ParseError(f"line {lineno}: integer {parts[i]!r} exceeds 64 bits")
 
 
-def undelivered_bytes(results: Sequence[TickResult]) -> dict[str, int]:
+def _parse_chunk(lines: list[str]) -> list:
+    """Columns of a chunk of non-blank results CSV lines.
+
+    Raises ValueError if a line has not 9 fields or a field does not
+    convert, and OverflowError if an integer does not fit in int64.
+    """
+    if set(map(str.count, lines, repeat(","))) != {8}:
+        raise ValueError("a line without 9 fields")
+    n = len(lines)
+    fields = ",".join(lines).split(",")
+    columns: list = []
+    for i, convert in enumerate(_CONVERTERS):
+        column = fields[i::9]
+        if convert is None:
+            columns.append(list(map(sys.intern, column)))
+        else:
+            columns.append(np.fromiter(map(convert, column), dtype=_DTYPES[convert], count=n))
+    return columns
+
+
+def read_results_csv(stream: IO[str]) -> TickTable:
+    """Read a results CSV written by write_results_csv into a TickTable.
+
+    Lines are read and converted a chunk of about READ_CHUNK_BYTES at a time:
+    each chunk is split once and every field column converted as a whole.
+    Blank lines are skipped, ids are interned, so each distinct id is held
+    once, and an integer beyond int64 is an error.  A chunk that does not
+    convert is read again line by line to name the first bad line.
+    """
+    header = stream.readline().rstrip("\n")
+    if header != RESULTS_CSV_HEADER:
+        raise ParseError(f"bad results header: {header!r}")
+    chunks: list[list] = []
+    lineno = 2
+    while lines := stream.readlines(READ_CHUNK_BYTES):
+        rows = [line for line in lines if line != "\n"]
+        if rows:
+            try:
+                chunks.append(_parse_chunk(rows))
+            except (ValueError, OverflowError):
+                _raise_first_bad_line(lines, lineno)
+                raise
+        lineno += len(lines)
+    columns: list = []
+    for i, convert in enumerate(_CONVERTERS):
+        parts = [chunk[i] for chunk in chunks]
+        if convert is None:
+            columns.append(list(chain.from_iterable(parts)))
+        else:
+            columns.append(np.concatenate(parts) if parts else np.zeros(0, _DTYPES[convert]))
+    return TickTable(*columns)
+
+
+def undelivered_bytes(table: TickTable) -> dict[str, int]:
     """Bytes still queued at each vehicle's final tick (departed unsent)."""
-    final: dict[str, TickResult] = {}
-    for r in results:
-        cur = final.get(r.vehicle_id)
-        if cur is None or r.t > cur.t:
-            final[r.vehicle_id] = r
-    return {
-        vid: final[vid].queue_bytes for vid in sorted(final) if final[vid].queue_bytes
-    }
+    final: dict[str, tuple[int, int]] = {}
+    for vid, t, queued in zip(table.vehicle_id, table.t.tolist(), table.queue_bytes.tolist()):
+        cur = final.get(vid)
+        if cur is None or t > cur[0]:
+            final[vid] = (t, queued)
+    return {vid: final[vid][1] for vid in sorted(final) if final[vid][1]}
 
 
-def summarize(config: SimConfig, results: Sequence[TickResult]) -> dict:
-    """Run metadata, config echo and aggregate statistics for summary.json."""
-    vehicles = sorted({r.vehicle_id for r in results})
-    ticks = sorted({r.t for r in results})
-    total_bits = sum(r.bits_sent for r in results)
-    total_packages = sum(r.packages_generated for r in results)
-    mean_rate = (
-        sum(r.rate_bps for r in results) / len(results) if results else 0.0
-    )
+def summarize(config: SimConfig, table: TickTable) -> dict:
+    """Run metadata, config echo and aggregate statistics for summary.json.
+
+    The mean rate is a left-to-right sum in row order, as float addition
+    depends on order.
+    """
+    n = len(table)
     return {
         "scenario_label": config.scenario_label,
         "seed": config.seed,
         "config": config_echo(config),
-        "n_vehicles": len(vehicles),
-        "n_ticks": len(ticks),
-        "n_rows": len(results),
-        "mean_rate_bps": mean_rate,
-        "total_bits_sent": total_bits,
-        "total_packages_generated": total_packages,
-        "undelivered_bytes": undelivered_bytes(results),
+        "n_vehicles": len(set(table.vehicle_id)),
+        "n_ticks": len(set(table.t.tolist())),
+        "n_rows": n,
+        "mean_rate_bps": sum(table.rate_bps.tolist()) / n if n else 0.0,
+        "total_bits_sent": sum(table.bits_sent.tolist()),
+        "total_packages_generated": sum(table.packages_generated.tolist()),
+        "undelivered_bytes": undelivered_bytes(table),
     }
 
 

@@ -26,6 +26,9 @@ TRACE_CSV_HEADER = ("vehicle_id", "t", "x", "y", "speed")
 # would split or break a row there.
 ID_FORBIDDEN_CHARS = ',"\r\n'
 
+# Ticks are held as int64 in the engine's result table.
+MAX_TICK = (1 << 63) - 1
+
 
 def check_id(value: str, where: str, what: str) -> None:
     """Reject an id that is empty or that a CSV output could not hold as one field."""
@@ -423,22 +426,30 @@ def parse_trace_csv(stream: IO[str]) -> list[VehicleTrace]:
         raise ParseError(f"bad trace CSV header: {','.join(header)!r}")
     samples: list[TraceSample] = []
     seen: set[tuple[str, int]] = set()
+    # Each distinct id is checked where it is first seen, and then every
+    # sample holds that first string object.
+    ids: dict[str, str] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 5:
             raise ParseError(f"line {lineno}: expected 5 fields, got {len(row)}")
-        vid = row[0]
         try:
             t = int(row[1])
             x, y, speed = float(row[2]), float(row[3]), float(row[4])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        check_id(vid, f"line {lineno}", "vehicle_id")
+        vid = ids.get(row[0])
+        if vid is None:
+            vid = row[0]
+            check_id(vid, f"line {lineno}", "vehicle_id")
+            ids[vid] = vid
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(speed)):
             raise ValidationError(f"line {lineno}: non-finite x, y or speed")
         if t < 0:
             raise ValidationError(f"line {lineno}: negative tick {t}")
+        if t > MAX_TICK:
+            raise ValidationError(f"line {lineno}: tick {t} exceeds 64 bits")
         if speed < 0:
             raise ValidationError(f"line {lineno}: negative speed {speed}")
         if (vid, t) in seen:
@@ -484,6 +495,8 @@ def parse_fcd_xml(stream: IO) -> list[VehicleTrace]:
         t = int(t_float)
         if t < 0:
             raise ValidationError(f"timestep time={raw_t}: negative tick")
+        if t > MAX_TICK:
+            raise ValidationError(f"timestep time={raw_t}: tick exceeds 64 bits")
         for vehicle in timestep.iter("vehicle"):
             attrs = {}
             for name in ("id", "x", "y", "speed"):

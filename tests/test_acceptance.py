@@ -33,8 +33,8 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 class Scenario:
     label: str
     traces: list
-    results_100: list
-    results_10: list
+    results_100: engine.TickTable
+    results_10: engine.TickTable
     positions: dict  # (vehicle_id, t) -> (x, y, speed)
 
 
@@ -63,7 +63,7 @@ def runs():
 
 
 def mean_rate(results) -> float:
-    return sum(r.rate_bps for r in results) / len(results)
+    return sum(results.rate_bps.tolist()) / len(results)
 
 
 def test_scenario_ordering(runs):
@@ -78,24 +78,26 @@ def test_scenario_ordering(runs):
 def test_generation_residence_identity(runs):
     identity_ok = True
     for scenario in (runs["free_flow"], runs["traffic_jam"]):
+        results = scenario.results_100
         per_vehicle = {}
-        for r in scenario.results_100:
-            per_vehicle.setdefault(r.vehicle_id, []).append(r)
+        for row in zip(results.vehicle_id, results.t.tolist(), results.serving_station,
+                       results.packages_generated.tolist()):
+            per_vehicle.setdefault(row[0], []).append(row[1:])
         for rows in per_vehicle.values():
-            rows.sort(key=lambda r: r.t)
+            rows.sort(key=lambda r: r[0])
             station, ticks, generated = None, 0, 0
             prev_t = None
             spans = []
-            for r in rows:
-                contiguous = prev_t is not None and r.t == prev_t + 1
-                if r.serving_station == station and contiguous:
+            for t, sid, packages in rows:
+                contiguous = prev_t is not None and t == prev_t + 1
+                if sid == station and contiguous:
                     ticks += 1
-                    generated += r.packages_generated
+                    generated += packages
                 else:
                     if station is not None:
                         spans.append((ticks, generated))
-                    station, ticks, generated = r.serving_station, 1, r.packages_generated
-                prev_t = r.t
+                    station, ticks, generated = sid, 1, packages
+                prev_t = t
             spans.append((ticks, generated))
             identity_ok &= all(t == g for t, g in spans)
     per_cell_free = cvim.count_packages_per_cell(runs["free_flow"].results_100)
@@ -113,20 +115,21 @@ def test_generation_residence_identity(runs):
 def test_linear_rb_scaling(runs):
     worst = 0.0
     for scenario in (runs["free_flow"], runs["traffic_jam"]):
-        assert len(scenario.results_100) == len(scenario.results_10)
-        for full, tenth in zip(scenario.results_100, scenario.results_10):
-            assert (full.t, full.vehicle_id) == (tenth.t, tenth.vehicle_id)
-            expected = 0.1 * full.rate_bps
+        full, tenth = scenario.results_100, scenario.results_10
+        assert len(full) == len(tenth)
+        assert full.t.tolist() == tenth.t.tolist()
+        assert full.vehicle_id == tenth.vehicle_id
+        for rate_full, rate_tenth in zip(full.rate_bps.tolist(), tenth.rate_bps.tolist()):
+            expected = 0.1 * rate_full
             if expected == 0.0:
-                worst = max(worst, abs(tenth.rate_bps))
+                worst = max(worst, abs(rate_tenth))
             else:
-                worst = max(worst, abs(tenth.rate_bps - expected) / expected)
+                worst = max(worst, abs(rate_tenth - expected) / expected)
     report("linear-rb-scaling", worst <= 1e-9, f"max relative error {worst:.2e}")
 
 
-def _p5(results) -> float:
-    rates = sorted(r.rate_bps for r in results)
-    return analysis.percentile(rates, 5)
+def _p5(rates) -> float:
+    return analysis.percentile(sorted(rates), 5)
 
 
 def test_limited_rb_percentiles(runs):
@@ -135,13 +138,15 @@ def test_limited_rb_percentiles(runs):
     p5_near = {}
     for label in ("free_flow", "traffic_jam"):
         scenario = runs[label]
-        p5[label] = _p5(scenario.results_10)
+        results = scenario.results_10
+        p5[label] = _p5(results.rate_bps.tolist())
         near = []
-        for r in scenario.results_10:
-            x, y, _ = scenario.positions[(r.vehicle_id, r.t)]
-            sx, sy = station_xy[r.serving_station]
+        for vid, t, sid, rate in zip(results.vehicle_id, results.t.tolist(),
+                                     results.serving_station, results.rate_bps.tolist()):
+            x, y, _ = scenario.positions[(vid, t)]
+            sx, sy = station_xy[sid]
             if math.hypot(x - sx, y - sy) < 500.0:
-                near.append(r)
+                near.append(rate)
         p5_near[label] = _p5(near)
     ok = (
         p5["traffic_jam"] < p5["free_flow"]
@@ -217,19 +222,18 @@ def test_queue_and_plan_invariants(runs):
     for scenario in (runs["free_flow"], runs["traffic_jam"]):
         cum_generated = {}
         cum_sent_bytes = {}
-        for r in sorted(scenario.results_100, key=lambda r: (r.vehicle_id, r.t)):
-            cum_generated[r.vehicle_id] = (
-                cum_generated.get(r.vehicle_id, 0) + r.packages_generated
-            )
-            ok &= r.bits_sent % (PKG_BYTES * 8) == 0  # whole packages only
-            ok &= r.bits_sent <= r.rate_bps + 1e-6    # within tick capacity
-            cum_sent_bytes[r.vehicle_id] = (
-                cum_sent_bytes.get(r.vehicle_id, 0) + r.bits_sent // 8
-            )
-            expected_queue = cum_generated[r.vehicle_id] * PKG_BYTES - cum_sent_bytes[
-                r.vehicle_id
-            ]
-            ok &= r.queue_bytes == expected_queue
+        results = scenario.results_100
+        rows = sorted(zip(
+            results.vehicle_id, results.t.tolist(), results.packages_generated.tolist(),
+            results.bits_sent.tolist(), results.rate_bps.tolist(), results.queue_bytes.tolist(),
+        ))
+        for vid, _, generated, bits_sent, rate, queue_bytes in rows:
+            cum_generated[vid] = cum_generated.get(vid, 0) + generated
+            ok &= bits_sent % (PKG_BYTES * 8) == 0  # whole packages only
+            ok &= bits_sent <= rate + 1e-6          # within tick capacity
+            cum_sent_bytes[vid] = cum_sent_bytes.get(vid, 0) + bits_sent // 8
+            expected_queue = cum_generated[vid] * PKG_BYTES - cum_sent_bytes[vid]
+            ok &= queue_bytes == expected_queue
     params = linkrate.RbRateParams()
     rng = random.Random(SEED + 1)
     checked = 0

@@ -3,7 +3,10 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from car2cloud.analysis import (
     PERCENTILES,
@@ -98,6 +101,41 @@ def test_cdf_consistent_with_percentile():
     points = cdf(values)
     p5_from_cdf = next(v for v, prob in points if prob >= 0.05)
     assert p5_from_cdf == percentile(sorted(values), 5)
+
+
+def row_cdf(values):
+    """The empirical CDF computed point by point, as a reference."""
+    values = sorted(values)
+    n = len(values)
+    return [
+        (v, (i + 1) / n)
+        for i, v in enumerate(values)
+        if i + 1 == n or values[i + 1] != v
+    ]
+
+
+RATES = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, 1.5, 5e-324, 0.1, 0.2, 0.30000000000000004]),
+    min_size=1,
+    max_size=50,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATES)
+def test_array_statistics_match_sorted_list_oracle(values):
+    # Equal values such as 0.0 and -0.0 keep their input order, and the mean
+    # is the left-to-right sum over the sorted list, bit for bit.
+    ordered = sorted(values)
+    stats = rate_stats(np.array(values), "x")
+    assert repr(stats.mean_rate) == repr(sum(ordered) / len(ordered))
+    assert [repr(stats.percentiles[p]) for p in PERCENTILES] == [
+        repr(percentile(ordered, p)) for p in PERCENTILES
+    ]
+    points = cdf(np.array(values))
+    assert repr(points) == repr(row_cdf(values))
+    assert points[-1][1] == 1.0
 
 
 def test_plan_rb_zero_demand():

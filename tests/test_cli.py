@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -197,6 +198,38 @@ def test_analyze_label_count_mismatch_exits_2(workspace):
     assert code == 2
 
 
+RESULTS_HEADER = (
+    "t,vehicle_id,serving_station,snr_db,rb_share,rate_bps,"
+    "packages_generated,bits_sent,queue_bytes\n"
+)
+
+
+def write_results(path, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(RESULTS_HEADER + "".join(row + "\n" for row in rows), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("explicit", [True, False])
+def test_analyze_rejects_duplicate_labels(tmp_path, capsys, explicit):
+    a = write_results(tmp_path / "a" / "x" / "results.csv", ["0,v,bs,1.0,1.0,5.0,1,0,0"])
+    b = write_results(tmp_path / "b" / "x" / "results.csv", ["0,v,bs,1.0,1.0,7.0,1,0,0"])
+    c = write_results(tmp_path / "c" / "y" / "results.csv", ["0,v,bs,1.0,1.0,9.0,1,0,0"])
+    labels = ["--label", "p", "--label", "q", "--label", "p"] if explicit else []
+    out = tmp_path / "stats"
+    code = main(["analyze", a, c, b, *labels, "--out-dir", str(out)])
+    assert code == 2
+    assert repr("p" if explicit else "x") in capsys.readouterr().err
+    assert not out.exists()  # rejected before any file is read or written
+
+
+def test_analyze_int_beyond_int64_exits_3(tmp_path, capsys):
+    rows = ["0,v,bs,1.0,1.0,5.0,1,0,0", "1,v,bs,1.0,1.0,5.0,1,0,9223372036854775808"]
+    path = write_results(tmp_path / "r" / "results.csv", rows)
+    assert main(["analyze", path, "--out-dir", str(tmp_path / "o")]) == 3
+    assert "line 3: integer '9223372036854775808' exceeds 64 bits" in capsys.readouterr().err
+
+
 def test_simulate_non_finite_trace_exits_3_naming_the_line(tmp_path, capsys):
     traces = tmp_path / "traces.csv"
     traces.write_text("vehicle_id,t,x,y,speed\nv1,0,0,0,1\nv1,1,nan,0,1\n", encoding="utf-8")
@@ -221,3 +254,71 @@ def test_simulate_rejects_comma_in_vehicle_id(tmp_path, capsys):
     assert code == 3
     assert "line 2" in capsys.readouterr().err
     assert not (tmp_path / "o" / "results.csv").exists()
+
+
+RING_CFG = """
+road.topology = ring
+road.length = 2000
+road.inflow = 100
+road.duration = 120
+cell.rb_limit = 1
+cvim.aggregate_ticks = 20
+cvim.n_extra_channels = 4
+sim.seed = 13
+sim.scenario_label = ring
+"""
+
+# Two stations just outside the rim of the 2 km ring, on opposite sides.
+RING_STATIONS = "station_id,x,y,antenna_gain,height\nrim0,345,0,15,10\nrim1,-345,0,15,10\n"
+
+# SHA-256 of every file gen-traces, simulate and analyze write for the strip
+# pair and the ring below.  On the ring, queues build and drain and packages
+# span 20 ticks.  Taken from the row-object pipeline before the column table.
+GOLDEN_PIPELINE_DIGESTS = {
+    "free_flow/results.csv": "a2c73c6063e41c99a568a7bb05933029226fe0a37b67c89a283b0d2e0a137e9c",
+    "free_flow/summary.json": "f0d0e28c30785dd4c57b4a5744fabf5608d83597d2c1dc6fd752f400585f92f2",
+    "free_flow/traces.csv": "67f261828106bbe07a4d50381da3e8950739afb5be9df81058e8a23f3d37e236",
+    "ring/results.csv": "11f7687bd73e9e55c46080981ad57cb8ae5965858a19834b9f1d8e113c0060f9",
+    "ring/summary.json": "c9917f004d6d0f9e74849deaa0c94828accdbcff22040562387d707d52f4188b",
+    "ring/traces.csv": "c3d413aef0e8cded9ee420ae30ae5fa903b6a892791305ec6297dfc2cbbbb7ba",
+    "stats/cdf.csv": "35798542d40b4ad7c7d1455535a7a881078193b2ef92872e6b64ae9e2d59619f",
+    "stats/cdf_ring.csv": "a9caabd101356037b4a32b8408420e5a1d8ca52d063584d6f13c9f75180ef5fd",
+    "stats/cdf_traffic_jam.csv": "a14c8be6bd9cb09f445b089f5d481bc1c9672fde9d0b03e0472727fa9b157091",
+    "stats/cell_packages.csv": "ba44f2f9565839e842493dbf2443843c885346ca74b26ff83a0a5fbc18b322a7",
+    "stats/cell_packages_ring.csv": "cf80f6b10feb58a8c3b8c99deb831aff62b6a6b0755b16666656a33d11cfae29",
+    "stats/cell_packages_traffic_jam.csv": "3f5e8081eb229ecba30c105695bb599bf2e265dbeafca9b4fdf91d49331cc949",
+    "stats/stats.json": "0cc84bab5401b1971c6adc6b74a7abceb7ed7b030d3c6b42a8ef0e6d045d2ae3",
+    "traffic_jam/results.csv": "b71c8c35eb6c84741b84fa7340cf27312572090fc24663bfed08981aaa57ef06",
+    "traffic_jam/summary.json": "12ee4155dc92064ae983114d10ab7598a86c023d23077e179cc538f583311c79",
+    "traffic_jam/traces.csv": "78ae8dbf07445fccabbab6b64589f20bf3898b955d7cff2a96761590817095ca",
+}
+
+
+def _run_golden_pipeline(root):
+    (root / "ring.cfg").write_text(RING_CFG, encoding="utf-8")
+    (root / "ring_stations.csv").write_text(RING_STATIONS, encoding="utf-8")
+    scenarios = [
+        ("free_flow", root / "free.cfg", root / "stations.csv"),
+        ("traffic_jam", root / "jam.cfg", root / "stations.csv"),
+        ("ring", root / "ring.cfg", root / "ring_stations.csv"),
+    ]
+    out = root / "out"
+    for label, cfg, stations in scenarios:
+        traces = out / label / "traces.csv"
+        traces.parent.mkdir(parents=True)
+        assert main(["gen-traces", "--config", str(cfg), "--out", str(traces)]) == 0
+        assert main(["simulate", "--config", str(cfg), "--traces", str(traces),
+                     "--stations", str(stations), "--out-dir", str(traces.parent)]) == 0
+    analyze = ["analyze", *(str(out / label / "results.csv") for label, _, _ in scenarios)]
+    for label, _, _ in scenarios:
+        analyze += ["--label", label]
+    assert main([*analyze, "--out-dir", str(out / "stats")]) == 0
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_pipeline_outputs_match_golden_digests(workspace):
+    assert _run_golden_pipeline(workspace) == GOLDEN_PIPELINE_DIGESTS

@@ -1,6 +1,7 @@
-from collections import namedtuple
-
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from car2cloud.cvim import (
     BASE_CHANNELS,
@@ -17,10 +18,26 @@ from car2cloud.cvim import (
     serialize_package,
     try_transmit,
 )
+from car2cloud.engine import TickTable
 from car2cloud.errors import ConfigError, ValidationError
 from car2cloud.mobility import TraceSample
 
-Row = namedtuple("Row", "t vehicle_id serving_station packages_generated")
+
+def table(rows):
+    """TickTable of (t, vehicle_id, serving_station, packages_generated) rows."""
+    t, vid, sid, generated = zip(*rows) if rows else [()] * 4
+    zeros = np.zeros(len(rows))
+    return TickTable(
+        t=np.array(t, dtype=np.int64),
+        vehicle_id=list(vid),
+        serving_station=list(sid),
+        snr_db=zeros,
+        rb_share=zeros,
+        rate_bps=zeros,
+        packages_generated=np.array(generated, dtype=np.int64),
+        bits_sent=zeros.astype(np.int64),
+        queue_bytes=zeros.astype(np.int64),
+    )
 
 
 def records(n, t=0.0):
@@ -164,6 +181,48 @@ def test_size_entries_share_the_drain_rule():
         try_transmit(queue, -1)
 
 
+QUEUE_OPS = st.lists(
+    st.tuples(st.sampled_from(["push_size", "push", "send"]), st.integers(0, 4000)),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(QUEUE_OPS)
+def test_queue_conservation_under_random_capacities(ops):
+    queue = TransmitQueue("v")
+    model = []  # (size, package id or None), head first
+    pushed = sent_bytes = 0
+    for i, (op, value) in enumerate(ops):
+        if op == "push_size":
+            entry = (value + 1, None)
+            queue.push_size(entry[0])
+        elif op == "push":
+            pkg = package("v", i, records(value % 40, t=float(i)))
+            entry = (pkg.payload_bytes, pkg.package_id)
+            queue.push(pkg)
+        else:
+            capacity = value * 8
+            sent, remaining = try_transmit(queue, capacity)
+            # Whole packages leave from the head until the first that does not fit.
+            expected = []
+            budget = capacity
+            while model and model[0][0] * 8 <= budget:
+                budget -= model[0][0] * 8
+                expected.append(model.pop(0))
+            assert sent == [pid for _, pid in expected]
+            assert remaining == budget
+            assert not model or model[0][0] * 8 > remaining
+            sent_bytes += sum(size for size, _ in expected)
+            assert len(queue) == len(model)
+            assert pushed == sent_bytes + queue.queued_bytes
+            continue
+        model.append(entry)
+        pushed += entry[0]
+    assert queue.queued_bytes == sum(size for size, _ in model)
+    assert pushed == sent_bytes + queue.queued_bytes
+
+
 def test_serialize_parse_round_trip_checksum():
     config = PackagingConfig(owner="fleet-9", privacy_level="private")
     pkg = package("veh42", 17, records(4, t=17.25), config)
@@ -245,46 +304,77 @@ def test_owner_too_long():
 
 
 def test_count_packages_constant_residence():
-    rows = [Row(t, "v1", "cellA", 1) for t in range(242)]
-    assert count_packages_per_cell(rows) == {"cellA": 242.0}
+    rows = [(t, "v1", "cellA", 1) for t in range(242)]
+    assert count_packages_per_cell(table(rows)) == {"cellA": 242.0}
 
 
 def test_count_packages_absent_cell_excluded():
-    rows = [Row(t, "v1", "cellA", 1) for t in range(5)]
-    result = count_packages_per_cell(rows)
+    rows = [(t, "v1", "cellA", 1) for t in range(5)]
+    result = count_packages_per_cell(table(rows))
     assert "cellB" not in result
 
 
 def test_count_packages_crossing_speed():
     # 1500 m attachment region at a constant 25 m/s -> 60 ticks
-    rows = [Row(t, "v1", "mid", 1) for t in range(100, 160)]
-    assert count_packages_per_cell(rows) == {"mid": 60.0}
+    rows = [(t, "v1", "mid", 1) for t in range(100, 160)]
+    assert count_packages_per_cell(table(rows)) == {"mid": 60.0}
 
 
 def test_count_packages_mean_over_traversals():
-    rows = [Row(t, "v1", "a", 1) for t in range(10)]
-    rows += [Row(t, "v2", "a", 1) for t in range(5, 25)]
-    assert count_packages_per_cell(rows) == {"a": 15.0}
+    rows = [(t, "v1", "a", 1) for t in range(10)]
+    rows += [(t, "v2", "a", 1) for t in range(5, 25)]
+    assert count_packages_per_cell(table(rows)) == {"a": 15.0}
 
 
 def test_count_packages_splits_on_station_change_and_gap():
-    rows = [Row(t, "v1", "a", 1) for t in range(3)]
-    rows += [Row(t, "v1", "b", 1) for t in range(3, 7)]
-    rows += [Row(t, "v1", "a", 1) for t in range(9, 12)]  # gap at 7-8
-    assert count_packages_per_cell(rows) == {"a": 3.0, "b": 4.0}
+    rows = [(t, "v1", "a", 1) for t in range(3)]
+    rows += [(t, "v1", "b", 1) for t in range(3, 7)]
+    rows += [(t, "v1", "a", 1) for t in range(9, 12)]  # gap at 7-8
+    assert count_packages_per_cell(table(rows)) == {"a": 3.0, "b": 4.0}
 
 
 def test_count_packages_sums_aggregated_rows():
     # aggregate_ticks = 4: a package closes every fourth tick and at departure
-    rows = [Row(t, "v1", "a", int(t % 4 == 3)) for t in range(10)]   # 2 packages
-    rows += [Row(t, "v1", "b", int(t % 4 == 3)) for t in range(10, 14)]  # 1
-    rows += [Row(t, "v2", "a", int(t % 4 == 3 or t == 5)) for t in range(6)]  # 2
-    assert count_packages_per_cell(rows) == {"a": 2.0, "b": 1.0}
+    rows = [(t, "v1", "a", int(t % 4 == 3)) for t in range(10)]   # 2 packages
+    rows += [(t, "v1", "b", int(t % 4 == 3)) for t in range(10, 14)]  # 1
+    rows += [(t, "v2", "a", int(t % 4 == 3 or t == 5)) for t in range(6)]  # 2
+    assert count_packages_per_cell(table(rows)) == {"a": 2.0, "b": 1.0}
+
+
+def traversal_oracle(rows):
+    """count_packages_per_cell computed row by row, as a reference."""
+    by_vehicle = {}
+    for row in rows:
+        by_vehicle.setdefault(row[1], []).append(row)
+    traversals = {}
+    for vid in sorted(by_vehicle):
+        run_station, run_packages, prev_t = None, 0, None
+        for t, _, sid, generated in sorted(by_vehicle[vid], key=lambda r: r[0]):
+            if sid == run_station and prev_t is not None and t == prev_t + 1:
+                run_packages += generated
+            else:
+                if run_station is not None:
+                    traversals.setdefault(run_station, []).append(run_packages)
+                run_station, run_packages = sid, generated
+            prev_t = t
+        traversals.setdefault(run_station, []).append(run_packages)
+    return {sid: sum(p) / len(p) for sid, p in sorted(traversals.items())}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, 12), st.sampled_from(["v1", "v2", "v3"]),
+              st.sampled_from(["a", "b", ""]), st.integers(0, 3)),
+    min_size=1, max_size=40,
+))
+def test_count_packages_matches_row_oracle(rows):
+    # rows in any order, with repeated ticks and gaps
+    assert count_packages_per_cell(table(rows)) == traversal_oracle(rows)
 
 
 def test_count_packages_empty_errors():
     with pytest.raises(ValidationError):
-        count_packages_per_cell([])
+        count_packages_per_cell(table([]))
 
 
 def test_parse_rejects_record_count_mismatch():

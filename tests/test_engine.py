@@ -2,13 +2,16 @@ import hashlib
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from car2cloud.engine import (
+    READ_CHUNK_BYTES,
+    RESULTS_CSV_HEADER,
     SimConfig,
-    TickResult,
+    TickTable,
     config_echo,
     load_config,
     parse_config_text,
@@ -36,33 +39,54 @@ def trace(vehicle_id, xs, speed=10.0, t0=0):
 STATION = [BaseStation("bs0", 0.0, 30.0)]
 
 
+def csv_text(table):
+    buf = io.StringIO()
+    write_results_csv(table, buf)
+    return buf.getvalue()
+
+
+def table_of(rows):
+    """TickTable holding rows given as tuples in RESULTS_CSV_HEADER order."""
+    t, vid, sid, snr_db, share, rate, generated, sent, queued = zip(*rows) if rows else [()] * 9
+    return TickTable(
+        t=np.array(t, dtype=np.int64),
+        vehicle_id=list(vid),
+        serving_station=list(sid),
+        snr_db=np.array(snr_db, dtype=np.float64),
+        rb_share=np.array(share, dtype=np.float64),
+        rate_bps=np.array(rate, dtype=np.float64),
+        packages_generated=np.array(generated, dtype=np.int64),
+        bits_sent=np.array(sent, dtype=np.int64),
+        queue_bytes=np.array(queued, dtype=np.int64),
+    )
+
+
 def test_single_vehicle_gets_all_rbs():
     traces = [trace("v1", range(0, 100, 10))]
     results = run(SimConfig(), traces, STATION)
     assert len(results) == 10
-    assert all(r.rb_share == 100.0 for r in results)
-    assert all(r.serving_station == "bs0" for r in results)
-    assert [r.t for r in results] == list(range(10))
+    assert results.rb_share.tolist() == [100.0] * 10
+    assert results.serving_station == ["bs0"] * 10
+    assert results.t.tolist() == list(range(10))
 
 
 def test_colocated_vehicles_equal_rates():
     traces = [trace("a", [50] * 5), trace("b", [50] * 5)]
     results = run(SimConfig(), traces, STATION)
-    by_tick = {}
-    for r in results:
-        by_tick.setdefault(r.t, []).append(r)
-    for rows in by_tick.values():
-        assert rows[0].rate_bps == rows[1].rate_bps
-        assert rows[0].rb_share == rows[1].rb_share == 50.0
+    assert results.t.tolist() == [t for t in range(5) for _ in "ab"]
+    assert results.vehicle_id == ["a", "b"] * 5
+    rates = results.rate_bps.tolist()
+    assert rates[0::2] == rates[1::2]
+    assert results.rb_share.tolist() == [50.0] * 10
 
 
 def test_rate_follows_share_times_rb_rate():
     cfg = SimConfig()
     traces = [trace("a", [10, 20, 30], speed=7.0), trace("b", [500, 520, 540], speed=7.0)]
     results = run(cfg, traces, STATION)
-    for r in results:
+    for share, snr_db, rate in zip(results.rb_share, results.snr_db, results.rate_bps):
         speed = 7.0
-        assert r.rate_bps == pytest.approx(r.rb_share * rb_rate(r.snr_db, speed, cfg.rate))
+        assert rate == pytest.approx(share * rb_rate(float(snr_db), speed, cfg.rate))
 
 
 def test_results_ordered_and_deterministic():
@@ -70,16 +94,15 @@ def test_results_ordered_and_deterministic():
     cfg = SimConfig()
     first = run(cfg, traces, STATION)
     second = run(cfg, traces, STATION)
-    assert first == second
-    assert [(r.t, r.vehicle_id) for r in first] == sorted(
-        (r.t, r.vehicle_id) for r in first
-    )
+    assert csv_text(first) == csv_text(second)
+    keys = list(zip(first.t.tolist(), first.vehicle_id))
+    assert keys == sorted(keys)
 
 
 def test_rb_limit_overrides_n_rb():
     traces = [trace("v1", [10, 20])]
     limited = run(SimConfig(rb_limit=10), traces, STATION)
-    assert all(r.rb_share == 10.0 for r in limited)
+    assert limited.rb_share.tolist() == [10.0, 10.0]
 
 
 def test_per_tick_share_conservation():
@@ -91,19 +114,17 @@ def test_per_tick_share_conservation():
     stations = [BaseStation("bs0", 0.0, 30.0), BaseStation("bs1", 3000.0, 30.0)]
     results = run(SimConfig(), traces, stations)
     per_cell_tick = {}
-    for r in results:
-        per_cell_tick.setdefault((r.t, r.serving_station), 0.0)
-        per_cell_tick[(r.t, r.serving_station)] += r.rb_share
+    for t, sid, share in zip(results.t.tolist(), results.serving_station, results.rb_share):
+        per_cell_tick[(t, sid)] = per_cell_tick.get((t, sid), 0.0) + share
     for total in per_cell_tick.values():
         assert total == pytest.approx(100.0, abs=1e-9)
 
 
 def test_queue_drains_every_tick_at_high_rate():
     results = run(SimConfig(), [trace("v1", range(0, 100, 10))], STATION)
-    for r in results:
-        assert r.packages_generated == 1
-        assert r.bits_sent == 112 * 8
-        assert r.queue_bytes == 0
+    assert results.packages_generated.tolist() == [1] * 10
+    assert results.bits_sent.tolist() == [112 * 8] * 10
+    assert results.queue_bytes.tolist() == [0] * 10
 
 
 def test_queue_backlog_with_tiny_rate_model():
@@ -112,22 +133,21 @@ def test_queue_backlog_with_tiny_rate_model():
 
     results = run(SimConfig(), [trace("v1", [10, 20, 30, 40])], STATION, rate_model=trickle)
     # capacity 1000 bits < 896*2: exactly one package (896 bits) sent per tick
-    for r in results:
-        assert r.bits_sent == 896
-        assert r.queue_bytes == 0
+    assert results.bits_sent.tolist() == [896] * 4
+    assert results.queue_bytes.tolist() == [0] * 4
     zero = run(SimConfig(), [trace("v1", [10, 20, 30])], STATION, rate_model=lambda s, v: 0.0)
-    assert [r.queue_bytes for r in zero] == [112, 224, 336]
+    assert zero.queue_bytes.tolist() == [112, 224, 336]
     assert undelivered_bytes(zero) == {"v1": 336}
 
 
 def test_aggregate_ticks_mode():
     cfg = SimConfig(packaging=SimConfig().packaging.__class__(aggregate_ticks=3))
     results = run(cfg, [trace("v1", range(0, 70, 10))], STATION)  # 7 ticks: 0..6
-    generated = [r.packages_generated for r in results]
+    generated = results.packages_generated.tolist()
     # windows [0,2], [3,5], flush at final tick 6
     assert generated == [0, 0, 1, 0, 0, 1, 1]
     assert sum(generated) == 3
-    total_bytes = sum(r.bits_sent for r in results) // 8
+    total_bytes = sum(results.bits_sent.tolist()) // 8
     assert total_bytes == (64 + 9 * 16) * 2 + (64 + 3 * 16)
 
 
@@ -140,7 +160,9 @@ def test_aggregated_packages_per_cell():
 
 def vehicle_timeseries(results, vehicle_id):
     """(t, snr_db, rate_bps) of one vehicle's rows, in tick order."""
-    return sorted((r.t, r.snr_db, r.rate_bps) for r in results if r.vehicle_id == vehicle_id)
+    rows = zip(results.vehicle_id, results.t.tolist(), results.snr_db.tolist(),
+               results.rate_bps.tolist())
+    return sorted((t, snr_db, rate) for vid, t, snr_db, rate in rows if vid == vehicle_id)
 
 
 def test_vehicle_timeseries_projection():
@@ -159,9 +181,13 @@ def test_empty_cell_spike():
     mover = trace("x", range(0, 4000, 100), speed=25.0)
     results = run(SimConfig(), group + [mover], stations)
     series = vehicle_timeseries(results, "x")
-    rows = {r.t: r for r in results if r.vehicle_id == "x"}
-    crowded = [rate for t, _, rate in series if rows[t].serving_station == "busy"]
-    alone = [rate for t, _, rate in series if rows[t].serving_station == "idle"]
+    serving = {
+        t: sid
+        for vid, t, sid in zip(results.vehicle_id, results.t.tolist(), results.serving_station)
+        if vid == "x"
+    }
+    crowded = [rate for t, _, rate in series if serving[t] == "busy"]
+    alone = [rate for t, _, rate in series if serving[t] == "idle"]
     assert alone and crowded
     assert min(alone) > max(crowded)
 
@@ -173,10 +199,10 @@ def test_run_without_stations():
 
 def test_results_csv_round_trip():
     results = run(SimConfig(), [trace("v1", range(0, 40, 10), speed=3.3)], STATION)
-    buf = io.StringIO()
-    write_results_csv(results, buf)
-    buf.seek(0)
-    assert read_results_csv(buf) == results
+    text = csv_text(results)
+    back = read_results_csv(io.StringIO(text))
+    assert_tables_equal(back, results)
+    assert csv_text(back) == text
 
 
 def test_results_csv_rejects_bad_header():
@@ -280,7 +306,7 @@ def test_station_order_does_not_change_results():
     ]
     forward = run(SimConfig(), traces, stations)
     backward = run(SimConfig(), traces, list(reversed(stations)))
-    assert forward == backward
+    assert csv_text(forward) == csv_text(backward)
 
 
 def test_run_accepts_fcd_parsed_traces():
@@ -294,8 +320,8 @@ def test_run_accepts_fcd_parsed_traces():
     </fcd-export>"""
     traces = parse_fcd_xml(io.StringIO(xml))
     results = run(SimConfig(), traces, STATION)
-    assert [r.t for r in results] == [0, 1]
-    assert results[0].rb_share == 100.0
+    assert results.t.tolist() == [0, 1]
+    assert results.rb_share[0] == 100.0
 
 
 def queue_scenario():
@@ -328,15 +354,14 @@ def queue_scenario():
 def test_queue_scenario_golden_digest():
     cfg, traces, stations = queue_scenario()
     results = run(cfg, traces, stations)
-    buf = io.StringIO()
-    write_results_csv(results, buf)
     # SHA-256 of this results.csv from the package-object engine, which
     # built and checksummed every CVIM package.
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+    assert hashlib.sha256(csv_text(results).encode()).hexdigest() == (
         "36657144dc0feaaab51f89a9973eb7f27aaa372afafe0bfc0c807b543c52e697"
     )
-    assert max(r.queue_bytes for r in results) >= 2 * (64 + 16 * 8 * 4)
-    assert {r.serving_station for r in results if r.vehicle_id == "w"} == {"bs0"}
+    assert results.queue_bytes.max() >= 2 * (64 + 16 * 8 * 4)
+    serving_w = {sid for vid, sid in zip(results.vehicle_id, results.serving_station) if vid == "w"}
+    assert serving_w == {"bs0"}
 
 
 def test_queue_scenario_conserves_bytes():
@@ -345,13 +370,13 @@ def test_queue_scenario_conserves_bytes():
     pkg = cfg.packaging
     channels = 3 + pkg.n_extra_channels
     generated = (
-        pkg.header_bytes * sum(r.packages_generated for r in results)
+        pkg.header_bytes * sum(results.packages_generated.tolist())
         + pkg.record_bytes * channels * len(results)
     )
     leftover = undelivered_bytes(results)
     assert leftover  # some vehicles leave with data still queued
-    assert generated == sum(r.bits_sent for r in results) // 8 + sum(leftover.values())
-    assert all(r.bits_sent % 8 == 0 for r in results)
+    assert generated == sum(results.bits_sent.tolist()) // 8 + sum(leftover.values())
+    assert (results.bits_sent % 8 == 0).all()
 
 
 @pytest.mark.parametrize("field", ["x", "y", "speed"])
@@ -376,28 +401,135 @@ IDS = st.text(st.characters(blacklist_characters=ID_FORBIDDEN_CHARS))
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1.7976931348623157e308]
 )
-TICK_RESULTS = st.builds(
-    TickResult,
-    t=st.integers(0, 10**6),
-    vehicle_id=IDS,
-    serving_station=IDS,
-    snr_db=FLOATS,
-    rb_share=FLOATS,
-    rate_bps=FLOATS,
-    packages_generated=st.integers(0, 65),
-    bits_sent=st.integers(0, 10**12),
-    queue_bytes=st.integers(0, 10**12),
+TICK_ROWS = st.tuples(
+    st.integers(0, 10**6),
+    IDS,
+    IDS,
+    FLOATS,
+    FLOATS,
+    FLOATS,
+    st.integers(0, 65),
+    st.integers(0, 10**12),
+    st.integers(0, 10**12),
 )
 
 
+def assert_tables_equal(a, b):
+    assert len(a) == len(b)
+    for name in RESULTS_CSV_HEADER.split(","):
+        column_a, column_b = getattr(a, name), getattr(b, name)
+        if isinstance(column_b, np.ndarray):
+            assert column_a.dtype == column_b.dtype, name
+            column_a, column_b = column_a.tolist(), column_b.tolist()
+        assert column_a == column_b, name
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(TICK_RESULTS, max_size=5))
-def test_results_csv_round_trip_property(results):
-    buf = io.StringIO()
-    write_results_csv(results, buf)
-    buf.seek(0)
-    back = read_results_csv(buf)
-    assert back == results
-    again = io.StringIO()
-    write_results_csv(back, again)
-    assert again.getvalue() == buf.getvalue()  # bit for bit, -0.0 included
+@given(st.lists(TICK_ROWS, max_size=5))
+def test_results_csv_round_trip_property(rows):
+    results = table_of(rows)
+    text = csv_text(results)
+    back = read_results_csv(io.StringIO(text))
+    assert_tables_equal(back, results)
+    assert csv_text(back) == text  # bit for bit, -0.0 included
+
+
+def results_lines(n):
+    """n well-formed results CSV lines, ordered by tick."""
+    return [f"{t},v{t % 7},bs{t % 3},{t * 0.25!r},50.0,{t * 1e3!r},1,896,0\n" for t in range(n)]
+
+
+# Enough lines that the last ones lie past the reader's first chunk.
+MANY = READ_CHUNK_BYTES // len(results_lines(1)[0]) * 2
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (0, str(2**63), f"integer '{2**63}' exceeds 64 bits"),
+        (7, str(-(2**63) - 1), f"integer '{-(2**63) - 1}' exceeds 64 bits"),
+        (8, "9" * 30 + "\n", f"integer '{'9' * 30}' exceeds 64 bits"),
+        (4, "half", "could not convert string to float: 'half'"),
+        (6, "1.0", "invalid literal for int() with base 10: '1.0'"),
+    ],
+)
+def test_read_results_csv_names_bad_field_past_first_chunk(field, value, message):
+    lines = results_lines(MANY)
+    bad = MANY - 10
+    parts = lines[bad].split(",")
+    parts[field] = value
+    lines[bad] = ",".join(parts)
+    lines[bad + 5] = "x\n"  # a later error is not the one reported
+    text = RESULTS_CSV_HEADER + "\n" + "".join(lines)
+    assert len(text) > 1.5 * READ_CHUNK_BYTES
+    with pytest.raises(ParseError) as err:
+        read_results_csv(io.StringIO(text))
+    assert str(err.value) == f"line {bad + 2}: {message}"
+
+
+@pytest.mark.parametrize("line, fields", [("1,a,b,0.0,1.0,2.0,1,0\n", 8), ("1,a,b,0,1,2,1,0,0,9\n", 10)])
+def test_read_results_csv_names_field_count_past_first_chunk(line, fields):
+    lines = results_lines(MANY)
+    bad = MANY - 3
+    lines[bad] = line
+    lines.insert(100, "\n")  # blank lines are skipped but counted
+    text = RESULTS_CSV_HEADER + "\n" + "".join(lines)
+    with pytest.raises(ParseError) as err:
+        read_results_csv(io.StringIO(text))
+    assert str(err.value) == f"line {bad + 3}: expected 9 fields, got {fields}"
+
+
+def test_read_results_csv_skips_blank_lines_and_interns_ids():
+    lines = results_lines(MANY)
+    text = RESULTS_CSV_HEADER + "\n\n" + "".join(lines[:50]) + "\n\n" + "".join(lines[50:])
+    table = read_results_csv(io.StringIO(text.rstrip("\n")))  # no final line break
+    assert len(table) == MANY
+    assert csv_text(table) == RESULTS_CSV_HEADER + "\n" + "".join(lines)
+    assert len({id(vid) for vid in table.vehicle_id}) == 7
+    assert table.t.dtype == np.int64 and table.rate_bps.dtype == np.float64
+
+
+def test_read_results_csv_header_only():
+    table = read_results_csv(io.StringIO(RESULTS_CSV_HEADER + "\n"))
+    assert len(table) == 0
+    assert table.t.dtype == np.int64 and table.snr_db.dtype == np.float64
+    assert csv_text(table) == RESULTS_CSV_HEADER + "\n"
+
+
+def test_undelivered_bytes_takes_each_vehicles_last_tick():
+    rows = [
+        (5, "a", "bs0", 0.0, 1.0, 0.0, 1, 0, 300),
+        (2, "a", "bs0", 0.0, 1.0, 0.0, 1, 0, 100),
+        (4, "b", "bs0", 0.0, 1.0, 0.0, 1, 0, 0),
+        (3, "c", "bs0", 0.0, 1.0, 0.0, 1, 0, 7),
+    ]
+    assert undelivered_bytes(table_of(rows)) == {"a": 300, "c": 7}
+
+
+@st.composite
+def permuted_runs(draw):
+    """Traces and stations, each with a permutation of itself."""
+    n_vehicles = draw(st.integers(1, 6))
+    traces = []
+    for k in range(n_vehicles):
+        vid = f"v{k}"
+        t0, n = draw(st.integers(0, 5)), draw(st.integers(1, 12))
+        x0 = draw(st.floats(-500.0, 3000.0))
+        v = draw(st.floats(0.0, 40.0))
+        traces.append(VehicleTrace(
+            vid, tuple(TraceSample(vid, t0 + i, x0 + v * i, 0.0, v) for i in range(n))
+        ))
+    # Stations may share a site, so that associations tie exactly.
+    xs = draw(st.lists(st.sampled_from([0.0, 1200.0]) | st.floats(-500.0, 3000.0),
+                       min_size=1, max_size=4))
+    stations = [BaseStation(f"bs{i}", x, 30.0) for i, x in enumerate(xs)]
+    return (traces, draw(st.permutations(traces)), stations, draw(st.permutations(stations)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(permuted_runs())
+def test_run_is_invariant_under_trace_and_station_order(layout):
+    traces, shuffled_traces, stations, shuffled_stations = layout
+    cfg, _, _ = queue_scenario()  # integer RR on 2 RBs: queues build
+    expected = csv_text(run(cfg, traces, stations))
+    assert csv_text(run(cfg, shuffled_traces, shuffled_stations)) == expected

@@ -423,6 +423,37 @@ def test_parse_fcd_xml_rejects_empty_id():
     assert "timestep[time='0.00']/vehicle[id='']: empty vehicle id" in str(err.value)
 
 
+def test_parse_trace_csv_checks_an_id_where_it_first_appears():
+    # The bad id first appears after rows of good ids, and then again.
+    rows = ["ok,0,0,0,1", "ok,1,1,0,1", '"a,b",5,0,0,1', "ok,2,2,0,1", '"a,b",6,1,0,1']
+    data = "vehicle_id,t,x,y,speed\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ValidationError) as err:
+        parse_trace_csv(io.StringIO(data))
+    assert str(err.value) == "line 4: vehicle_id 'a,b' contains a comma, quote or line break"
+    # A row that does not convert is reported before the id it holds.
+    rows[2] = '"a,b",5,east,0,1'
+    data = "vehicle_id,t,x,y,speed\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_trace_csv(io.StringIO(data))
+    assert str(err.value) == "line 4: could not convert string to float: 'east'"
+
+
+def test_parse_trace_csv_shares_one_id_object_per_vehicle():
+    data = "vehicle_id,t,x,y,speed\nab,0,0,0,1\nab,1,1,0,1\nab,2,2,0,1\n"
+    (trace,) = parse_trace_csv(io.StringIO(data))
+    assert len({id(s.vehicle_id) for s in trace.samples}) == 1
+
+
+def test_parsers_reject_ticks_beyond_int64():
+    with pytest.raises(ValidationError) as err:
+        parse_trace_csv(io.StringIO(f"vehicle_id,t,x,y,speed\na,{2**63},0,0,1\n"))
+    assert "line 2" in str(err.value)
+    xml = FCD.replace('time="0.00"', 'time="1e300"', 1)
+    with pytest.raises(ValidationError) as err:
+        parse_fcd_xml(io.StringIO(xml))
+    assert "exceeds 64 bits" in str(err.value)
+
+
 def test_parse_trace_csv_rejects_empty_id():
     with pytest.raises(ParseError) as err:
         parse_trace_csv(io.StringIO("vehicle_id,t,x,y,speed\n,0,0,0,1\n"))

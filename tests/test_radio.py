@@ -253,8 +253,8 @@ def test_screen_defers_ulp_near_ties():
     _, unsure = screen_links(np.array([pos]), stations, CFG)
     assert unsure.tolist() == [True]
     station, link = best_link(pos, stations, CFG)
-    row = run(SimConfig(), [VehicleTrace("v", (TraceSample("v", 0, *pos, 1.0),))], stations)[0]
-    assert (row.serving_station, row.snr_db) == (station.station_id, link.snr)
+    table = run(SimConfig(), [VehicleTrace("v", (TraceSample("v", 0, *pos, 1.0),))], stations)
+    assert (table.serving_station[0], table.snr_db[0]) == (station.station_id, link.snr)
 
 
 def test_screen_sends_bad_ue_height_to_scalar_path():
@@ -318,10 +318,11 @@ def test_columnar_association_matches_best_link(layout):
         VehicleTrace(f"v{i:02d}", (TraceSample(f"v{i:02d}", 0, x, y, 10.0),))
         for i, (x, y) in enumerate(positions)
     ]
-    rows = run(SimConfig(link=cfg), traces, stations)
-    for pos, winner, tie, row in zip(positions, winners, unsure, rows):
+    table = run(SimConfig(link=cfg), traces, stations)
+    rows = zip(positions, winners, unsure, table.serving_station, table.snr_db.tolist())
+    for pos, winner, tie, serving, snr_db in rows:
         station, link = best_link(pos, stations, cfg)
-        assert (row.serving_station, row.snr_db) == (station.station_id, link.snr)
+        assert (serving, snr_db) == (station.station_id, link.snr)
         if not tie:
             assert canonical[winner] == station
             assert snr(pos, station, cfg).snr == link.snr

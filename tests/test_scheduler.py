@@ -31,9 +31,10 @@ def build_cells(positions, t, stations):
         for vid, (x, y) in sorted(positions.items())
     ]
     cells = {}
-    for row in run(SimConfig(), traces, stations):
-        assert row.t == t
-        cells.setdefault(row.serving_station, []).append(row.vehicle_id)
+    table = run(SimConfig(), traces, stations)
+    assert table.t.tolist() == [t] * len(table)
+    for vid, sid in zip(table.vehicle_id, table.serving_station):
+        cells.setdefault(sid, []).append(vid)
     return {sid: tuple(members) for sid, members in sorted(cells.items())}
 
 
