@@ -51,7 +51,7 @@ def _cmd_gen_traces(args: argparse.Namespace) -> int:
     traces = mobility.generate_traces(config.road_spec(), config.krauss)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         mobility.emit_trace_csv(traces, fh)
-    print(f"wrote {len(traces)} traces to {args.out}", file=sys.stderr)
+    print(f"wrote {len(set(traces.vehicle_id))} traces to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 

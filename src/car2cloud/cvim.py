@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .mobility import TraceSample
+from .mobility import id_codes
 
 if TYPE_CHECKING:
     from .engine import TickTable
@@ -224,23 +224,18 @@ def package(
     )
 
 
-def tick_records(sample: TraceSample, config: PackagingConfig = DEFAULT_CONFIG) -> list[ChannelRecord]:
-    """Channel records one vehicle produces in one tick."""
+def tick_records(
+    t: int, x: float, y: float, speed: float, config: PackagingConfig = DEFAULT_CONFIG
+) -> list[ChannelRecord]:
+    """Channel records one vehicle at (x, y) with the given speed produces in tick t."""
     records = [
-        ChannelRecord(BASE_CHANNELS[0].channel_id, float(sample.t), sample.x),
-        ChannelRecord(BASE_CHANNELS[1].channel_id, float(sample.t), sample.y),
-        ChannelRecord(BASE_CHANNELS[2].channel_id, float(sample.t), sample.speed),
+        ChannelRecord(BASE_CHANNELS[0].channel_id, float(t), x),
+        ChannelRecord(BASE_CHANNELS[1].channel_id, float(t), y),
+        ChannelRecord(BASE_CHANNELS[2].channel_id, float(t), speed),
     ]
     for i in range(config.n_extra_channels):
-        records.append(ChannelRecord(1000 + i, float(sample.t), 0.0))
+        records.append(ChannelRecord(1000 + i, float(t), 0.0))
     return records
-
-
-def generate_tick_package(
-    sample: TraceSample, config: PackagingConfig = DEFAULT_CONFIG
-) -> CvimDataPackage:
-    """One package per vehicle per tick; data is assumed always available."""
-    return package(sample.vehicle_id, sample.t, tick_records(sample, config), config)
 
 
 def _package_id_digest(package_id: str, key: str) -> bytes:
@@ -392,8 +387,8 @@ def count_packages_per_cell(table: TickTable) -> dict[str, float]:
     """
     if not len(table):
         raise ValidationError("no tick results: nothing ever traversed a cell")
-    _, vehicle = _codes(table.vehicle_id)
-    station_ids, station = _codes(table.serving_station)
+    _, vehicle = id_codes(table.vehicle_id)
+    station_ids, station = id_codes(table.serving_station)
     # Rows by vehicle, then tick; a stable sort keeps repeated ticks in order.
     order = np.lexsort((table.t, vehicle))
     vehicle, station, t = vehicle[order], station[order], table.t[order]
@@ -409,9 +404,3 @@ def count_packages_per_cell(table: TickTable) -> dict[str, float]:
         counts[code] += 1
     return {sid: total / count for sid, total, count in zip(station_ids, totals, counts)}
 
-
-def _codes(ids: list[str]) -> tuple[list[str], np.ndarray]:
-    """The sorted distinct ids, and each id's index among them."""
-    distinct = sorted(set(ids))
-    index = {value: i for i, value in enumerate(distinct)}
-    return distinct, np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))

@@ -1,15 +1,16 @@
 """Per-second simulation loop and its file interfaces.
 
-Each tick: vehicles present in the traces are associated to their best-SNR
-station (a numpy screen over all present vehicles, exact scalar SNR for
-the winner), every cell splits its resource blocks Round-Robin, each
-vehicle's rate follows from its share and the rate model, one CVIM package
-is generated (or buffered, in aggregate mode) and the transmit queue drains
-against the tick's capacity.  Queues hold package sizes only; no output
-reads package contents.  The loop is strictly sequential over ticks, so
-queue state is causal, and all outputs are byte-identical across runs with
-equal inputs.  Results travel as one column table, TickTable, from the loop
-through the results CSV to the analysis.
+The traces come in as one mobility.TraceTable, whose rows one lexsort puts
+in (tick, vehicle id) order.  Each tick: vehicles present in the traces are
+associated to their best-SNR station (a numpy screen over all present
+vehicles, exact scalar SNR for the winner), every cell splits its resource
+blocks Round-Robin, each vehicle's rate follows from its share and the rate
+model, one CVIM package is generated (or buffered, in aggregate mode) and
+the transmit queue drains against the tick's capacity.  Queues hold package
+sizes only; no output reads package contents.  The loop is strictly
+sequential over ticks, so queue state is causal, and all outputs are
+byte-identical across runs with equal inputs.  Results travel as one column
+table, TickTable, from the loop through the results CSV to the analysis.
 
 Config files are flat ``section.key = value`` text; unknown keys are
 rejected outright so typos cannot silently fall back to defaults.
@@ -18,11 +19,12 @@ rejected outright so typos cannot silently fall back to defaults.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, repeat
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from . import cvim, scheduler
 from .cvim import PackagingConfig, TransmitQueue
 from .errors import ConfigError, ParseError, ValidationError
 from .linkrate import RateModel, RbRateParams, model_from_params
-from .mobility import KraussParams, RoadSpec, TraceSample, VehicleTrace
+from .mobility import KraussParams, RoadSpec, TraceTable, id_codes
 from .radio import BaseStation, LinkBudgetConfig, best_link, screen_links, snr
 
 RESULTS_CSV_HEADER = (
@@ -151,7 +153,10 @@ def _cast(key: str, raw: str, type_name: str):
         if "int" in type_name:
             return int(raw)
         if "float" in type_name:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ConfigError(f"config key {key}: {raw!r} is not a finite number")
+            return value
     except ValueError:
         raise ConfigError(f"config key {key}: cannot parse {raw!r}") from None
     return raw
@@ -216,7 +221,7 @@ def config_echo(config: SimConfig) -> dict[str, str]:
 
 def run(
     config: SimConfig,
-    traces: Iterable[VehicleTrace],
+    traces: TraceTable,
     stations: Sequence[BaseStation],
     rate_model: RateModel | None = None,
 ) -> TickTable:
@@ -231,22 +236,27 @@ def run(
     n_rb = config.effective_n_rb
     mode = config.scheduler_mode
 
-    samples_by_tick: dict[int, list[TraceSample]] = {}
-    last_tick: dict[str, int] = {}
-    for trace in traces:
-        for s in trace.samples:
-            samples_by_tick.setdefault(s.t, []).append(s)
-            last = last_tick.get(s.vehicle_id)
-            if last is None or s.t > last:
-                last_tick[s.vehicle_id] = s.t
+    names, vehicle = id_codes(traces.vehicle_id)
+    order = np.lexsort((vehicle, traces.t))
+    ticks, vehicle = traces.t[order], vehicle[order]
+    state = np.column_stack((traces.x, traces.y, traces.speed))[order]
+    finite = np.isfinite(state).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValidationError(
+            f"vehicle {names[vehicle[i]]!r} at t={ticks[i]}: non-finite position or speed"
+        )
+    last_tick = np.full(len(names), np.iinfo(np.int64).min)
+    np.maximum.at(last_tick, vehicle, ticks)
+    departing = ticks == last_tick[vehicle]
+    # The rows of one tick are rows[start:stop] for consecutive bounds.
+    _, starts = np.unique(ticks, return_index=True)
+    bounds = [*starts.tolist(), len(ticks)]
 
     # Queues hold package sizes: a package carries the records of the ticks
     # buffered since the vehicle's last flush (one tick unless aggregating).
-    queues: dict[str, TransmitQueue] = {}
-    buffered: dict[str, int] = {}
-    window = pkg_cfg.aggregate_ticks
-    ticks: list[int] = []
-    vehicle_ids: list[str] = []
+    queues = [TransmitQueue(vid) for vid in names]
+    buffered = [0] * len(names)
     serving: list[str] = []
     snrs: list[float] = []
     rb_shares: list[float] = []
@@ -255,58 +265,49 @@ def run(
     sent: list[int] = []
     queued: list[int] = []
 
-    for t in sorted(samples_by_tick):
-        present = sorted(samples_by_tick[t], key=lambda s: s.vehicle_id)
-        state = np.array([(s.x, s.y, s.speed) for s in present])
-        finite = np.isfinite(state).all(axis=1)
-        if not finite.all():
-            bad = present[int(np.argmin(finite))]
-            raise ValidationError(
-                f"vehicle {bad.vehicle_id!r} at t={t}: non-finite position or speed"
-            )
-        winners, unsure = screen_links(state[:, :2], stations, config.link)
-        tick_snrs: list[float] = []
+    for start, stop in zip(bounds, bounds[1:]):
+        t = int(ticks[start])
+        present = vehicle[start:stop].tolist()
+        rows = state[start:stop]
+        winners, unsure = screen_links(rows[:, :2], stations, config.link)
         cells: dict[str, list[str]] = {}
-        for s, winner, needs_scalar in zip(present, winners.tolist(), unsure.tolist()):
+        for v, (x, y, _), winner, needs_scalar in zip(
+            present, rows.tolist(), winners.tolist(), unsure.tolist()
+        ):
             if needs_scalar:
-                station, link = best_link((s.x, s.y), stations, config.link)
+                station, link = best_link((x, y), stations, config.link)
             else:
                 station = stations[winner]
-                link = snr((s.x, s.y), station, config.link)
+                link = snr((x, y), station, config.link)
             serving.append(station.station_id)
-            tick_snrs.append(link.snr)
-            cells.setdefault(station.station_id, []).append(s.vehicle_id)
+            snrs.append(link.snr)
+            cells.setdefault(station.station_id, []).append(names[v])
         shares: dict[str, float] = {}
         for sid in sorted(cells):
             cell = scheduler.CellTickState(sid, t, tuple(cells[sid]))
             allocation = scheduler.rr_allocate(cell, n_rb, mode, rotation_offset=t)
             shares.update(allocation.shares)
-        for s, snr_db in zip(present, tick_snrs):
-            vid = s.vehicle_id
-            share = shares[vid]
-            rate = scheduler.vehicle_rate(share, snr_db, s.speed, model)
-            queue = queues.get(vid)
-            if queue is None:
-                queue = queues[vid] = TransmitQueue(vid)
-            n_ticks = buffered.pop(vid, 0) + 1
-            if (t + 1) % window == 0 or t == last_tick[vid]:
-                queue.push_size(pkg_cfg.payload_bytes(pkg_cfg.records_per_tick * n_ticks))
-                generated.append(1)
-            else:
-                buffered[vid] = n_ticks
-                generated.append(0)
+        for v, speed, snr_db, last in zip(
+            present, rows[:, 2].tolist(), snrs[start:stop], departing[start:stop].tolist()
+        ):
+            share = shares[names[v]]
+            rate = scheduler.vehicle_rate(share, snr_db, speed, model)
+            queue = queues[v]
+            buffered[v] += 1
+            flush = (t + 1) % pkg_cfg.aggregate_ticks == 0 or last
+            if flush:
+                queue.push_size(pkg_cfg.payload_bytes(pkg_cfg.records_per_tick * buffered[v]))
+                buffered[v] = 0
+            generated.append(int(flush))
             capacity = int(rate * config.tick)
             _, remaining = cvim.try_transmit(queue, capacity)
-            vehicle_ids.append(vid)
             rb_shares.append(share)
             rates.append(rate)
             sent.append(capacity - remaining)
             queued.append(queue.queued_bytes)
-        ticks.extend([t] * len(present))
-        snrs.extend(tick_snrs)
     return TickTable(
-        t=np.array(ticks, dtype=np.int64),
-        vehicle_id=vehicle_ids,
+        t=ticks,
+        vehicle_id=list(map(names.__getitem__, vehicle.tolist())),
         serving_station=serving,
         snr_db=np.array(snrs, dtype=np.float64),
         rb_share=np.array(rb_shares, dtype=np.float64),

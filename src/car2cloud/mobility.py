@@ -2,10 +2,12 @@
 
 Trajectories are 1 Hz samples of (x, y, speed) per vehicle.  They come from
 one of three sources: an external trace CSV, a SUMO floating-car-data XML
-export, or the built-in car-following generator.  Synthetic roads are either
-a straight strip along the x axis (vehicles injected at the origin) or a
-ring mapped onto a circle in the plane, so radio distances are always well
-defined.
+export, or the built-in car-following generator.  Every source yields one
+TraceTable: id, tick, x, y and speed columns with rows by vehicle id, then
+tick, which emit_trace_csv writes in that order and engine.run takes as is.
+Synthetic roads are either a straight strip along the x axis (vehicles
+injected at the origin) or a ring mapped onto a circle in the plane, so
+radio distances are always well defined.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import csv
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +28,7 @@ TRACE_CSV_HEADER = ("vehicle_id", "t", "x", "y", "speed")
 # would split or break a row there.
 ID_FORBIDDEN_CHARS = ',"\r\n'
 
-# Ticks are held as int64 in the engine's result table.
+# Ticks are held as int64 in the trace and result tables.
 MAX_TICK = (1 << 63) - 1
 
 
@@ -45,26 +47,53 @@ SPEED_FACTOR_MIN = 0.7
 SPEED_FACTOR_MAX = 1.3
 
 
-@dataclass(frozen=True)
-class TraceSample:
-    """One vehicle's kinematic state at one whole-second tick."""
+@dataclass(frozen=True, eq=False)
+class TraceTable:
+    """1 Hz samples of (x, y, speed) of every vehicle, as columns.
 
-    vehicle_id: str
-    t: int
-    x: float
-    y: float
-    speed: float
+    ``vehicle_id`` is a list of str holding one shared object per vehicle,
+    ``t`` an int64 array and ``x``, ``y`` and ``speed`` float64 arrays, all
+    of one length; row i is the i-th entry of every column.  Producers give
+    rows in canonical order: by vehicle id string, then by tick, with each
+    vehicle's ticks consecutive.
+    """
 
-
-@dataclass(frozen=True)
-class VehicleTrace:
-    """All samples of one vehicle, sorted by tick, strictly 1 Hz."""
-
-    vehicle_id: str
-    samples: tuple[TraceSample, ...]
+    vehicle_id: list[str]
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    speed: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.vehicle_id)
+
+
+def id_codes(ids: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct ids, and each id's index among them."""
+    distinct = sorted(set(ids))
+    index = {value: i for i, value in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+
+
+def _trace_table(names: list[str], code: np.ndarray, t, x, y, speed) -> TraceTable:
+    """Samples of vehicles names[code] as a table in canonical order.
+
+    ``t``, ``x``, ``y`` and ``speed`` are sequences or arrays, row for row
+    with ``code``, and hold no two samples of one vehicle at one tick.  A
+    1 Hz gap names the smallest vehicle id that has one, and its first gap.
+    """
+    t = np.asarray(t, dtype=np.int64)
+    order = np.lexsort((t, code))
+    code, t = code[order], t[order]
+    gaps = np.flatnonzero((code[1:] == code[:-1]) & (t[1:] - t[:-1] != 1))
+    if gaps.size:
+        i = int(gaps[0])
+        raise ValidationError(
+            f"vehicle {names[code[i]]!r}: samples not on a 1 Hz grid "
+            f"(ticks {t[i]} -> {t[i + 1]})"
+        )
+    x, y, speed = (np.asarray(c, dtype=np.float64)[order] for c in (x, y, speed))
+    return TraceTable(list(map(names.__getitem__, code.tolist())), t, x, y, speed)
 
 
 @dataclass(frozen=True)
@@ -230,51 +259,44 @@ def _arrival_times(road: RoadSpec) -> list[float]:
 
 
 class _Recorder:
-    """Per-vehicle samples, appended one platoon snapshot per tick.
+    """Platoon snapshots, appended one tick's arrays at a time.
 
     A strip position is x with y = 0; a ring position is mapped onto a
     circle of matching circumference with the scalar math.cos and math.sin,
-    whose results numpy's vectorised versions may miss by an ulp.  Samples
-    are built tick by tick, not from whole-run arrays at the end: freeing
-    arrays of several MB raises glibc's mmap threshold, and with it the peak
-    RSS of whatever runs next in the process.
+    whose results numpy's vectorised versions may miss by an ulp.
     """
 
     def __init__(self, names: np.ndarray, ring_length: float | None):
         self.names = names
         self.radius = None if ring_length is None else ring_length / (2.0 * math.pi)
-        self.samples: list[list[TraceSample]] = [[] for _ in range(len(names))]
-        self.t = 0
+        self.ticks: list[tuple[np.ndarray, ...]] = []  # (vehicle, t, x, y, speed) per tick
 
     def record(self, vehicles: np.ndarray, position: np.ndarray, speed: np.ndarray) -> None:
         """Snapshot of the next tick, the first being tick 0."""
         n = len(vehicles)
         if self.radius is None:
-            xs = position.tolist()
-            ys = [0.0] * n
+            x, y = position, np.zeros(n)
         else:
             angles = (position / self.radius).tolist()
-            xs = [self.radius * c for c in map(math.cos, angles)]
-            ys = [self.radius * s for s in map(math.sin, angles)]
-        row = map(
-            TraceSample, self.names[vehicles].tolist(), [self.t] * n, xs, ys, speed.tolist()
-        )
-        for k, sample in zip(vehicles.tolist(), row):
-            self.samples[k].append(sample)
-        self.t += 1
+            x = np.array([self.radius * c for c in map(math.cos, angles)], dtype=np.float64)
+            y = np.array([self.radius * s for s in map(math.sin, angles)], dtype=np.float64)
+        self.ticks.append((vehicles, np.full(n, len(self.ticks), dtype=np.int64), x, y, speed))
 
-    def traces(self) -> list[VehicleTrace]:
-        """Traces of every vehicle that was recorded, sorted by id."""
-        traces = [VehicleTrace(s[0].vehicle_id, tuple(s)) for s in self.samples if s]
-        traces.sort(key=lambda tr: tr.vehicle_id)
-        return traces
+    def table(self) -> TraceTable:
+        """Every recorded sample, in canonical order."""
+        if not self.ticks:
+            return _trace_table([], np.zeros(0, dtype=np.int64), [], [], [], [])
+        vehicle, t, x, y, speed = map(np.concatenate, zip(*self.ticks))
+        # Vehicle names are unique, so their codes rank them by id string.
+        names, rank = id_codes(self.names.tolist())
+        return _trace_table(names, rank[vehicle], t, x, y, speed)
 
 
 def _vehicle_names(count: int) -> np.ndarray:
     return np.array([f"veh{k:04d}" for k in range(count)], dtype=object)
 
 
-def _generate_strip(road: RoadSpec, params: KraussParams) -> list[VehicleTrace]:
+def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
     """Strip run: arrivals enter at the origin, traces end past the far end.
 
     The arrival process is continuous, so entries happen at sub-tick
@@ -350,10 +372,10 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> list[VehicleTrace]:
             vehicles, position, speed, factor = (
                 a[on_road] for a in (vehicles, position, speed, factor)
             )
-    return recorder.traces()
+    return recorder.table()
 
 
-def _generate_ring(road: RoadSpec, params: KraussParams) -> list[VehicleTrace]:
+def _generate_ring(road: RoadSpec, params: KraussParams) -> TraceTable:
     count = int(road.inflow)
     spacing = road.length / count
     if spacing < params.veh_length + params.min_gap:
@@ -381,11 +403,11 @@ def _generate_ring(road: RoadSpec, params: KraussParams) -> list[VehicleTrace]:
         vehicles, position, speed, factor = (
             a[order] for a in (vehicles, position, speed, factor)
         )
-    return recorder.traces()
+    return recorder.table()
 
 
-def generate_traces(road: RoadSpec, params: KraussParams | None = None) -> list[VehicleTrace]:
-    """Run the car-following generator and return traces sorted by vehicle id.
+def generate_traces(road: RoadSpec, params: KraussParams | None = None) -> TraceTable:
+    """Run the car-following generator and return its samples as a TraceTable.
 
     Deterministic for equal (road, params) including the seed.  Strip
     vehicles live on the x axis (y = 0); ring positions are mapped onto a
@@ -397,25 +419,7 @@ def generate_traces(road: RoadSpec, params: KraussParams | None = None) -> list[
     return _generate_ring(road, params)
 
 
-def _build_traces(samples: Iterable[TraceSample]) -> list[VehicleTrace]:
-    """Group samples per vehicle, sort by tick, enforce the 1 Hz contract."""
-    by_vehicle: dict[str, list[TraceSample]] = {}
-    for s in samples:
-        by_vehicle.setdefault(s.vehicle_id, []).append(s)
-    traces = []
-    for vid in sorted(by_vehicle):
-        rows = sorted(by_vehicle[vid], key=lambda s: s.t)
-        for prev, cur in zip(rows, rows[1:]):
-            if cur.t - prev.t != 1:
-                raise ValidationError(
-                    f"vehicle {vid!r}: samples not on a 1 Hz grid "
-                    f"(ticks {prev.t} -> {cur.t})"
-                )
-        traces.append(VehicleTrace(vid, tuple(rows)))
-    return traces
-
-
-def parse_trace_csv(stream: IO[str]) -> list[VehicleTrace]:
+def parse_trace_csv(stream: IO[str]) -> TraceTable:
     """Read a trace CSV (header ``vehicle_id,t,x,y,speed``), rows in any order."""
     reader = csv.reader(stream)
     try:
@@ -424,7 +428,7 @@ def parse_trace_csv(stream: IO[str]) -> list[VehicleTrace]:
         raise ParseError("trace CSV is empty (missing header)") from None
     if tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
         raise ParseError(f"bad trace CSV header: {','.join(header)!r}")
-    samples: list[TraceSample] = []
+    vids, ts, xs, ys, speeds = [], [], [], [], []
     seen: set[tuple[str, int]] = set()
     # Each distinct id is checked where it is first seen, and then every
     # sample holds that first string object.
@@ -455,19 +459,23 @@ def parse_trace_csv(stream: IO[str]) -> list[VehicleTrace]:
         if (vid, t) in seen:
             raise ValidationError(f"line {lineno}: duplicate sample ({vid!r}, t={t})")
         seen.add((vid, t))
-        samples.append(TraceSample(vid, t, x, y, speed))
-    return _build_traces(samples)
+        vids.append(vid)
+        ts.append(t)
+        xs.append(x)
+        ys.append(y)
+        speeds.append(speed)
+    return _trace_table(*id_codes(vids), ts, xs, ys, speeds)
 
 
-def emit_trace_csv(traces: Iterable[VehicleTrace], stream: IO[str]) -> None:
+def emit_trace_csv(traces: TraceTable, stream: IO[str]) -> None:
     """Write traces in the canonical CSV schema; round-trips via parse_trace_csv."""
     stream.write(",".join(TRACE_CSV_HEADER) + "\n")
-    for trace in traces:
-        for s in trace.samples:
-            stream.write(f"{s.vehicle_id},{s.t},{s.x!r},{s.y!r},{s.speed!r}\n")
+    columns = (traces.t.tolist(), traces.x.tolist(), traces.y.tolist(), traces.speed.tolist())
+    for vid, t, x, y, speed in zip(traces.vehicle_id, *columns):
+        stream.write(f"{vid},{t},{x!r},{y!r},{speed!r}\n")
 
 
-def parse_fcd_xml(stream: IO) -> list[VehicleTrace]:
+def parse_fcd_xml(stream: IO) -> TraceTable:
     """Read the SUMO floating-car-data export subset.
 
     Only ``<timestep time="..">`` elements with ``<vehicle id x y speed/>``
@@ -478,7 +486,7 @@ def parse_fcd_xml(stream: IO) -> list[VehicleTrace]:
         root = ET.parse(stream).getroot()
     except ET.ParseError as exc:
         raise ParseError(f"bad FCD XML: {exc}") from None
-    samples: list[TraceSample] = []
+    vids, ts, xs, ys, speeds = [], [], [], [], []
     seen: set[tuple[str, int]] = set()
     for timestep in root.iter("timestep"):
         raw_t = timestep.get("time")
@@ -488,7 +496,7 @@ def parse_fcd_xml(stream: IO) -> list[VehicleTrace]:
             t_float = float(raw_t)
         except ValueError:
             raise ParseError(f"timestep[time={raw_t!r}]: not a number") from None
-        if t_float != int(t_float):
+        if t_float % 1 != 0:  # also true of inf and nan
             raise ValidationError(
                 f"timestep time={raw_t}: not a whole second (traces are 1 Hz)"
             )
@@ -524,23 +532,23 @@ def parse_fcd_xml(stream: IO) -> list[VehicleTrace]:
                     f"duplicate sample ({attrs['id']!r}, t={t}) in FCD input"
                 )
             seen.add((attrs["id"], t))
-            samples.append(TraceSample(attrs["id"], t, x, y, speed))
-    return _build_traces(samples)
+            vids.append(attrs["id"])
+            ts.append(t)
+            xs.append(x)
+            ys.append(y)
+            speeds.append(speed)
+    return _trace_table(*id_codes(vids), ts, xs, ys, speeds)
 
 
-def speed_distribution(
-    traces: Iterable[VehicleTrace], bin_width: float
-) -> dict[float, float]:
+def speed_distribution(traces: TraceTable, bin_width: float) -> dict[float, float]:
     """Histogram of all sample speeds: bin lower edge -> probability."""
     if bin_width <= 0:
         raise ConfigError("bin_width must be positive")
     counts: dict[float, int] = {}
-    total = 0
-    for trace in traces:
-        for s in trace.samples:
-            edge = math.floor(s.speed / bin_width) * bin_width
-            counts[edge] = counts.get(edge, 0) + 1
-            total += 1
+    for speed in traces.speed.tolist():
+        edge = math.floor(speed / bin_width) * bin_width
+        counts[edge] = counts.get(edge, 0) + 1
+    total = len(traces)
     if total == 0:
         raise ValidationError("cannot build a speed distribution from empty traces")
     return {edge: counts[edge] / total for edge in sorted(counts)}

@@ -238,5 +238,8 @@ def parse_stations_csv(stream: IO[str]) -> list[BaseStation]:
             raise ParseError(f"line {lineno}: {exc}") from None
         if not all(math.isfinite(v) for v in (x, y, gain, height)):
             raise ValidationError(f"line {lineno}: non-finite station value")
-        stations.append(BaseStation(sid, x, y, antenna_gain=gain, height=height))
+        try:
+            stations.append(BaseStation(sid, x, y, antenna_gain=gain, height=height))
+        except ConfigError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
     return stations

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .linkrate import RateModel, RbRateParams, rb_rate
+from .linkrate import RateModel
 
 MODES = ("fractional", "integer")
 
@@ -61,19 +61,13 @@ def rr_allocate(
     return RbAllocation(cell.station_id, cell.t, mode, shares)
 
 
-def vehicle_rate(
-    share: float,
-    snr_db: float,
-    speed: float,
-    rate: RbRateParams | RateModel,
-) -> float:
+def vehicle_rate(share: float, snr_db: float, speed: float, model: RateModel) -> float:
     """Uplink rate of one vehicle holding `share` resource blocks.
 
-    ``rate`` is either the default model's parameter set or any callable
-    (snr_db, speed) -> bit/s per block, so alternative rate models plug in
-    without touching the scheduler.
+    ``model`` is any callable (snr_db, speed) -> bit/s per block, such as
+    linkrate.model_from_params, so alternative rate models plug in without
+    touching the scheduler.
     """
     if share < 0:
         raise ConfigError("rb share must be non-negative")
-    per_block = rate(snr_db, speed) if callable(rate) else rb_rate(snr_db, speed, rate)
-    return share * per_block
+    return share * model(snr_db, speed)

@@ -32,7 +32,7 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 @dataclass
 class Scenario:
     label: str
-    traces: list
+    traces: mobility.TraceTable
     results_100: engine.TickTable
     results_10: engine.TickTable
     positions: dict  # (vehicle_id, t) -> (x, y, speed)
@@ -53,9 +53,14 @@ def runs():
             STATIONS,
         )
         positions = {
-            (s.vehicle_id, s.t): (s.x, s.y, s.speed)
-            for tr in traces
-            for s in tr.samples
+            (vid, t): (x, y, speed)
+            for vid, t, x, y, speed in zip(
+                traces.vehicle_id,
+                traces.t.tolist(),
+                traces.x.tolist(),
+                traces.y.tolist(),
+                traces.speed.tolist(),
+            )
         }
         out[label] = Scenario(label, traces, results_100, results_10, positions)
     out["elapsed"] = time.perf_counter() - start
@@ -288,9 +293,8 @@ def test_mobility_safety(runs):
     collisions = 0
     for scenario in (runs["free_flow"], runs["traffic_jam"]):
         by_tick = {}
-        for tr in scenario.traces:
-            for s in tr.samples:
-                by_tick.setdefault(s.t, []).append(s.x)
+        for t, x in zip(scenario.traces.t.tolist(), scenario.traces.x.tolist()):
+            by_tick.setdefault(t, []).append(x)
         for positions in by_tick.values():
             positions.sort()
             for rear, front in zip(positions, positions[1:]):

@@ -34,6 +34,8 @@ def test_gen_traces_writes_csv(workspace, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "vehicle_id,t,x,y,speed"
     assert len(lines) > 10
+    n_vehicles = len({line.split(",")[0] for line in lines[1:]})
+    assert f"wrote {n_vehicles} traces to {out}" in capsys.readouterr().err
 
 
 def test_gen_traces_zero_duration(workspace):
@@ -240,6 +242,23 @@ def test_simulate_non_finite_trace_exits_3_naming_the_line(tmp_path, capsys):
     ])
     assert code == 3
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key", ["link.tx_power_dbm", "linkrate.rb_bandwidth_hz", "road.length"]
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_simulate_rejects_non_finite_config_float(tmp_path, capsys, key, value):
+    traces = tmp_path / "traces.csv"
+    traces.write_text("vehicle_id,t,x,y,speed\nv1,0,0,0,1\nv1,1,1,0,1\n", encoding="utf-8")
+    (tmp_path / "stations.csv").write_text(STATIONS, encoding="utf-8")
+    code = main([
+        "simulate", "--traces", str(traces), "--stations", str(tmp_path / "stations.csv"),
+        "--set", f"{key}={value}", "--out-dir", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert f"config key {key}: '{value}' is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_rejects_comma_in_vehicle_id(tmp_path, capsys):

@@ -10,17 +10,16 @@ from car2cloud.cvim import (
     PackagingConfig,
     TransmitQueue,
     count_packages_per_cell,
-    generate_tick_package,
     harmonize,
     package,
     parse_package,
     pseudonymize,
     serialize_package,
+    tick_records,
     try_transmit,
 )
 from car2cloud.engine import TickTable
 from car2cloud.errors import ConfigError, ValidationError
-from car2cloud.mobility import TraceSample
 
 
 def table(rows):
@@ -93,24 +92,23 @@ def test_package_rejects_out_of_interval_record():
     package("veh1", 5, [ChannelRecord(1, 5.999, 1.0)])  # inside is fine
 
 
-def test_generate_tick_package_default_channels():
-    sample = TraceSample("veh1", 7, 12.0, 0.0, 13.5)
-    pkg = generate_tick_package(sample)
+def test_tick_package_default_channels():
+    pkg = package("veh1", 7, tick_records(7, 12.0, 0.0, 13.5))
     assert pkg.payload_bytes == 112  # 64 + 3 * 16
     assert [r.channel_id for r in pkg.records] == [c.channel_id for c in BASE_CHANNELS]
     assert pkg.records[2].value == 13.5
 
 
-def test_generate_tick_package_extra_channels():
+def test_tick_package_extra_channels():
     config = PackagingConfig(n_extra_channels=7)
-    pkg = generate_tick_package(TraceSample("veh1", 7, 0.0, 0.0, 0.0), config)
+    pkg = package("veh1", 7, tick_records(7, 0.0, 0.0, 0.0, config), config)
     assert len(pkg.records) == 10 == config.records_per_tick
     assert pkg.payload_bytes == 224 == config.payload_bytes(config.records_per_tick)
 
 
 def test_consecutive_ticks_consecutive_intervals():
-    a = generate_tick_package(TraceSample("v", 3, 0.0, 0.0, 1.0))
-    b = generate_tick_package(TraceSample("v", 4, 1.0, 0.0, 1.0))
+    a = package("v", 3, tick_records(3, 0.0, 0.0, 1.0))
+    b = package("v", 4, tick_records(4, 1.0, 0.0, 1.0))
     assert b.interval_start - a.interval_start == 1
 
 
@@ -254,8 +252,7 @@ def test_parse_truncated():
 
 def test_serialized_package_hides_identifiers():
     config = PackagingConfig(owner="anon")
-    sample = TraceSample("veh-BRANDX-0099", 3, 1.0, 2.0, 3.0)
-    pkg = generate_tick_package(sample, config)
+    pkg = package("veh-BRANDX-0099", 3, tick_records(3, 1.0, 2.0, 3.0, config), config)
     wire = serialize_package(pkg, config)
     assert b"BRANDX" not in wire
     assert b"veh-" not in wire

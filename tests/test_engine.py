@@ -25,15 +25,14 @@ from car2cloud.engine import (
 from car2cloud.cvim import PackagingConfig, count_packages_per_cell
 from car2cloud.errors import ConfigError, ParseError, ValidationError
 from car2cloud.linkrate import rb_rate
-from car2cloud.mobility import ID_FORBIDDEN_CHARS, TraceSample, VehicleTrace
+from car2cloud.mobility import ID_FORBIDDEN_CHARS
 from car2cloud.radio import BaseStation
+from trace_rows import trace_table
 
 
 def trace(vehicle_id, xs, speed=10.0, t0=0):
-    samples = tuple(
-        TraceSample(vehicle_id, t0 + i, float(x), 0.0, speed) for i, x in enumerate(xs)
-    )
-    return VehicleTrace(vehicle_id, samples)
+    """Sample rows of one vehicle at positions xs on the x axis, from tick t0."""
+    return [(vehicle_id, t0 + i, float(x), 0.0, speed) for i, x in enumerate(xs)]
 
 
 STATION = [BaseStation("bs0", 0.0, 30.0)]
@@ -62,7 +61,7 @@ def table_of(rows):
 
 
 def test_single_vehicle_gets_all_rbs():
-    traces = [trace("v1", range(0, 100, 10))]
+    traces = trace_table(trace("v1", range(0, 100, 10)))
     results = run(SimConfig(), traces, STATION)
     assert len(results) == 10
     assert results.rb_share.tolist() == [100.0] * 10
@@ -71,7 +70,7 @@ def test_single_vehicle_gets_all_rbs():
 
 
 def test_colocated_vehicles_equal_rates():
-    traces = [trace("a", [50] * 5), trace("b", [50] * 5)]
+    traces = trace_table(trace("a", [50] * 5) + trace("b", [50] * 5))
     results = run(SimConfig(), traces, STATION)
     assert results.t.tolist() == [t for t in range(5) for _ in "ab"]
     assert results.vehicle_id == ["a", "b"] * 5
@@ -82,7 +81,9 @@ def test_colocated_vehicles_equal_rates():
 
 def test_rate_follows_share_times_rb_rate():
     cfg = SimConfig()
-    traces = [trace("a", [10, 20, 30], speed=7.0), trace("b", [500, 520, 540], speed=7.0)]
+    traces = trace_table(
+        trace("a", [10, 20, 30], speed=7.0) + trace("b", [500, 520, 540], speed=7.0)
+    )
     results = run(cfg, traces, STATION)
     for share, snr_db, rate in zip(results.rb_share, results.snr_db, results.rate_bps):
         speed = 7.0
@@ -90,7 +91,7 @@ def test_rate_follows_share_times_rb_rate():
 
 
 def test_results_ordered_and_deterministic():
-    traces = [trace("b", range(0, 50, 5)), trace("a", range(0, 50, 5))]
+    traces = trace_table(trace("b", range(0, 50, 5)) + trace("a", range(0, 50, 5)))
     cfg = SimConfig()
     first = run(cfg, traces, STATION)
     second = run(cfg, traces, STATION)
@@ -100,17 +101,17 @@ def test_results_ordered_and_deterministic():
 
 
 def test_rb_limit_overrides_n_rb():
-    traces = [trace("v1", [10, 20])]
+    traces = trace_table(trace("v1", [10, 20]))
     limited = run(SimConfig(rb_limit=10), traces, STATION)
     assert limited.rb_share.tolist() == [10.0, 10.0]
 
 
 def test_per_tick_share_conservation():
-    traces = [
-        trace("a", range(0, 300, 30)),
-        trace("b", range(100, 400, 30)),
-        trace("c", range(3000, 3300, 30)),
-    ]
+    traces = trace_table(
+        trace("a", range(0, 300, 30))
+        + trace("b", range(100, 400, 30))
+        + trace("c", range(3000, 3300, 30))
+    )
     stations = [BaseStation("bs0", 0.0, 30.0), BaseStation("bs1", 3000.0, 30.0)]
     results = run(SimConfig(), traces, stations)
     per_cell_tick = {}
@@ -121,7 +122,7 @@ def test_per_tick_share_conservation():
 
 
 def test_queue_drains_every_tick_at_high_rate():
-    results = run(SimConfig(), [trace("v1", range(0, 100, 10))], STATION)
+    results = run(SimConfig(), trace_table(trace("v1", range(0, 100, 10))), STATION)
     assert results.packages_generated.tolist() == [1] * 10
     assert results.bits_sent.tolist() == [112 * 8] * 10
     assert results.queue_bytes.tolist() == [0] * 10
@@ -131,18 +132,22 @@ def test_queue_backlog_with_tiny_rate_model():
     def trickle(snr_db, speed):
         return 10.0  # 1000 bits/s at share 100: fits one 112 B package per tick
 
-    results = run(SimConfig(), [trace("v1", [10, 20, 30, 40])], STATION, rate_model=trickle)
+    results = run(
+        SimConfig(), trace_table(trace("v1", [10, 20, 30, 40])), STATION, rate_model=trickle
+    )
     # capacity 1000 bits < 896*2: exactly one package (896 bits) sent per tick
     assert results.bits_sent.tolist() == [896] * 4
     assert results.queue_bytes.tolist() == [0] * 4
-    zero = run(SimConfig(), [trace("v1", [10, 20, 30])], STATION, rate_model=lambda s, v: 0.0)
+    zero = run(
+        SimConfig(), trace_table(trace("v1", [10, 20, 30])), STATION, rate_model=lambda s, v: 0.0
+    )
     assert zero.queue_bytes.tolist() == [112, 224, 336]
     assert undelivered_bytes(zero) == {"v1": 336}
 
 
 def test_aggregate_ticks_mode():
     cfg = SimConfig(packaging=SimConfig().packaging.__class__(aggregate_ticks=3))
-    results = run(cfg, [trace("v1", range(0, 70, 10))], STATION)  # 7 ticks: 0..6
+    results = run(cfg, trace_table(trace("v1", range(0, 70, 10))), STATION)  # 7 ticks: 0..6
     generated = results.packages_generated.tolist()
     # windows [0,2], [3,5], flush at final tick 6
     assert generated == [0, 0, 1, 0, 0, 1, 1]
@@ -152,7 +157,7 @@ def test_aggregate_ticks_mode():
 
 
 def test_aggregated_packages_per_cell():
-    traces = [trace("v1", range(0, 70, 10))]  # 7 ticks in one cell
+    traces = trace_table(trace("v1", range(0, 70, 10)))  # 7 ticks in one cell
     aggregated = SimConfig(packaging=PackagingConfig(aggregate_ticks=3))
     assert count_packages_per_cell(run(aggregated, traces, STATION)) == {"bs0": 3.0}
     assert count_packages_per_cell(run(SimConfig(), traces, STATION)) == {"bs0": 7.0}
@@ -166,7 +171,7 @@ def vehicle_timeseries(results, vehicle_id):
 
 
 def test_vehicle_timeseries_projection():
-    traces = [trace("v1", [0] * 300, speed=0.0)]
+    traces = trace_table(trace("v1", [0] * 300, speed=0.0))
     results = run(SimConfig(), traces, STATION)
     series = vehicle_timeseries(results, "v1")
     assert [t for t, _, _ in series] == list(range(300))
@@ -177,9 +182,9 @@ def test_vehicle_timeseries_projection():
 def test_empty_cell_spike():
     # vehicle x drives from a crowded cell into an empty one: rate jumps
     stations = [BaseStation("busy", 0.0, 30.0), BaseStation("idle", 2000.0, 30.0)]
-    group = [trace(f"g{i}", [0] * 40, speed=0.0) for i in range(9)]
+    group = [row for i in range(9) for row in trace(f"g{i}", [0] * 40, speed=0.0)]
     mover = trace("x", range(0, 4000, 100), speed=25.0)
-    results = run(SimConfig(), group + [mover], stations)
+    results = run(SimConfig(), trace_table(group + mover), stations)
     series = vehicle_timeseries(results, "x")
     serving = {
         t: sid
@@ -194,11 +199,11 @@ def test_empty_cell_spike():
 
 def test_run_without_stations():
     with pytest.raises(ConfigError):
-        run(SimConfig(), [trace("v1", [0])], [])
+        run(SimConfig(), trace_table(trace("v1", [0])), [])
 
 
 def test_results_csv_round_trip():
-    results = run(SimConfig(), [trace("v1", range(0, 40, 10), speed=3.3)], STATION)
+    results = run(SimConfig(), trace_table(trace("v1", range(0, 40, 10), speed=3.3)), STATION)
     text = csv_text(results)
     back = read_results_csv(io.StringIO(text))
     assert_tables_equal(back, results)
@@ -212,7 +217,7 @@ def test_results_csv_rejects_bad_header():
 
 def test_summary_content():
     cfg = SimConfig(scenario_label="unit", seed=5)
-    results = run(cfg, [trace("v1", range(0, 30, 10))], STATION)
+    results = run(cfg, trace_table(trace("v1", range(0, 30, 10))), STATION)
     summary = summarize(cfg, results)
     assert summary["scenario_label"] == "unit"
     assert summary["n_vehicles"] == 1
@@ -298,7 +303,7 @@ def test_config_echo_round_trips_values():
 
 
 def test_station_order_does_not_change_results():
-    traces = [trace("a", range(0, 60, 6)), trace("b", range(900, 960, 6))]
+    traces = trace_table(trace("a", range(0, 60, 6)) + trace("b", range(900, 960, 6)))
     stations = [
         BaseStation("bs1", 900.0, 30.0),
         BaseStation("bs0", 0.0, 30.0),
@@ -339,16 +344,14 @@ def queue_scenario():
         BaseStation("bs0", 0.0, 30.0),
         BaseStation("bs1", 1000.0, 30.0),
     ]
-    traces = []
+    rows = []
     for k in range(16):
         vid = f"v{k:02d}"
         t0, n = k % 7, 18 + (k * 5) % 17
         x0, v = float((k * 211) % 2600), float(4 + k % 9)
-        traces.append(VehicleTrace(
-            vid, tuple(TraceSample(vid, t0 + i, x0 + v * i, 0.0, v) for i in range(n))
-        ))
-    traces.append(VehicleTrace("w", tuple(TraceSample("w", t, 500.0, 0.0, 0.0) for t in range(30))))
-    return cfg, traces, stations
+        rows.extend((vid, t0 + i, x0 + v * i, 0.0, v) for i in range(n))
+    rows.extend(("w", t, 500.0, 0.0, 0.0) for t in range(30))
+    return cfg, trace_table(rows), stations
 
 
 def test_queue_scenario_golden_digest():
@@ -382,15 +385,28 @@ def test_queue_scenario_conserves_bytes():
 @pytest.mark.parametrize("field", ["x", "y", "speed"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_run_rejects_non_finite_samples(field, value):
-    good = TraceSample("a", 4, 10.0, 0.0, 5.0)
-    bad = TraceSample("b", 4, **{"x": 20.0, "y": 0.0, "speed": 5.0, field: value})
+    good = ("a", 4, 10.0, 0.0, 5.0)
+    bad = {"x": 20.0, "y": 0.0, "speed": 5.0, field: value}
+    bad = ("b", 4, bad["x"], bad["y"], bad["speed"])
     with pytest.raises(ValidationError) as err:
-        run(SimConfig(), [VehicleTrace("a", (good,)), VehicleTrace("b", (bad,))], STATION)
+        run(SimConfig(), trace_table([good, bad]), STATION)
     assert "'b'" in str(err.value) and "t=4" in str(err.value)
 
 
+def test_run_names_first_bad_vehicle_of_first_bad_tick():
+    rows = [
+        ("a", 4, math.nan, 0.0, 5.0),
+        ("b", 3, 1.0, 0.0, 5.0),
+        ("c", 3, 1.0, 0.0, math.inf),
+        ("d", 3, 1.0, math.nan, 5.0),
+    ]
+    with pytest.raises(ValidationError) as err:
+        run(SimConfig(), trace_table(rows), STATION)
+    assert str(err.value) == "vehicle 'c' at t=3: non-finite position or speed"
+
+
 def test_run_checks_package_metadata():
-    traces = [trace("v1", [0, 10])]
+    traces = trace_table(trace("v1", [0, 10]))
     with pytest.raises(ValidationError):
         run(SimConfig(packaging=PackagingConfig(owner="x" * 17)), traces, STATION)
     with pytest.raises(ConfigError):
@@ -508,22 +524,28 @@ def test_undelivered_bytes_takes_each_vehicles_last_tick():
 
 @st.composite
 def permuted_runs(draw):
-    """Traces and stations, each with a permutation of itself."""
+    """Traces and stations, each with a permutation of itself.
+
+    The traces are a table in canonical order and one of its rows permuted.
+    """
     n_vehicles = draw(st.integers(1, 6))
-    traces = []
+    rows = []
     for k in range(n_vehicles):
         vid = f"v{k}"
         t0, n = draw(st.integers(0, 5)), draw(st.integers(1, 12))
         x0 = draw(st.floats(-500.0, 3000.0))
         v = draw(st.floats(0.0, 40.0))
-        traces.append(VehicleTrace(
-            vid, tuple(TraceSample(vid, t0 + i, x0 + v * i, 0.0, v) for i in range(n))
-        ))
+        rows.extend((vid, t0 + i, x0 + v * i, 0.0, v) for i in range(n))
     # Stations may share a site, so that associations tie exactly.
     xs = draw(st.lists(st.sampled_from([0.0, 1200.0]) | st.floats(-500.0, 3000.0),
                        min_size=1, max_size=4))
     stations = [BaseStation(f"bs{i}", x, 30.0) for i, x in enumerate(xs)]
-    return (traces, draw(st.permutations(traces)), stations, draw(st.permutations(stations)))
+    return (
+        trace_table(rows),
+        trace_table(draw(st.permutations(rows))),
+        stations,
+        draw(st.permutations(stations)),
+    )
 
 
 @settings(max_examples=100, deadline=None)

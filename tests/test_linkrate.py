@@ -34,16 +34,17 @@ def test_penalty_saturates_beyond_vref():
 
 def test_cell_peak_rate_examples():
     # a user alone in a cell holds all n_rb blocks: n_rb * rb_rate
-    assert vehicle_rate(0, 20.0, 0.0, P) == 0.0
-    assert vehicle_rate(100, 20.0, 0.0, P) == 100 * rb_rate(20.0, 0.0, P)
-    assert vehicle_rate(100, 20.0, 0.0, P) == pytest.approx(71.9e6, rel=2e-3)
+    model = model_from_params(P)
+    assert vehicle_rate(0, 20.0, 0.0, model) == 0.0
+    assert vehicle_rate(100, 20.0, 0.0, model) == 100 * rb_rate(20.0, 0.0, P)
+    assert vehicle_rate(100, 20.0, 0.0, model) == pytest.approx(71.9e6, rel=2e-3)
     # log2(1 + 10^0) = 1 exactly
-    assert vehicle_rate(10, 0.0, 0.0, P) == pytest.approx(1_080_000.0, rel=1e-12)
+    assert vehicle_rate(10, 0.0, 0.0, model) == pytest.approx(1_080_000.0, rel=1e-12)
 
 
 def test_cell_peak_rate_negative_rb():
     with pytest.raises(ConfigError):
-        vehicle_rate(-1, 10.0, 0.0, P)
+        vehicle_rate(-1, 10.0, 0.0, model_from_params(P))
 
 
 def test_monotone_in_snr_and_speed_random():

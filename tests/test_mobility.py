@@ -12,8 +12,6 @@ from car2cloud.mobility import (
     ID_FORBIDDEN_CHARS,
     KraussParams,
     RoadSpec,
-    TraceSample,
-    VehicleTrace,
     emit_trace_csv,
     generate_traces,
     krauss_step,
@@ -21,8 +19,15 @@ from car2cloud.mobility import (
     parse_trace_csv,
     speed_distribution,
 )
+from trace_rows import trace_table
 
 PARAMS = KraussParams()
+
+
+def csv_text(traces):
+    buf = io.StringIO()
+    emit_trace_csv(traces, buf)
+    return buf.getvalue()
 
 
 def step(positions, speeds, draws, factors=None, ids=None, ring_length=None):
@@ -137,35 +142,40 @@ def test_generated_traces_match_golden_digest(name):
 def test_dense_ring_golden_case_stops_and_wraps():
     road, _ = GOLDEN_TRACE_DIGESTS["ring_dense"]
     traces = generate_traces(road)
-    assert any(s.speed == 0.0 for tr in traces for s in tr.samples)
+    assert any(speed == 0.0 for speed in traces.speed.tolist())
     # a wrap shows as the angle jumping from just below 2*pi to just above 0
+    # between two rows of one vehicle
+    ids = traces.vehicle_id
     angles = [
-        [math.atan2(s.y, s.x) % (2 * math.pi) for s in tr.samples] for tr in traces
+        math.atan2(y, x) % (2 * math.pi) for x, y in zip(traces.x.tolist(), traces.y.tolist())
     ]
-    assert any(b < a - math.pi for seq in angles for a, b in zip(seq, seq[1:]))
+    assert any(
+        ids[i] == ids[i + 1] and angles[i + 1] < angles[i] - math.pi
+        for i in range(len(traces) - 1)
+    )
 
 
 def test_single_vehicle_ring_converges_to_desired_speed():
     road = RoadSpec("ring", 1000.0, 1, 10, seed=5)
     traces = generate_traces(road, KraussParams(sigma=0.0))
-    assert len(traces) == 1
-    assert len(traces[0].samples) == 10
-    speeds = [s.speed for s in traces[0].samples]
+    assert set(traces.vehicle_id) == {"veh0000"}
+    assert len(traces) == 10
+    speeds = traces.speed.tolist()
     assert speeds == sorted(speeds)
     long_run = generate_traces(
         RoadSpec("ring", 1000.0, 1, 60, seed=5), KraussParams(sigma=0.0)
     )
-    factor = long_run[0].samples[-1].speed / 36.11
+    factor = long_run.speed[-1] / 36.11
     assert 0.7 <= factor <= 1.3
-    assert long_run[0].samples[-1].speed == pytest.approx(36.11 * factor)
+    assert long_run.speed[-1] == pytest.approx(36.11 * factor)
 
 
 def test_ring_positions_lie_on_circle():
     road = RoadSpec("ring", 1000.0, 3, 20, seed=2)
     radius = 1000.0 / (2 * math.pi)
-    for trace in generate_traces(road):
-        for s in trace.samples:
-            assert math.hypot(s.x, s.y) == pytest.approx(radius, rel=1e-9)
+    traces = generate_traces(road)
+    for x, y in zip(traces.x.tolist(), traces.y.tolist()):
+        assert math.hypot(x, y) == pytest.approx(radius, rel=1e-9)
 
 
 def test_ring_overfull_rejected():
@@ -174,7 +184,7 @@ def test_ring_overfull_rejected():
 
 
 def test_zero_duration_yields_no_traces():
-    assert generate_traces(RoadSpec("strip", 1000.0, 1000.0, 0, seed=1)) == []
+    assert len(generate_traces(RoadSpec("strip", 1000.0, 1000.0, 0, seed=1))) == 0
 
 
 def test_density_ordering_and_speed_bounds():
@@ -182,22 +192,20 @@ def test_density_ordering_and_speed_bounds():
     jam = generate_traces(RoadSpec("strip", 2000.0, 4000.0, 300, seed=11))
 
     def mean_speed(traces):
-        speeds = [s.speed for tr in traces for s in tr.samples]
+        speeds = traces.speed.tolist()
         return sum(speeds) / len(speeds)
 
     assert mean_speed(free) > mean_speed(jam)
-    for tr in free + jam:
-        for s in tr.samples:
-            assert 0.0 <= s.speed <= 36.11 * 1.3 + 1e-9
+    for speed in free.speed.tolist() + jam.speed.tolist():
+        assert 0.0 <= speed <= 36.11 * 1.3 + 1e-9
 
 
 def test_no_collisions_at_both_densities():
     for inflow in (1000.0, 4000.0):
         traces = generate_traces(RoadSpec("strip", 2000.0, inflow, 300, seed=3))
         by_tick = {}
-        for tr in traces:
-            for s in tr.samples:
-                by_tick.setdefault(s.t, []).append(s.x)
+        for t, x in zip(traces.t.tolist(), traces.x.tolist()):
+            by_tick.setdefault(t, []).append(x)
         for positions in by_tick.values():
             positions.sort()
             for rear, front in zip(positions, positions[1:]):
@@ -206,7 +214,6 @@ def test_no_collisions_at_both_densities():
 
 def test_generate_traces_deterministic():
     road = RoadSpec("strip", 3000.0, 2000.0, 200, seed=77)
-    assert generate_traces(road) == generate_traces(road)
     buf_a, buf_b = io.StringIO(), io.StringIO()
     emit_trace_csv(generate_traces(road), buf_a)
     emit_trace_csv(generate_traces(road), buf_b)
@@ -214,16 +221,19 @@ def test_generate_traces_deterministic():
 
 
 def test_traces_are_1hz_and_strictly_increasing():
-    for trace in generate_traces(RoadSpec("strip", 2000.0, 3000.0, 120, seed=8)):
-        ticks = [s.t for s in trace.samples]
-        assert ticks == list(range(ticks[0], ticks[0] + len(ticks)))
+    traces = generate_traces(RoadSpec("strip", 2000.0, 3000.0, 120, seed=8))
+    ids, ticks = traces.vehicle_id, traces.t.tolist()
+    for i in range(1, len(traces)):
+        if ids[i] == ids[i - 1]:
+            assert ticks[i] == ticks[i - 1] + 1
+        else:  # each vehicle's rows are one block, blocks by id
+            assert ids[i] > ids[i - 1]
 
 
 def test_parse_trace_csv_minimal():
     traces = parse_trace_csv(io.StringIO("vehicle_id,t,x,y,speed\na,0,0,0,10\na,1,10,0,10\n"))
-    assert len(traces) == 1
-    assert traces[0].vehicle_id == "a"
-    assert [s.t for s in traces[0].samples] == [0, 1]
+    assert traces.vehicle_id == ["a", "a"]
+    assert traces.t.tolist() == [0, 1]
 
 
 def test_parse_trace_csv_duplicate_sample():
@@ -234,14 +244,15 @@ def test_parse_trace_csv_duplicate_sample():
 
 
 def test_parse_trace_csv_header_only():
-    assert parse_trace_csv(io.StringIO("vehicle_id,t,x,y,speed\n")) == []
+    assert len(parse_trace_csv(io.StringIO("vehicle_id,t,x,y,speed\n"))) == 0
 
 
 def test_parse_trace_csv_rows_in_any_order():
     data = "vehicle_id,t,x,y,speed\nb,1,5,0,5\na,1,10,0,10\nb,0,0,0,5\na,0,0,0,10\n"
     traces = parse_trace_csv(io.StringIO(data))
-    assert [tr.vehicle_id for tr in traces] == ["a", "b"]
-    assert [s.t for s in traces[0].samples] == [0, 1]
+    assert traces.vehicle_id == ["a", "a", "b", "b"]
+    assert traces.t.tolist() == [0, 1, 0, 1]
+    assert traces.x.tolist() == [0.0, 10.0, 0.0, 5.0]
 
 
 def test_parse_trace_csv_malformed_row():
@@ -264,10 +275,8 @@ def test_parse_trace_csv_non_1hz():
 
 def test_trace_csv_round_trip():
     traces = generate_traces(RoadSpec("strip", 1500.0, 2000.0, 90, seed=21))
-    buf = io.StringIO()
-    emit_trace_csv(traces, buf)
-    buf.seek(0)
-    assert parse_trace_csv(buf) == traces
+    text = csv_text(traces)
+    assert csv_text(parse_trace_csv(io.StringIO(text))) == text
 
 
 FCD = """<?xml version="1.0"?>
@@ -285,21 +294,23 @@ FCD = """<?xml version="1.0"?>
 
 def test_parse_fcd_xml_two_timesteps():
     traces = parse_fcd_xml(io.StringIO(FCD))
-    assert len(traces) == 1
-    assert len(traces[0].samples) == 2
-    assert traces[0].samples[1].x == 10.0
+    assert set(traces.vehicle_id) == {"v1"}
+    assert len(traces) == 2
+    assert traces.x[1] == 10.0
 
 
 def test_parse_fcd_xml_single_vehicle_element():
     xml = '<fcd-export><timestep time="3"><vehicle id="a" x="1" y="2" speed="3"/></timestep></fcd-export>'
     traces = parse_fcd_xml(io.StringIO(xml))
-    assert traces[0].samples == (TraceSample("a", 3, 1.0, 2.0, 3.0),)
+    assert csv_text(traces) == csv_text(trace_table([("a", 3, 1.0, 2.0, 3.0)]))
 
 
 def test_parse_fcd_xml_fractional_timestep_rejected():
-    xml = '<fcd-export><timestep time="0.5"><vehicle id="a" x="0" y="0" speed="0"/></timestep></fcd-export>'
-    with pytest.raises(ValidationError):
-        parse_fcd_xml(io.StringIO(xml))
+    for time in ("0.5", "inf", "nan"):
+        xml = f'<fcd-export><timestep time="{time}"><vehicle id="a" x="0" y="0" speed="0"/></timestep></fcd-export>'
+        with pytest.raises(ValidationError) as err:
+            parse_fcd_xml(io.StringIO(xml))
+        assert f"timestep time={time}:" in str(err.value)
 
 
 def test_parse_fcd_xml_missing_attribute():
@@ -310,18 +321,13 @@ def test_parse_fcd_xml_missing_attribute():
 
 
 def test_speed_distribution_hand_counted():
-    trace = VehicleTrace(
-        "a",
-        tuple(
-            TraceSample("a", t, 0.0, 0.0, v) for t, v in enumerate([0.0, 0.0, 10.0, 10.0])
-        ),
-    )
-    assert speed_distribution([trace], 10.0) == {0.0: 0.5, 10.0: 0.5}
+    trace = trace_table(("a", t, 0.0, 0.0, v) for t, v in enumerate([0.0, 0.0, 10.0, 10.0]))
+    assert speed_distribution(trace, 10.0) == {0.0: 0.5, 10.0: 0.5}
 
 
 def test_speed_distribution_single_sample():
-    trace = VehicleTrace("a", (TraceSample("a", 0, 0.0, 0.0, 7.2),))
-    hist = speed_distribution([trace], 5.0)
+    trace = trace_table([("a", 0, 0.0, 0.0, 7.2)])
+    hist = speed_distribution(trace, 5.0)
     assert hist == {5.0: 1.0}
 
 
@@ -333,7 +339,7 @@ def test_speed_distribution_sums_to_one():
 
 def test_speed_distribution_empty_errors():
     with pytest.raises(ValidationError):
-        speed_distribution([], 1.0)
+        speed_distribution(trace_table([]), 1.0)
 
 
 def test_speed_distribution_jam_mass_lower():
@@ -369,10 +375,11 @@ def test_parse_trace_csv_negative_speed():
 def test_strip_samples_begin_after_entry_instant():
     # entrants appear within one tick of their arrival, already moving
     traces = generate_traces(RoadSpec("strip", 5000.0, 1000.0, 30, seed=14))
-    assert traces
-    for tr in traces:
-        first = tr.samples[0]
-        assert 0.0 <= first.x <= 36.11 * 1.3
+    assert len(traces)
+    ids = traces.vehicle_id
+    for i, x in enumerate(traces.x.tolist()):
+        if i == 0 or ids[i] != ids[i - 1]:  # a vehicle's first sample
+            assert 0.0 <= x <= 36.11 * 1.3
 
 
 @pytest.mark.parametrize("row", ["a,1,nan,0,1", "a,1,0,inf,1", "a,1,0,0,-inf"])
@@ -440,8 +447,9 @@ def test_parse_trace_csv_checks_an_id_where_it_first_appears():
 
 def test_parse_trace_csv_shares_one_id_object_per_vehicle():
     data = "vehicle_id,t,x,y,speed\nab,0,0,0,1\nab,1,1,0,1\nab,2,2,0,1\n"
-    (trace,) = parse_trace_csv(io.StringIO(data))
-    assert len({id(s.vehicle_id) for s in trace.samples}) == 1
+    trace = parse_trace_csv(io.StringIO(data))
+    assert len(trace) == 3
+    assert len({id(vid) for vid in trace.vehicle_id}) == 1
 
 
 def test_parsers_reject_ticks_beyond_int64():
@@ -469,12 +477,12 @@ SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1
 @st.composite
 def trace_sets(draw):
     ids = draw(st.lists(IDS, min_size=0, max_size=4, unique=True))
-    traces = []
+    rows = []
     for vid in sorted(ids):
         t0 = draw(st.integers(0, 10**6))
         n = draw(st.integers(1, 4))
-        samples = tuple(
-            TraceSample(
+        rows.extend(
+            (
                 vid,
                 t0 + i,
                 draw(FINITE | SPECIAL_FLOATS),
@@ -483,8 +491,7 @@ def trace_sets(draw):
             )
             for i in range(n)
         )
-        traces.append(VehicleTrace(vid, samples))
-    return traces
+    return trace_table(rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -494,7 +501,32 @@ def test_trace_csv_round_trip_property(traces):
     emit_trace_csv(traces, buf)
     buf.seek(0)
     back = parse_trace_csv(buf)
-    assert back == traces
+    assert back.vehicle_id == traces.vehicle_id
+    assert back.t.tolist() == traces.t.tolist()
+    assert back.t.dtype == np.int64 and back.speed.dtype == np.float64
     again = io.StringIO()
     emit_trace_csv(back, again)
     assert again.getvalue() == buf.getvalue()  # bit for bit, -0.0 included
+
+
+def test_parse_trace_csv_1hz_error_names_smallest_gapped_id():
+    # "b" comes first in the file, and "a"'s gap 0 -> 2 comes after its gap 3 -> 7.
+    rows = ["b,0,0,0,1", "b,5,0,0,1", "a,7,0,0,1", "a,3,0,0,1", "a,0,0,0,1", "a,2,0,0,1"]
+    data = "vehicle_id,t,x,y,speed\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ValidationError) as err:
+        parse_trace_csv(io.StringIO(data))
+    assert str(err.value) == "vehicle 'a': samples not on a 1 Hz grid (ticks 0 -> 2)"
+
+
+def test_generated_traces_are_in_id_string_order():
+    # 10,001 cars are named veh0000 .. veh10000, and "veh10000" sorts
+    # between "veh1000" and "veh1001".
+    traces = generate_traces(RoadSpec("ring", 100_000.0, 10_001, 1, seed=42))
+    assert traces.vehicle_id == sorted(traces.vehicle_id)
+    i = traces.vehicle_id.index("veh10000")
+    assert traces.vehicle_id[i - 1 : i + 2] == ["veh1000", "veh10000", "veh1001"]
+    # SHA-256 of emit_trace_csv output from the per-vehicle trace objects
+    # that the table replaced.
+    assert hashlib.sha256(csv_text(traces).encode()).hexdigest() == (
+        "d713bd3a72b86afb47c6509dba646f8dc232d61fecc97b48bb7c7a872ab0a4ac"
+    )

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from car2cloud.engine import SimConfig, run
 from car2cloud.errors import ConfigError, ParseError, ValidationError
-from car2cloud.mobility import TraceSample, VehicleTrace
 from car2cloud.radio import (
     BaseStation,
     LinkBudgetConfig,
@@ -20,6 +19,7 @@ from car2cloud.radio import (
     screen_links,
     snr,
 )
+from trace_rows import trace_table
 
 CFG = LinkBudgetConfig()
 
@@ -233,6 +233,15 @@ def test_parse_stations_csv_rejects_non_finite():
     assert "line 2" in str(err.value)
 
 
+def test_parse_stations_csv_rejects_low_height_with_its_line():
+    data = "station_id,x,y,antenna_gain,height\nbs1,0,0,15,10\nbs2,5,0,15,1\n"
+    with pytest.raises(ValidationError) as err:
+        parse_stations_csv(io.StringIO(data))
+    assert str(err.value) == (
+        "line 3: station 'bs2': height must exceed 1 m (effective height h-1 must stay positive)"
+    )
+
+
 def test_screen_flags_exact_ties_and_breakpoint():
     twins = [BaseStation("a", -300.0, 30.0), BaseStation("b", 300.0, 30.0)]
     d_bp = breakpoint_distance(CFG, 10.0)
@@ -253,7 +262,7 @@ def test_screen_defers_ulp_near_ties():
     _, unsure = screen_links(np.array([pos]), stations, CFG)
     assert unsure.tolist() == [True]
     station, link = best_link(pos, stations, CFG)
-    table = run(SimConfig(), [VehicleTrace("v", (TraceSample("v", 0, *pos, 1.0),))], stations)
+    table = run(SimConfig(), trace_table([("v", 0, *pos, 1.0)]), stations)
     assert (table.serving_station[0], table.snr_db[0]) == (station.station_id, link.snr)
 
 
@@ -314,10 +323,7 @@ def test_columnar_association_matches_best_link(layout):
     stations, positions, cfg = layout
     canonical = sorted(stations, key=lambda s: s.station_id)
     winners, unsure = screen_links(np.array(positions), canonical, cfg)
-    traces = [
-        VehicleTrace(f"v{i:02d}", (TraceSample(f"v{i:02d}", 0, x, y, 10.0),))
-        for i, (x, y) in enumerate(positions)
-    ]
+    traces = trace_table((f"v{i:02d}", 0, x, y, 10.0) for i, (x, y) in enumerate(positions))
     table = run(SimConfig(link=cfg), traces, stations)
     rows = zip(positions, winners, unsure, table.serving_station, table.snr_db.tolist())
     for pos, winner, tie, serving, snr_db in rows:

@@ -5,9 +5,9 @@ import pytest
 from car2cloud.engine import SimConfig, run
 from car2cloud.errors import ConfigError
 from car2cloud.linkrate import RbRateParams, model_from_params, rb_rate
-from car2cloud.mobility import TraceSample, VehicleTrace
 from car2cloud.radio import BaseStation
 from car2cloud.scheduler import CellTickState, rr_allocate, vehicle_rate
+from trace_rows import trace_table
 
 MODEL = model_from_params(RbRateParams())
 
@@ -26,10 +26,7 @@ def cell(k: int, t: int = 0) -> CellTickState:
 
 def build_cells(positions, t, stations):
     """Cells engine.run forms at tick t: station id -> attached vehicle ids."""
-    traces = [
-        VehicleTrace(vid, (TraceSample(vid, t, x, y, 0.0),))
-        for vid, (x, y) in sorted(positions.items())
-    ]
+    traces = trace_table((vid, t, x, y, 0.0) for vid, (x, y) in sorted(positions.items()))
     cells = {}
     table = run(SimConfig(), traces, stations)
     assert table.t.tolist() == [t] * len(table)
@@ -134,9 +131,10 @@ def test_vehicle_rate_examples():
     assert ten == pytest.approx(10.0 * one, rel=1e-12)
 
 
-def test_vehicle_rate_accepts_params_directly():
+def test_vehicle_rate_of_params_model():
     params = RbRateParams()
-    assert vehicle_rate(4.0, 20.0, 0.0, params) == 4.0 * rb_rate(20.0, 0.0, params)
+    model = model_from_params(params)
+    assert vehicle_rate(4.0, 20.0, 0.0, model) == 4.0 * rb_rate(20.0, 0.0, params)
 
 
 def test_vehicle_rate_negative_share():
