@@ -376,6 +376,31 @@ def try_transmit(queue: TransmitQueue, capacity_bits: int) -> tuple[list[str | N
         sent.append(head[1])
 
 
+def drain_sizes(pushed: Iterable[int], capacity: Iterable[int]) -> tuple[list[int], list[int]]:
+    """One vehicle's FIFO queue over its rows, in tick order, on plain ints.
+
+    Row i queues a package of pushed[i] bytes (none where pushed[i] is 0)
+    and then drains the queue against capacity[i] bits as try_transmit
+    does: whole packages from the head while they fit.  Returns the bits
+    sent and the bytes left queued after each row.
+    """
+    queue: deque[int] = deque()
+    queued = 0
+    sent_bits: list[int] = []
+    queued_bytes: list[int] = []
+    for size, cap in zip(pushed, capacity):
+        if size:
+            queue.append(size)
+            queued += size
+        sent = 0
+        while queue and sent + queue[0] * 8 <= cap:
+            sent += queue[0] * 8
+            queued -= queue.popleft()
+        sent_bits.append(sent)
+        queued_bytes.append(queued)
+    return sent_bits, queued_bytes
+
+
 def count_packages_per_cell(table: TickTable) -> dict[str, float]:
     """Mean packages generated per traversal, per cell.
 

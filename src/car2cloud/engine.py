@@ -1,16 +1,28 @@
-"""Per-second simulation loop and its file interfaces.
+"""Per-second simulation of every trace sample, and its file interfaces.
 
 The traces come in as one mobility.TraceTable, whose rows one lexsort puts
-in (tick, vehicle id) order.  Each tick: vehicles present in the traces are
-associated to their best-SNR station (a numpy screen over all present
-vehicles, exact scalar SNR for the winner), every cell splits its resource
-blocks Round-Robin, each vehicle's rate follows from its share and the rate
-model, one CVIM package is generated (or buffered, in aggregate mode) and
-the transmit queue drains against the tick's capacity.  Queues hold package
-sizes only; no output reads package contents.  The loop is strictly
-sequential over ticks, so queue state is causal, and all outputs are
-byte-identical across runs with equal inputs.  Results travel as one column
-table, TickTable, from the loop through the results CSV to the analysis.
+in (tick, vehicle id) order.  run computes each results column for all rows
+with array kernels that give the scalar formulas' bits:
+
+- association: a numpy screen per tick (radio.screen_links) picks each
+  vehicle's best-SNR station; rows it cannot decide go to radio.best_link;
+- radio.link_snrs: the SNR to that station, as radio.snr computes it;
+- scheduler.rr_shares: the vehicle's Round-Robin share of its cell's
+  resource blocks, as scheduler.rr_allocate deals them;
+- linkrate.rb_rates, or the caller's rate model per row: the rate of one
+  block, times the share;
+- cvim.drain_sizes: per vehicle and in tick order, the package queued at a
+  flush and the whole packages each tick's capacity sends, as
+  cvim.try_transmit sends them.
+
+numpy's + - * / and comparisons round exactly as Python's float operations
+do, so the kernels follow the scalar code's operation order on arrays; only
+the transcendental functions (math.hypot, math.log10, ** and math.log2) run
+in Python per element, as numpy's may differ in the last ulp.  The queues are
+the only causal state, and they hold package sizes only; no output reads
+package contents.  All outputs are byte-identical across runs with equal
+inputs.  Results travel as one column table, TickTable, from run through
+the results CSV to the analysis.
 
 Config files are flat ``section.key = value`` text; unknown keys are
 rejected outright so typos cannot silently fall back to defaults.
@@ -29,11 +41,11 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import cvim, scheduler
-from .cvim import PackagingConfig, TransmitQueue
+from .cvim import PackagingConfig
 from .errors import ConfigError, ParseError, ValidationError
-from .linkrate import RateModel, RbRateParams, model_from_params
+from .linkrate import RateModel, RbRateParams, rb_rates
 from .mobility import KraussParams, RoadSpec, TraceTable, id_codes
-from .radio import BaseStation, LinkBudgetConfig, best_link, screen_links, snr
+from .radio import BaseStation, LinkBudgetConfig, best_link, link_snrs, screen_links
 
 RESULTS_CSV_HEADER = (
     "t,vehicle_id,serving_station,snr_db,rb_share,rate_bps,"
@@ -45,6 +57,9 @@ RESULTS_CSV_HEADER = (
 # is most of the cost, so larger chunks are no faster; their transient row
 # strings only raise the peak RSS of simulate.
 WRITE_CHUNK_ROWS = 1 << 13
+# Rows per call of the SNR and rate kernels: whole-table per-element Python
+# lists would raise the peak RSS of simulate with the table's size.
+KERNEL_BLOCK_ROWS = 1 << 14
 # Bytes of results CSV lines read (and parsed) at a time by read_results_csv.
 READ_CHUNK_BYTES = 1 << 20
 
@@ -225,16 +240,13 @@ def run(
     stations: Sequence[BaseStation],
     rate_model: RateModel | None = None,
 ) -> TickTable:
-    """Execute the tick loop over all traces; rows ordered by (t, vehicle_id)."""
+    """Simulate every trace sample; rows ordered by (t, vehicle_id)."""
     stations = sorted(stations, key=lambda s: str(s.station_id))
     if not stations:
         raise ConfigError("simulation needs at least one base station")
-    model = rate_model or model_from_params(config.rate)
     pkg_cfg = config.packaging
     # Package metadata is checked here once, as no package object is built.
     cvim.PackageMeta(owner=pkg_cfg.owner, privacy_level=pkg_cfg.privacy_level)
-    n_rb = config.effective_n_rb
-    mode = config.scheduler_mode
 
     names, vehicle = id_codes(traces.vehicle_id)
     order = np.lexsort((vehicle, traces.t))
@@ -246,75 +258,89 @@ def run(
         raise ValidationError(
             f"vehicle {names[vehicle[i]]!r} at t={ticks[i]}: non-finite position or speed"
         )
+    n = len(ticks)
+
+    # Association, one tick at a time (a whole-table screen would hold an
+    # n x stations matrix): rows the screen cannot decide go to best_link.
+    serving = np.empty(n, dtype=np.int64)
+    station_index = {id(s): i for i, s in enumerate(stations)}
+    _, starts = np.unique(ticks, return_index=True)
+    bounds = [*starts.tolist(), n]
+    for start, stop in zip(bounds, bounds[1:]):
+        winners, unsure = screen_links(state[start:stop, :2], stations, config.link)
+        for i in np.flatnonzero(unsure).tolist():
+            station, _ = best_link(tuple(state[start + i, :2].tolist()), stations, config.link)
+            winners[i] = station_index[id(station)]
+        serving[start:stop] = winners
+    station_ids = [s.station_id for s in stations]
+    _, cell = id_codes(station_ids)
+    shares = scheduler.rr_shares(
+        ticks, cell[serving], config.effective_n_rb, config.scheduler_mode
+    )
+
+    snr_db = np.empty(n)
+    rates = np.empty(n)
+    for lo in range(0, n, KERNEL_BLOCK_ROWS):
+        block = slice(lo, lo + KERNEL_BLOCK_ROWS)
+        snr_db[block] = link_snrs(state[block, :2], serving[block], stations, config.link)
+        speed = state[block, 2]
+        if rate_model:
+            per_rb = np.fromiter(
+                map(rate_model, snr_db[block].tolist(), speed.tolist()), np.float64, len(speed)
+            )
+        else:
+            per_rb = rb_rates(snr_db[block], speed, config.rate)
+        with np.errstate(all="ignore"):
+            rates[block] = shares[block] * per_rb
+    # A one-second tick's capacity is int(rate) bits, which must exist and
+    # not be negative.
+    bad = ~np.isfinite(rates) | (rates <= -1.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConfigError(
+            f"vehicle {names[vehicle[i]]!r} at t={ticks[i]}: rate {float(rates[i])!r} bit/s "
+            "is not a finite, non-negative capacity"
+        )
+
+    # A package carries the records of the ticks a vehicle was present since
+    # its last flush: at the last tick of each aggregation window, and at
+    # its departure.
     last_tick = np.full(len(names), np.iinfo(np.int64).min)
     np.maximum.at(last_tick, vehicle, ticks)
-    departing = ticks == last_tick[vehicle]
-    # The rows of one tick are rows[start:stop] for consecutive bounds.
-    _, starts = np.unique(ticks, return_index=True)
-    bounds = [*starts.tolist(), len(ticks)]
-
-    # Queues hold package sizes: a package carries the records of the ticks
-    # buffered since the vehicle's last flush (one tick unless aggregating).
-    queues = [TransmitQueue(vid) for vid in names]
-    buffered = [0] * len(names)
-    serving: list[str] = []
-    snrs: list[float] = []
-    rb_shares: list[float] = []
-    rates: list[float] = []
-    generated: list[int] = []
-    sent: list[int] = []
-    queued: list[int] = []
-
-    for start, stop in zip(bounds, bounds[1:]):
-        t = int(ticks[start])
-        present = vehicle[start:stop].tolist()
-        rows = state[start:stop]
-        winners, unsure = screen_links(rows[:, :2], stations, config.link)
-        cells: dict[str, list[str]] = {}
-        for v, (x, y, _), winner, needs_scalar in zip(
-            present, rows.tolist(), winners.tolist(), unsure.tolist()
-        ):
-            if needs_scalar:
-                station, link = best_link((x, y), stations, config.link)
-            else:
-                station = stations[winner]
-                link = snr((x, y), station, config.link)
-            serving.append(station.station_id)
-            snrs.append(link.snr)
-            cells.setdefault(station.station_id, []).append(names[v])
-        shares: dict[str, float] = {}
-        for sid in sorted(cells):
-            cell = scheduler.CellTickState(sid, t, tuple(cells[sid]))
-            allocation = scheduler.rr_allocate(cell, n_rb, mode, rotation_offset=t)
-            shares.update(allocation.shares)
-        for v, speed, snr_db, last in zip(
-            present, rows[:, 2].tolist(), snrs[start:stop], departing[start:stop].tolist()
-        ):
-            share = shares[names[v]]
-            rate = scheduler.vehicle_rate(share, snr_db, speed, model)
-            queue = queues[v]
-            buffered[v] += 1
-            flush = (t + 1) % pkg_cfg.aggregate_ticks == 0 or last
-            if flush:
-                queue.push_size(pkg_cfg.payload_bytes(pkg_cfg.records_per_tick * buffered[v]))
-                buffered[v] = 0
-            generated.append(int(flush))
-            capacity = int(rate * config.tick)
-            _, remaining = cvim.try_transmit(queue, capacity)
-            rb_shares.append(share)
-            rates.append(rate)
-            sent.append(capacity - remaining)
-            queued.append(queue.queued_bytes)
+    agg = pkg_cfg.aggregate_ticks
+    flush = (ticks % agg == agg - 1) | (ticks == last_tick[vehicle])
+    # Queues are causal, so they run per vehicle over its rows in tick order.
+    # In that order, buffered[i] is the number of ticks the package pushed at
+    # row i carries, 0 if none; a vehicle's last row flushes, so no count
+    # spans two vehicles.
+    by_vehicle = np.argsort(vehicle, kind="stable")
+    flushed = np.flatnonzero(flush[by_vehicle])
+    buffered = np.zeros(n, dtype=np.int64)
+    buffered[flushed] = np.diff(flushed, prepend=-1)
+    package_bytes = [0] + [
+        pkg_cfg.payload_bytes(pkg_cfg.records_per_tick * k)
+        for k in range(1, int(buffered.max(initial=0)) + 1)
+    ]
+    vehicle_rates = rates[by_vehicle]
+    sent = np.empty(n, dtype=np.int64)
+    queued = np.empty(n, dtype=np.int64)
+    stops = np.cumsum(np.bincount(vehicle, minlength=len(names))).tolist()
+    for lo, hi in zip([0, *stops], stops):
+        rows = by_vehicle[lo:hi]
+        sent[rows], queued[rows] = cvim.drain_sizes(
+            map(package_bytes.__getitem__, buffered[lo:hi].tolist()),
+            map(int, vehicle_rates[lo:hi].tolist()),
+        )
     return TickTable(
         t=ticks,
         vehicle_id=list(map(names.__getitem__, vehicle.tolist())),
-        serving_station=serving,
-        snr_db=np.array(snrs, dtype=np.float64),
-        rb_share=np.array(rb_shares, dtype=np.float64),
-        rate_bps=np.array(rates, dtype=np.float64),
-        packages_generated=np.array(generated, dtype=np.int64),
-        bits_sent=np.array(sent, dtype=np.int64),
-        queue_bytes=np.array(queued, dtype=np.int64),
+        serving_station=list(map(station_ids.__getitem__, serving.tolist())),
+        snr_db=snr_db,
+        rb_share=shares,
+        rate_bps=rates,
+        packages_generated=flush.astype(np.int64),
+        bits_sent=sent,
+        queue_bytes=queued,
     )
 
 

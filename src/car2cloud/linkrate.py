@@ -8,9 +8,14 @@ the reference speed:
     rate = min(beta * log2(1 + snr_lin), eta_max) * B_rb * phi(v)
     phi(v) = 1 - penalty * min(v, v_ref) / v_ref
 
-Below the snr_min outage cutoff the rate is zero.  Any replacement model is
-a plain callable (snr_db, speed) -> bit/s per RB; the scheduler and engine
-only rely on that signature.
+Below the snr_min outage cutoff the rate is zero.  Where snr_lin exceeds
+the largest double (SNR above about 3082 dB) it counts as infinite, so the
+efficiency is eta_max.  Any replacement model is a plain callable
+(snr_db, speed) -> bit/s per RB; the scheduler and engine only rely on that
+signature.
+
+rb_rate is the scalar model; rb_rates evaluates it over arrays with the
+same bits (see rb_rates).
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -46,15 +53,46 @@ class RbRateParams:
             raise ConfigError("linkrate.v_ref must be positive")
 
 
+def _snr_linear(snr_db_tenth: float) -> float:
+    """10 ** (snr_db / 10), infinite where the power exceeds the largest double."""
+    try:
+        return 10.0 ** snr_db_tenth
+    except OverflowError:
+        return math.inf
+
+
 def rb_rate(snr_db: float, speed: float, params: RbRateParams | None = None) -> float:
     """Achievable uplink rate of one resource block, in bit/s."""
     p = params or RbRateParams()
     if snr_db < p.snr_min_db:
         return 0.0
-    snr_lin = 10.0 ** (snr_db / 10.0)
+    snr_lin = _snr_linear(snr_db / 10.0)
     efficiency = min(p.attenuation_beta * math.log2(1.0 + snr_lin), p.eta_max)
     penalty = 1.0 - p.speed_penalty_at_vmax * min(speed, p.v_ref) / p.v_ref
     return efficiency * p.rb_bandwidth_hz * penalty
+
+
+def rb_rates(
+    snr_db: np.ndarray, speed: np.ndarray, params: RbRateParams | None = None
+) -> np.ndarray:
+    """rb_rate of every (snr_db, speed) pair, bit for bit.
+
+    numpy's + - * / and comparisons round as Python's float operations do,
+    so the arithmetic follows rb_rate's operation order on arrays; the
+    power and log2 go through Python per element, as numpy's may differ in
+    the last ulp.  Python's min(a, b) is a unless b < a, which np.where
+    repeats.
+    """
+    p = params or RbRateParams()
+    with np.errstate(all="ignore"):
+        snr_lin = np.fromiter(map(_snr_linear, (snr_db / 10.0).tolist()), np.float64, len(snr_db))
+        shannon = p.attenuation_beta * np.fromiter(
+            map(math.log2, (1.0 + snr_lin).tolist()), np.float64, len(snr_db)
+        )
+        efficiency = np.where(p.eta_max < shannon, p.eta_max, shannon)
+        slow = np.where(p.v_ref < speed, p.v_ref, speed)
+        penalty = 1.0 - p.speed_penalty_at_vmax * slow / p.v_ref
+        return np.where(snr_db < p.snr_min_db, 0.0, efficiency * p.rb_bandwidth_hz * penalty)
 
 
 def model_from_params(params: RbRateParams | None = None) -> RateModel:

@@ -6,7 +6,8 @@ are the physical heights minus 1 m.  SNR follows the additive link budget
 
     snr = tx_power + ue_gain + bs_gain - path_loss - (noise_power + noise_figure)
 
-with every term in dB/dBm.  All functions here are pure.
+with every term in dB/dBm.  All functions here are pure.  snr is the
+scalar formula; link_snrs evaluates it over arrays with the same bits.
 """
 
 from __future__ import annotations
@@ -202,6 +203,46 @@ def screen_links(
             top2 = np.partition(value, -2, axis=1)[:, -2:]
             unsure |= top2[:, 1] - top2[:, 0] <= SCREEN_TIE_DB
     return np.argmax(value, axis=1), unsure
+
+
+def link_snrs(
+    positions: np.ndarray,
+    serving: np.ndarray,
+    stations: Sequence[BaseStation],
+    cfg: LinkBudgetConfig,
+) -> np.ndarray:
+    """snr(position, stations[serving]).snr of every row, bit for bit.
+
+    numpy's + - * / and comparisons round as Python's float operations do,
+    so the formulas of snr and path_loss_b1 run on arrays in their
+    operation order; hypot and log10 go through math per element, as
+    numpy's may differ in the last ulp.  Python's max(a, b) is a unless
+    b > a, which np.where repeats.  Terms that depend only on a station
+    or the config are computed once, by the scalar code.
+    """
+    # breakpoint_distance raises the ConfigError of a UE height of 1 m or less.
+    d_bp = np.array([breakpoint_distance(cfg, s.height) for s in stations])[serving]
+    log_h_bs = np.array([17.3 * math.log10(s.height - 1.0) for s in stations])[serving]
+    gain = np.array([s.antenna_gain for s in stations])[serving]
+    log_h_ue = 17.3 * math.log10(cfg.ue_height_m - 1.0)
+    log_f = math.log10(cfg.carrier_freq_ghz / 5.0)
+    n = len(serving)
+    with np.errstate(all="ignore"):
+        dx = positions[:, 0] - np.array([s.x for s in stations])[serving]
+        dy = positions[:, 1] - np.array([s.y for s in stations])[serving]
+        distance = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, n)
+        d = np.where(MIN_MODEL_DISTANCE > distance, MIN_MODEL_DISTANCE, distance)
+        log_d = np.fromiter(map(math.log10, d.tolist()), np.float64, n)
+        near = 22.7 * log_d + 41.0 + 20.0 * log_f
+        far = 40.0 * log_d + 9.45 - log_h_bs - log_h_ue + 2.7 * log_f
+        loss = np.where(d <= d_bp, near, far) + cfg.extra_loss_db
+        return (
+            cfg.tx_power_dbm
+            + cfg.ue_gain_dbi
+            + gain
+            - loss
+            - (cfg.noise_power_dbm + cfg.noise_figure_db)
+        )
 
 
 STATION_CSV_FIELDS = ("station_id", "x", "y", "antenna_gain", "height")

@@ -1,0 +1,121 @@
+"""Test oracle: the per-row simulation loop engine.run replaced.
+
+run here is the scalar loop of car2cloud's engine before its columnar
+kernels: per-tick screen, scalar snr or best_link per row, one
+rr_allocate per cell and tick, vehicle_rate with the rate model per row,
+and a TransmitQueue drained by try_transmit.  Tests compare the results
+CSV bytes of engine.run against it.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from car2cloud import cvim, scheduler
+from car2cloud.cvim import TransmitQueue
+from car2cloud.engine import SimConfig, TickTable
+from car2cloud.errors import ConfigError, ValidationError
+from car2cloud.linkrate import RateModel, model_from_params
+from car2cloud.mobility import TraceTable, id_codes
+from car2cloud.radio import BaseStation, best_link, screen_links, snr
+
+
+def run(
+    config: SimConfig,
+    traces: TraceTable,
+    stations: Sequence[BaseStation],
+    rate_model: RateModel | None = None,
+) -> TickTable:
+    """Execute the tick loop over all traces; rows ordered by (t, vehicle_id)."""
+    stations = sorted(stations, key=lambda s: str(s.station_id))
+    if not stations:
+        raise ConfigError("simulation needs at least one base station")
+    model = rate_model or model_from_params(config.rate)
+    pkg_cfg = config.packaging
+    # Package metadata is checked here once, as no package object is built.
+    cvim.PackageMeta(owner=pkg_cfg.owner, privacy_level=pkg_cfg.privacy_level)
+    n_rb = config.effective_n_rb
+    mode = config.scheduler_mode
+
+    names, vehicle = id_codes(traces.vehicle_id)
+    order = np.lexsort((vehicle, traces.t))
+    ticks, vehicle = traces.t[order], vehicle[order]
+    state = np.column_stack((traces.x, traces.y, traces.speed))[order]
+    finite = np.isfinite(state).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValidationError(
+            f"vehicle {names[vehicle[i]]!r} at t={ticks[i]}: non-finite position or speed"
+        )
+    last_tick = np.full(len(names), np.iinfo(np.int64).min)
+    np.maximum.at(last_tick, vehicle, ticks)
+    departing = ticks == last_tick[vehicle]
+    # The rows of one tick are rows[start:stop] for consecutive bounds.
+    _, starts = np.unique(ticks, return_index=True)
+    bounds = [*starts.tolist(), len(ticks)]
+
+    # Queues hold package sizes: a package carries the records of the ticks
+    # buffered since the vehicle's last flush (one tick unless aggregating).
+    queues = [TransmitQueue(vid) for vid in names]
+    buffered = [0] * len(names)
+    serving: list[str] = []
+    snrs: list[float] = []
+    rb_shares: list[float] = []
+    rates: list[float] = []
+    generated: list[int] = []
+    sent: list[int] = []
+    queued: list[int] = []
+
+    for start, stop in zip(bounds, bounds[1:]):
+        t = int(ticks[start])
+        present = vehicle[start:stop].tolist()
+        rows = state[start:stop]
+        winners, unsure = screen_links(rows[:, :2], stations, config.link)
+        cells: dict[str, list[str]] = {}
+        for v, (x, y, _), winner, needs_scalar in zip(
+            present, rows.tolist(), winners.tolist(), unsure.tolist()
+        ):
+            if needs_scalar:
+                station, link = best_link((x, y), stations, config.link)
+            else:
+                station = stations[winner]
+                link = snr((x, y), station, config.link)
+            serving.append(station.station_id)
+            snrs.append(link.snr)
+            cells.setdefault(station.station_id, []).append(names[v])
+        shares: dict[str, float] = {}
+        for sid in sorted(cells):
+            cell = scheduler.CellTickState(sid, t, tuple(cells[sid]))
+            allocation = scheduler.rr_allocate(cell, n_rb, mode, rotation_offset=t)
+            shares.update(allocation.shares)
+        for v, speed, snr_db, last in zip(
+            present, rows[:, 2].tolist(), snrs[start:stop], departing[start:stop].tolist()
+        ):
+            share = shares[names[v]]
+            rate = scheduler.vehicle_rate(share, snr_db, speed, model)
+            queue = queues[v]
+            buffered[v] += 1
+            flush = (t + 1) % pkg_cfg.aggregate_ticks == 0 or last
+            if flush:
+                queue.push_size(pkg_cfg.payload_bytes(pkg_cfg.records_per_tick * buffered[v]))
+                buffered[v] = 0
+            generated.append(int(flush))
+            capacity = int(rate * config.tick)
+            _, remaining = cvim.try_transmit(queue, capacity)
+            rb_shares.append(share)
+            rates.append(rate)
+            sent.append(capacity - remaining)
+            queued.append(queue.queued_bytes)
+    return TickTable(
+        t=ticks,
+        vehicle_id=list(map(names.__getitem__, vehicle.tolist())),
+        serving_station=serving,
+        snr_db=np.array(snrs, dtype=np.float64),
+        rb_share=np.array(rb_shares, dtype=np.float64),
+        rate_bps=np.array(rates, dtype=np.float64),
+        packages_generated=np.array(generated, dtype=np.int64),
+        bits_sent=np.array(sent, dtype=np.int64),
+        queue_bytes=np.array(queued, dtype=np.int64),
+    )

@@ -261,6 +261,28 @@ def test_simulate_rejects_non_finite_config_float(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_with_snr_beyond_double_range_saturates(tmp_path):
+    # 10 ** (snr / 10) exceeds the largest double above about 3082 dB; the
+    # efficiency then sits at eta_max.
+    traces = tmp_path / "traces.csv"
+    rows = [f"v{k},{t},{200.0 * k + 9.5 * t},0,{17.0 * k}" for k in range(4) for t in range(5)]
+    traces.write_text("vehicle_id,t,x,y,speed\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    (tmp_path / "stations.csv").write_text(STATIONS, encoding="utf-8")
+    code = main([
+        "simulate", "--traces", str(traces), "--stations", str(tmp_path / "stations.csv"),
+        "--set", "link.tx_power_dbm=5000", "--out-dir", str(tmp_path / "o"),
+    ])
+    assert code == 0
+    speed = {(line.split(",")[0], line.split(",")[1]): float(line.split(",")[4]) for line in rows}
+    lines = (tmp_path / "o" / "results.csv").read_text().splitlines()[1:]
+    assert len(lines) == 20
+    for line in lines:
+        t, vid, _, snr_db, share, rate = line.split(",")[:6]
+        assert float(snr_db) > 3083.0
+        phi = 1.0 - 0.3 * min(speed[vid, t], 36.11) / 36.11
+        assert float(rate) == float(share) * (5.55 * 180_000.0 * phi)
+
+
 def test_simulate_rejects_comma_in_vehicle_id(tmp_path, capsys):
     # Unquoted in results.csv, such an id would split its row into 10 fields.
     traces = tmp_path / "traces.csv"

@@ -10,6 +10,7 @@ from car2cloud.cvim import (
     PackagingConfig,
     TransmitQueue,
     count_packages_per_cell,
+    drain_sizes,
     harmonize,
     package,
     parse_package,
@@ -177,6 +178,24 @@ def test_size_entries_share_the_drain_rule():
     assert queue.queued_bytes == 0 and len(queue) == 0
     with pytest.raises(ConfigError):
         try_transmit(queue, -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.just(0) | st.integers(1, 3000) | st.just(2**70),
+    st.integers(0, 30_000) | st.sampled_from([8 * 2**70, 10**30]),
+), max_size=60))
+def test_drain_sizes_match_try_transmit(rows):
+    queue = TransmitQueue("v")
+    expected_sent, expected_queued = [], []
+    for size, capacity in rows:
+        if size:
+            queue.push_size(size)
+        _, remaining = try_transmit(queue, capacity)
+        expected_sent.append(capacity - remaining)
+        expected_queued.append(queue.queued_bytes)
+    pushed, capacity = zip(*rows) if rows else ((), ())
+    assert drain_sizes(pushed, capacity) == (expected_sent, expected_queued)
 
 
 QUEUE_OPS = st.lists(

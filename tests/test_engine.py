@@ -26,7 +26,8 @@ from car2cloud.cvim import PackagingConfig, count_packages_per_cell
 from car2cloud.errors import ConfigError, ParseError, ValidationError
 from car2cloud.linkrate import rb_rate
 from car2cloud.mobility import ID_FORBIDDEN_CHARS
-from car2cloud.radio import BaseStation
+from car2cloud.radio import BaseStation, LinkBudgetConfig
+from scalar_engine import run as scalar_run
 from trace_rows import trace_table
 
 
@@ -405,6 +406,23 @@ def test_run_names_first_bad_vehicle_of_first_bad_tick():
     assert str(err.value) == "vehicle 'c' at t=3: non-finite position or speed"
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -5.0])
+def test_run_names_the_first_row_with_a_bad_rate(value):
+    rows = [("a", t, 10.0, 0.0, 10.0) for t in range(4)]
+    rows += [("b", t, 20.0, 0.0, 20.0 if t >= 2 else 10.0) for t in range(4)]
+    rows += [("c", t, 30.0, 0.0, 20.0) for t in range(2, 4)]
+
+    def model(snr_db, speed):
+        return value if speed == 20.0 else 1000.0
+
+    with pytest.raises(ConfigError) as err:
+        run(SimConfig(), trace_table(rows), STATION, rate_model=model)
+    assert str(err.value) == (
+        f"vehicle 'b' at t=2: rate {100 / 3 * value!r} bit/s is not a finite, "
+        "non-negative capacity"
+    )
+
+
 def test_run_checks_package_metadata():
     traces = trace_table(trace("v1", [0, 10]))
     with pytest.raises(ValidationError):
@@ -555,3 +573,59 @@ def test_run_is_invariant_under_trace_and_station_order(layout):
     cfg, _, _ = queue_scenario()  # integer RR on 2 RBs: queues build
     expected = csv_text(run(cfg, traces, stations))
     assert csv_text(run(cfg, shuffled_traces, shuffled_stations)) == expected
+
+
+RATE_MODELS = [
+    None,
+    lambda snr_db, speed: max(snr_db, 0.0) * 37.5 + speed,
+    lambda snr_db, speed: 9000.0 if snr_db > 15.0 else 15.0,
+]
+
+
+@st.composite
+def engine_cases(draw):
+    """Traces, stations, config and rate model across the engine's branches.
+
+    Vehicles may leave and come back, ticks may be negative, and some
+    samples sit exactly halfway between twin stations (an exact SNR tie).
+    Stations mix gains and heights; extra loss drives rows into outage.
+    """
+    rows = []
+    for k in range(draw(st.integers(0, 7))):
+        t = draw(st.integers(-70, 200))
+        for _ in range(draw(st.integers(1, 3))):
+            n = draw(st.integers(1, 15))
+            x0 = draw(st.sampled_from([600.0, 0.0, 1200.0]) | st.floats(-500.0, 2500.0))
+            y = draw(st.sampled_from([0.0, 25.0]) | st.floats(-300.0, 300.0))
+            v = draw(st.floats(0.0, 60.0))
+            rows.extend((f"v{k}", t + i, x0 + v * i, y, v) for i in range(n))
+            t += n + draw(st.integers(1, 40))
+    stations = [
+        BaseStation(
+            f"bs{i}",
+            draw(st.sampled_from([0.0, 1200.0]) | st.floats(-500.0, 2500.0)),
+            draw(st.sampled_from([25.0, 0.0])),
+            antenna_gain=draw(st.sampled_from([15.0, 0.0, 18.5])),
+            height=draw(st.sampled_from([10.0, 1.5, 25.0])),
+        )
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    config = SimConfig(
+        link=LinkBudgetConfig(extra_loss_db=draw(st.sampled_from([0.0, 40.0, 95.0]))),
+        packaging=PackagingConfig(
+            aggregate_ticks=draw(st.integers(1, 65)),
+            n_extra_channels=draw(st.integers(0, 6)),
+        ),
+        n_rb=draw(st.sampled_from([100, 6, 0])),
+        rb_limit=draw(st.sampled_from([0, 1, 3, 7])),
+        scheduler_mode=draw(st.sampled_from(["fractional", "integer"])),
+    )
+    return config, trace_table(rows), stations, draw(st.sampled_from(RATE_MODELS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(engine_cases())
+def test_run_matches_the_scalar_loop(case):
+    config, traces, stations, rate_model = case
+    expected = csv_text(scalar_run(config, traces, stations, rate_model))
+    assert csv_text(run(config, traces, stations, rate_model)) == expected

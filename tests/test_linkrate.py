@@ -1,10 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from car2cloud.errors import ConfigError
-from car2cloud.linkrate import RbRateParams, model_from_params, rb_rate
+from car2cloud.linkrate import RbRateParams, model_from_params, rb_rate, rb_rates
 from car2cloud.scheduler import vehicle_rate
 
 P = RbRateParams()
@@ -92,3 +95,53 @@ def test_params_validation():
 def test_custom_params_change_shape():
     flat = RbRateParams(speed_penalty_at_vmax=0.0)
     assert rb_rate(10.0, 30.0, flat) == rb_rate(10.0, 0.0, flat)
+
+
+def test_efficiency_saturates_where_snr_lin_overflows():
+    # 10 ** (snr_db / 10) exceeds the largest double above about 3082.5 dB.
+    for params in (P, RbRateParams(eta_max=2000.0, v_ref=10.0)):
+        for speed in (0.0, 7.5, 50.0):
+            phi = 1.0 - params.speed_penalty_at_vmax * min(speed, params.v_ref) / params.v_ref
+            saturated = params.eta_max * params.rb_bandwidth_hz * phi
+            for snr_db in (3082.6, 3090.0, 4977.0, 1e300, math.inf):
+                assert rb_rate(snr_db, speed, params) == saturated
+    # Just below the overflow the old expression still holds.
+    snr_db = 3082.0
+    shannon = P.attenuation_beta * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+    assert rb_rate(snr_db, 0.0, RbRateParams(eta_max=1e6)) == shannon * P.rb_bandwidth_hz
+
+
+rate_params = st.builds(
+    RbRateParams,
+    rb_bandwidth_hz=st.sampled_from([180_000.0, 1.0, 3.3e5]),
+    attenuation_beta=st.sampled_from([0.6, 1.0, 0.05]),
+    eta_max=st.sampled_from([5.55, 0.1, 1000.0, 5000.0]),
+    snr_min_db=st.sampled_from([-10.0, 0.0, 25.0]),
+    speed_penalty_at_vmax=st.sampled_from([0.3, 0.0, 0.99]),
+    v_ref=st.sampled_from([36.11, 1.0, 100.0]),
+)
+snrs = st.one_of(
+    st.floats(-60.0, 80.0),
+    st.floats(3000.0, 3100.0),
+    st.floats(-1e308, 1e308),
+    st.sampled_from([-10.0, 0.0, 27.84, 3082.547155599167, math.inf, -math.inf]),
+)
+speeds = st.one_of(st.floats(0.0, 120.0), st.sampled_from([36.11, 1.0, 100.0, -3.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rate_params, st.lists(st.tuples(snrs, speeds), max_size=20))
+def test_rb_rates_match_rb_rate_bit_for_bit(params, pairs):
+    snr_db = np.array([s for s, _ in pairs], dtype=np.float64)
+    speed = np.array([v for _, v in pairs], dtype=np.float64)
+    expected = np.array([rb_rate(s, v, params) for s, v in pairs], dtype=np.float64)
+    assert rb_rates(snr_db, speed, params).tobytes() == expected.tobytes()
+
+
+def test_rb_rates_match_rb_rate_on_a_dense_sweep():
+    # np.log2 and np.power differ from math's in the last ulp on a small
+    # share of inputs, which a sweep of this size meets.
+    snr_db = np.linspace(-12.0, 40.0, 100_001)
+    speed = np.linspace(0.0, 50.0, 100_001)
+    expected = np.array([rb_rate(s, v, P) for s, v in zip(snr_db.tolist(), speed.tolist())])
+    assert rb_rates(snr_db, speed, P).tobytes() == expected.tobytes()

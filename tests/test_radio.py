@@ -14,6 +14,7 @@ from car2cloud.radio import (
     LinkBudgetConfig,
     best_link,
     breakpoint_distance,
+    link_snrs,
     parse_stations_csv,
     path_loss_b1,
     screen_links,
@@ -332,3 +333,39 @@ def test_columnar_association_matches_best_link(layout):
         if not tie:
             assert canonical[winner] == station
             assert snr(pos, station, cfg).snr == link.snr
+
+
+@settings(max_examples=200, deadline=None)
+@given(layouts(), st.data())
+def test_link_snrs_match_snr_bit_for_bit(layout, data):
+    """Every position against every station, plus positions at a station's
+    breakpoint distance and inside the 10 m clamp."""
+    stations, positions, cfg = layout
+    for station in data.draw(st.lists(st.sampled_from(stations), max_size=3)):
+        d_bp = breakpoint_distance(cfg, station.height)
+        offset = data.draw(st.sampled_from([d_bp, 0.0, 3.0, 10.0, 9.999999999999998]))
+        positions = [*positions, (station.x + offset, station.y)]
+    pairs = [(pos, i) for pos in positions for i in range(len(stations))]
+    got = link_snrs(
+        np.array([pos for pos, _ in pairs]), np.array([i for _, i in pairs]), stations, cfg
+    )
+    expected = [snr(pos, stations[i], cfg).snr for pos, i in pairs]
+    assert got.tobytes() == np.array(expected).tobytes()
+
+
+def test_link_snrs_raise_the_ue_height_error():
+    cfg = LinkBudgetConfig(ue_height_m=1.0)
+    with pytest.raises(ConfigError, match="antenna heights must exceed 1 m"):
+        link_snrs(np.zeros((1, 2)), np.zeros(1, dtype=np.int64), [BaseStation("a", 5.0, 5.0)], cfg)
+
+
+def test_link_snrs_match_snr_on_a_dense_sweep():
+    # np.hypot and np.log10 differ from math's in the last ulp on a small
+    # share of inputs, which a sweep of this size meets.
+    stations = [BaseStation("a", 0.0, 30.0), BaseStation("b", 700.0, -40.0, 18.0, 25.0)]
+    cfg = LinkBudgetConfig(extra_loss_db=3.5)
+    x = np.linspace(-3000.0, 3000.0, 25_001)
+    positions = np.column_stack((np.repeat(x, 2), np.full(len(x) * 2, 7.25)))
+    serving = np.tile([0, 1], len(x))
+    expected = [snr(pos, stations[i], cfg).snr for pos, i in zip(positions.tolist(), serving.tolist())]
+    assert link_snrs(positions, serving, stations, cfg).tobytes() == np.array(expected).tobytes()

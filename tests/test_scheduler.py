@@ -1,12 +1,15 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from car2cloud.engine import SimConfig, run
 from car2cloud.errors import ConfigError
 from car2cloud.linkrate import RbRateParams, model_from_params, rb_rate
 from car2cloud.radio import BaseStation
-from car2cloud.scheduler import CellTickState, rr_allocate, vehicle_rate
+from car2cloud.scheduler import MODES, CellTickState, rr_allocate, rr_shares, vehicle_rate
 from trace_rows import trace_table
 
 MODEL = model_from_params(RbRateParams())
@@ -160,3 +163,39 @@ def test_random_cells_against_oracle():
         assert [allocation.shares[v] for v in cell(k).attached] == [
             float(c) for c in deal_rbs(k, n_rb, offset)
         ]
+
+
+@st.composite
+def tick_rows(draw):
+    """Rows (t, vehicle, cell) in (t, vehicle) order, one per vehicle and tick."""
+    rows = []
+    for t in sorted(draw(st.sets(st.integers(-70, 10**6), max_size=6))):
+        vehicles = sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=25)))
+        rows += [(t, v, draw(st.integers(0, 3))) for v in vehicles]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(tick_rows(), st.sampled_from(MODES), st.integers(0, 60) | st.just(2**60 + 1))
+def test_rr_shares_match_rr_allocate(rows, mode, n_rb):
+    t = np.array([r[0] for r in rows], dtype=np.int64)
+    cell_code = np.array([r[2] for r in rows], dtype=np.int64)
+    got = rr_shares(t, cell_code, n_rb, mode)
+    cells = {}
+    for tick, vehicle, c in rows:
+        cells.setdefault((tick, c), []).append(f"v{vehicle:02d}")
+    shares = {}
+    for (tick, c), attached in cells.items():
+        cell_state = CellTickState(str(c), tick, tuple(attached))
+        for vid, share in rr_allocate(cell_state, n_rb, mode, rotation_offset=tick).shares.items():
+            shares[tick, vid] = share
+    expected = [shares[tick, f"v{vehicle:02d}"] for tick, vehicle, _ in rows]
+    assert got.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+
+def test_rr_shares_validate_like_rr_allocate():
+    t = np.zeros(1, dtype=np.int64)
+    with pytest.raises(ConfigError):
+        rr_shares(t, t, 4, "proportional")
+    with pytest.raises(ConfigError):
+        rr_shares(t, t, -1, "integer")
