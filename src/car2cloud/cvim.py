@@ -124,6 +124,16 @@ class PackagingConfig:
         # BLAKE2b takes keys of at most 64 bytes.
         if len(self.pseudonym_key.encode("utf-8")) > 64:
             raise ConfigError("cvim.pseudonym_key must be at most 64 bytes")
+        # Queued bytes and sent bits are int64 columns, so the bits of one
+        # full package must fit in one.
+        bits = 8 * self.payload_bytes(self.records_per_tick * self.aggregate_ticks)
+        if bits > np.iinfo(np.int64).max:
+            raise ConfigError(
+                f"cvim.header_bytes={self.header_bytes}, cvim.record_bytes={self.record_bytes}, "
+                f"cvim.n_extra_channels={self.n_extra_channels} and "
+                f"cvim.aggregate_ticks={self.aggregate_ticks} give packages of {bits} bits, "
+                "beyond 64 bits"
+            )
 
     @property
     def records_per_tick(self) -> int:
@@ -135,14 +145,14 @@ class PackagingConfig:
         return self.header_bytes + self.record_bytes * n_records
 
 
-DEFAULT_CONFIG = PackagingConfig()
-
 # Channels every tick package carries; extras get ids above 1000.
 BASE_CHANNELS = (
     MeasurementChannel(1, "position-x", "m"),
     MeasurementChannel(2, "position-y", "m"),
     MeasurementChannel(3, "speed", "m/s"),
 )
+
+DEFAULT_CONFIG = PackagingConfig()
 
 
 def harmonize(raw_value: float, channel: MeasurementChannel) -> float:

@@ -32,9 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain, repeat
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -44,7 +42,15 @@ from . import cvim, scheduler
 from .cvim import PackagingConfig
 from .errors import ConfigError, ParseError, ValidationError
 from .linkrate import RateModel, RbRateParams, rb_rates
-from .mobility import KraussParams, RoadSpec, TraceTable, id_codes
+from .mobility import (
+    READ_CHUNK_BYTES,
+    KraussParams,
+    RoadSpec,
+    TraceTable,
+    id_codes,
+    join_chunks,
+    parse_chunk,
+)
 from .radio import BaseStation, LinkBudgetConfig, best_link, link_snrs, screen_links
 
 RESULTS_CSV_HEADER = (
@@ -60,13 +66,10 @@ WRITE_CHUNK_ROWS = 1 << 13
 # Rows per call of the SNR and rate kernels: whole-table per-element Python
 # lists would raise the peak RSS of simulate with the table's size.
 KERNEL_BLOCK_ROWS = 1 << 14
-# Bytes of results CSV lines read (and parsed) at a time by read_results_csv.
-READ_CHUNK_BYTES = 1 << 20
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 # Conversion of each results CSV field: ids (None) are kept as read.
 _CONVERTERS = (int, None, None, float, float, float, int, int, int)
-_DTYPES = {int: np.int64, float: np.float64}
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +116,12 @@ class SimConfig:
             raise ConfigError("sim.tick is fixed at 1 second")
         if self.n_rb < 0 or self.rb_limit < 0:
             raise ConfigError("cell.n_rb and cell.rb_limit must be non-negative")
+        # RB shares are floats.
+        for key, value in (("cell.n_rb", self.n_rb), ("cell.rb_limit", self.rb_limit)):
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigError(f"{key} is beyond the range of a float") from None
         if self.scheduler_mode not in scheduler.MODES:
             raise ConfigError(
                 f"scheduler.mode must be one of {scheduler.MODES}, "
@@ -327,10 +336,18 @@ def run(
     stops = np.cumsum(np.bincount(vehicle, minlength=len(names))).tolist()
     for lo, hi in zip([0, *stops], stops):
         rows = by_vehicle[lo:hi]
-        sent[rows], queued[rows] = cvim.drain_sizes(
+        bits, left = cvim.drain_sizes(
             map(package_bytes.__getitem__, buffered[lo:hi].tolist()),
             map(int, vehicle_rates[lo:hi].tolist()),
         )
+        try:
+            sent[rows], queued[rows] = bits, left
+        except OverflowError:
+            i = next(i for i, pair in enumerate(zip(bits, left)) if max(pair) > _INT64_MAX)
+            raise ConfigError(
+                f"vehicle {names[vehicle[rows[i]]]!r} at t={ticks[rows[i]]}: {left[i]} bytes "
+                f"queued and {bits[i]} bits sent, beyond 64 bits"
+            ) from None
     return TickTable(
         t=ticks,
         vehicle_id=list(map(names.__getitem__, vehicle.tolist())),
@@ -389,26 +406,6 @@ def _raise_first_bad_line(lines: list[str], first_lineno: int) -> None:
                 raise ParseError(f"line {lineno}: integer {parts[i]!r} exceeds 64 bits")
 
 
-def _parse_chunk(lines: list[str]) -> list:
-    """Columns of a chunk of non-blank results CSV lines.
-
-    Raises ValueError if a line has not 9 fields or a field does not
-    convert, and OverflowError if an integer does not fit in int64.
-    """
-    if set(map(str.count, lines, repeat(","))) != {8}:
-        raise ValueError("a line without 9 fields")
-    n = len(lines)
-    fields = ",".join(lines).split(",")
-    columns: list = []
-    for i, convert in enumerate(_CONVERTERS):
-        column = fields[i::9]
-        if convert is None:
-            columns.append(list(map(sys.intern, column)))
-        else:
-            columns.append(np.fromiter(map(convert, column), dtype=_DTYPES[convert], count=n))
-    return columns
-
-
 def read_results_csv(stream: IO[str]) -> TickTable:
     """Read a results CSV written by write_results_csv into a TickTable.
 
@@ -427,19 +424,12 @@ def read_results_csv(stream: IO[str]) -> TickTable:
         rows = [line for line in lines if line != "\n"]
         if rows:
             try:
-                chunks.append(_parse_chunk(rows))
+                chunks.append(parse_chunk(rows, _CONVERTERS))
             except (ValueError, OverflowError):
                 _raise_first_bad_line(lines, lineno)
                 raise
         lineno += len(lines)
-    columns: list = []
-    for i, convert in enumerate(_CONVERTERS):
-        parts = [chunk[i] for chunk in chunks]
-        if convert is None:
-            columns.append(list(chain.from_iterable(parts)))
-        else:
-            columns.append(np.concatenate(parts) if parts else np.zeros(0, _DTYPES[convert]))
-    return TickTable(*columns)
+    return TickTable(*join_chunks(chunks, _CONVERTERS))
 
 
 def undelivered_bytes(table: TickTable) -> dict[str, int]:

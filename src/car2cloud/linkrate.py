@@ -94,12 +94,3 @@ def rb_rates(
         penalty = 1.0 - p.speed_penalty_at_vmax * slow / p.v_ref
         return np.where(snr_db < p.snr_min_db, 0.0, efficiency * p.rb_bandwidth_hz * penalty)
 
-
-def model_from_params(params: RbRateParams | None = None) -> RateModel:
-    """Bind parameters into the callable form the scheduler and engine use."""
-    p = params or RbRateParams()
-
-    def model(snr_db: float, speed: float) -> float:
-        return rb_rate(snr_db, speed, p)
-
-    return model

@@ -8,21 +8,34 @@ tick, which emit_trace_csv writes in that order and engine.run takes as is.
 Synthetic roads are either a straight strip along the x axis (vehicles
 injected at the origin) or a ring mapped onto a circle in the plane, so
 radio distances are always well defined.
+
+parse_trace_csv reads a trace CSV a chunk of about READ_CHUNK_BYTES at a
+time with parse_chunk, the column parser engine.read_results_csv shares:
+each chunk is split once, each column converted as a whole and each row
+check run on the columns.  From the first chunk csv.reader could read
+differently from a split on commas (a quote or carriage return, or a line
+beyond csv's field size limit), or in which a row fails a check, the rest
+of the file is read row by row by csv.reader, which names the bad line.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 import xml.etree.ElementTree as ET
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from itertools import chain, repeat
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, SimulationError, ValidationError
 
 TRACE_CSV_HEADER = ("vehicle_id", "t", "x", "y", "speed")
+# Conversion of each trace CSV field by parse_chunk: ids (None) are kept as read.
+_TRACE_CONVERTERS = (None, int, float, float, float)
 
 # Ids are written unquoted into comma-separated outputs, so these characters
 # would split or break a row there.
@@ -30,6 +43,12 @@ ID_FORBIDDEN_CHARS = ',"\r\n'
 
 # Ticks are held as int64 in the trace and result tables.
 MAX_TICK = (1 << 63) - 1
+
+# Bytes of CSV lines read (and parsed) at a time by parse_trace_csv and
+# engine.read_results_csv.
+READ_CHUNK_BYTES = 1 << 20
+
+_DTYPES = {int: np.int64, float: np.float64}
 
 
 def check_id(value: str, where: str, what: str) -> None:
@@ -75,17 +94,73 @@ def id_codes(ids: Sequence[str]) -> tuple[list[str], np.ndarray]:
     return distinct, np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
 
 
-def _trace_table(names: list[str], code: np.ndarray, t, x, y, speed) -> TraceTable:
+def parse_chunk(lines: list[str], converters: Sequence) -> list:
+    """Columns of a chunk of non-blank CSV lines, one per converter.
+
+    The chunk is split once on commas and each column converted as a whole:
+    by int into an int64 array, by float into a float64 array, and where
+    the converter is None kept as interned strings, so each distinct value
+    is held once.  Raises ValueError if a line has not one field per
+    converter or a field does not convert, and OverflowError if an integer
+    does not fit in int64.
+    """
+    width = len(converters)
+    if set(map(str.count, lines, repeat(","))) != {width - 1}:
+        raise ValueError(f"a line without {width} fields")
+    fields = ",".join(lines).split(",")
+    columns: list = []
+    for i, convert in enumerate(converters):
+        column = fields[i::width]
+        if convert is None:
+            columns.append(list(map(sys.intern, column)))
+        else:
+            columns.append(
+                np.fromiter(map(convert, column), dtype=_DTYPES[convert], count=len(lines))
+            )
+    return columns
+
+
+def join_chunks(chunks: list[list], converters: Sequence) -> list:
+    """Each column of parse_chunk's chunks, concatenated in chunk order."""
+    columns: list = []
+    for i, convert in enumerate(converters):
+        parts = [chunk[i] for chunk in chunks]
+        if convert is None:
+            columns.append(list(chain.from_iterable(parts)))
+        else:
+            columns.append(np.concatenate(parts) if parts else np.zeros(0, _DTYPES[convert]))
+    return columns
+
+
+def _trace_table(
+    names: list[str],
+    code: np.ndarray,
+    t, x, y, speed,
+    line_of: Callable[[int], int] | None = None,
+) -> TraceTable:
     """Samples of vehicles names[code] as a table in canonical order.
 
     ``t``, ``x``, ``y`` and ``speed`` are sequences or arrays, row for row
-    with ``code``, and hold no two samples of one vehicle at one tick.  A
-    1 Hz gap names the smallest vehicle id that has one, and its first gap.
+    with ``code``.  Given ``line_of``, two samples of one vehicle at one
+    tick are an error naming line line_of(r) of the first row r that
+    repeats an earlier one; a 1 Hz gap, or a repeat where line_of is not
+    given, names the smallest vehicle id that has one, and its first gap.
     """
     t = np.asarray(t, dtype=np.int64)
     order = np.lexsort((t, code))
     code, t = code[order], t[order]
-    gaps = np.flatnonzero((code[1:] == code[:-1]) & (t[1:] - t[:-1] != 1))
+    same = code[1:] == code[:-1]
+    step = t[1:] - t[:-1]
+    if line_of is not None:
+        # A stable sort keeps repeats in row order behind their first sample.
+        repeats = np.flatnonzero(same & (step == 0)) + 1
+        if repeats.size:
+            i = int(repeats[np.argmin(order[repeats])])
+            raise ValidationError(
+                f"line {line_of(int(order[i]))}: duplicate sample "
+                f"({names[code[i]]!r}, t={t[i]})"
+            )
+    gaps = np.flatnonzero(same & (step != 1))
     if gaps.size:
         i = int(gaps[0])
         raise ValidationError(
@@ -419,21 +494,39 @@ def generate_traces(road: RoadSpec, params: KraussParams | None = None) -> Trace
     return _generate_ring(road, params)
 
 
-def parse_trace_csv(stream: IO[str]) -> TraceTable:
-    """Read a trace CSV (header ``vehicle_id,t,x,y,speed``), rows in any order."""
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("trace CSV is empty (missing header)") from None
-    if tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
-        raise ParseError(f"bad trace CSV header: {','.join(header)!r}")
+def _trace_chunk(lines: list[str], known: set[str]) -> list:
+    """Columns of a chunk of non-blank trace CSV lines, every row checked.
+
+    Raises ValueError, or OverflowError for an integer beyond int64, where
+    a row fails a check or where csv.reader could read the chunk otherwise
+    than a split on commas: where it holds a quote or carriage return, or a
+    line longer than csv's field size limit.  Without those, no id can hold
+    a character check_id forbids, so the check of the ids not in ``known``
+    is that none is empty; they join ``known`` once the whole chunk passes.
+    """
+    text = "".join(lines)
+    if '"' in text or "\r" in text or max(map(len, lines)) > csv.field_size_limit():
+        raise ValueError("a chunk for csv.reader")
+    columns = parse_chunk(lines, _TRACE_CONVERTERS)
+    vid, t, x, y, speed = columns
+    new = set(vid).difference(known)
+    if "" in new or not (
+        np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(speed).all()
+        and t.min() >= 0 and speed.min() >= 0
+    ):
+        raise ValueError("a row fails a check")
+    known |= new
+    return columns
+
+
+def _read_rows(rows: Iterable[list[str]], lineno: int, known: set[str], seen: set) -> list:
+    """Columns of csv.reader ``rows``, the first at line ``lineno``, each checked as read.
+
+    ``known`` holds the ids and ``seen`` the (id, tick) samples accepted
+    before; ids are interned, as parse_chunk interns them.
+    """
     vids, ts, xs, ys, speeds = [], [], [], [], []
-    seen: set[tuple[str, int]] = set()
-    # Each distinct id is checked where it is first seen, and then every
-    # sample holds that first string object.
-    ids: dict[str, str] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows, start=lineno):
         if not row:
             continue
         if len(row) != 5:
@@ -443,11 +536,10 @@ def parse_trace_csv(stream: IO[str]) -> TraceTable:
             x, y, speed = float(row[2]), float(row[3]), float(row[4])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        vid = ids.get(row[0])
-        if vid is None:
-            vid = row[0]
+        vid = sys.intern(row[0])
+        if vid not in known:
             check_id(vid, f"line {lineno}", "vehicle_id")
-            ids[vid] = vid
+            known.add(vid)
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(speed)):
             raise ValidationError(f"line {lineno}: non-finite x, y or speed")
         if t < 0:
@@ -464,7 +556,59 @@ def parse_trace_csv(stream: IO[str]) -> TraceTable:
         xs.append(x)
         ys.append(y)
         speeds.append(speed)
-    return _trace_table(*id_codes(vids), ts, xs, ys, speeds)
+    floats = (np.array(c, dtype=np.float64) for c in (xs, ys, speeds))
+    return [vids, np.array(ts, dtype=np.int64), *floats]
+
+
+def parse_trace_csv(stream: IO[str]) -> TraceTable:
+    """Read a trace CSV (header ``vehicle_id,t,x,y,speed``), rows in any order.
+
+    Chunks of lines are read by _trace_chunk until one fails, and from that
+    chunk's first line on by _read_rows, seeded with the ids and samples
+    accepted before.  Either way the first bad line, in file order, is
+    named with the error a row-by-row csv.reader loop gives: a repeated
+    sample among the chunks comes before the rest, and is found by the
+    sort into canonical order.
+    """
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("trace CSV is empty (missing header)") from None
+    if tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
+        raise ParseError(f"bad trace CSV header: {','.join(header)!r}")
+    chunks: list[list] = []
+    known: set[str] = set()
+    blanks: list[int] = []  # the number of rows before each blank line
+    n_rows, lineno = 0, 2
+
+    def line_of(row: int) -> int:
+        return 2 + row + bisect_right(blanks, row)
+
+    while lines := stream.readlines(READ_CHUNK_BYTES):
+        rows = lines
+        if "\n" in lines:
+            rows = []
+            for line in lines:
+                if line == "\n":
+                    blanks.append(n_rows + len(rows))
+                else:
+                    rows.append(line)
+        if rows:
+            try:
+                chunks.append(_trace_chunk(rows, known))
+            except (ValueError, OverflowError):
+                vid, t, x, y, speed = join_chunks(chunks, _TRACE_CONVERTERS)
+                seen = set(zip(vid, t.tolist()))
+                if len(seen) < n_rows:  # a repeat comes before this chunk: name it
+                    _trace_table(*id_codes(vid), t, x, y, speed, line_of)
+                rest = _read_rows(csv.reader(chain(lines, stream)), lineno, known, seen)
+                chunks = [[vid, t, x, y, speed], rest]
+                break
+        n_rows += len(rows)
+        lineno += len(lines)
+    vid, t, x, y, speed = join_chunks(chunks, _TRACE_CONVERTERS)
+    return _trace_table(*id_codes(vid), t, x, y, speed, line_of)
 
 
 def emit_trace_csv(traces: TraceTable, stream: IO[str]) -> None:

@@ -107,8 +107,8 @@ def vehicle_rate(share: float, snr_db: float, speed: float, model: RateModel) ->
     """Uplink rate of one vehicle holding `share` resource blocks.
 
     ``model`` is any callable (snr_db, speed) -> bit/s per block, such as
-    linkrate.model_from_params, so alternative rate models plug in without
-    touching the scheduler.
+    linkrate.rb_rate with its parameters bound, so alternative rate models
+    plug in without touching the scheduler.
     """
     if share < 0:
         raise ConfigError("rb share must be non-negative")

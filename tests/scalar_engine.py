@@ -9,6 +9,7 @@ CSV bytes of engine.run against it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -17,7 +18,7 @@ from car2cloud import cvim, scheduler
 from car2cloud.cvim import TransmitQueue
 from car2cloud.engine import SimConfig, TickTable
 from car2cloud.errors import ConfigError, ValidationError
-from car2cloud.linkrate import RateModel, model_from_params
+from car2cloud.linkrate import RateModel, rb_rate
 from car2cloud.mobility import TraceTable, id_codes
 from car2cloud.radio import BaseStation, best_link, screen_links, snr
 
@@ -32,7 +33,7 @@ def run(
     stations = sorted(stations, key=lambda s: str(s.station_id))
     if not stations:
         raise ConfigError("simulation needs at least one base station")
-    model = rate_model or model_from_params(config.rate)
+    model = rate_model or partial(rb_rate, params=config.rate)
     pkg_cfg = config.packaging
     # Package metadata is checked here once, as no package object is built.
     cvim.PackageMeta(owner=pkg_cfg.owner, privacy_level=pkg_cfg.privacy_level)

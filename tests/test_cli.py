@@ -261,6 +261,25 @@ def test_simulate_rejects_non_finite_config_float(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("cvim.header_bytes=20000000000000000000", "cvim.header_bytes=20000000000000000000"),
+        (f"cell.n_rb=1{'0' * 400}", "cell.n_rb is beyond the range of a float"),
+    ],
+)
+def test_simulate_sizes_beyond_int64_or_float_exit_2(tmp_path, capsys, setting, message):
+    traces = tmp_path / "traces.csv"
+    traces.write_text("vehicle_id,t,x,y,speed\nv1,0,0,0,1\nv1,1,1,0,1\n", encoding="utf-8")
+    (tmp_path / "stations.csv").write_text(STATIONS, encoding="utf-8")
+    code = main([
+        "simulate", "--traces", str(traces), "--stations", str(tmp_path / "stations.csv"),
+        "--set", setting, "--out-dir", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_with_snr_beyond_double_range_saturates(tmp_path):
     # 10 ** (snr / 10) exceeds the largest double above about 3082 dB; the
     # efficiency then sits at eta_max.

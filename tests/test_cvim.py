@@ -314,6 +314,24 @@ def test_packaging_config_validation():
         PackagingConfig(pseudonym_key="k" * 65)
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        {"header_bytes": 2**60 - 48},
+        {"record_bytes": 2**60},
+        {"n_extra_channels": 2**60, "aggregate_ticks": 2},
+    ],
+)
+def test_packaging_config_rejects_package_bits_beyond_int64(sizes):
+    with pytest.raises(ConfigError) as err:
+        PackagingConfig(**sizes)
+    for key, value in sizes.items():
+        assert f"cvim.{key}={value}" in str(err.value)
+    assert str(err.value).endswith("bits, beyond 64 bits")
+    # One byte less fits: 8 * (header + 16 * 3) is 2**63 - 8.
+    assert PackagingConfig(header_bytes=2**60 - 49).payload_bytes(3) * 8 == 2**63 - 8
+
+
 def test_owner_too_long():
     with pytest.raises(ValidationError):
         package("v", 0, [], PackagingConfig(owner="x" * 17))

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from car2cloud.engine import (
-    READ_CHUNK_BYTES,
     RESULTS_CSV_HEADER,
     SimConfig,
     TickTable,
@@ -25,7 +24,7 @@ from car2cloud.engine import (
 from car2cloud.cvim import PackagingConfig, count_packages_per_cell
 from car2cloud.errors import ConfigError, ParseError, ValidationError
 from car2cloud.linkrate import rb_rate
-from car2cloud.mobility import ID_FORBIDDEN_CHARS
+from car2cloud.mobility import ID_FORBIDDEN_CHARS, READ_CHUNK_BYTES
 from car2cloud.radio import BaseStation, LinkBudgetConfig
 from scalar_engine import run as scalar_run
 from trace_rows import trace_table
@@ -421,6 +420,41 @@ def test_run_names_the_first_row_with_a_bad_rate(value):
         f"vehicle 'b' at t=2: rate {100 / 3 * value!r} bit/s is not a finite, "
         "non-negative capacity"
     )
+
+
+@pytest.mark.parametrize(
+    "speeds, message",
+    [
+        # Nothing is sent: the ninth package of 2**60 - 4 bytes overflows.
+        ([0.0] * 10, f"vehicle 'b' at t=8: {9 * (2**60 - 4)} bytes queued and 0 bits sent"),
+        # Four packages wait, then the fifth tick sends them all at once.
+        (
+            [0.0] * 4 + [1.0],
+            f"vehicle 'b' at t=4: 0 bytes queued and {5 * 8 * (2**60 - 4)} bits sent",
+        ),
+    ],
+)
+def test_run_rejects_queue_totals_beyond_int64(speeds, message):
+    rows = [("a", t, 10.0, 0.0, 0.0) for t in range(3)]
+    rows += [("b", t, 20.0, 0.0, speed) for t, speed in enumerate(speeds)]
+    config = SimConfig(packaging=PackagingConfig(header_bytes=2**60 - 52))
+
+    def model(snr_db, speed):
+        return 1e300 * speed
+
+    with pytest.raises(ConfigError) as err:
+        run(config, trace_table(rows), STATION, rate_model=model)
+    assert str(err.value) == message + ", beyond 64 bits"
+
+
+@pytest.mark.parametrize("key", ["n_rb", "rb_limit"])
+@pytest.mark.parametrize("mode", ["fractional", "integer"])
+def test_rb_counts_beyond_float_range_are_config_errors(key, mode):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("", [f"cell.{key}=1{'0' * 400}", f"scheduler.mode={mode}"])
+    assert str(err.value) == f"cell.{key} is beyond the range of a float"
+    largest = int(1.7976931348623157e308)
+    assert parse_config_text("", [f"cell.{key}={largest}"]).effective_n_rb == largest
 
 
 def test_run_checks_package_metadata():

@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from car2cloud.errors import ConfigError
-from car2cloud.linkrate import RbRateParams, model_from_params, rb_rate, rb_rates
+from car2cloud.linkrate import RbRateParams, rb_rate, rb_rates
 from car2cloud.scheduler import vehicle_rate
 
 P = RbRateParams()
@@ -37,7 +38,7 @@ def test_penalty_saturates_beyond_vref():
 
 def test_cell_peak_rate_examples():
     # a user alone in a cell holds all n_rb blocks: n_rb * rb_rate
-    model = model_from_params(P)
+    model = partial(rb_rate, params=P)
     assert vehicle_rate(0, 20.0, 0.0, model) == 0.0
     assert vehicle_rate(100, 20.0, 0.0, model) == 100 * rb_rate(20.0, 0.0, P)
     assert vehicle_rate(100, 20.0, 0.0, model) == pytest.approx(71.9e6, rel=2e-3)
@@ -47,7 +48,7 @@ def test_cell_peak_rate_examples():
 
 def test_cell_peak_rate_negative_rb():
     with pytest.raises(ConfigError):
-        vehicle_rate(-1, 10.0, 0.0, model_from_params(P))
+        vehicle_rate(-1, 10.0, 0.0, partial(rb_rate, params=P))
 
 
 def test_monotone_in_snr_and_speed_random():
@@ -74,11 +75,6 @@ def test_saturation_constant_above_threshold():
     sat = P.eta_max * P.rb_bandwidth_hz
     assert rb_rate(30.0, 0.0, P) == pytest.approx(sat)
     assert rb_rate(60.0, 0.0, P) == rb_rate(30.0, 0.0, P)
-
-
-def test_model_from_params_matches_rb_rate():
-    model = model_from_params(P)
-    assert model(17.0, 12.0) == rb_rate(17.0, 12.0, P)
 
 
 def test_params_validation():

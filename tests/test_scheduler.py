@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from hypothesis import strategies as st
 
 from car2cloud.engine import SimConfig, run
 from car2cloud.errors import ConfigError
-from car2cloud.linkrate import RbRateParams, model_from_params, rb_rate
+from car2cloud.linkrate import RbRateParams, rb_rate
 from car2cloud.radio import BaseStation
 from car2cloud.scheduler import MODES, CellTickState, rr_allocate, rr_shares, vehicle_rate
 from trace_rows import trace_table
 
-MODEL = model_from_params(RbRateParams())
+MODEL = partial(rb_rate, params=RbRateParams())
 
 
 def deal_rbs(k: int, n_rb: int, offset: int) -> list[int]:
@@ -136,7 +137,7 @@ def test_vehicle_rate_examples():
 
 def test_vehicle_rate_of_params_model():
     params = RbRateParams()
-    model = model_from_params(params)
+    model = partial(rb_rate, params=params)
     assert vehicle_rate(4.0, 20.0, 0.0, model) == 4.0 * rb_rate(20.0, 0.0, params)
 
 

@@ -1,0 +1,213 @@
+"""The chunked trace CSV reader against the row-by-row reader it replaced.
+
+Every accepted input must give the same table, compared as emit_trace_csv
+bytes, and every rejected one the same exception type and message.
+"""
+
+import csv
+import io
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import trace_csv_oracle
+from car2cloud import mobility
+from car2cloud.errors import ParseError, ValidationError
+from car2cloud.mobility import READ_CHUNK_BYTES, emit_trace_csv, parse_trace_csv
+
+HEADER = "vehicle_id,t,x,y,speed\n"
+
+
+def outcome(parse, text: str, file_like: bool = False):
+    """emit_trace_csv text of parse(text), or the type and message it raised."""
+    if file_like:  # as the CLI opens files: line breaks left as they are
+        stream = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="")
+    else:
+        stream = io.StringIO(text)
+    try:
+        table = parse(stream)
+    except Exception as exc:  # noqa: BLE001 - the comparison covers any error
+        return type(exc), str(exc)
+    buf = io.StringIO()
+    emit_trace_csv(table, buf)
+    return buf.getvalue()
+
+
+def assert_same_as_oracle(text: str, file_like: bool = False):
+    expected = outcome(trace_csv_oracle.parse_trace_csv, text, file_like)
+    assert outcome(parse_trace_csv, text, file_like) == expected
+    return expected
+
+
+# Field values: mostly valid, plus each kind of bad or edge value a reader
+# must treat as the row-by-row reader does.
+IDS = ["a", "b", "veh1", "veh10", " c", "", '"a"', '"b"', '"a,b"', '"x""y"', 'p"q', "n\x00"]
+TICKS = ["0", "1", "2", " 3", "-1", "1.0", "x", "", "1_0", str(2**63), str(-(2**63) - 1)]
+FLOATS = ["0", "1.5", "-0.0", "20.25", " 2 ", "1e3", "-2", "nan", "inf", "-inf", "1e400", "east", ""]
+EDITS = ["id", "t", "value", "duplicate", "drop", "gap", "blank", "fields"]
+ENDINGS = [["\n"], ["\n"], ["\n"], ["\r\n"], ["\n", "\n", "\n", "\r\n", "\r"]]
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace CSV text: valid vehicles on a 1 Hz grid, then edits that may break it."""
+    rows = []
+    for vid in draw(st.lists(st.sampled_from(IDS[:5]), min_size=1, max_size=4, unique=True)):
+        start = draw(st.integers(0, 3))
+        for t in range(start, start + draw(st.integers(1, 6))):
+            x = draw(st.floats(-1e4, 1e4, allow_nan=False))
+            rows.append([vid, str(t), repr(x), "0.0", repr(draw(st.floats(0, 60)))])
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(EDITS))
+        if not rows[i]:  # a blank line stays blank
+            continue
+        if edit == "id":
+            rows[i] = [draw(st.sampled_from(IDS)), *rows[i][1:]]
+        elif edit == "t":
+            rows[i] = [rows[i][0], draw(st.sampled_from(TICKS)), *rows[i][2:]]
+        elif edit == "value":
+            k = draw(st.integers(2, 4))
+            rows[i] = [*rows[i][:k], draw(st.sampled_from(FLOATS)), *rows[i][k + 1:]]
+        elif edit == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+        elif edit == "drop" and len(rows) > 1:  # may open a 1 Hz gap
+            del rows[i]
+        elif edit == "gap" and rows[i][1].isdigit():
+            rows[i] = [rows[i][0], str(int(rows[i][1]) + 2), *rows[i][2:]]
+        elif edit == "blank":
+            rows.insert(i, [])
+        elif edit == "fields":
+            rows[i] = rows[i][:4] if draw(st.booleans()) else [*rows[i], "0"]
+    endings = draw(st.sampled_from(ENDINGS))  # mostly one kind of line break per file
+    ending = draw(st.lists(st.sampled_from(endings), min_size=len(rows), max_size=len(rows)))
+    text = HEADER + "".join(",".join(row) + end for row, end in zip(rows, ending))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=400, deadline=None)
+@given(trace_texts(), st.sampled_from([1, 40, 300, READ_CHUNK_BYTES]), st.booleans())
+def test_chunked_reader_matches_the_row_reader(text, chunk_bytes, file_like):
+    with mock.patch.object(mobility, "READ_CHUNK_BYTES", chunk_bytes):
+        assert_same_as_oracle(text, file_like)
+
+
+def valid_lines(n: int) -> list[str]:
+    """n valid rows of 100 vehicles, each on a 1 Hz grid from tick 0."""
+    return [f"veh{k % 100:04d},{k // 100},{k * 0.5!r},0.0,10.0\n" for k in range(n)]
+
+
+# Enough rows that the last third lies past the reader's first chunk.
+MANY = READ_CHUNK_BYTES // len(valid_lines(1)[0]) * 3 // 2
+
+
+def big_text(lines: list[str]) -> str:
+    text = HEADER + "".join(lines)
+    assert len(text) > 1.2 * READ_CHUNK_BYTES
+    return text
+
+
+def test_bad_line_past_the_first_chunk():
+    lines = valid_lines(MANY)
+    lines.insert(50, "\n")  # blank lines are skipped but counted
+    lines[MANY - 5] = "veh0001,7,0.0,north,10.0\n"
+    lines[MANY - 2] = ",9,0.0,0.0,10.0\n"  # a later error is not the one reported
+    expected = assert_same_as_oracle(big_text(lines))
+    assert expected == (ParseError, f"line {MANY - 3}: could not convert string to float: 'north'")
+
+
+def test_empty_id_past_the_first_chunk():
+    lines = valid_lines(MANY)
+    lines.insert(50, "\n")
+    lines[MANY - 5] = ",5000,0.0,0.0,10.0\n"
+    expected = assert_same_as_oracle(big_text(lines))
+    assert expected == (ParseError, f"line {MANY - 3}: empty vehicle_id")
+
+
+@pytest.mark.parametrize("later_bad_line", [False, True])
+@pytest.mark.parametrize("quoted", [False, True])
+def test_duplicate_rows_in_different_chunks(quoted, later_bad_line):
+    lines = valid_lines(MANY)
+    lines.insert(10, "\n")
+    lines.insert(20, "\n")
+    if quoted:  # the last chunk is read by csv.reader
+        lines[-2] = '"' + lines[-2].replace(",", '",', 1)
+    lines.append("\n")
+    lines.append(lines[30])  # repeats ('veh0028', 0), right after a blank line
+    repeat_line = len(lines) + 1
+    if later_bad_line:  # found after the repeat, so not the one reported
+        lines.append("veh0001,7,0.0,north,10.0\n")
+    expected = assert_same_as_oracle(big_text(lines))
+    assert expected == (ValidationError, f"line {repeat_line}: duplicate sample ('veh0028', t=0)")
+
+
+def test_duplicate_in_the_first_chunk_wins_over_a_later_bad_line():
+    lines = valid_lines(MANY)
+    lines.insert(5, "\n")
+    lines.insert(1000, lines[700])
+    lines.insert(2000, lines[600])  # a second, later repeat
+    lines[MANY - 5] = "veh0001,7,0.0,north,10.0\n"
+    expected = assert_same_as_oracle(big_text(lines))
+    assert expected == (ValidationError, "line 1002: duplicate sample ('veh0099', t=6)")
+
+
+def test_duplicates_in_one_chunk_name_the_first_repeating_line():
+    lines = valid_lines(MANY)
+    lines.insert(3, "\n")
+    lines.insert(900, lines[100])  # repeats an early sample, but late
+    lines.insert(500, lines[400])  # repeats a later sample, but early
+    expected = assert_same_as_oracle(big_text(lines))
+    assert expected == (ValidationError, "line 502: duplicate sample ('veh0099', t=3)")
+
+
+def test_quoted_row_past_the_first_chunk():
+    lines = valid_lines(MANY)
+    k = MANY - 100
+    lines[k] = '"' + lines[k].replace(",", '",', 1)
+    text = big_text(lines)
+    assert outcome(parse_trace_csv, text) == assert_same_as_oracle(text) == outcome(
+        parse_trace_csv, big_text(valid_lines(MANY))
+    )
+
+
+def test_carriage_returns_past_the_first_chunk():
+    lines = valid_lines(MANY)
+    for k in range(MANY - 100, MANY):
+        lines[k] = lines[k].replace("\n", "\r\n")
+    text = big_text(lines)
+    assert assert_same_as_oracle(text) == outcome(parse_trace_csv, big_text(valid_lines(MANY)))
+    assert assert_same_as_oracle(text, file_like=True) == outcome(parse_trace_csv, text)
+    vid, t, x, _ = lines[MANY - 90].split(",", 3)
+    lines[MANY - 90] = f"{vid},{t},{x}\r,0.0,10.0\r\n"
+    text = big_text(lines)
+    error, message = assert_same_as_oracle(text)
+    assert error is csv.Error and message.startswith("new-line character seen in unquoted field")
+    expected = assert_same_as_oracle(text, file_like=True)
+    assert expected == (ParseError, f"line {MANY - 88}: expected 5 fields, got 3")
+
+
+def test_lines_beyond_the_csv_field_limit():
+    limit = csv.field_size_limit()
+    long_zero = "0." + "0" * (limit // 2)
+    lines = valid_lines(MANY)
+    k = MANY - 100
+    vid, t, _ = lines[k].split(",", 2)
+    lines[k] = f"{vid},{t},{long_zero},{long_zero},10.0\n"  # every field fits
+    assert len(lines[k]) > limit
+    assert outcome(parse_trace_csv, big_text(lines)).count("\n") == MANY + 1
+    assert_same_as_oracle(big_text(lines))
+    lines[k] = f"{vid},{t},{long_zero}{'0' * limit},0.0,10.0\n"  # x does not fit
+    expected = assert_same_as_oracle(big_text(lines))
+    assert expected == (csv.Error, f"field larger than field limit ({limit})")
+
+
+def test_valid_input_gives_the_row_readers_table():
+    lines = valid_lines(MANY)
+    lines.insert(MANY // 2, "\n")
+    text = big_text(lines)
+    assert outcome(parse_trace_csv, text) == assert_same_as_oracle(text)
+    table = parse_trace_csv(io.StringIO(text))
+    assert len({id(vid) for vid in table.vehicle_id}) == 100
