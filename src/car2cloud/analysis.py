@@ -102,8 +102,13 @@ def plan_rb(
     that actually satisfies the demand so the feasibility round-trip
     vehicle_rate(rb_needed) >= required survives floating-point rounding.
     """
+    for name, value in (("required_rate", required_rate), ("snr_db", snr_db), ("speed", speed)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
     if required_rate < 0:
         raise ValidationError("required_rate must be non-negative")
+    if speed < 0:
+        raise ValidationError("speed must be non-negative")
     if required_rate == 0:
         return RbPlan(required_rate, snr_db, speed, 0)
     per_rb = rb_rate(snr_db, speed, params)

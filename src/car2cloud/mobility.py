@@ -9,13 +9,11 @@ Synthetic roads are either a straight strip along the x axis (vehicles
 injected at the origin) or a ring mapped onto a circle in the plane, so
 radio distances are always well defined.
 
-parse_trace_csv reads a trace CSV a chunk of about READ_CHUNK_BYTES at a
-time with parse_chunk, the column parser engine.read_results_csv shares:
-each chunk is split once, each column converted as a whole and each row
-check run on the columns.  From the first chunk csv.reader could read
-differently from a split on commas (a quote or carriage return, or a line
-beyond csv's field size limit), or in which a row fails a check, the rest
-of the file is read row by row by csv.reader, which names the bad line.
+parse_trace_csv reads a trace CSV with parse_chunk, the column parser
+engine.read_results_csv shares, a chunk of about READ_CHUNK_BYTES at a time.
+Where that gives up (on a file csv.reader could read otherwise than a split
+on commas, or on any bad row), it reads the file again from the start, row
+by row with csv.reader, which names the first bad line.
 """
 
 from __future__ import annotations
@@ -24,10 +22,9 @@ import csv
 import math
 import sys
 import xml.etree.ElementTree as ET
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -132,35 +129,17 @@ def join_chunks(chunks: list[list], converters: Sequence) -> list:
     return columns
 
 
-def _trace_table(
-    names: list[str],
-    code: np.ndarray,
-    t, x, y, speed,
-    line_of: Callable[[int], int] | None = None,
-) -> TraceTable:
+def _trace_table(names: list[str], code: np.ndarray, t, x, y, speed) -> TraceTable:
     """Samples of vehicles names[code] as a table in canonical order.
 
     ``t``, ``x``, ``y`` and ``speed`` are sequences or arrays, row for row
-    with ``code``.  Given ``line_of``, two samples of one vehicle at one
-    tick are an error naming line line_of(r) of the first row r that
-    repeats an earlier one; a 1 Hz gap, or a repeat where line_of is not
-    given, names the smallest vehicle id that has one, and its first gap.
+    with ``code``.  A 1 Hz gap, or a repeated sample, names the smallest
+    vehicle id that has one, and its first gap.
     """
     t = np.asarray(t, dtype=np.int64)
     order = np.lexsort((t, code))
     code, t = code[order], t[order]
-    same = code[1:] == code[:-1]
-    step = t[1:] - t[:-1]
-    if line_of is not None:
-        # A stable sort keeps repeats in row order behind their first sample.
-        repeats = np.flatnonzero(same & (step == 0)) + 1
-        if repeats.size:
-            i = int(repeats[np.argmin(order[repeats])])
-            raise ValidationError(
-                f"line {line_of(int(order[i]))}: duplicate sample "
-                f"({names[code[i]]!r}, t={t[i]})"
-            )
-    gaps = np.flatnonzero(same & (step != 1))
+    gaps = np.flatnonzero((code[1:] == code[:-1]) & (t[1:] - t[:-1] != 1))
     if gaps.size:
         i = int(gaps[0])
         raise ValidationError(
@@ -220,6 +199,8 @@ class RoadSpec:
             )
         if self.duration < 0:
             raise ConfigError("road.duration must be non-negative")
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ConfigError(f"sim.seed must be non-negative, got {self.seed}")
 
 
 def krauss_step(
@@ -494,39 +475,59 @@ def generate_traces(road: RoadSpec, params: KraussParams | None = None) -> Trace
     return _generate_ring(road, params)
 
 
-def _trace_chunk(lines: list[str], known: set[str]) -> list:
-    """Columns of a chunk of non-blank trace CSV lines, every row checked.
+def _read_chunks(stream: IO[str]) -> TraceTable:
+    """A trace CSV read by parse_chunk, READ_CHUNK_BYTES of lines at a time.
 
-    Raises ValueError, or OverflowError for an integer beyond int64, where
-    a row fails a check or where csv.reader could read the chunk otherwise
-    than a split on commas: where it holds a quote or carriage return, or a
-    line longer than csv's field size limit.  Without those, no id can hold
-    a character check_id forbids, so the check of the ids not in ``known``
-    is that none is empty; they join ``known`` once the whole chunk passes.
+    Gives up, raising ValueError, OverflowError or ValidationError without
+    naming a line, on a header other than ``vehicle_id,t,x,y,speed``, a
+    quote, a line break other than one closing ``\n`` or ``\r\n`` per line,
+    a line longer than csv's field size limit, a row that fails a check, a
+    repeated sample or a 1 Hz gap.  Without those a split on commas reads
+    each field as csv.reader does, and the only id check_id rejects is "".
     """
-    text = "".join(lines)
-    if '"' in text or "\r" in text or max(map(len, lines)) > csv.field_size_limit():
-        raise ValueError("a chunk for csv.reader")
-    columns = parse_chunk(lines, _TRACE_CONVERTERS)
-    vid, t, x, y, speed = columns
-    new = set(vid).difference(known)
-    if "" in new or not (
-        np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(speed).all()
-        and t.min() >= 0 and speed.min() >= 0
-    ):
-        raise ValueError("a row fails a check")
-    known |= new
-    return columns
+    header = ",".join(TRACE_CSV_HEADER)
+    if stream.readline() not in (header + "\n", header + "\r\n"):
+        raise ValueError("a header for csv.reader")
+    chunks: list[list] = []
+    while lines := stream.readlines(READ_CHUNK_BYTES):
+        text = "".join(lines)
+        if (
+            '"' in text
+            or text.count("\n") != len(lines) - (not text.endswith("\n"))
+            or ("\r" in text and text.count("\r") != text.count("\r\n"))
+            or max(map(len, lines)) > csv.field_size_limit()
+        ):
+            raise ValueError("a chunk for csv.reader")
+        if "\n" in lines or "\r\n" in lines:
+            lines = [line for line in lines if line not in ("\n", "\r\n")]
+        if lines:
+            vid, t, x, y, speed = chunk = parse_chunk(lines, _TRACE_CONVERTERS)
+            if "" in vid or not (
+                np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(speed).all()
+                and t.min() >= 0 and speed.min() >= 0
+            ):
+                raise ValueError("a row fails a check")
+            chunks.append(chunk)
+    vid, t, x, y, speed = join_chunks(chunks, _TRACE_CONVERTERS)
+    return _trace_table(*id_codes(vid), t, x, y, speed)
 
 
-def _read_rows(rows: Iterable[list[str]], lineno: int, known: set[str], seen: set) -> list:
-    """Columns of csv.reader ``rows``, the first at line ``lineno``, each checked as read.
+def _read_rows(stream: IO[str]) -> TraceTable:
+    """A trace CSV read row by row by csv.reader, each row checked as read.
 
-    ``known`` holds the ids and ``seen`` the (id, tick) samples accepted
-    before; ids are interned, as parse_chunk interns them.
+    The first bad line is named; ids are interned, as parse_chunk interns them.
     """
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("trace CSV is empty (missing header)") from None
+    if tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
+        raise ParseError(f"bad trace CSV header: {','.join(header)!r}")
     vids, ts, xs, ys, speeds = [], [], [], [], []
-    for lineno, row in enumerate(rows, start=lineno):
+    known: set[str] = set()
+    seen: set[tuple[str, int]] = set()
+    for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 5:
@@ -556,59 +557,28 @@ def _read_rows(rows: Iterable[list[str]], lineno: int, known: set[str], seen: se
         xs.append(x)
         ys.append(y)
         speeds.append(speed)
-    floats = (np.array(c, dtype=np.float64) for c in (xs, ys, speeds))
-    return [vids, np.array(ts, dtype=np.int64), *floats]
+    return _trace_table(*id_codes(vids), ts, xs, ys, speeds)
 
 
 def parse_trace_csv(stream: IO[str]) -> TraceTable:
     """Read a trace CSV (header ``vehicle_id,t,x,y,speed``), rows in any order.
 
-    Chunks of lines are read by _trace_chunk until one fails, and from that
-    chunk's first line on by _read_rows, seeded with the ids and samples
-    accepted before.  Either way the first bad line, in file order, is
-    named with the error a row-by-row csv.reader loop gives: a repeated
-    sample among the chunks comes before the rest, and is found by the
-    sort into canonical order.
+    Where the stream can seek back to where it starts, _read_chunks reads
+    it first; if that gives up, or the stream cannot seek back (it is not
+    seekable, or ``tell`` fails, as it does on a text file iterated with
+    ``next``), _read_rows reads it from the start.  Either way the table,
+    or the error and the line it names, is the row-by-row reader's.
     """
-    reader = csv.reader(stream)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("trace CSV is empty (missing header)") from None
-    if tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
-        raise ParseError(f"bad trace CSV header: {','.join(header)!r}")
-    chunks: list[list] = []
-    known: set[str] = set()
-    blanks: list[int] = []  # the number of rows before each blank line
-    n_rows, lineno = 0, 2
-
-    def line_of(row: int) -> int:
-        return 2 + row + bisect_right(blanks, row)
-
-    while lines := stream.readlines(READ_CHUNK_BYTES):
-        rows = lines
-        if "\n" in lines:
-            rows = []
-            for line in lines:
-                if line == "\n":
-                    blanks.append(n_rows + len(rows))
-                else:
-                    rows.append(line)
-        if rows:
-            try:
-                chunks.append(_trace_chunk(rows, known))
-            except (ValueError, OverflowError):
-                vid, t, x, y, speed = join_chunks(chunks, _TRACE_CONVERTERS)
-                seen = set(zip(vid, t.tolist()))
-                if len(seen) < n_rows:  # a repeat comes before this chunk: name it
-                    _trace_table(*id_codes(vid), t, x, y, speed, line_of)
-                rest = _read_rows(csv.reader(chain(lines, stream)), lineno, known, seen)
-                chunks = [[vid, t, x, y, speed], rest]
-                break
-        n_rows += len(rows)
-        lineno += len(lines)
-    vid, t, x, y, speed = join_chunks(chunks, _TRACE_CONVERTERS)
-    return _trace_table(*id_codes(vid), t, x, y, speed, line_of)
+        start = stream.tell() if stream.seekable() else None
+    except OSError:
+        start = None
+    if start is not None:
+        try:
+            return _read_chunks(stream)
+        except (ValueError, OverflowError, ValidationError):
+            stream.seek(start)
+    return _read_rows(stream)
 
 
 def emit_trace_csv(traces: TraceTable, stream: IO[str]) -> None:

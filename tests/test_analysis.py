@@ -170,6 +170,27 @@ def test_plan_rb_negative_demand():
         plan_rb(-1.0, 10.0, 0.0, P)
 
 
+@pytest.mark.parametrize(
+    "rate, snr, speed",
+    [
+        (math.inf, 10.0, 0.0),
+        (math.nan, 10.0, 0.0),
+        (-math.inf, 10.0, 0.0),
+        (1000.0, math.nan, 0.0),
+        (1000.0, math.inf, 0.0),
+        (1000.0, -math.inf, 0.0),
+        (1000.0, 10.0, math.nan),
+        (1000.0, 10.0, math.inf),
+        (1000.0, 10.0, -5.0),
+        (0.0, 10.0, -5.0),
+    ],
+)
+def test_plan_rb_rejects_non_finite_values_and_negative_speed(rate, snr, speed):
+    with pytest.raises(ValidationError) as exc:
+        plan_rb(rate, snr, speed, P)
+    assert not isinstance(exc.value, InfeasibleError)
+
+
 def test_plan_rb_feasibility_round_trip_random():
     rng = random.Random(9)
     checked = 0

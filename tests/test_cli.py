@@ -188,6 +188,37 @@ def test_seed_flag_overrides(workspace):
     assert out_a.read_text() == out_b.read_text()
 
 
+def test_negative_seed_is_a_config_error_for_gen_traces_only(workspace, capsys):
+    out = workspace / "traces.csv"
+    assert main(["gen-traces", "--config", str(workspace / "free.cfg"), "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert "sim.seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+    main(["gen-traces", "--config", str(workspace / "free.cfg"), "--out", str(out)])
+    # simulate draws no random numbers, so any seed is accepted
+    assert main(["simulate", "--config", str(workspace / "free.cfg"), "--seed", "-1",
+                 "--traces", str(out), "--stations", str(workspace / "stations.csv"),
+                 "--out-dir", str(workspace / "r")]) == 0
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--rate", "inf", "required_rate must be finite, got inf"),
+        ("--rate", "nan", "required_rate must be finite, got nan"),
+        ("--snr", "nan", "snr_db must be finite, got nan"),
+        ("--speed", "nan", "speed must be finite, got nan"),
+        ("--speed", "-5", "speed must be non-negative"),
+    ],
+)
+def test_plan_rejects_bad_numbers_with_exit_3(capsys, flag, value, message):
+    args = {"--rate": "50000", "--snr": "20", "--speed": "0", flag: value}
+    assert main(["plan", *[part for item in args.items() for part in item]]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_analyze_label_count_mismatch_exits_2(workspace):
     traces = workspace / "traces.csv"
     main(["gen-traces", "--config", str(workspace / "free.cfg"), "--out", str(traces)])
