@@ -7,7 +7,8 @@ the cases" therefore reads as the 5th percentile of the rate distribution.
 Statistics pool per-vehicle per-tick samples, not per-vehicle means.
 Rates come as a sequence or array, such as a TickTable's rate_bps column;
 they are sorted stably and summed left to right in sorted order, so the
-statistics do not depend on how the rates are held.
+statistics do not depend on how the rates are held.  write_cdf_csv formats
+the CDF with mobility.write_chunks, the loop the other CSV writers share.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import InfeasibleError, ValidationError
 from .linkrate import RbRateParams, rb_rate
+from .mobility import write_chunks
 
 PERCENTILES = (1, 5, 25, 50, 75, 95, 99)
 
@@ -186,8 +188,9 @@ def write_stats_json(
 
 def write_cdf_csv(points: Sequence[tuple[float, float]], stream: IO[str]) -> None:
     stream.write("rate_bps,cum_prob\n")
-    for rate, prob in points:
-        stream.write(f"{rate!r},{prob!r}\n")
+    write_chunks(
+        stream, len(points), lambda rows: "".join(f"{r!r},{p!r}\n" for r, p in points[rows])
+    )
 
 
 def write_cell_packages_csv(per_cell: dict[str, float], stream: IO[str]) -> None:

@@ -22,7 +22,9 @@ in Python per element, as numpy's may differ in the last ulp.  The queues are
 the only causal state, and they hold package sizes only; no output reads
 package contents.  All outputs are byte-identical across runs with equal
 inputs.  Results travel as one column table, TickTable, from run through
-the results CSV to the analysis.
+the results CSV to the analysis; the results CSV writer and reader run
+their chunks through mobility.ordered_map, so a second CPU formats or
+parses every other chunk.
 
 Config files are flat ``section.key = value`` text; unknown keys are
 rejected outright so typos cannot silently fall back to defaults.
@@ -34,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -49,7 +51,9 @@ from .mobility import (
     TraceTable,
     id_codes,
     join_chunks,
+    ordered_map,
     parse_chunk,
+    write_chunks,
 )
 from .radio import BaseStation, LinkBudgetConfig, best_link, link_snrs, screen_links
 
@@ -59,10 +63,6 @@ RESULTS_CSV_HEADER = (
 )
 
 
-# Rows per write call of write_results_csv, about 1 MB of text.  Float repr
-# is most of the cost, so larger chunks are no faster; their transient row
-# strings only raise the peak RSS of simulate.
-WRITE_CHUNK_ROWS = 1 << 13
 # Rows per call of the SNR and rate kernels: whole-table per-element Python
 # lists would raise the peak RSS of simulate with the table's size.
 KERNEL_BLOCK_ROWS = 1 << 14
@@ -362,11 +362,11 @@ def run(
 
 
 def write_results_csv(table: TickTable, stream: IO[str]) -> None:
-    """Write the table as results CSV, one write call per WRITE_CHUNK_ROWS rows."""
+    """Write the table as results CSV, with mobility.write_chunks."""
     stream.write(RESULTS_CSV_HEADER + "\n")
-    for start in range(0, len(table), WRITE_CHUNK_ROWS):
-        rows = slice(start, start + WRITE_CHUNK_ROWS)
-        stream.write("".join(
+
+    def format_rows(rows: slice) -> str:
+        return "".join(
             f"{t},{vid},{sid},{snr_db!r},{share!r},{rate!r},{generated},{sent},{queued}\n"
             for t, vid, sid, snr_db, share, rate, generated, sent, queued in zip(
                 table.t[rows].tolist(),
@@ -379,7 +379,9 @@ def write_results_csv(table: TickTable, stream: IO[str]) -> None:
                 table.bits_sent[rows].tolist(),
                 table.queue_bytes[rows].tolist(),
             )
-        ))
+        )
+
+    write_chunks(stream, len(table), format_rows)
 
 
 def _raise_first_bad_line(lines: list[str], first_lineno: int) -> None:
@@ -406,40 +408,56 @@ def _raise_first_bad_line(lines: list[str], first_lineno: int) -> None:
                 raise ParseError(f"line {lineno}: integer {parts[i]!r} exceeds 64 bits")
 
 
+def _numbered_chunks(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
+    """Each chunk of about READ_CHUNK_BYTES of lines, after its first line's number."""
+    lineno = 2  # the header is line 1
+    while lines := stream.readlines(READ_CHUNK_BYTES):
+        yield lineno, lines
+        lineno += len(lines)
+
+
+def _results_chunk(chunk: tuple[int, list[str]]) -> list | None:
+    """parse_chunk's columns of a numbered chunk of results lines, None if all are blank."""
+    lineno, lines = chunk
+    rows = [line for line in lines if line != "\n"]
+    if not rows:
+        return None
+    try:
+        return parse_chunk(rows, _CONVERTERS)
+    except (ValueError, OverflowError):
+        _raise_first_bad_line(lines, lineno)
+        raise
+
+
 def read_results_csv(stream: IO[str]) -> TickTable:
     """Read a results CSV written by write_results_csv into a TickTable.
 
-    Lines are read and converted a chunk of about READ_CHUNK_BYTES at a time:
-    each chunk is split once and every field column converted as a whole.
-    Blank lines are skipped, ids are interned, so each distinct id is held
-    once, and an integer beyond int64 is an error.  A chunk that does not
-    convert is read again line by line to name the first bad line.
+    Lines are read and converted a chunk of about READ_CHUNK_BYTES at a time,
+    through mobility.ordered_map: each chunk is split once and every field
+    column converted as a whole.  Blank lines are skipped, ids are interned,
+    so each distinct id is held once, and an integer beyond int64 is an
+    error.  A chunk that does not convert is read again line by line to name
+    the first bad line.
     """
     header = stream.readline().rstrip("\n")
     if header != RESULTS_CSV_HEADER:
         raise ParseError(f"bad results header: {header!r}")
-    chunks: list[list] = []
-    lineno = 2
-    while lines := stream.readlines(READ_CHUNK_BYTES):
-        rows = [line for line in lines if line != "\n"]
-        if rows:
-            try:
-                chunks.append(parse_chunk(rows, _CONVERTERS))
-            except (ValueError, OverflowError):
-                _raise_first_bad_line(lines, lineno)
-                raise
-        lineno += len(lines)
-    return TickTable(*join_chunks(chunks, _CONVERTERS))
+    chunks = ordered_map(_results_chunk, _numbered_chunks(stream))
+    return TickTable(*join_chunks(list(filter(None, chunks)), _CONVERTERS))
 
 
 def undelivered_bytes(table: TickTable) -> dict[str, int]:
-    """Bytes still queued at each vehicle's final tick (departed unsent)."""
-    final: dict[str, tuple[int, int]] = {}
-    for vid, t, queued in zip(table.vehicle_id, table.t.tolist(), table.queue_bytes.tolist()):
-        cur = final.get(vid)
-        if cur is None or t > cur[0]:
-            final[vid] = (t, queued)
-    return {vid: final[vid][1] for vid in sorted(final) if final[vid][1]}
+    """Bytes still queued at each vehicle's final tick (departed unsent).
+
+    Of rows with a vehicle's final tick, the first in row order counts.
+    """
+    names, vehicle = id_codes(table.vehicle_id)
+    n = len(vehicle)
+    # Rows by vehicle, then tick, with equal ticks in reverse row order, so
+    # the last of each vehicle's rows is the first at its final tick.
+    order = n - 1 - np.lexsort((table.t[::-1], vehicle[::-1]))
+    last = order[np.cumsum(np.bincount(vehicle, minlength=len(names))) - 1]
+    return {vid: q for vid, q in zip(names, table.queue_bytes[last].tolist()) if q}
 
 
 def summarize(config: SimConfig, table: TickTable) -> dict:

@@ -14,17 +14,27 @@ engine.read_results_csv shares, a chunk of about READ_CHUNK_BYTES at a time.
 Where that gives up (on a file csv.reader could read otherwise than a split
 on commas, or on any bad row), it reads the file again from the start, row
 by row with csv.reader, which names the first bad line.
+
+The CSV codecs (both readers, and write_chunks, the writer loop of
+emit_trace_csv, engine.write_results_csv and analysis.write_cdf_csv) run
+their chunks through ordered_map, which hands every other chunk to a forked
+worker when a second CPU is available.  Output bytes, tables and errors are
+the same either way.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import math
+import os
+import pickle
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import IO, Iterator, Sequence
+from functools import partial
+from itertools import chain, islice, repeat
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +54,11 @@ MAX_TICK = (1 << 63) - 1
 # Bytes of CSV lines read (and parsed) at a time by parse_trace_csv and
 # engine.read_results_csv.
 READ_CHUNK_BYTES = 1 << 20
+# Rows formatted per chunk by write_chunks, about 1 MB of results CSV text.
+# Float repr is most of the cost, so larger chunks are no faster; their
+# transient row strings only raise the peak RSS, and each chunk's text is
+# one message from ordered_map's worker.
+WRITE_CHUNK_ROWS = 1 << 13
 
 _DTYPES = {int: np.int64, float: np.float64}
 
@@ -118,15 +133,120 @@ def parse_chunk(lines: list[str], converters: Sequence) -> list:
 
 
 def join_chunks(chunks: list[list], converters: Sequence) -> list:
-    """Each column of parse_chunk's chunks, concatenated in chunk order."""
+    """Each column of parse_chunk's chunks, concatenated in chunk order.
+
+    Ids are interned again: a chunk unpickled from ordered_map's worker
+    holds copies of its own.
+    """
     columns: list = []
     for i, convert in enumerate(converters):
         parts = [chunk[i] for chunk in chunks]
         if convert is None:
-            columns.append(list(chain.from_iterable(parts)))
+            columns.append(list(map(sys.intern, chain.from_iterable(parts))))
         else:
             columns.append(np.concatenate(parts) if parts else np.zeros(0, _DTYPES[convert]))
     return columns
+
+
+def _send(pipe: IO[bytes], data: bytes) -> None:
+    """Write one message: its length, then its bytes."""
+    pipe.write(len(data).to_bytes(8, "little"))
+    pipe.write(data)
+    pipe.flush()
+
+
+def _receive(pipe: IO[bytes]) -> bytes | None:
+    """The next message _send wrote to the pipe, or None if the pipe ends first."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    return data if len(head) == 8 and len(data) == size else None
+
+
+_END = object()
+
+
+def ordered_map(fn: Callable, items: Iterable) -> Iterator:
+    """map(fn, items), with every odd item computed by a forked worker.
+
+    The worker is forked only where os.sched_getaffinity grants two CPUs or
+    more, and only for two items or more.  It has fn, and whatever fn
+    reads, through the fork; each odd item goes to it, and its result comes
+    back, pickled over a pipe, while this process computes the even item
+    before it.  An item the worker fails on, and every item after the
+    worker is gone, is computed here, so an exception is raised here, at
+    the item map would raise it at.  The worker leaves only through
+    os._exit, so it never flushes an inherited stream, and it is reaped
+    when the iteration ends, also when the consumer stops early.
+    """
+    items = iter(items)
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        yield from map(fn, items)
+        return
+    pair = list(islice(items, 2))
+    if len(pair) < 2:
+        yield from map(fn, pair)
+        return
+    even, odd = pair
+    del pair  # so that each item is freed once it is done with
+    down_r, down_w = os.pipe()
+    up_r, up_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: compute every item here
+        for fd in (down_r, down_w, up_r, up_w):
+            os.close(fd)
+        yield from map(fn, chain((even, odd), items))
+        return
+    if pid == 0:
+        try:
+            gc.disable()  # a collection could finalize, so flush, an inherited file
+            os.close(down_w)
+            os.close(up_r)
+            with os.fdopen(down_r, "rb") as inbox, os.fdopen(up_w, "wb") as outbox:
+                while (item := _receive(inbox)) is not None:
+                    try:
+                        reply = (True, fn(pickle.loads(item)))
+                        _send(outbox, pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+                    except Exception:
+                        _send(outbox, pickle.dumps((False, None)))
+        finally:
+            os._exit(0)
+    os.close(down_r)
+    os.close(up_w)
+    inbox, outbox = os.fdopen(up_r, "rb"), os.fdopen(down_w, "wb")
+    alive = True
+    try:
+        while odd is not _END:
+            # Kept pickled, so that its objects are freed before fn(even) runs.
+            odd = pickle.dumps(odd, pickle.HIGHEST_PROTOCOL)
+            if alive:
+                try:
+                    _send(outbox, odd)
+                except BrokenPipeError:
+                    alive = False
+            yield fn(even)
+            reply = _receive(inbox) if alive else None
+            alive = reply is not None
+            ok, result = pickle.loads(reply) if reply else (False, None)
+            yield result if ok else fn(pickle.loads(odd))
+            even = next(items, _END)
+            odd = next(items, _END)
+        if even is not _END:
+            yield fn(even)
+    finally:
+        try:
+            outbox.close()
+        except BrokenPipeError:  # what the worker did not read yet
+            pass
+        inbox.close()
+        os.waitpid(pid, 0)
+
+
+def write_chunks(stream: IO[str], n_rows: int, format_rows: Callable[[slice], str]) -> None:
+    """Write format_rows(rows) for each slice of WRITE_CHUNK_ROWS rows, in order."""
+    chunks = [slice(lo, lo + WRITE_CHUNK_ROWS) for lo in range(0, n_rows, WRITE_CHUNK_ROWS)]
+    stream.writelines(ordered_map(format_rows, chunks))
 
 
 def _trace_table(names: list[str], code: np.ndarray, t, x, y, speed) -> TraceTable:
@@ -475,6 +595,32 @@ def generate_traces(road: RoadSpec, params: KraussParams | None = None) -> Trace
     return _generate_ring(road, params)
 
 
+def _trace_chunk(lines: list[str]) -> list | None:
+    """parse_chunk's columns of a chunk of trace CSV lines, None if all are blank.
+
+    Raises ValueError or OverflowError where _read_chunks gives up.
+    """
+    text = "".join(lines)
+    if (
+        '"' in text
+        or text.count("\n") != len(lines) - (not text.endswith("\n"))
+        or ("\r" in text and text.count("\r") != text.count("\r\n"))
+        or max(map(len, lines)) > csv.field_size_limit()
+    ):
+        raise ValueError("a chunk for csv.reader")
+    if "\n" in lines or "\r\n" in lines:
+        lines = [line for line in lines if line not in ("\n", "\r\n")]
+    if not lines:
+        return None
+    vid, t, x, y, speed = chunk = parse_chunk(lines, _TRACE_CONVERTERS)
+    if "" in vid or not (
+        np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(speed).all()
+        and t.min() >= 0 and speed.min() >= 0
+    ):
+        raise ValueError("a row fails a check")
+    return chunk
+
+
 def _read_chunks(stream: IO[str]) -> TraceTable:
     """A trace CSV read by parse_chunk, READ_CHUNK_BYTES of lines at a time.
 
@@ -488,27 +634,8 @@ def _read_chunks(stream: IO[str]) -> TraceTable:
     header = ",".join(TRACE_CSV_HEADER)
     if stream.readline() not in (header + "\n", header + "\r\n"):
         raise ValueError("a header for csv.reader")
-    chunks: list[list] = []
-    while lines := stream.readlines(READ_CHUNK_BYTES):
-        text = "".join(lines)
-        if (
-            '"' in text
-            or text.count("\n") != len(lines) - (not text.endswith("\n"))
-            or ("\r" in text and text.count("\r") != text.count("\r\n"))
-            or max(map(len, lines)) > csv.field_size_limit()
-        ):
-            raise ValueError("a chunk for csv.reader")
-        if "\n" in lines or "\r\n" in lines:
-            lines = [line for line in lines if line not in ("\n", "\r\n")]
-        if lines:
-            vid, t, x, y, speed = chunk = parse_chunk(lines, _TRACE_CONVERTERS)
-            if "" in vid or not (
-                np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(speed).all()
-                and t.min() >= 0 and speed.min() >= 0
-            ):
-                raise ValueError("a row fails a check")
-            chunks.append(chunk)
-    vid, t, x, y, speed = join_chunks(chunks, _TRACE_CONVERTERS)
+    chunks = ordered_map(_trace_chunk, iter(partial(stream.readlines, READ_CHUNK_BYTES), []))
+    vid, t, x, y, speed = join_chunks(list(filter(None, chunks)), _TRACE_CONVERTERS)
     return _trace_table(*id_codes(vid), t, x, y, speed)
 
 
@@ -527,7 +654,11 @@ def _read_rows(stream: IO[str]) -> TraceTable:
     vids, ts, xs, ys, speeds = [], [], [], [], []
     known: set[str] = set()
     seen: set[tuple[str, int]] = set()
-    for lineno, row in enumerate(reader, start=2):
+    next_lineno = reader.line_num + 1
+    for row in reader:
+        # A record starts on the line after the last one read: a quoted
+        # field may hold line breaks.
+        lineno, next_lineno = next_lineno, reader.line_num + 1
         if not row:
             continue
         if len(row) != 5:
@@ -584,9 +715,15 @@ def parse_trace_csv(stream: IO[str]) -> TraceTable:
 def emit_trace_csv(traces: TraceTable, stream: IO[str]) -> None:
     """Write traces in the canonical CSV schema; round-trips via parse_trace_csv."""
     stream.write(",".join(TRACE_CSV_HEADER) + "\n")
-    columns = (traces.t.tolist(), traces.x.tolist(), traces.y.tolist(), traces.speed.tolist())
-    for vid, t, x, y, speed in zip(traces.vehicle_id, *columns):
-        stream.write(f"{vid},{t},{x!r},{y!r},{speed!r}\n")
+
+    def format_rows(rows: slice) -> str:
+        columns = (c[rows].tolist() for c in (traces.t, traces.x, traces.y, traces.speed))
+        return "".join(
+            f"{vid},{t},{x!r},{y!r},{speed!r}\n"
+            for vid, t, x, y, speed in zip(traces.vehicle_id[rows], *columns)
+        )
+
+    write_chunks(stream, len(traces), format_rows)
 
 
 def parse_fcd_xml(stream: IO) -> TraceTable:

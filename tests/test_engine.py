@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import math
 
 import numpy as np
@@ -572,6 +573,35 @@ def test_undelivered_bytes_takes_each_vehicles_last_tick():
         (3, "c", "bs0", 0.0, 1.0, 0.0, 1, 0, 7),
     ]
     assert undelivered_bytes(table_of(rows)) == {"a": 300, "c": 7}
+
+
+def undelivered_bytes_loop(table):
+    """The per-row loop undelivered_bytes replaced, as its oracle."""
+    final: dict[str, tuple[int, int]] = {}
+    for vid, t, queued in zip(table.vehicle_id, table.t.tolist(), table.queue_bytes.tolist()):
+        cur = final.get(vid)
+        if cur is None or t > cur[0]:
+            final[vid] = (t, queued)
+    return {vid: final[vid][1] for vid in sorted(final) if final[vid][1]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.integers(-3, 3) | st.sampled_from([-(2**63), 2**63 - 1]),
+        st.sampled_from(["a", "b", "veh10", "veh1000", "veh10000"]),
+        st.integers(0, 3) | st.integers(-(2**63), 2**63 - 1),
+    ),
+    max_size=30,
+))
+def test_undelivered_bytes_matches_the_row_loop(rows):
+    # Rows in any order, with repeated ticks: the first row at a vehicle's
+    # final tick counts.
+    table = table_of([(t, vid, "bs0", 0.0, 1.0, 0.0, 1, 0, q) for t, vid, q in rows])
+    result = undelivered_bytes(table)
+    assert result == undelivered_bytes_loop(table)
+    assert list(result) == sorted(result)
+    assert json.dumps(result) == json.dumps(undelivered_bytes_loop(table))
 
 
 @st.composite

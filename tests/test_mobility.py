@@ -408,6 +408,13 @@ def test_parse_trace_csv_rejects_delimiters_in_id(vid):
     assert "line 3" in str(err.value)
 
 
+def test_parse_trace_csv_counts_line_breaks_inside_quotes():
+    data = 'vehicle_id,t,x,y,speed\na,0,"1\n",0,1\na,1,2,0,1\na,2,oops,0,1\n'
+    with pytest.raises(ParseError) as err:
+        parse_trace_csv(io.StringIO(data))
+    assert str(err.value) == "line 5: could not convert string to float: 'oops'"
+
+
 @pytest.mark.parametrize("vid", ["a,b", "a&quot;b", "a&#10;b"])
 def test_parse_fcd_xml_rejects_delimiters_in_id(vid):
     xml = FCD.replace('id="v1"', f'id="{vid}"', 1)
