@@ -7,8 +7,7 @@ the cases" therefore reads as the 5th percentile of the rate distribution.
 Statistics pool per-vehicle per-tick samples, not per-vehicle means.
 Rates come as a sequence or array, such as a TickTable's rate_bps column;
 they are sorted stably and summed left to right in sorted order, so the
-statistics do not depend on how the rates are held.  write_cdf_csv formats
-the CDF with mobility.write_chunks, the loop the other CSV writers share.
+statistics do not depend on how the rates are held.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from .csvio import write_chunks
 from .errors import InfeasibleError, ValidationError
 from .linkrate import RbRateParams, rb_rate
-from .mobility import write_chunks
 
 PERCENTILES = (1, 5, 25, 50, 75, 95, 99)
 
@@ -187,9 +186,9 @@ def write_stats_json(
 
 
 def write_cdf_csv(points: Sequence[tuple[float, float]], stream: IO[str]) -> None:
-    stream.write("rate_bps,cum_prob\n")
     write_chunks(
-        stream, len(points), lambda rows: "".join(f"{r!r},{p!r}\n" for r, p in points[rows])
+        stream, "rate_bps,cum_prob", len(points),
+        lambda rows: "".join(f"{r!r},{p!r}\n" for r, p in points[rows]),
     )
 
 

@@ -22,9 +22,7 @@ in Python per element, as numpy's may differ in the last ulp.  The queues are
 the only causal state, and they hold package sizes only; no output reads
 package contents.  All outputs are byte-identical across runs with equal
 inputs.  Results travel as one column table, TickTable, from run through
-the results CSV to the analysis; the results CSV writer and reader run
-their chunks through mobility.ordered_map, so a second CPU formats or
-parses every other chunk.
+the results CSV, written and read with the csvio codec, to the analysis.
 
 Config files are flat ``section.key = value`` text; unknown keys are
 rejected outright so typos cannot silently fall back to defaults.
@@ -36,25 +34,16 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from . import cvim, scheduler
+from .csvio import read_columns, write_chunks
 from .cvim import PackagingConfig
 from .errors import ConfigError, ParseError, ValidationError
 from .linkrate import RateModel, RbRateParams, rb_rates
-from .mobility import (
-    READ_CHUNK_BYTES,
-    KraussParams,
-    RoadSpec,
-    TraceTable,
-    id_codes,
-    join_chunks,
-    ordered_map,
-    parse_chunk,
-    write_chunks,
-)
+from .mobility import KraussParams, RoadSpec, TraceTable, id_codes
 from .radio import BaseStation, LinkBudgetConfig, best_link, link_snrs, screen_links
 
 RESULTS_CSV_HEADER = (
@@ -67,7 +56,7 @@ RESULTS_CSV_HEADER = (
 # lists would raise the peak RSS of simulate with the table's size.
 KERNEL_BLOCK_ROWS = 1 << 14
 
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_INT64_MAX = (1 << 63) - 1
 # Conversion of each results CSV field: ids (None) are kept as read.
 _CONVERTERS = (int, None, None, float, float, float, int, int, int)
 
@@ -230,7 +219,11 @@ def build_config(values: dict[str, str]) -> SimConfig:
 
 
 def load_config(path: str | Path, overrides: Sequence[str] = ()) -> SimConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"), overrides)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
+    return parse_config_text(text, overrides)
 
 
 def config_echo(config: SimConfig) -> dict[str, str]:
@@ -362,8 +355,7 @@ def run(
 
 
 def write_results_csv(table: TickTable, stream: IO[str]) -> None:
-    """Write the table as results CSV, with mobility.write_chunks."""
-    stream.write(RESULTS_CSV_HEADER + "\n")
+    """Write the table as results CSV, with csvio.write_chunks."""
 
     def format_rows(rows: slice) -> str:
         return "".join(
@@ -381,69 +373,15 @@ def write_results_csv(table: TickTable, stream: IO[str]) -> None:
             )
         )
 
-    write_chunks(stream, len(table), format_rows)
-
-
-def _raise_first_bad_line(lines: list[str], first_lineno: int) -> None:
-    """Raise ParseError for the first line of a chunk that cannot be read.
-
-    Runs only once the columnar reading of the chunk failed, and goes line
-    by line, so the error names the line and field a row reader would.
-    """
-    for lineno, line in enumerate(lines, start=first_lineno):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 9:
-            raise ParseError(f"line {lineno}: expected 9 fields, got {len(parts)}")
-        for i, convert in enumerate(_CONVERTERS):
-            if convert is None:
-                continue
-            try:
-                value = convert(parts[i])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            if convert is int and not _INT64_MIN <= value <= _INT64_MAX:
-                raise ParseError(f"line {lineno}: integer {parts[i]!r} exceeds 64 bits")
-
-
-def _numbered_chunks(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
-    """Each chunk of about READ_CHUNK_BYTES of lines, after its first line's number."""
-    lineno = 2  # the header is line 1
-    while lines := stream.readlines(READ_CHUNK_BYTES):
-        yield lineno, lines
-        lineno += len(lines)
-
-
-def _results_chunk(chunk: tuple[int, list[str]]) -> list | None:
-    """parse_chunk's columns of a numbered chunk of results lines, None if all are blank."""
-    lineno, lines = chunk
-    rows = [line for line in lines if line != "\n"]
-    if not rows:
-        return None
-    try:
-        return parse_chunk(rows, _CONVERTERS)
-    except (ValueError, OverflowError):
-        _raise_first_bad_line(lines, lineno)
-        raise
+    write_chunks(stream, RESULTS_CSV_HEADER, len(table), format_rows)
 
 
 def read_results_csv(stream: IO[str]) -> TickTable:
-    """Read a results CSV written by write_results_csv into a TickTable.
-
-    Lines are read and converted a chunk of about READ_CHUNK_BYTES at a time,
-    through mobility.ordered_map: each chunk is split once and every field
-    column converted as a whole.  Blank lines are skipped, ids are interned,
-    so each distinct id is held once, and an integer beyond int64 is an
-    error.  A chunk that does not convert is read again line by line to name
-    the first bad line.
-    """
+    """Read a results CSV written by write_results_csv, with csvio.read_columns."""
     header = stream.readline().rstrip("\n")
     if header != RESULTS_CSV_HEADER:
         raise ParseError(f"bad results header: {header!r}")
-    chunks = ordered_map(_results_chunk, _numbered_chunks(stream))
-    return TickTable(*join_chunks(list(filter(None, chunks)), _CONVERTERS))
+    return TickTable(*read_columns(stream, _CONVERTERS))
 
 
 def undelivered_bytes(table: TickTable) -> dict[str, int]:

@@ -19,8 +19,8 @@ from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .csvio import check_id, records
 from .errors import ConfigError, ParseError, ValidationError
-from .mobility import check_id
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
@@ -259,7 +259,7 @@ def parse_stations_csv(stream: IO[str]) -> list[BaseStation]:
         raise ParseError(f"bad station CSV header: {','.join(header)!r}")
     stations: list[BaseStation] = []
     seen: set[str] = set()
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in records(reader):
         if not row:
             continue
         if len(row) != len(header):

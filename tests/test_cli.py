@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -345,6 +347,67 @@ def test_simulate_rejects_comma_in_vehicle_id(tmp_path, capsys):
     assert code == 3
     assert "line 2" in capsys.readouterr().err
     assert not (tmp_path / "o" / "results.csv").exists()
+
+
+INPUTS = {
+    "run.cfg": "sim.seed = 3\n",
+    "traces.csv": "vehicle_id,t,x,y,speed\nv1,0,0,0,1\nv1,1,1,0,1\n",
+    "stations.csv": STATIONS,
+    "results.csv": RESULTS_HEADER + "0,v1,bs0,1.0,1.0,5.0,1,0,0\n1,v1,bs0,1.0,1.0,5.0,1,0,0\n",
+}
+COMMANDS = {
+    "gen-traces": ["gen-traces", "--config", "run.cfg", "--out", "out.csv"],
+    "simulate": [
+        "simulate", "--config", "run.cfg", "--traces", "traces.csv",
+        "--stations", "stations.csv", "--out-dir", "out",
+    ],
+    "analyze": ["analyze", "results.csv", "--out-dir", "out"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, name, code, message",
+    [
+        ("simulate", "traces.csv", 3, "input error: 'utf-8' codec can't decode byte 0xff"),
+        ("simulate", "stations.csv", 3, "input error: 'utf-8' codec can't decode byte 0xff"),
+        ("analyze", "results.csv", 3, "input error: 'utf-8' codec can't decode byte 0xff"),
+        ("gen-traces", "run.cfg", 2, "configuration error: config file run.cfg is not UTF-8"),
+        ("simulate", "run.cfg", 2, "configuration error: config file run.cfg is not UTF-8"),
+    ],
+)
+def test_input_that_is_not_utf8(tmp_path, monkeypatch, capsys, command, name, code, message):
+    monkeypatch.chdir(tmp_path)
+    for path, text in INPUTS.items():
+        (tmp_path / path).write_text(text, encoding="utf-8")
+    data = (tmp_path / name).read_bytes()
+    (tmp_path / name).write_bytes(data[:-8] + b"\xff" + data[-8:])  # in the last line
+    assert main(COMMANDS[command]) == code
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("simulate", "traces.csv"),
+        ("simulate", "stations.csv"),
+        ("analyze", "results.csv"),
+        ("gen-traces", "run.cfg"),
+    ],
+)
+@pytest.mark.parametrize("missing", [False, True])
+def test_input_that_is_a_directory_exits_3_like_a_missing_one(
+    tmp_path, monkeypatch, capsys, command, name, missing
+):
+    monkeypatch.chdir(tmp_path)
+    for path, text in INPUTS.items():
+        if path != name:
+            (tmp_path / path).write_text(text, encoding="utf-8")
+    if not missing:
+        (tmp_path / name).mkdir()
+    assert main(COMMANDS[command]) == 3
+    error = errno.ENOENT if missing else errno.EISDIR
+    expected = f"input error: [Errno {error}] {os.strerror(error)}: '{name}'"
+    assert capsys.readouterr().err.startswith(expected)
 
 
 RING_CFG = """

@@ -1,4 +1,4 @@
-"""mobility.ordered_map and the CSV codecs that run on it, with and without a worker.
+"""csvio.ordered_map and the CSV codecs that run on it, with and without a worker.
 
 Each test runs both paths: os.sched_getaffinity patched to one CPU (plain
 map) and to two (a forked worker computes every odd item).  Results, bytes
@@ -13,8 +13,9 @@ import pytest
 
 import trace_csv_oracle
 from car2cloud import analysis, cli, engine
+from car2cloud.csvio import READ_CHUNK_BYTES, ordered_map
 from car2cloud.errors import ParseError
-from car2cloud.mobility import READ_CHUNK_BYTES, ordered_map, parse_trace_csv
+from car2cloud.mobility import parse_trace_csv
 from test_engine import MANY as RESULT_LINES
 from test_engine import results_lines
 from test_trace_csv import HEADER, outcome, valid_lines

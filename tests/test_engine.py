@@ -2,12 +2,14 @@ import hashlib
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from car2cloud import csvio
 from car2cloud.engine import (
     RESULTS_CSV_HEADER,
     SimConfig,
@@ -22,10 +24,10 @@ from car2cloud.engine import (
     write_results_csv,
     write_summary_json,
 )
+from car2cloud.csvio import ID_FORBIDDEN_CHARS, READ_CHUNK_BYTES
 from car2cloud.cvim import PackagingConfig, count_packages_per_cell
 from car2cloud.errors import ConfigError, ParseError, ValidationError
 from car2cloud.linkrate import rb_rate
-from car2cloud.mobility import ID_FORBIDDEN_CHARS, READ_CHUNK_BYTES
 from car2cloud.radio import BaseStation, LinkBudgetConfig
 from scalar_engine import run as scalar_run
 from trace_rows import trace_table
@@ -493,12 +495,49 @@ def assert_tables_equal(a, b):
         assert column_a == column_b, name
 
 
+CHUNK_BYTES = [1, 40, 300, READ_CHUNK_BYTES]
+ROW = (3, "v", "bs", 0.5, 1.0, 2.0, 1, 0, 0)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(TICK_ROWS, max_size=5))
-def test_results_csv_round_trip_property(rows):
+@given(
+    st.lists(TICK_ROWS, max_size=5),
+    st.lists(st.integers(0, 2), min_size=6, max_size=6),
+    st.integers(-1, 4),
+    st.sampled_from(CHUNK_BYTES),
+)
+@example([ROW] * 4, [0, 2, 1, 0, 2, 0], -1, 1)
+@example([ROW] * 4, [0, 2, 1, 0, 2, 0], 3, 1)
+@example([ROW] * 4, [0, 2, 1, 0, 2, 0], 3, 40)
+@example([ROW] * 4, [0, 2, 1, 0, 2, 0], 3, 300)
+@example([ROW] * 4, [0, 2, 1, 0, 2, 0], 3, READ_CHUNK_BYTES)
+def test_results_csv_round_trip_property(rows, blanks, bad, chunk_bytes):
+    """A table read back at every chunk size, around blank lines and a bad field.
+
+    blanks[i] blank lines go before row i (the last entry: after the last
+    row); at 1 and 40 bytes they fill whole chunks.  Row bad, if any, gets a
+    bad rb_share, and the error must name its line.
+    """
     results = table_of(rows)
     text = csv_text(results)
-    back = read_results_csv(io.StringIO(text))
+    header, *lines = text.split("\n")[:-1]
+    edited, bad_lineno = [header], None
+    for i, line in enumerate(lines):
+        edited += [""] * blanks[i]
+        if i == bad:
+            parts = line.split(",")
+            line = ",".join([*parts[:4], "half", *parts[5:]])
+            bad_lineno = len(edited) + 1
+        edited.append(line)
+    edited += [""] * blanks[len(lines)]
+    stream = io.StringIO("\n".join(edited) + "\n")
+    with mock.patch.object(csvio, "READ_CHUNK_BYTES", chunk_bytes):
+        if bad_lineno is not None:
+            with pytest.raises(ParseError) as err:
+                read_results_csv(stream)
+            assert str(err.value) == f"line {bad_lineno}: could not convert string to float: 'half'"
+            return
+        back = read_results_csv(stream)
     assert_tables_equal(back, results)
     assert csv_text(back) == text  # bit for bit, -0.0 included
 

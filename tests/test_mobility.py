@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from car2cloud.csvio import ID_FORBIDDEN_CHARS
 from car2cloud.errors import ConfigError, ParseError, SimulationError, ValidationError
 from car2cloud.mobility import (
-    ID_FORBIDDEN_CHARS,
     KraussParams,
     RoadSpec,
     emit_trace_csv,

@@ -228,6 +228,13 @@ def test_parse_stations_csv_rejects_empty_id():
     assert "line 3: empty station_id" in str(err.value)
 
 
+def test_parse_stations_csv_names_the_line_a_record_starts_on():
+    # The quoted field of line 2 holds a line break, so bs1's record starts on line 4.
+    with pytest.raises(ParseError) as err:
+        parse_stations_csv(io.StringIO('station_id,x,y\nbs0,"1\n",2\nbs1,1,oops\n'))
+    assert str(err.value) == "line 4: could not convert string to float: 'oops'"
+
+
 def test_parse_stations_csv_rejects_non_finite():
     with pytest.raises(ValidationError) as err:
         parse_stations_csv(io.StringIO("station_id,x,y\nbs1,nan,0\n"))

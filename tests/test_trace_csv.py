@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trace_csv_oracle
-from car2cloud import mobility
+from car2cloud import csvio
+from car2cloud.csvio import READ_CHUNK_BYTES
 from car2cloud.errors import ParseError, ValidationError
-from car2cloud.mobility import READ_CHUNK_BYTES, emit_trace_csv, parse_trace_csv
+from car2cloud.mobility import emit_trace_csv, parse_trace_csv
 
 HEADER = "vehicle_id,t,x,y,speed\n"
 
@@ -91,7 +92,7 @@ def trace_texts(draw):
 @settings(max_examples=400, deadline=None)
 @given(trace_texts(), st.sampled_from([1, 40, 300, READ_CHUNK_BYTES]), st.booleans())
 def test_chunked_reader_matches_the_row_reader(text, chunk_bytes, file_like):
-    with mock.patch.object(mobility, "READ_CHUNK_BYTES", chunk_bytes):
+    with mock.patch.object(csvio, "READ_CHUNK_BYTES", chunk_bytes):
         assert_same_as_oracle(text, file_like)
 
 

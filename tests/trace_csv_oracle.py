@@ -16,7 +16,8 @@ from typing import IO
 import numpy as np
 
 from car2cloud.errors import ParseError, ValidationError
-from car2cloud.mobility import MAX_TICK, TRACE_CSV_HEADER, TraceTable, check_id, id_codes
+from car2cloud.csvio import check_id
+from car2cloud.mobility import MAX_TICK, TRACE_CSV_HEADER, TraceTable, id_codes
 
 
 def _trace_table(names: list[str], code: np.ndarray, t, x, y, speed) -> TraceTable:
