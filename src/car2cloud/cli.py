@@ -46,6 +46,18 @@ def _load_config(args: argparse.Namespace) -> engine.SimConfig:
     return engine.parse_config_text("", overrides)
 
 
+def _read(path: str | Path, reader):
+    """reader applied to the UTF-8 text file at path; text that is not UTF-8 is bad input."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return reader(fh)
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoder's current block, not the file's start.
+        raise ValidationError(
+            f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"
+        ) from None
+
+
 def _cmd_gen_traces(args: argparse.Namespace) -> int:
     config = _load_config(args)
     traces = mobility.generate_traces(config.road_spec(), config.krauss)
@@ -57,10 +69,8 @@ def _cmd_gen_traces(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    with open(args.traces, encoding="utf-8", newline="") as fh:
-        traces = mobility.parse_trace_csv(fh)
-    with open(args.stations, encoding="utf-8", newline="") as fh:
-        stations = radio.parse_stations_csv(fh)
+    traces = _read(args.traces, mobility.parse_trace_csv)
+    stations = _read(args.stations, radio.parse_stations_csv)
     table = engine.run(config, traces, stations)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -93,8 +103,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     all_stats: list[analysis.RateStats] = []
     for i, (path, label) in enumerate(zip(paths, labels)):
-        with open(path, encoding="utf-8", newline="") as fh:
-            table = engine.read_results_csv(fh)
+        table = _read(path, engine.read_results_csv)
         if not len(table):
             raise ValidationError(f"results file {path} holds no tick rows")
         all_stats.append(analysis.rate_stats(table.rate_bps, label))
@@ -180,7 +189,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValidationError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
+    except (ValidationError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # exit-code contract: anything else is internal

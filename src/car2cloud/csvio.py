@@ -36,6 +36,9 @@ WRITE_CHUNK_ROWS = 1 << 13
 
 _DTYPES = {int: np.int64, float: np.float64}
 
+# Lines read_columns skips: a blank line, closed by LF or by CRLF.
+BLANK_LINES = ("\n", "\r\n")
+
 
 def check_id(value: str, where: str, what: str) -> None:
     """Reject an id that is empty or that a CSV output could not hold as one field."""
@@ -97,13 +100,13 @@ def join_chunks(chunks: list[list], converters: Sequence) -> list:
     return columns
 
 
-def _raise_bad_line(lines: list[str], lineno: int, converters: Sequence, blank: tuple) -> None:
+def _raise_bad_line(lines: list[str], lineno: int, converters: Sequence) -> None:
     """Raise ParseError naming the first of these lines, from line lineno, that cannot be read.
 
     Goes line by line, so the error names the line and field a row reader would.
     """
     for lineno, line in enumerate(lines, start=lineno):
-        if line in blank:
+        if line in BLANK_LINES:
             continue
         parts = line.rstrip("\n").split(",")
         if len(parts) != len(converters):
@@ -119,13 +122,11 @@ def _raise_bad_line(lines: list[str], lineno: int, converters: Sequence, blank: 
                 raise ParseError(f"line {lineno}: integer {part!r} exceeds 64 bits")
 
 
-def read_columns(
-    stream: IO[str], converters: Sequence, check: Callable | None = None, blank: tuple = ("\n",)
-) -> list:
+def read_columns(stream: IO[str], converters: Sequence, check: Callable | None = None) -> list:
     """The columns of the CSV lines after a one-line header, one per converter.
 
     Lines are read about READ_CHUNK_BYTES at a time and each chunk goes
-    through ordered_map: the lines in blank are skipped, the rest parsed by
+    through ordered_map: blank lines are skipped, the rest parsed by
     parse_chunk and then passed, with their columns, to check, which may
     raise.  A chunk that does not parse raises ParseError naming its first
     bad line, the header being line 1.
@@ -133,13 +134,13 @@ def read_columns(
 
     def read_chunk(chunk: tuple[int, list[str]]) -> list | None:
         lineno, lines = chunk
-        rows = [line for line in lines if line not in blank]
+        rows = [line for line in lines if line not in BLANK_LINES]
         if not rows:
             return None
         try:
             columns = parse_chunk(rows, converters)
         except (ValueError, OverflowError):
-            _raise_bad_line(lines, lineno, converters, blank)
+            _raise_bad_line(lines, lineno, converters)
             raise
         if check is not None:
             check(rows, columns)

@@ -134,6 +134,13 @@ class PackagingConfig:
                 f"cvim.aggregate_ticks={self.aggregate_ticks} give packages of {bits} bits, "
                 "beyond 64 bits"
             )
+        # The metadata PackageMeta puts on the wire.
+        if len(self.owner.encode("utf-8")) > 16:
+            raise ConfigError(f"cvim.owner must be at most 16 bytes of UTF-8, got {self.owner!r}")
+        if self.privacy_level not in PRIVACY_LEVELS:
+            raise ConfigError(
+                f"cvim.privacy_level must be one of {PRIVACY_LEVELS}, got {self.privacy_level!r}"
+            )
 
     @property
     def records_per_tick(self) -> int:

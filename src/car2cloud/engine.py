@@ -4,8 +4,8 @@ The traces come in as one mobility.TraceTable, whose rows one lexsort puts
 in (tick, vehicle id) order.  run computes each results column for all rows
 with array kernels that give the scalar formulas' bits:
 
-- association: a numpy screen per tick (radio.screen_links) picks each
-  vehicle's best-SNR station; rows it cannot decide go to radio.best_link;
+- association: a numpy screen (radio.screen_links) picks each vehicle's
+  best-SNR station; rows it cannot decide go to radio.best_link;
 - radio.link_snrs: the SNR to that station, as radio.snr computes it;
 - scheduler.rr_shares: the vehicle's Round-Robin share of its cell's
   resource blocks, as scheduler.rr_allocate deals them;
@@ -52,8 +52,9 @@ RESULTS_CSV_HEADER = (
 )
 
 
-# Rows per call of the SNR and rate kernels: whole-table per-element Python
-# lists would raise the peak RSS of simulate with the table's size.
+# Rows per call of the SNR and rate kernels, and values per call of the
+# association screen: whole-table arrays and per-element Python lists would
+# raise the peak RSS of simulate with the table's size.
 KERNEL_BLOCK_ROWS = 1 << 14
 
 _INT64_MAX = (1 << 63) - 1
@@ -126,38 +127,31 @@ class SimConfig:
         return replace(self.road, seed=self.seed)
 
 
-# Flat config registry: dotted key -> (group attr, field name, type name).
-def _registry() -> dict[str, tuple[str, str, str]]:
-    reg: dict[str, tuple[str, str, str]] = {}
-    groups = {
-        "road": RoadSpec,
-        "krauss": KraussParams,
-        "link": LinkBudgetConfig,
-        "linkrate": RbRateParams,
-        "cvim": PackagingConfig,
-    }
-    attr_of = {
-        "road": "road",
-        "krauss": "krauss",
-        "link": "link",
-        "linkrate": "rate",
-        "cvim": "packaging",
-    }
-    for section, cls in groups.items():
-        for f in fields(cls):
-            if section == "road" and f.name == "seed":
-                continue  # the run seed is sim.seed
-            reg[f"{section}.{f.name}"] = (attr_of[section], f.name, f.type)
-    reg["cell.n_rb"] = ("", "n_rb", "int")
-    reg["cell.rb_limit"] = ("", "rb_limit", "int")
-    reg["scheduler.mode"] = ("", "scheduler_mode", "str")
-    reg["sim.tick"] = ("", "tick", "int")
-    reg["sim.seed"] = ("", "seed", "int")
-    reg["sim.scenario_label"] = ("", "scenario_label", "str")
-    return reg
-
-
-_CONFIG_KEYS = _registry()
+# Config sections of the parameter groups -> SimConfig attribute, in the
+# order build_config builds them; each group's class is its default factory.
+_SECTIONS = {
+    "road": "road", "krauss": "krauss", "link": "link", "linkrate": "rate", "cvim": "packaging"
+}
+# SimConfig's own keys -> SimConfig attribute.
+_OWN_KEYS = {
+    "cell.n_rb": "n_rb",
+    "cell.rb_limit": "rb_limit",
+    "scheduler.mode": "scheduler_mode",
+    "sim.tick": "tick",
+    "sim.seed": "seed",
+    "sim.scenario_label": "scenario_label",
+}
+_SIM_FIELDS = {f.name: f for f in fields(SimConfig)}
+# Flat config registry: dotted key -> (group attr or "", field name, type name).
+_CONFIG_KEYS = {
+    **{
+        f"{section}.{f.name}": (attr, f.name, f.type)
+        for section, attr in _SECTIONS.items()
+        for f in fields(_SIM_FIELDS[attr].default_factory)
+        if (section, f.name) != ("road", "seed")  # the run seed is sim.seed
+    },
+    **{key: ("", name, _SIM_FIELDS[name].type) for key, name in _OWN_KEYS.items()},
+}
 
 
 def _cast(key: str, raw: str, type_name: str):
@@ -197,25 +191,15 @@ def parse_config_text(text: str, overrides: Sequence[str] = ()) -> SimConfig:
 
 
 def build_config(values: dict[str, str]) -> SimConfig:
-    group_kwargs: dict[str, dict] = {"road": {}, "krauss": {}, "link": {}, "rate": {}, "packaging": {}}
-    top_kwargs: dict = {}
+    kwargs: dict[str, dict] = {attr: {} for attr in ("", *_SECTIONS.values())}
     for key, raw in values.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key: {key}")
         attr, field_name, type_name = _CONFIG_KEYS[key]
-        value = _cast(key, raw, type_name)
-        if attr:
-            group_kwargs[attr][field_name] = value
-        else:
-            top_kwargs[field_name] = value
-    return SimConfig(
-        road=RoadSpec(**group_kwargs["road"]),
-        krauss=KraussParams(**group_kwargs["krauss"]),
-        link=LinkBudgetConfig(**group_kwargs["link"]),
-        rate=RbRateParams(**group_kwargs["rate"]),
-        packaging=PackagingConfig(**group_kwargs["packaging"]),
-        **top_kwargs,
-    )
+        kwargs[attr][field_name] = _cast(key, raw, type_name)
+    own = kwargs.pop("")
+    groups = {attr: _SIM_FIELDS[attr].default_factory(**group) for attr, group in kwargs.items()}
+    return SimConfig(**groups, **own)
 
 
 def load_config(path: str | Path, overrides: Sequence[str] = ()) -> SimConfig:
@@ -247,8 +231,6 @@ def run(
     if not stations:
         raise ConfigError("simulation needs at least one base station")
     pkg_cfg = config.packaging
-    # Package metadata is checked here once, as no package object is built.
-    cvim.PackageMeta(owner=pkg_cfg.owner, privacy_level=pkg_cfg.privacy_level)
 
     names, vehicle = id_codes(traces.vehicle_id)
     order = np.lexsort((vehicle, traces.t))
@@ -262,18 +244,17 @@ def run(
         )
     n = len(ticks)
 
-    # Association, one tick at a time (a whole-table screen would hold an
-    # n x stations matrix): rows the screen cannot decide go to best_link.
+    # Association, in blocks of rows whose rows x stations screen matrix
+    # holds KERNEL_BLOCK_ROWS values: rows it cannot decide go to best_link.
     serving = np.empty(n, dtype=np.int64)
     station_index = {id(s): i for i, s in enumerate(stations)}
-    _, starts = np.unique(ticks, return_index=True)
-    bounds = [*starts.tolist(), n]
-    for start, stop in zip(bounds, bounds[1:]):
-        winners, unsure = screen_links(state[start:stop, :2], stations, config.link)
+    step = max(1, KERNEL_BLOCK_ROWS // len(stations))
+    for lo in range(0, n, step):
+        winners, unsure = screen_links(state[lo : lo + step, :2], stations, config.link)
         for i in np.flatnonzero(unsure).tolist():
-            station, _ = best_link(tuple(state[start + i, :2].tolist()), stations, config.link)
+            station, _ = best_link(tuple(state[lo + i, :2].tolist()), stations, config.link)
             winners[i] = station_index[id(station)]
-        serving[start:stop] = winners
+        serving[lo : lo + step] = winners
     station_ids = [s.station_id for s in stations]
     _, cell = id_codes(station_ids)
     shares = scheduler.rr_shares(
@@ -377,10 +358,13 @@ def write_results_csv(table: TickTable, stream: IO[str]) -> None:
 
 
 def read_results_csv(stream: IO[str]) -> TickTable:
-    """Read a results CSV written by write_results_csv, with csvio.read_columns."""
-    header = stream.readline().rstrip("\n")
-    if header != RESULTS_CSV_HEADER:
-        raise ParseError(f"bad results header: {header!r}")
+    """Read a results CSV written by write_results_csv, with csvio.read_columns.
+
+    Lines may end in LF or CRLF.
+    """
+    header = stream.readline()
+    if header not in (RESULTS_CSV_HEADER, RESULTS_CSV_HEADER + "\n", RESULTS_CSV_HEADER + "\r\n"):
+        raise ParseError("bad results header: " + repr(header.rstrip("\n")))
     return TickTable(*read_columns(stream, _CONVERTERS))
 
 

@@ -441,9 +441,7 @@ def _read_chunks(stream: IO[str]) -> TraceTable:
     header = ",".join(TRACE_CSV_HEADER)
     if stream.readline() not in (header + "\n", header + "\r\n"):
         raise ValueError("a header for csv.reader")
-    vid, t, x, y, speed = read_columns(
-        stream, _TRACE_CONVERTERS, _check_trace_chunk, blank=("\n", "\r\n")
-    )
+    vid, t, x, y, speed = read_columns(stream, _TRACE_CONVERTERS, _check_trace_chunk)
     return _trace_table(*id_codes(vid), t, x, y, speed)
 
 

@@ -7,7 +7,8 @@ are the physical heights minus 1 m.  SNR follows the additive link budget
     snr = tx_power + ue_gain + bs_gain - path_loss - (noise_power + noise_figure)
 
 with every term in dB/dBm.  All functions here are pure.  snr is the
-scalar formula; link_snrs evaluates it over arrays with the same bits.
+scalar formula; _link_budget runs its operations on arrays, for the
+screen_links association screen and for link_snrs, which gives snr's bits.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ class LinkBudgetConfig:
     def __post_init__(self) -> None:
         if self.carrier_freq_ghz <= 0:
             raise ConfigError("link.carrier_freq_ghz must be positive")
+        if not self.ue_height_m > 1.0:  # the effective height h-1 must stay positive
+            raise ConfigError(f"link.ue_height_m must exceed 1 m, got {self.ue_height_m!r}")
 
 
 class LinkSample(NamedTuple):
@@ -151,6 +154,45 @@ def best_link(
     return best, best_sample
 
 
+def _station_terms(stations: Sequence[BaseStation], cfg: LinkBudgetConfig) -> tuple:
+    """Arrays of each station's x, y, antenna gain, breakpoint distance and 17.3 log10(h'_bs).
+
+    Computed as breakpoint_distance and path_loss_b1 compute them.
+    """
+    x, y, gain, height = np.array(
+        [(s.x, s.y, s.antenna_gain, s.height) for s in stations], dtype=np.float64
+    ).T
+    h_bs = height - 1.0
+    d_bp = 4.0 * h_bs * (cfg.ue_height_m - 1.0) * cfg.carrier_freq_ghz * 1e9 / SPEED_OF_LIGHT
+    return x, y, gain, d_bp, 17.3 * np.array(list(map(math.log10, h_bs.tolist())))
+
+
+def _link_budget(dx, dy, gain, d_bp, log_h_bs, cfg: LinkBudgetConfig, hypot, log10):
+    """The clamped distance and SNR, by snr's operations in their order, on arrays.
+
+    dx and dy are offsets from the stations whose _station_terms the other
+    arrays hold; all broadcast together.  numpy's + - * / and comparisons
+    round as Python's float operations do, so only hypot and log10 can
+    differ from snr's, and only if numpy's are given.  Python's max(a, b)
+    is a unless b > a, which np.where repeats.
+    """
+    log_f = math.log10(cfg.carrier_freq_ghz / 5.0)
+    log_h_ue = 17.3 * math.log10(cfg.ue_height_m - 1.0)
+    distance = hypot(dx, dy)
+    d = np.where(MIN_MODEL_DISTANCE > distance, MIN_MODEL_DISTANCE, distance)
+    log_d = log10(d)
+    near = 22.7 * log_d + 41.0 + 20.0 * log_f
+    far = 40.0 * log_d + 9.45 - log_h_bs - log_h_ue + 2.7 * log_f
+    loss = np.where(d <= d_bp, near, far) + cfg.extra_loss_db
+    budget = cfg.tx_power_dbm + cfg.ue_gain_dbi + gain - loss
+    return d, budget - (cfg.noise_power_dbm + cfg.noise_figure_db)
+
+
+def _per_element(fn):
+    """fn applied by Python to each element of float64 arrays of one length."""
+    return lambda *a: np.fromiter(map(fn, *map(np.ndarray.tolist, a)), np.float64, len(a[0]))
+
+
 def screen_links(
     positions: np.ndarray,
     stations: Sequence[BaseStation],
@@ -166,37 +208,10 @@ def screen_links(
     row has the same winner as best_link; compute its SNR with snr() to get
     best_link's value bit for bit.
     """
-    sx = np.array([s.x for s in stations])
-    sy = np.array([s.y for s in stations])
-    gain = np.array([s.antenna_gain for s in stations])
-    h_bs = np.array([s.height for s in stations]) - 1.0
-    # Same formulas as breakpoint_distance and path_loss_b1; a UE height of
-    # 1 m or less yields non-finite values, so those rows reach best_link,
-    # which raises the ConfigError.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h_ue = np.float64(cfg.ue_height_m - 1.0)
-        f_rel = cfg.carrier_freq_ghz / 5.0
-        d_bp = 4.0 * h_bs * h_ue * cfg.carrier_freq_ghz * 1e9 / SPEED_OF_LIGHT
-        d = np.maximum(
-            np.hypot(positions[:, :1] - sx, positions[:, 1:2] - sy), MIN_MODEL_DISTANCE
-        )
-        log_d = np.log10(d)
-        near = 22.7 * log_d + 41.0 + 20.0 * math.log10(f_rel)
-        far = (
-            40.0 * log_d
-            + 9.45
-            - 17.3 * np.log10(h_bs)
-            - 17.3 * np.log10(h_ue)
-            + 2.7 * math.log10(f_rel)
-        )
-        loss = np.where(d <= d_bp, near, far) + cfg.extra_loss_db
-        value = (
-            cfg.tx_power_dbm
-            + cfg.ue_gain_dbi
-            + gain
-            - loss
-            - (cfg.noise_power_dbm + cfg.noise_figure_db)
-        )
+    x, y, gain, d_bp, log_h_bs = _station_terms(stations, cfg)
+    dx, dy = positions[:, :1] - x, positions[:, 1:2] - y
+    with np.errstate(all="ignore"):
+        d, value = _link_budget(dx, dy, gain, d_bp, log_h_bs, cfg, np.hypot, np.log10)
         unsure = ~np.isfinite(value).all(axis=1)
         unsure |= (np.abs(d - d_bp) <= 1e-12 * d_bp).any(axis=1)
         if len(stations) > 1:
@@ -213,36 +228,15 @@ def link_snrs(
 ) -> np.ndarray:
     """snr(position, stations[serving]).snr of every row, bit for bit.
 
-    numpy's + - * / and comparisons round as Python's float operations do,
-    so the formulas of snr and path_loss_b1 run on arrays in their
-    operation order; hypot and log10 go through math per element, as
-    numpy's may differ in the last ulp.  Python's max(a, b) is a unless
-    b > a, which np.where repeats.  Terms that depend only on a station
-    or the config are computed once, by the scalar code.
+    The link budget runs with math's hypot and log10 per element.
     """
-    # breakpoint_distance raises the ConfigError of a UE height of 1 m or less.
-    d_bp = np.array([breakpoint_distance(cfg, s.height) for s in stations])[serving]
-    log_h_bs = np.array([17.3 * math.log10(s.height - 1.0) for s in stations])[serving]
-    gain = np.array([s.antenna_gain for s in stations])[serving]
-    log_h_ue = 17.3 * math.log10(cfg.ue_height_m - 1.0)
-    log_f = math.log10(cfg.carrier_freq_ghz / 5.0)
-    n = len(serving)
+    x, y, *terms = (per_station[serving] for per_station in _station_terms(stations, cfg))
+    dx, dy = positions[:, 0] - x, positions[:, 1] - y
     with np.errstate(all="ignore"):
-        dx = positions[:, 0] - np.array([s.x for s in stations])[serving]
-        dy = positions[:, 1] - np.array([s.y for s in stations])[serving]
-        distance = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, n)
-        d = np.where(MIN_MODEL_DISTANCE > distance, MIN_MODEL_DISTANCE, distance)
-        log_d = np.fromiter(map(math.log10, d.tolist()), np.float64, n)
-        near = 22.7 * log_d + 41.0 + 20.0 * log_f
-        far = 40.0 * log_d + 9.45 - log_h_bs - log_h_ue + 2.7 * log_f
-        loss = np.where(d <= d_bp, near, far) + cfg.extra_loss_db
-        return (
-            cfg.tx_power_dbm
-            + cfg.ue_gain_dbi
-            + gain
-            - loss
-            - (cfg.noise_power_dbm + cfg.noise_figure_db)
+        _, value = _link_budget(
+            dx, dy, *terms, cfg, _per_element(math.hypot), _per_element(math.log10)
         )
+    return value
 
 
 STATION_CSV_FIELDS = ("station_id", "x", "y", "antenna_gain", "height")

@@ -3,8 +3,8 @@
 The shared scenario is a 10 km single-lane strip with 5 equally spaced
 roadside stations, default (highway measurement) parameters, 600 s runs at
 1000 veh/h (free flow) and 4000 veh/h (jam) with a shared seed, plus 10-RB
-reruns of both on identical traces.  Run with ``pytest -s`` to see the
-per-criterion lines.
+reruns of both on identical traces and a 1-RB integer-mode rerun of the jam,
+where queues build.  Run with ``pytest -s`` to see the per-criterion lines.
 """
 
 import math
@@ -12,6 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from car2cloud import analysis, cli, cvim, engine, linkrate, mobility, radio, scheduler
@@ -204,7 +205,18 @@ def test_scheduler_properties():
             for v, share in allocation.shares.items():
                 totals[v] += share
         ok &= len(set(totals.values())) == 1
-    report("scheduler-properties", ok, "cell sizes 1..20 vs dealing oracle")
+        # rr_shares, which engine.run calls: one cell of k vehicles at ticks
+        # 0..k-1, so every rotation offset occurs.
+        ticks = np.repeat(np.arange(k), k)
+        cells = np.zeros(k * k, dtype=np.int64)
+        frac = scheduler.rr_shares(ticks, cells, 100, "fractional")
+        ok &= abs(sum(frac[:k].tolist()) - 100.0) < 1e-9
+        ok &= len(set(frac.tolist())) == 1
+        integer = scheduler.rr_shares(ticks, cells, 100, "integer").reshape(k, k)
+        for offset in range(k):
+            ok &= integer[offset].tolist() == [float(c) for c in deal(k, 100, offset)]
+    detail = "rr_allocate and rr_shares, cell sizes 1..20 vs dealing oracle"
+    report("scheduler-properties", ok, detail)
 
 
 def test_rb_rate_properties():
@@ -224,10 +236,17 @@ def test_rb_rate_properties():
 
 def test_queue_and_plan_invariants(runs):
     ok = True
-    for scenario in (runs["free_flow"], runs["traffic_jam"]):
+    # One RB per cell, dealt whole: the jam's queues build here, which they
+    # never do at 100 or 10 RB.
+    jam = runs["traffic_jam"]
+    backlog = engine.run(
+        engine.SimConfig(seed=SEED, n_rb=1, scheduler_mode="integer"), jam.traces, STATIONS
+    )
+    queued_rows = int(np.count_nonzero(backlog.queue_bytes))
+    ok &= queued_rows > 0
+    for results in (runs["free_flow"].results_100, jam.results_100, backlog):
         cum_generated = {}
         cum_sent_bytes = {}
-        results = scenario.results_100
         rows = sorted(zip(
             results.vehicle_id, results.t.tolist(), results.packages_generated.tolist(),
             results.bits_sent.tolist(), results.rate_bps.tolist(), results.queue_bytes.tolist(),
@@ -252,7 +271,8 @@ def test_queue_and_plan_invariants(runs):
         plan = analysis.plan_rb(demand, snr, speed, params)
         ok &= plan.rb_needed * per_rb >= demand
         checked += 1
-    report("queue-and-plan-invariants", ok, "conservation, atomicity, 10^3 plans")
+    detail = f"conservation, atomicity, {queued_rows} queued rows at 1 RB, 10^3 plans"
+    report("queue-and-plan-invariants", ok, detail)
 
 
 def test_pipeline_determinism(tmp_path):

@@ -368,9 +368,9 @@ COMMANDS = {
 @pytest.mark.parametrize(
     "command, name, code, message",
     [
-        ("simulate", "traces.csv", 3, "input error: 'utf-8' codec can't decode byte 0xff"),
-        ("simulate", "stations.csv", 3, "input error: 'utf-8' codec can't decode byte 0xff"),
-        ("analyze", "results.csv", 3, "input error: 'utf-8' codec can't decode byte 0xff"),
+        ("simulate", "traces.csv", 3, "input error: traces.csv is not UTF-8 text: byte 0xff"),
+        ("simulate", "stations.csv", 3, "input error: stations.csv is not UTF-8 text: byte 0xff"),
+        ("analyze", "results.csv", 3, "input error: results.csv is not UTF-8 text: byte 0xff"),
         ("gen-traces", "run.cfg", 2, "configuration error: config file run.cfg is not UTF-8"),
         ("simulate", "run.cfg", 2, "configuration error: config file run.cfg is not UTF-8"),
     ],
@@ -383,6 +383,30 @@ def test_input_that_is_not_utf8(tmp_path, monkeypatch, capsys, command, name, co
     (tmp_path / name).write_bytes(data[:-8] + b"\xff" + data[-8:])  # in the last line
     assert main(COMMANDS[command]) == code
     assert capsys.readouterr().err.startswith(message)
+
+
+def test_analyze_names_the_results_file_that_is_not_utf8(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.csv").write_text(INPUTS["results.csv"], encoding="utf-8")
+    bad_row = b"2,v\xff,bs0,1.0,1.0,5.0,1,0,0\n"
+    (tmp_path / "b.csv").write_bytes(INPUTS["results.csv"].encode() + bad_row)
+    assert main(["analyze", "a.csv", "b.csv", "--out-dir", "out"]) == 3
+    err = capsys.readouterr().err
+    assert err == "input error: b.csv is not UTF-8 text: byte 0xff (invalid start byte)\n"
+
+
+def test_big_trace_that_is_not_utf8_is_named_without_a_block_offset(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    for path, text in INPUTS.items():
+        (tmp_path / path).write_text(text, encoding="utf-8")
+    lines = "".join(f"v{i},0,{i}.5,0,1\n" for i in range(20_000))
+    data = ("vehicle_id,t,x,y,speed\n" + lines).encode() + b"w\xff,0,0,0,1\n"
+    (tmp_path / "traces.csv").write_bytes(data)
+    assert main(COMMANDS["simulate"]) == 3
+    err = capsys.readouterr().err
+    assert err == "input error: traces.csv is not UTF-8 text: byte 0xff (invalid start byte)\n"
 
 
 @pytest.mark.parametrize(
@@ -476,3 +500,30 @@ def _run_golden_pipeline(root):
 
 def test_pipeline_outputs_match_golden_digests(workspace):
     assert _run_golden_pipeline(workspace) == GOLDEN_PIPELINE_DIGESTS
+
+
+BAD_CONFIG_VALUES = [
+    ("cvim.owner", "abcdefghijklmnopq"),
+    ("cvim.privacy_level", "x"),
+    ("link.ue_height_m", "1"),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES)
+@pytest.mark.parametrize("command", ["gen-traces", "simulate", "plan"])
+def test_config_values_are_checked_when_the_config_is_read(
+    workspace, monkeypatch, capsys, command, key, value
+):
+    monkeypatch.chdir(workspace)
+    (workspace / "traces.csv").write_text(INPUTS["traces.csv"], encoding="utf-8")
+    argv = {
+        "gen-traces": ["gen-traces", "--out", "out.csv"],
+        "simulate": ["simulate", "--traces", "traces.csv", "--stations", "stations.csv",
+                     "--out-dir", "out"],
+        "plan": ["plan", "--rate", "50000", "--snr", "20", "--speed", "0"],
+    }[command]
+    assert main([*argv, "--set", f"{key}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: {key} must ")
+    assert captured.out == ""
+    assert not (workspace / "out.csv").exists() and not (workspace / "out").exists()

@@ -7,6 +7,7 @@ from car2cloud.cvim import (
     BASE_CHANNELS,
     ChannelRecord,
     MeasurementChannel,
+    PackageMeta,
     PackagingConfig,
     TransmitQueue,
     count_packages_per_cell,
@@ -333,8 +334,12 @@ def test_packaging_config_rejects_package_bits_beyond_int64(sizes):
 
 
 def test_owner_too_long():
+    # The wire format keeps its own check; the config is checked when built.
     with pytest.raises(ValidationError):
-        package("v", 0, [], PackagingConfig(owner="x" * 17))
+        PackageMeta(owner="x" * 17)
+    with pytest.raises(ConfigError, match="cvim.owner must be at most 16 bytes"):
+        PackagingConfig(owner="x" * 17)
+    assert PackagingConfig(owner="x" * 16).owner == "x" * 16
 
 
 def test_count_packages_constant_residence():

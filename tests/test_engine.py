@@ -305,6 +305,29 @@ def test_config_echo_round_trips_values():
     assert rebuilt == cfg
 
 
+CONFIG_KEYS = [
+    "cell.n_rb", "cell.rb_limit",
+    "cvim.aggregate_ticks", "cvim.header_bytes", "cvim.n_extra_channels", "cvim.owner",
+    "cvim.privacy_level", "cvim.pseudonym_key", "cvim.record_bytes",
+    "krauss.a_max", "krauss.b_max", "krauss.min_gap", "krauss.sigma", "krauss.speed_dev",
+    "krauss.tau", "krauss.v_max", "krauss.veh_length",
+    "link.carrier_freq_ghz", "link.extra_loss_db", "link.noise_figure_db",
+    "link.noise_power_dbm", "link.tx_power_dbm", "link.ue_gain_dbi", "link.ue_height_m",
+    "linkrate.attenuation_beta", "linkrate.eta_max", "linkrate.rb_bandwidth_hz",
+    "linkrate.snr_min_db", "linkrate.speed_penalty_at_vmax", "linkrate.v_ref",
+    "road.duration", "road.inflow", "road.length", "road.topology",
+    "scheduler.mode", "sim.scenario_label", "sim.seed", "sim.tick",
+]
+
+
+def test_config_echo_of_the_defaults_reads_back_as_itself():
+    echo = config_echo(SimConfig())
+    assert list(echo) == CONFIG_KEYS
+    text = "".join(f"{key} = {value}\n" for key, value in echo.items())
+    assert config_echo(parse_config_text(text)) == echo
+    assert parse_config_text(text) == SimConfig()
+
+
 def test_station_order_does_not_change_results():
     traces = trace_table(trace("a", range(0, 60, 6)) + trace("b", range(900, 960, 6)))
     stations = [
@@ -461,11 +484,20 @@ def test_rb_counts_beyond_float_range_are_config_errors(key, mode):
 
 
 def test_run_checks_package_metadata():
-    traces = trace_table(trace("v1", [0, 10]))
-    with pytest.raises(ValidationError):
-        run(SimConfig(packaging=PackagingConfig(owner="x" * 17)), traces, STATION)
-    with pytest.raises(ConfigError):
-        run(SimConfig(packaging=PackagingConfig(privacy_level="secret")), traces, STATION)
+    """The package metadata run once checked is checked when the config is built."""
+    cases = [
+        ("owner", "x" * 17, "cvim.owner must be at most 16 bytes of UTF-8, got '" + "x" * 17 + "'"),
+        ("owner", "é" * 9, "cvim.owner must be at most 16 bytes of UTF-8, got '" + "é" * 9 + "'"),
+        ("privacy_level", "secret", "cvim.privacy_level must be one of "
+         "('public', 'restricted', 'private'), got 'secret'"),
+    ]
+    for key, value, message in cases:
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("", [f"cvim.{key}={value}"])
+        assert str(err.value) == message
+        with pytest.raises(ConfigError):
+            PackagingConfig(**{key: value})
+    assert parse_config_text("", ["cvim.owner=" + "é" * 8]).packaging.owner == "é" * 8
 
 
 IDS = st.text(st.characters(blacklist_characters=ID_FORBIDDEN_CHARS))
@@ -505,18 +537,23 @@ ROW = (3, "v", "bs", 0.5, 1.0, 2.0, 1, 0, 0)
     st.lists(st.integers(0, 2), min_size=6, max_size=6),
     st.integers(-1, 4),
     st.sampled_from(CHUNK_BYTES),
+    st.integers(0, 2**18 - 1),
 )
-@example([ROW] * 4, [0, 2, 1, 0, 2, 0], -1, 1)
-@example([ROW] * 4, [0, 2, 1, 0, 2, 0], 3, 1)
-@example([ROW] * 4, [0, 2, 1, 0, 2, 0], 3, 40)
-@example([ROW] * 4, [0, 2, 1, 0, 2, 0], 3, 300)
-@example([ROW] * 4, [0, 2, 1, 0, 2, 0], 3, READ_CHUNK_BYTES)
-def test_results_csv_round_trip_property(rows, blanks, bad, chunk_bytes):
+@example([ROW] * 4, [0, 2, 1, 0, 2, 0], -1, 1, 0)
+@example([ROW] * 4, [0, 2, 1, 0, 2, 0], 3, 1, 0)
+@example([ROW] * 4, [0, 2, 1, 0, 2, 0], 3, 40, 0)
+@example([ROW] * 4, [0, 2, 1, 0, 2, 0], 3, 300, 0)
+@example([ROW] * 4, [0, 2, 1, 0, 2, 0], 3, READ_CHUNK_BYTES, 0)
+@example([ROW] * 4, [0, 2, 1, 0, 2, 0], -1, 1, 2**18 - 1)
+@example([ROW] * 4, [0, 2, 1, 0, 2, 0], 3, 40, 2**18 - 1)
+@example([ROW] * 4, [0, 2, 1, 0, 2, 0], -1, READ_CHUNK_BYTES, 0b1010101010101)
+def test_results_csv_round_trip_property(rows, blanks, bad, chunk_bytes, crlf):
     """A table read back at every chunk size, around blank lines and a bad field.
 
     blanks[i] blank lines go before row i (the last entry: after the last
     row); at 1 and 40 bytes they fill whole chunks.  Row bad, if any, gets a
-    bad rb_share, and the error must name its line.
+    bad rb_share, and the error must name its line.  Line i, header and
+    blank lines included, ends in CRLF if bit i of crlf is set, else in LF.
     """
     results = table_of(rows)
     text = csv_text(results)
@@ -530,7 +567,8 @@ def test_results_csv_round_trip_property(rows, blanks, bad, chunk_bytes):
             bad_lineno = len(edited) + 1
         edited.append(line)
     edited += [""] * blanks[len(lines)]
-    stream = io.StringIO("\n".join(edited) + "\n")
+    ends = ("\r\n" if crlf >> i & 1 else "\n" for i in range(len(edited)))
+    stream = io.StringIO("".join(map(str.__add__, edited, ends)))
     with mock.patch.object(csvio, "READ_CHUNK_BYTES", chunk_bytes):
         if bad_lineno is not None:
             with pytest.raises(ParseError) as err:

@@ -275,11 +275,10 @@ def test_screen_defers_ulp_near_ties():
 
 
 def test_screen_sends_bad_ue_height_to_scalar_path():
-    cfg = LinkBudgetConfig(ue_height_m=1.0)
-    _, unsure = screen_links(np.array([[500.0, 0.0]]), [BaseStation("a", 0.0, 0.0)], cfg)
-    assert unsure.tolist() == [True]
-    with pytest.raises(ConfigError):
-        best_link((500.0, 0.0), [BaseStation("a", 0.0, 0.0)], cfg)
+    # No such height reaches the screen: the config that holds it is not built.
+    for height in (1.0, 0.5, -3.0, math.nan):
+        with pytest.raises(ConfigError, match="link.ue_height_m must exceed 1 m"):
+            LinkBudgetConfig(ue_height_m=height)
 
 
 coords = st.integers(-1500, 1500).map(lambda v: 2.0 * v)
@@ -361,9 +360,13 @@ def test_link_snrs_match_snr_bit_for_bit(layout, data):
 
 
 def test_link_snrs_raise_the_ue_height_error():
-    cfg = LinkBudgetConfig(ue_height_m=1.0)
-    with pytest.raises(ConfigError, match="antenna heights must exceed 1 m"):
-        link_snrs(np.zeros((1, 2)), np.zeros(1, dtype=np.int64), [BaseStation("a", 5.0, 5.0)], cfg)
+    with pytest.raises(ConfigError) as err:
+        LinkBudgetConfig(ue_height_m=1.0)
+    assert str(err.value) == "link.ue_height_m must exceed 1 m, got 1.0"
+    cfg = LinkBudgetConfig(ue_height_m=1.0000001)
+    station = BaseStation("a", 5.0, 5.0)
+    got = link_snrs(np.zeros((1, 2)), np.zeros(1, dtype=np.int64), [station], cfg)
+    assert got.tolist() == [snr((0.0, 0.0), station, cfg).snr]
 
 
 def test_link_snrs_match_snr_on_a_dense_sweep():
