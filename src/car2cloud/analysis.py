@@ -7,7 +7,9 @@ the cases" therefore reads as the 5th percentile of the rate distribution.
 Statistics pool per-vehicle per-tick samples, not per-vehicle means.
 Rates come as a sequence or array, such as a TickTable's rate_bps column;
 they are sorted stably and summed left to right in sorted order, so the
-statistics do not depend on how the rates are held.
+statistics do not depend on how the rates are held.  The CDF stays two
+float64 columns, steps and probabilities, up to the text write_cdf_csv
+makes of them with csvio.write_columns.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .csvio import write_chunks
+from .csvio import write_columns
 from .errors import InfeasibleError, ValidationError
 from .linkrate import RbRateParams, rb_rate
 
@@ -78,8 +80,12 @@ def rate_stats(rates: Sequence[float] | np.ndarray, scenario_label: str) -> Rate
     )
 
 
-def cdf(rates: Sequence[float] | np.ndarray) -> list[tuple[float, float]]:
-    """Right-continuous empirical CDF as (rate, cumulative probability) steps."""
+def cdf(rates: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right-continuous empirical CDF as two float64 columns of its steps.
+
+    The first holds each distinct rate in increasing order, the second the
+    cumulative probability at it, the last one exactly 1.
+    """
     values = _sorted_rates(rates)
     n = len(values)
     if n == 0:
@@ -88,7 +94,7 @@ def cdf(rates: Sequence[float] | np.ndarray) -> list[tuple[float, float]]:
     last = np.append(np.flatnonzero(values[1:] != values[:-1]), n - 1)
     probs = (last + 1) / n
     probs[-1] = 1.0
-    return list(zip(values[last].tolist(), probs.tolist()))
+    return values[last], probs
 
 
 def plan_rb(
@@ -185,11 +191,9 @@ def write_stats_json(
     stream.write("\n")
 
 
-def write_cdf_csv(points: Sequence[tuple[float, float]], stream: IO[str]) -> None:
-    write_chunks(
-        stream, "rate_bps,cum_prob", len(points),
-        lambda rows: "".join(f"{r!r},{p!r}\n" for r, p in points[rows]),
-    )
+def write_cdf_csv(points: tuple[np.ndarray, np.ndarray], stream: IO[str]) -> None:
+    """Write cdf's two columns as CSV, one step per line."""
+    write_columns(stream, "rate_bps,cum_prob", points)
 
 
 def write_cell_packages_csv(per_cell: dict[str, float], stream: IO[str]) -> None:

@@ -1,12 +1,16 @@
 """The CSV codec of the trace, results and CDF files.
 
-Writers give write_chunks a function that formats a slice of rows.  Readers
-check their header line and give the rest to read_columns, which splits
-each chunk of lines once on commas and converts each column as a whole; a
+Writers give write_columns their columns: lists of ids, written as they
+are, and numeric columns, written by column_text as str and repr write
+them, from orjson's shortest round-trip digits.  Readers check their header
+line and give the rest to read_columns, which splits each chunk of lines
+once on commas and converts each column as a whole with int or float; a
 chunk that does not convert is read again line by line to name its first
-bad line, as a row reader would.  Both run their chunks through ordered_map,
-which hands every other chunk to a forked worker when a second CPU is
-available.  Output bytes, tables and errors are the same either way.
+bad line, as a row reader would.  Readers run their chunks through
+ordered_map, which hands every other chunk to a forked worker when a second
+CPU is available; tables and errors are the same either way.  Writers
+format every chunk in this process: with column_text, a forked worker costs
+them more time than it saves.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from itertools import chain, islice, repeat
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import ParseError, ValidationError
 
@@ -28,10 +33,10 @@ ID_FORBIDDEN_CHARS = ',"\r\n'
 
 # Bytes of CSV lines read (and parsed) at a time by read_columns.
 READ_CHUNK_BYTES = 1 << 20
-# Rows formatted per chunk by write_chunks, about 1 MB of results CSV text.
-# Float repr is most of the cost, so larger chunks are no faster; their
-# transient row strings only raise the peak RSS, and each chunk's text is
-# one message from ordered_map's worker.
+# Rows formatted per chunk by write_columns, about 1 MB of results CSV text.
+# Chunks of 2**11 to 2**14 rows write ring_backlog's 300k rows at one speed
+# and larger ones no faster; their transient column texts and row strings
+# (about 4 MB per chunk of results) only raise the peak RSS.
 WRITE_CHUNK_ROWS = 1 << 13
 
 _DTYPES = {int: np.int64, float: np.float64}
@@ -48,6 +53,26 @@ def check_id(value: str, where: str, what: str) -> None:
         raise ValidationError(
             f"{where}: {what} {value!r} contains a comma, quote or line break"
         )
+
+
+def column_text(column: np.ndarray) -> list[str]:
+    """Each value of an int64 or float64 column as str (for a float, repr) writes it.
+
+    orjson writes the same shortest round-trip digits as repr, many at a
+    time, but writes a float 0 < |x| < 1e-4 or |x| >= 1e16 without repr's
+    exponent form (0.000015, 1e16 for 1.5e-05, 1e+16) and nan and inf as
+    null; those few values are written by repr instead.
+    """
+    column = np.ascontiguousarray(column)
+    if not len(column):
+        return []
+    fields = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    if column.dtype.kind == "f":
+        magnitude = np.abs(column)
+        unlike = ~(magnitude < 1e16) | ((magnitude < 1e-4) & (magnitude != 0))
+        for i in np.flatnonzero(unlike).tolist():
+            fields[i] = repr(column[i].item())
+    return fields
 
 
 def records(reader) -> Iterator[tuple[int, list[str]]]:
@@ -253,8 +278,14 @@ def ordered_map(fn: Callable, items: Iterable) -> Iterator:
         os.waitpid(pid, 0)
 
 
-def write_chunks(stream: IO[str], header: str, n_rows: int, format_rows: Callable) -> None:
-    """Write the header line, then format_rows(rows) for each slice of WRITE_CHUNK_ROWS rows."""
+def write_columns(stream: IO[str], header: str, columns: Sequence) -> None:
+    """Write the header line, then the rows of columns, WRITE_CHUNK_ROWS rows per write.
+
+    Each column is an int64 or float64 array, written as column_text writes
+    it, or a list of str, written as it is.
+    """
     stream.write(header + "\n")
-    chunks = [slice(lo, lo + WRITE_CHUNK_ROWS) for lo in range(0, n_rows, WRITE_CHUNK_ROWS)]
-    stream.writelines(ordered_map(format_rows, chunks))
+    for lo in range(0, len(columns[0]), WRITE_CHUNK_ROWS):
+        rows = slice(lo, lo + WRITE_CHUNK_ROWS)
+        texts = [column_text(c[rows]) if isinstance(c, np.ndarray) else c[rows] for c in columns]
+        stream.write("\n".join(map(",".join, zip(*texts))) + "\n")

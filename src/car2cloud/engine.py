@@ -39,7 +39,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import cvim, scheduler
-from .csvio import read_columns, write_chunks
+from .csvio import read_columns, write_columns
 from .cvim import PackagingConfig
 from .errors import ConfigError, ParseError, ValidationError
 from .linkrate import RateModel, RbRateParams, rb_rates
@@ -336,25 +336,9 @@ def run(
 
 
 def write_results_csv(table: TickTable, stream: IO[str]) -> None:
-    """Write the table as results CSV, with csvio.write_chunks."""
-
-    def format_rows(rows: slice) -> str:
-        return "".join(
-            f"{t},{vid},{sid},{snr_db!r},{share!r},{rate!r},{generated},{sent},{queued}\n"
-            for t, vid, sid, snr_db, share, rate, generated, sent, queued in zip(
-                table.t[rows].tolist(),
-                table.vehicle_id[rows],
-                table.serving_station[rows],
-                table.snr_db[rows].tolist(),
-                table.rb_share[rows].tolist(),
-                table.rate_bps[rows].tolist(),
-                table.packages_generated[rows].tolist(),
-                table.bits_sent[rows].tolist(),
-                table.queue_bytes[rows].tolist(),
-            )
-        )
-
-    write_chunks(stream, RESULTS_CSV_HEADER, len(table), format_rows)
+    """Write the table as results CSV, with csvio.write_columns."""
+    columns = [getattr(table, name) for name in RESULTS_CSV_HEADER.split(",")]
+    write_columns(stream, RESULTS_CSV_HEADER, columns)
 
 
 def read_results_csv(stream: IO[str]) -> TickTable:

@@ -21,7 +21,7 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .csvio import check_id, read_columns, records, write_chunks
+from .csvio import check_id, read_columns, records, write_columns
 from .errors import ConfigError, ParseError, SimulationError, ValidationError
 
 TRACE_CSV_HEADER = ("vehicle_id", "t", "x", "y", "speed")
@@ -516,15 +516,10 @@ def parse_trace_csv(stream: IO[str]) -> TraceTable:
 
 def emit_trace_csv(traces: TraceTable, stream: IO[str]) -> None:
     """Write traces in the canonical CSV schema; round-trips via parse_trace_csv."""
-
-    def format_rows(rows: slice) -> str:
-        columns = (c[rows].tolist() for c in (traces.t, traces.x, traces.y, traces.speed))
-        return "".join(
-            f"{vid},{t},{x!r},{y!r},{speed!r}\n"
-            for vid, t, x, y, speed in zip(traces.vehicle_id[rows], *columns)
-        )
-
-    write_chunks(stream, ",".join(TRACE_CSV_HEADER), len(traces), format_rows)
+    write_columns(
+        stream, ",".join(TRACE_CSV_HEADER),
+        [traces.vehicle_id, traces.t, traces.x, traces.y, traces.speed],
+    )
 
 
 def parse_fcd_xml(stream: IO) -> TraceTable:

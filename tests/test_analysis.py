@@ -81,13 +81,15 @@ def test_percentiles_nondecreasing():
 
 
 def test_cdf_hand_example():
-    assert cdf([1.0, 1.0, 3.0]) == [(1.0, pytest.approx(2 / 3)), (3.0, 1.0)]
+    rates, probs = cdf([1.0, 1.0, 3.0])
+    assert list(zip(rates.tolist(), probs.tolist())) == [(1.0, pytest.approx(2 / 3)), (3.0, 1.0)]
+    assert rates.dtype == probs.dtype == np.float64
 
 
 def test_cdf_sorted_regardless_of_input_order():
-    points = cdf([5.0, 1.0, 3.0, 1.0])
-    assert [v for v, _ in points] == [1.0, 3.0, 5.0]
-    assert points[-1][1] == 1.0
+    rates, probs = cdf([5.0, 1.0, 3.0, 1.0])
+    assert rates.tolist() == [1.0, 3.0, 5.0]
+    assert probs[-1] == 1.0
 
 
 def test_cdf_empty_errors():
@@ -98,8 +100,8 @@ def test_cdf_empty_errors():
 def test_cdf_consistent_with_percentile():
     rng = random.Random(8)
     values = [rng.uniform(0, 1000) for _ in range(400)]
-    points = cdf(values)
-    p5_from_cdf = next(v for v, prob in points if prob >= 0.05)
+    rates, probs = cdf(values)
+    p5_from_cdf = next(v for v, prob in zip(rates, probs) if prob >= 0.05)
     assert p5_from_cdf == percentile(sorted(values), 5)
 
 
@@ -133,9 +135,9 @@ def test_array_statistics_match_sorted_list_oracle(values):
     assert [repr(stats.percentiles[p]) for p in PERCENTILES] == [
         repr(percentile(ordered, p)) for p in PERCENTILES
     ]
-    points = cdf(np.array(values))
-    assert repr(points) == repr(row_cdf(values))
-    assert points[-1][1] == 1.0
+    rates, probs = cdf(np.array(values))
+    assert repr(list(zip(rates.tolist(), probs.tolist()))) == repr(row_cdf(values))
+    assert probs[-1] == 1.0
 
 
 def test_plan_rb_zero_demand():

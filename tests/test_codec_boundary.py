@@ -1,8 +1,9 @@
-"""The CSV codec's worker process lives behind one module, car2cloud.csvio.
+"""The CSV codec's worker process and float text live behind one module, car2cloud.csvio.
 
 Forking, pipes and pickling are the codec's decisions: its worker protocol.
-Each module's source is read with ast, so that a use is found wherever it
-sits, also in a function no test calls.
+So is orjson, which writes the codec's number text.  Each module's source
+is read with ast, so that a use is found wherever it sits, also in a
+function no test calls.
 """
 
 import ast
@@ -14,8 +15,8 @@ PACKAGE = Path(car2cloud.__file__).resolve().parent
 WORKER_NAMES = {"os.fork", "os.pipe", "pickle"}
 
 
-def worker_names(path: Path) -> set[str]:
-    """Which of WORKER_NAMES the module at path imports or refers to."""
+def names_used(path: Path) -> set[str]:
+    """The modules the module at path imports, and the module.attribute names it refers to."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -25,13 +26,18 @@ def worker_names(path: Path) -> set[str]:
             found.add(node.module or "")
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             found.add(f"{node.value.id}.{node.attr}")
-    return found & WORKER_NAMES
+    return found
+
+
+def users(names: set[str]) -> dict[str, list[str]]:
+    """Each package module that uses any of names, with the ones it uses."""
+    found = {path.name: sorted(names_used(path) & names) for path in sorted(PACKAGE.glob("*.py"))}
+    return {module: used for module, used in found.items() if used}
 
 
 def test_only_csvio_forks_pipes_or_pickles():
-    users = {
-        path.name: sorted(worker_names(path))
-        for path in sorted(PACKAGE.glob("*.py"))
-        if worker_names(path)
-    }
-    assert users == {"csvio.py": sorted(WORKER_NAMES)}
+    assert users(WORKER_NAMES) == {"csvio.py": sorted(WORKER_NAMES)}
+
+
+def test_only_csvio_imports_orjson():
+    assert users({"orjson"}) == {"csvio.py": ["orjson"]}

@@ -1,4 +1,4 @@
-"""csvio.ordered_map and the CSV codecs that run on it, with and without a worker.
+"""csvio.ordered_map and the CSV readers that run on it, with and without a worker.
 
 Each test runs both paths: os.sched_getaffinity patched to one CPU (plain
 map) and to two (a forked worker computes every odd item).  Results, bytes
@@ -9,6 +9,7 @@ import hashlib
 import io
 import os
 
+import numpy as np
 import pytest
 
 import trace_csv_oracle
@@ -91,7 +92,7 @@ class FullDisk(io.StringIO):
 
 
 def test_a_writer_whose_stream_fails_leaves_no_child(cpus):
-    points = [(float(i), (i + 1) / 30_000) for i in range(30_000)]
+    points = (np.arange(30_000, dtype=np.float64), np.arange(1, 30_001) / 30_000)
     with pytest.raises(OSError, match="disk full"):
         analysis.write_cdf_csv(points, FullDisk())
     assert_no_child()
