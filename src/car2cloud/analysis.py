@@ -7,8 +7,9 @@ the cases" therefore reads as the 5th percentile of the rate distribution.
 Statistics pool per-vehicle per-tick samples, not per-vehicle means.
 Rates come as a sequence or array, such as a TickTable's rate_bps column;
 they are sorted stably and summed left to right in sorted order, so the
-statistics do not depend on how the rates are held.  The CDF stays two
-float64 columns, steps and probabilities, up to the text write_cdf_csv
+statistics do not depend on how the rates are held; rates that
+sorted_rates returned are not sorted again.  The CDF stays two float64
+columns, steps and probabilities, up to the text write_cdf_csv
 makes of them with csvio.write_columns.
 """
 
@@ -54,8 +55,17 @@ class ScenarioComparison:
     percentile_ratios: dict[int, float]
 
 
-def _sorted_rates(rates: Sequence[float] | np.ndarray) -> np.ndarray:
-    return np.sort(np.asarray(rates, dtype=np.float64), kind="stable")
+def sorted_rates(rates: Sequence[float] | np.ndarray) -> np.ndarray:
+    """The rates as float64 in stable ascending order.
+
+    Rates already in that order are returned as they are, with no sort,
+    since a stable sort would not move them; so rate_stats and cdf, given
+    rates from here, share one sort.
+    """
+    values = np.asarray(rates, dtype=np.float64)
+    if (values[1:] >= values[:-1]).all():
+        return values
+    return np.sort(values, kind="stable")
 
 
 def percentile(sorted_values: Sequence[float], p: int) -> float:
@@ -69,7 +79,7 @@ def percentile(sorted_values: Sequence[float], p: int) -> float:
 
 def rate_stats(rates: Sequence[float] | np.ndarray, scenario_label: str) -> RateStats:
     """Mean and step-convention percentiles of the pooled per-tick rates."""
-    values = _sorted_rates(rates).tolist()
+    values = sorted_rates(rates).tolist()
     if not values:
         raise ValidationError("rate_stats needs at least one sample")
     return RateStats(
@@ -86,7 +96,7 @@ def cdf(rates: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The first holds each distinct rate in increasing order, the second the
     cumulative probability at it, the last one exactly 1.
     """
-    values = _sorted_rates(rates)
+    values = sorted_rates(rates)
     n = len(values)
     if n == 0:
         raise ValidationError("cdf needs at least one sample")

@@ -106,10 +106,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         table = _read(path, engine.read_results_csv)
         if not len(table):
             raise ValidationError(f"results file {path} holds no tick rows")
-        all_stats.append(analysis.rate_stats(table.rate_bps, label))
+        rates = analysis.sorted_rates(table.rate_bps)
+        all_stats.append(analysis.rate_stats(rates, label))
         suffix = "" if i == 0 else f"_{label}"
         with open(out_dir / f"cdf{suffix}.csv", "w", encoding="utf-8", newline="") as fh:
-            analysis.write_cdf_csv(analysis.cdf(table.rate_bps), fh)
+            analysis.write_cdf_csv(analysis.cdf(rates), fh)
         per_cell = cvim.count_packages_per_cell(table)
         with open(
             out_dir / f"cell_packages{suffix}.csv", "w", encoding="utf-8", newline=""

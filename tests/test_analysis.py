@@ -16,6 +16,7 @@ from car2cloud.analysis import (
     percentile,
     plan_rb,
     rate_stats,
+    sorted_rates,
     stats_payload,
     write_cdf_csv,
     write_cell_packages_csv,
@@ -90,6 +91,20 @@ def test_cdf_sorted_regardless_of_input_order():
     rates, probs = cdf([5.0, 1.0, 3.0, 1.0])
     assert rates.tolist() == [1.0, 3.0, 5.0]
     assert probs[-1] == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats() | st.sampled_from([0.0, -0.0, 1.0]), max_size=30))
+def test_sorted_rates_sorts_once(values):
+    """sorted_rates is a stable sort, and returns rates it gave as the same array."""
+    once = sorted_rates(values)
+    expected = np.sort(np.array(values, dtype=np.float64), kind="stable")
+    assert once.tobytes() == expected.tobytes()  # -0.0 and 0.0 kept in input order
+    if not np.isnan(once).any():  # NaN compares false, so rates holding one are sorted again
+        assert sorted_rates(once) is once
+    if values:
+        assert repr(rate_stats(once, "s")) == repr(rate_stats(values, "s"))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(cdf(once), cdf(values)))
 
 
 def test_cdf_empty_errors():

@@ -1,9 +1,10 @@
-"""The CSV codec's worker process and float text live behind one module, car2cloud.csvio.
+"""The CSV codec's worker process and number text live behind one module, car2cloud.csvio.
 
 Forking, pipes and pickling are the codec's decisions: its worker protocol.
-So is orjson, which writes the codec's number text.  Each module's source
-is read with ast, so that a use is found wherever it sits, also in a
-function no test calls.
+So is orjson, which writes the codec's number text and, where a byte gate
+shows that it reads the text as int and float do, reads it back.  Each
+module's source is read with ast, so that a use is found wherever it sits,
+also in a function no test calls.
 """
 
 import ast

@@ -13,13 +13,15 @@ import numpy as np
 import pytest
 
 import trace_csv_oracle
-from car2cloud import analysis, cli, engine
+from car2cloud import analysis, cli, csvio, engine
 from car2cloud.csvio import READ_CHUNK_BYTES, ordered_map
+from car2cloud.engine import TickTable
 from car2cloud.errors import ParseError
-from car2cloud.mobility import parse_trace_csv
+from car2cloud.mobility import emit_trace_csv, parse_trace_csv
 from test_engine import MANY as RESULT_LINES
 from test_engine import results_lines
 from test_trace_csv import HEADER, outcome, valid_lines
+from trace_rows import trace_table
 
 CPUS = {"one cpu": {0}, "two cpus": {0, 1}}
 
@@ -156,7 +158,8 @@ GOLDEN = {
 }
 
 
-def test_pipeline_bytes_match_the_golden_digests(cpus, tmp_path):
+def run_ring_pipeline(tmp_path):
+    """gen-traces, simulate and analyze on RING, writing GOLDEN's files under tmp_path."""
     config, stations = tmp_path / "ring.cfg", tmp_path / "stations.csv"
     config.write_text(RING, encoding="utf-8")
     stations.write_text(STATIONS, encoding="utf-8")
@@ -169,7 +172,57 @@ def test_pipeline_bytes_match_the_golden_digests(cpus, tmp_path):
     assert cli.main([
         "analyze", str(tmp_path / "sim" / "results.csv"), "--out-dir", str(tmp_path / "stats"),
     ]) == 0
+
+
+def test_pipeline_bytes_match_the_golden_digests(cpus, tmp_path):
+    run_ring_pipeline(tmp_path)
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN
     }
     assert digests == GOLDEN
+
+
+def test_writer_output_is_read_without_the_per_field_path(tmp_path, monkeypatch):
+    """Every numeric column the three writers write is read by orjson alone.
+
+    With csvio's per-field conversion patched to fail, simulate reads the
+    RING traces, analyze its results, and read_columns its CDF; so are
+    tables of -0.0 and of values repr writes with an exponent.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    def per_field(column, convert):
+        raise AssertionError(f"{convert.__name__} field by field: {column[:3]}")
+
+    monkeypatch.setattr(csvio, "_convert_each", per_field)
+    run_ring_pipeline(tmp_path)
+    with open(tmp_path / "stats" / "cdf.csv", encoding="utf-8", newline="") as fh:
+        assert fh.readline() == "rate_bps,cum_prob\n"
+        rates, probs = csvio.read_columns(fh, (float, float))
+    assert len(rates) == len(probs) > 1000
+
+    values = np.array([-0.0, 0.0, 1.5e-05, -1.5e-05, 1e16, 1e300, 5e-324, -2.5])
+    n = len(values)
+    results = TickTable(
+        np.arange(n), ["v"] * n, ["bs"] * n, values, values[::-1], np.abs(values),
+        np.zeros(n, np.int64), np.full(n, 2**63 - 1), np.arange(n),
+    )
+    buf = io.StringIO()
+    engine.write_results_csv(results, buf)
+    buf.seek(0)
+    back = engine.read_results_csv(buf)
+    for name in ("snr_db", "rb_share", "rate_bps", "bits_sent"):
+        assert getattr(back, name).tobytes() == getattr(results, name).tobytes(), name
+    traces = trace_table(("v", t, x, -x, abs(x)) for t, x in enumerate(values.tolist()))
+    buf = io.StringIO()
+    emit_trace_csv(traces, buf)
+    buf.seek(0)
+    back = parse_trace_csv(buf)
+    for name in ("x", "y", "speed"):
+        assert getattr(back, name).tobytes() == getattr(traces, name).tobytes(), name
+    buf = io.StringIO()
+    analysis.write_cdf_csv((values, np.abs(values)), buf)
+    buf.seek(0)
+    buf.readline()
+    back = csvio.read_columns(buf, (float, float))
+    assert back[0].tobytes() == values.tobytes()

@@ -30,6 +30,7 @@ from car2cloud.errors import ConfigError, ParseError, ValidationError
 from car2cloud.linkrate import rb_rate
 from car2cloud.radio import BaseStation, LinkBudgetConfig
 from scalar_engine import run as scalar_run
+from test_trace_csv import GATE_TOKENS
 from trace_rows import trace_table
 
 
@@ -623,6 +624,36 @@ def test_read_results_csv_names_field_count_past_first_chunk(line, fields):
     with pytest.raises(ParseError) as err:
         read_results_csv(io.StringIO(text))
     assert str(err.value) == f"line {bad + 3}: expected 9 fields, got {fields}"
+
+
+RESULTS_NAMES = RESULTS_CSV_HEADER.split(",")
+
+
+@pytest.mark.parametrize("token", GATE_TOKENS + ["1\r", "-0\r", ""])
+@pytest.mark.parametrize("field", [4, 8, 0])  # rb_share; queue_bytes, the last; t, the first
+def test_read_results_csv_reads_each_token_as_int_or_float_does(field, token):
+    """The token in one field of a line past the first chunk, against int or float on it."""
+    lines = results_lines(400)
+    bad = 390
+    parts = lines[bad].rstrip("\n").split(",")
+    parts[field] = token
+    lines[bad] = ",".join(parts) + "\n"
+    stream = io.StringIO(RESULTS_CSV_HEADER + "\n" + "".join(lines))
+    convert = float if field == 4 else int
+    try:
+        value = convert(token)
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        if convert is float or -(2**63) <= value < 2**63:
+            with mock.patch.object(csvio, "READ_CHUNK_BYTES", 4096):
+                column = getattr(read_results_csv(stream), RESULTS_NAMES[field])
+            assert column[bad:bad + 1].tobytes() == np.array([value], column.dtype).tobytes()
+            return
+        message = f"integer {token!r} exceeds 64 bits"
+    with mock.patch.object(csvio, "READ_CHUNK_BYTES", 4096), pytest.raises(ParseError) as err:
+        read_results_csv(stream)
+    assert str(err.value) == f"line {bad + 2}: {message}"
 
 
 def test_read_results_csv_skips_blank_lines_and_interns_ids():

@@ -47,6 +47,15 @@ def assert_same_as_oracle(text: str, file_like: bool = False):
 IDS = ["a", "b", "veh1", "veh10", " c", "", '"a"', '"b"', '"a,b"', '"x""y"', 'p"q', "n\x00"]
 TICKS = ["0", "1", "2", " 3", "-1", "1.0", "x", "", "1_0", str(2**63), str(-(2**63) - 1)]
 FLOATS = ["0", "1.5", "-0.0", "20.25", " 2 ", "1e3", "-2", "nan", "inf", "-inf", "1e400", "east", ""]
+# Texts that orjson, which reads whole columns, reads otherwise than int or
+# float, or not at all: the column parser must read them as the row reader does.
+GATE_TOKENS = [
+    "-0", "-0.0", "-0e0", "+1", ".5", "5.", "01", "1E5", "0.1e1", "1e-400", "1e400",
+    str(2**64 - 1), str(2**64), str(2**63), str(-(2**63) - 1), "1.0", "1_0", "１２", "-", "e5",
+    "true", "null",
+]
+TICKS += GATE_TOKENS
+FLOATS += GATE_TOKENS
 EDITS = ["id", "t", "value", "duplicate", "drop", "gap", "blank", "fields"]
 ENDINGS = [["\n"], ["\n"], ["\n"], ["\r\n"], ["\n", "\n", "\n", "\r\n", "\r"]]
 
@@ -94,6 +103,17 @@ def trace_texts(draw):
 def test_chunked_reader_matches_the_row_reader(text, chunk_bytes, file_like):
     with mock.patch.object(csvio, "READ_CHUNK_BYTES", chunk_bytes):
         assert_same_as_oracle(text, file_like)
+
+
+@pytest.mark.parametrize("token", GATE_TOKENS)
+@pytest.mark.parametrize("field", [1, 2, 4])  # t, x and speed, the last
+def test_each_gate_token_matches_the_row_reader(field, token):
+    lines = [f"veh{k % 10},{k // 10},{k * 0.5!r},0.0,10.0\n" for k in range(200)]
+    parts = lines[150].rstrip("\n").split(",")
+    parts[field] = token
+    lines[150] = ",".join(parts) + "\n"
+    with mock.patch.object(csvio, "READ_CHUNK_BYTES", 2000):
+        assert_same_as_oracle(HEADER + "".join(lines))
 
 
 def valid_lines(n: int) -> list[str]:
