@@ -17,7 +17,7 @@ import math
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -202,8 +202,8 @@ class _VehicleRng:
     Splitting per vehicle makes every vehicle's imperfection draws
     independent of insertion order, which keeps whole runs reproducible
     even if the set of simultaneously active vehicles changes.  A vehicle
-    draws its speed factor first, then all its dawdles in one call; the
-    j-th dawdle is used in the vehicle's j-th step.
+    draws its speed factor first, then all its dawdles in one call: its row
+    of the run's draw array, whose column t the vehicle reads at tick t.
     """
 
     def __init__(self, seed: int, vehicle_index: int):
@@ -215,8 +215,8 @@ class _VehicleRng:
         raw = 1.0 + speed_dev * self._rng.standard_normal()
         return min(max(raw, SPEED_FACTOR_MIN), SPEED_FACTOR_MAX)
 
-    def dawdles(self, steps: int) -> list[float]:
-        return self._rng.random(steps).tolist()
+    def dawdles(self, steps: int) -> np.ndarray:
+        return self._rng.random(steps)
 
 
 def _entry_speed(
@@ -254,8 +254,8 @@ class _Recorder:
     """Platoon snapshots, appended one tick's arrays at a time.
 
     A strip position is x with y = 0; a ring position is mapped onto a
-    circle of matching circumference with the scalar math.cos and math.sin,
-    whose results numpy's vectorised versions may miss by an ulp.
+    circle of matching circumference with the scalar math.cos and math.sin
+    through np.fromiter; numpy's vectorised versions may miss by an ulp.
     """
 
     def __init__(self, names: np.ndarray, ring_length: float | None):
@@ -270,8 +270,8 @@ class _Recorder:
             x, y = position, np.zeros(n)
         else:
             angles = (position / self.radius).tolist()
-            x = np.array([self.radius * c for c in map(math.cos, angles)], dtype=np.float64)
-            y = np.array([self.radius * s for s in map(math.sin, angles)], dtype=np.float64)
+            x = self.radius * np.fromiter(map(math.cos, angles), np.float64, n)
+            y = self.radius * np.fromiter(map(math.sin, angles), np.float64, n)
         self.ticks.append((vehicles, np.full(n, len(self.ticks), dtype=np.int64), x, y, speed))
 
     def table(self) -> TraceTable:
@@ -303,7 +303,7 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
     names = _vehicle_names(len(arrivals))
     rngs = [_VehicleRng(road.seed, k) for k in range(len(arrivals))]
     factors = [rng.speed_factor(params.speed_dev) for rng in rngs]
-    dawdles: dict[int, Iterator[float]] = {}  # drawn on entry
+    dawdles = np.zeros((len(arrivals), road.duration))  # a row drawn on entry
     recorder = _Recorder(names, ring_length=None)
 
     # The platoon, ordered back to front.
@@ -313,9 +313,8 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
     front_clearance = params.veh_length + params.min_gap
     for t in range(road.duration):
         recorder.record(vehicles, position, speed)
-        dawdle = np.array([next(dawdles[k]) for k in vehicles.tolist()])
         position, speed = krauss_step(
-            position, speed, factor, dawdle, params, names[vehicles]
+            position, speed, factor, dawdles[vehicles, t], params, names[vehicles]
         )
         # Entries during (t, t+1] appear in the t+1 sample set.  Positions
         # within the window are linear at the post-step speed, matching the
@@ -350,7 +349,7 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
             rear = (v_in * (1.0 - entry_offset), v_in)
             entered.append((next_k, *rear))
             # one draw for each of its steps, at ticks t+1 .. duration-1
-            dawdles[next_k] = iter(rngs[next_k].dawdles(road.duration - t - 1))
+            dawdles[next_k, t + 1:] = rngs[next_k].dawdles(road.duration - t - 1)
             next_k += 1
         if entered:
             entered.reverse()
@@ -378,18 +377,18 @@ def _generate_ring(road: RoadSpec, params: KraussParams) -> TraceTable:
     names = _vehicle_names(count)
     rngs = [_VehicleRng(road.seed, k) for k in range(count)]
     factor = np.array([rng.speed_factor(params.speed_dev) for rng in rngs])
-    dawdles = [iter(rng.dawdles(road.duration)) for rng in rngs]
+    dawdles = np.array([rng.dawdles(road.duration) for rng in rngs])
     recorder = _Recorder(names, ring_length=road.length)
 
     # The platoon, ordered back to front.
     vehicles = np.arange(count)
     position = np.array([k * spacing for k in range(count)])
     speed = np.zeros(count)
-    for _ in range(road.duration):
+    for t in range(road.duration):
         recorder.record(vehicles, position, speed)
-        dawdle = np.array([next(dawdles[k]) for k in vehicles.tolist()])
         position, speed = krauss_step(
-            position, speed, factor, dawdle, params, names[vehicles], ring_length=road.length
+            position, speed, factor, dawdles[vehicles, t], params, names[vehicles],
+            ring_length=road.length,
         )
         order = np.argsort(position, kind="stable")
         vehicles, position, speed, factor = (

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -128,15 +129,72 @@ GOLDEN_TRACE_DIGESTS = {
     # 34 vehicles on 300 m: gaps of 1.3 m, vehicles stop and pass the seam
     "ring_dense": (RoadSpec("ring", 300.0, 34, 120, seed=3),
                    "fe0ac71e57ac27d37c020d5289295b832b503cde1e4f93e187c59043ec9142c1"),
+    # Edge cases of the per-run draw array, taken before it replaced the
+    # per-vehicle dawdle iterators.  A 0-tick ring draws (n, 0) dawdles and a
+    # 1-tick strip admits no vehicle; the one entry of a 2-tick strip draws a
+    # single value; on a 0.5 m strip every entrant is past the end at once.
+    "ring_0_ticks": (RoadSpec("ring", 1000.0, 10, 0, seed=42),
+                     "f6aa481276e89037bf1f265ab65d0500bcd3c5dec65d365c787b263ab83adc8a"),
+    "strip_1_tick": (RoadSpec("strip", 3000.0, 4000.0, 1, seed=42),
+                     "f6aa481276e89037bf1f265ab65d0500bcd3c5dec65d365c787b263ab83adc8a"),
+    "strip_2_ticks": (RoadSpec("strip", 3000.0, 4000.0, 2, seed=42),
+                      "375b8ae000e8ee44cb9d9484a60d7b501f1e7a6c0e6e38d48232fda7c1f0398d"),
+    "strip_half_metre": (RoadSpec("strip", 0.5, 1000.0, 60, seed=42),
+                         "f6aa481276e89037bf1f265ab65d0500bcd3c5dec65d365c787b263ab83adc8a"),
+    # 48 of 60 vehicles leave the 400 m strip before the run ends
+    "strip_vehicles_leave": (RoadSpec("strip", 400.0, 2000.0, 120, seed=42),
+                             "2ac6fd4e5e847a7b2242d6dd81fb87f693d28d60697dcdaa517aeb9f0349ab0b",
+                             KraussParams(sigma=1.0, speed_dev=0.3)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_DIGESTS))
 def test_generated_traces_match_golden_digest(name):
-    road, digest = GOLDEN_TRACE_DIGESTS[name]
-    buf = io.StringIO()
-    emit_trace_csv(generate_traces(road), buf)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+    road, digest, *params = GOLDEN_TRACE_DIGESTS[name]
+    assert hashlib.sha256(csv_text(generate_traces(road, *params)).encode()).hexdigest() == digest
+
+
+def random_generator_cases(count: int = 40, seed: int = 15):
+    """Seeded random (road, params) pairs, strips and rings alternating, 60 ticks each."""
+    rng = random.Random(seed)
+    for i in range(count):
+        params = KraussParams(
+            a_max=rng.uniform(0.5, 4.0),
+            b_max=rng.uniform(1.0, 9.0),
+            v_max=rng.uniform(5.0, 50.0),
+            sigma=rng.uniform(0.0, 1.0),
+            tau=rng.uniform(0.2, 2.0),
+            min_gap=rng.uniform(0.5, 4.0),
+            veh_length=rng.uniform(2.0, 10.0),
+            speed_dev=rng.uniform(0.0, 0.3),
+        )
+        if i % 2:
+            length = rng.uniform(100.0, 2000.0)
+            most = int(length // (params.veh_length + params.min_gap))
+            road = RoadSpec("ring", length, rng.randint(1, most), 60, seed=rng.randrange(1000))
+        else:
+            road = RoadSpec(
+                "strip", rng.uniform(10.0, 2000.0), rng.uniform(200.0, 8000.0), 60,
+                seed=rng.randrange(1000),
+            )
+        yield road, params
+
+
+def test_random_generator_cases_match_golden_digest():
+    # One SHA-256 over every case's trace CSV text or overlap error message,
+    # taken before the per-run draw array replaced the per-vehicle dawdle
+    # iterators; the messages pin the vehicle names each tick's step is given.
+    digest = hashlib.sha256()
+    failed = set()
+    for road, params in random_generator_cases():
+        try:
+            text = csv_text(generate_traces(road, params))
+        except SimulationError as exc:
+            text = str(exc)
+            failed.add(road.topology)
+        digest.update(f"{len(text)}:{text}".encode())
+    assert failed == {"strip", "ring"}
+    assert digest.hexdigest() == "df9586d55edbd36029550d54a9d6b5b3bb060dc54acaf9852852c01e3775a084"
 
 
 def test_dense_ring_golden_case_stops_and_wraps():

@@ -13,7 +13,8 @@ import pytest
 
 import trace_csv_oracle
 from car2cloud import mobility
-from car2cloud.errors import ParseError
+from car2cloud.csvio import READ_CHUNK_BYTES
+from car2cloud.errors import ParseError, ValidationError
 from car2cloud.mobility import emit_trace_csv, parse_trace_csv
 from test_trace_csv import HEADER, MANY, valid_lines
 
@@ -122,3 +123,24 @@ def test_line_feed_inside_a_line(text):
         return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="\r\n")
 
     assert outcome(parse_trace_csv, stream()) == outcome(trace_csv_oracle.parse_trace_csv, stream())
+
+
+def test_undecodable_byte_past_an_earlier_bad_line(tmp_path):
+    # The chunked reader finds a duplicate sample only after it has read every
+    # chunk, so it stops at a byte that is not UTF-8 in a later chunk.  The
+    # restart is what lets the row reader name the earlier line, as it does
+    # in a file without that byte.
+    lines = valid_lines(MANY)
+    lines[1] = lines[0]  # line 3 repeats line 2's sample
+    data = (HEADER + "".join(lines)).encode() + b"veh\xff,0,0.0,0.0,10.0\n"
+    assert len(data) > 1.2 * READ_CHUNK_BYTES
+    path = tmp_path / "traces.csv"
+    path.write_bytes(data)
+
+    def stream():
+        return open(path, encoding="utf-8", newline="")
+
+    expected = (ValidationError, "line 3: duplicate sample ('veh0000', t=0)")
+    assert outcome(parse_trace_csv, stream()) == expected
+    assert outcome(trace_csv_oracle.parse_trace_csv, stream()) == expected
+    assert outcome(mobility._read_chunks, stream())[0] is UnicodeDecodeError
