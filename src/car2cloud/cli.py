@@ -190,7 +190,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValidationError, FileNotFoundError, IsADirectoryError) as exc:
+    except (
+        ValidationError, FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError
+    ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # exit-code contract: anything else is internal

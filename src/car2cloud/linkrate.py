@@ -14,8 +14,10 @@ efficiency is eta_max.  Any replacement model is a plain callable
 (snr_db, speed) -> bit/s per RB; the scheduler and engine only rely on that
 signature.
 
-rb_rate is the scalar model; rb_rates evaluates it over arrays with the
-same bits (see rb_rates).
+The formula is written once, in rb_rates; rb_rate evaluates it on one
+pair.  The scalar formula as first written is kept in
+tests/scalar_models.py as the independent oracle both are checked against
+bit for bit.
 """
 
 from __future__ import annotations
@@ -62,26 +64,20 @@ def _snr_linear(snr_db_tenth: float) -> float:
 
 
 def rb_rate(snr_db: float, speed: float, params: RbRateParams | None = None) -> float:
-    """Achievable uplink rate of one resource block, in bit/s."""
-    p = params or RbRateParams()
-    if snr_db < p.snr_min_db:
-        return 0.0
-    snr_lin = _snr_linear(snr_db / 10.0)
-    efficiency = min(p.attenuation_beta * math.log2(1.0 + snr_lin), p.eta_max)
-    penalty = 1.0 - p.speed_penalty_at_vmax * min(speed, p.v_ref) / p.v_ref
-    return efficiency * p.rb_bandwidth_hz * penalty
+    """Achievable uplink rate of one resource block, in bit/s: rb_rates on one pair."""
+    pair = np.array([snr_db], dtype=np.float64), np.array([speed], dtype=np.float64)
+    return float(rb_rates(*pair, params)[0])
 
 
 def rb_rates(
     snr_db: np.ndarray, speed: np.ndarray, params: RbRateParams | None = None
 ) -> np.ndarray:
-    """rb_rate of every (snr_db, speed) pair, bit for bit.
+    """The rate of every (snr_db, speed) pair, by the formula in the module docstring.
 
-    numpy's + - * / and comparisons round as Python's float operations do,
-    so the arithmetic follows rb_rate's operation order on arrays; the
-    power and log2 go through Python per element, as numpy's may differ in
-    the last ulp.  Python's min(a, b) is a unless b < a, which np.where
-    repeats.
+    numpy's + - * / and comparisons round as Python's float operations do;
+    the power and log2 go through Python per element, as numpy's may differ
+    from math's in the last ulp.  Python's min(a, b) is a unless b < a,
+    which np.where repeats.
     """
     p = params or RbRateParams()
     with np.errstate(all="ignore"):
@@ -93,4 +89,3 @@ def rb_rates(
         slow = np.where(p.v_ref < speed, p.v_ref, speed)
         penalty = 1.0 - p.speed_penalty_at_vmax * slow / p.v_ref
         return np.where(snr_db < p.snr_min_db, 0.0, efficiency * p.rb_bandwidth_hz * penalty)
-

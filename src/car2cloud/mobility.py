@@ -139,6 +139,12 @@ class RoadSpec:
             raise ConfigError(f"sim.seed must be non-negative, got {self.seed}")
 
 
+def _safe_speed(gap, v_lead, v, params: KraussParams):
+    """The Krauss safe speed v_safe of krauss_step's docstring, on floats or arrays."""
+    brake = (v_lead + v) / (2.0 * params.b_max) + params.tau
+    return v_lead + (gap - v_lead * params.tau) / brake
+
+
 def krauss_step(
     position: np.ndarray,
     speed: np.ndarray,
@@ -183,10 +189,7 @@ def krauss_step(
         raise SimulationError(
             f"vehicles {ids[i]} and {ids[(i + 1) % n]} overlap (gap {gap[i]:.3f} m)"
         )
-    v = speed[:m]
-    v_safe = lead_speed + (gap - lead_speed * params.tau) / (
-        (lead_speed + v) / (2.0 * params.b_max) + params.tau
-    )
+    v_safe = _safe_speed(gap, lead_speed, speed[:m], params)
     v_des[:m] = np.where(v_safe < v_des[:m], v_safe, v_des[:m])
     v_new = v_des - params.sigma * params.a_max * dawdle
     v_new = np.where(v_new > 0.0, v_new, 0.0)
@@ -231,10 +234,7 @@ def _entry_speed(
     gap = rear_position - params.veh_length - params.min_gap
     if gap < 0:
         raise SimulationError("injection attempted while origin blocked")
-    v_safe = rear_speed + (gap - rear_speed * params.tau) / (
-        (rear_speed + rear_speed) / (2.0 * params.b_max) + params.tau
-    )
-    return max(0.0, min(v_free, v_safe))
+    return max(0.0, min(v_free, _safe_speed(gap, rear_speed, rear_speed, params)))
 
 
 def _arrival_times(road: RoadSpec) -> list[float]:

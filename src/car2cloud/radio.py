@@ -6,9 +6,13 @@ are the physical heights minus 1 m.  SNR follows the additive link budget
 
     snr = tx_power + ue_gain + bs_gain - path_loss - (noise_power + noise_figure)
 
-with every term in dB/dBm.  All functions here are pure.  snr is the
-scalar formula; _link_budget runs its operations on arrays, for the
-screen_links association screen and for link_snrs, which gives snr's bits.
+with every term in dB/dBm.  All functions here are pure.  Each formula is
+written once and works on arrays: breakpoint_distance, and the path loss
+and SNR in _link_budget.  The scalar functions path_loss_b1, snr and
+best_link, and link_snrs, evaluate them with math's hypot and log10 per
+element; the screen_links association screen evaluates them with numpy's.
+The scalar formulas as first written are kept in tests/scalar_models.py,
+the independent oracle these functions are checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -77,11 +81,22 @@ class LinkSample(NamedTuple):
     snr: float
 
 
+def _per_element(fn):
+    """fn applied by Python to each element of float64 arrays of one length."""
+    return lambda *a: np.fromiter(map(fn, *map(np.ndarray.tolist, a)), np.float64, len(a[0]))
+
+
+_HYPOT, _LOG10 = _per_element(math.hypot), _per_element(math.log10)
+
+
 def breakpoint_distance(cfg: LinkBudgetConfig, bs_height: float = 10.0) -> float:
-    """B1 breakpoint distance 4 * h'_bs * h'_ue * f / c in meters."""
+    """B1 breakpoint distance 4 * h'_bs * h'_ue * f / c in meters.
+
+    bs_height may also be an array of heights, giving an array of distances.
+    """
     h_bs = bs_height - 1.0
     h_ue = cfg.ue_height_m - 1.0
-    if h_bs <= 0 or h_ue <= 0:
+    if np.any(h_bs <= 0) or h_ue <= 0:
         raise ConfigError("antenna heights must exceed 1 m")
     return 4.0 * h_bs * h_ue * cfg.carrier_freq_ghz * 1e9 / SPEED_OF_LIGHT
 
@@ -94,20 +109,10 @@ def path_loss_b1(distance: float, cfg: LinkBudgetConfig, bs_height: float = 10.0
                 - 17.3 log10(h'_ue) + 2.7 log10(f/5GHz).
     Distances under 10 m are clamped to 10 m.
     """
-    d = max(distance, MIN_MODEL_DISTANCE)
-    d_bp = breakpoint_distance(cfg, bs_height)
-    f_rel = cfg.carrier_freq_ghz / 5.0
-    if d <= d_bp:
-        return 22.7 * math.log10(d) + 41.0 + 20.0 * math.log10(f_rel)
-    h_bs = bs_height - 1.0
-    h_ue = cfg.ue_height_m - 1.0
-    return (
-        40.0 * math.log10(d)
-        + 9.45
-        - 17.3 * math.log10(h_bs)
-        - 17.3 * math.log10(h_ue)
-        + 2.7 * math.log10(f_rel)
-    )
+    d_bp, log_h_bs = _height_terms(np.array([bs_height], dtype=np.float64), cfg)
+    with np.errstate(all="ignore"):
+        _, b1, _, _ = _link_budget(np.array([distance]), 0.0, d_bp, log_h_bs, cfg, _LOG10)
+    return b1.item()
 
 
 def snr(
@@ -118,18 +123,7 @@ def snr(
     The reported path loss includes the configured extra_loss_db offset, so
     the budget identity holds exactly against the reported value.
     """
-    dx = vehicle_pos[0] - station.x
-    dy = vehicle_pos[1] - station.y
-    distance = math.hypot(dx, dy)
-    loss = path_loss_b1(distance, cfg, station.height) + cfg.extra_loss_db
-    value = (
-        cfg.tx_power_dbm
-        + cfg.ue_gain_dbi
-        + station.antenna_gain
-        - loss
-        - (cfg.noise_power_dbm + cfg.noise_figure_db)
-    )
-    return LinkSample(distance, loss, value)
+    return _links(vehicle_pos, [station], cfg)[0]
 
 
 def best_link(
@@ -139,58 +133,67 @@ def best_link(
 ) -> tuple[BaseStation, LinkSample]:
     """Best-SNR station for a position; ties go to the smallest station id.
 
-    Iterating in canonical id order with a strict-improvement test makes the
-    result independent of the input collection's ordering.
+    max keeps the first of the stations in canonical id order unless a later
+    one has a strictly greater SNR, so the result is independent of the
+    input collection's ordering, and a NaN SNR never replaces the best.
     """
     ordered = sorted(stations, key=lambda s: str(s.station_id))
     if not ordered:
         raise ConfigError("cannot associate: no base stations configured")
-    best = None
-    best_sample = None
-    for station in ordered:
-        sample = snr(vehicle_pos, station, cfg)
-        if best_sample is None or sample.snr > best_sample.snr:
-            best, best_sample = station, sample
-    return best, best_sample
+    return max(zip(ordered, _links(vehicle_pos, ordered, cfg)), key=lambda pair: pair[1].snr)
 
 
 def _station_terms(stations: Sequence[BaseStation], cfg: LinkBudgetConfig) -> tuple:
-    """Arrays of each station's x, y, antenna gain, breakpoint distance and 17.3 log10(h'_bs).
-
-    Computed as breakpoint_distance and path_loss_b1 compute them.
-    """
+    """Arrays of each station's x, y, antenna gain and _height_terms."""
     x, y, gain, height = np.array(
         [(s.x, s.y, s.antenna_gain, s.height) for s in stations], dtype=np.float64
     ).T
-    h_bs = height - 1.0
-    d_bp = 4.0 * h_bs * (cfg.ue_height_m - 1.0) * cfg.carrier_freq_ghz * 1e9 / SPEED_OF_LIGHT
-    return x, y, gain, d_bp, 17.3 * np.array(list(map(math.log10, h_bs.tolist())))
+    return x, y, gain, *_height_terms(height, cfg)
 
 
-def _link_budget(dx, dy, gain, d_bp, log_h_bs, cfg: LinkBudgetConfig, hypot, log10):
-    """The clamped distance and SNR, by snr's operations in their order, on arrays.
+def _height_terms(height: np.ndarray, cfg: LinkBudgetConfig) -> tuple:
+    """Arrays of the breakpoint distance and 17.3 log10(h'_bs) of each station height."""
+    return breakpoint_distance(cfg, height), 17.3 * _LOG10(height - 1.0)
 
-    dx and dy are offsets from the stations whose _station_terms the other
-    arrays hold; all broadcast together.  numpy's + - * / and comparisons
-    round as Python's float operations do, so only hypot and log10 can
-    differ from snr's, and only if numpy's are given.  Python's max(a, b)
-    is a unless b > a, which np.where repeats.
+
+def _link_budget(distance, gain, d_bp, log_h_bs, cfg: LinkBudgetConfig, log10):
+    """The clamped distance, B1 path loss, total path loss and SNR, on arrays.
+
+    The arrays broadcast together; gain, d_bp and log_h_bs are the stations'
+    _station_terms.  numpy's + - * / and comparisons round as Python's float
+    operations do, so only log10 can differ from math's, and only if
+    numpy's is given.  Python's max(a, b) is a unless b > a, which np.where
+    repeats.
     """
     log_f = math.log10(cfg.carrier_freq_ghz / 5.0)
     log_h_ue = 17.3 * math.log10(cfg.ue_height_m - 1.0)
-    distance = hypot(dx, dy)
     d = np.where(MIN_MODEL_DISTANCE > distance, MIN_MODEL_DISTANCE, distance)
     log_d = log10(d)
     near = 22.7 * log_d + 41.0 + 20.0 * log_f
     far = 40.0 * log_d + 9.45 - log_h_bs - log_h_ue + 2.7 * log_f
-    loss = np.where(d <= d_bp, near, far) + cfg.extra_loss_db
+    b1 = np.where(d <= d_bp, near, far)
+    loss = b1 + cfg.extra_loss_db
     budget = cfg.tx_power_dbm + cfg.ue_gain_dbi + gain - loss
-    return d, budget - (cfg.noise_power_dbm + cfg.noise_figure_db)
+    return d, b1, loss, budget - (cfg.noise_power_dbm + cfg.noise_figure_db)
 
 
-def _per_element(fn):
-    """fn applied by Python to each element of float64 arrays of one length."""
-    return lambda *a: np.fromiter(map(fn, *map(np.ndarray.tolist, a)), np.float64, len(a[0]))
+def _serving_links(positions, serving, stations, cfg: LinkBudgetConfig) -> tuple:
+    """Distance, total path loss and SNR of each position's link to stations[serving].
+
+    The link budget runs with math's hypot and log10 per element.
+    """
+    x, y, *terms = (per_station[serving] for per_station in _station_terms(stations, cfg))
+    with np.errstate(all="ignore"):
+        distance = _HYPOT(positions[:, 0] - x, positions[:, 1] - y)
+        _, _, loss, value = _link_budget(distance, *terms, cfg, _LOG10)
+    return distance, loss, value
+
+
+def _links(vehicle_pos, stations: Sequence[BaseStation], cfg: LinkBudgetConfig) -> list:
+    """One LinkSample of Python floats per station, for one position."""
+    position = np.array([vehicle_pos], dtype=np.float64)
+    links = _serving_links(position, np.arange(len(stations)), stations, cfg)
+    return list(map(LinkSample._make, zip(*(a.tolist() for a in links))))
 
 
 def screen_links(
@@ -211,7 +214,7 @@ def screen_links(
     x, y, gain, d_bp, log_h_bs = _station_terms(stations, cfg)
     dx, dy = positions[:, :1] - x, positions[:, 1:2] - y
     with np.errstate(all="ignore"):
-        d, value = _link_budget(dx, dy, gain, d_bp, log_h_bs, cfg, np.hypot, np.log10)
+        d, _, _, value = _link_budget(np.hypot(dx, dy), gain, d_bp, log_h_bs, cfg, np.log10)
         unsure = ~np.isfinite(value).all(axis=1)
         unsure |= (np.abs(d - d_bp) <= 1e-12 * d_bp).any(axis=1)
         if len(stations) > 1:
@@ -226,17 +229,8 @@ def link_snrs(
     stations: Sequence[BaseStation],
     cfg: LinkBudgetConfig,
 ) -> np.ndarray:
-    """snr(position, stations[serving]).snr of every row, bit for bit.
-
-    The link budget runs with math's hypot and log10 per element.
-    """
-    x, y, *terms = (per_station[serving] for per_station in _station_terms(stations, cfg))
-    dx, dy = positions[:, 0] - x, positions[:, 1] - y
-    with np.errstate(all="ignore"):
-        _, value = _link_budget(
-            dx, dy, *terms, cfg, _per_element(math.hypot), _per_element(math.log10)
-        )
-    return value
+    """snr(position, stations[serving]).snr of every row."""
+    return _serving_links(positions, serving, stations, cfg)[2]
 
 
 STATION_CSV_FIELDS = ("station_id", "x", "y", "antenna_gain", "height")
@@ -277,4 +271,6 @@ def parse_stations_csv(stream: IO[str]) -> list[BaseStation]:
             stations.append(BaseStation(sid, x, y, antenna_gain=gain, height=height))
         except ConfigError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
+    if not stations:
+        raise ValidationError("station CSV holds no stations")
     return stations

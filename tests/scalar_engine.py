@@ -3,8 +3,9 @@
 run here is the scalar loop of car2cloud's engine before its columnar
 kernels: per-tick screen, scalar snr or best_link per row, one
 rr_allocate per cell and tick, vehicle_rate with the rate model per row,
-and a TransmitQueue drained by try_transmit.  Tests compare the results
-CSV bytes of engine.run against it.
+and a TransmitQueue drained by try_transmit.  snr, best_link and the
+default rate model rb_rate are the scalar formulas of scalar_models.
+Tests compare the results CSV bytes of engine.run against it.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from car2cloud import cvim, scheduler
 from car2cloud.cvim import TransmitQueue
 from car2cloud.engine import SimConfig, TickTable
 from car2cloud.errors import ConfigError, ValidationError
-from car2cloud.linkrate import RateModel, rb_rate
+from car2cloud.linkrate import RateModel
 from car2cloud.mobility import TraceTable, id_codes
-from car2cloud.radio import BaseStation, best_link, screen_links, snr
+from car2cloud.radio import BaseStation, screen_links
+from scalar_models import best_link, rb_rate, snr
 
 
 def run(

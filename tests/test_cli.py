@@ -434,6 +434,56 @@ def test_input_that_is_a_directory_exits_3_like_a_missing_one(
     assert capsys.readouterr().err.startswith(expected)
 
 
+def _write_inputs(root, **replaced):
+    for path, text in {**INPUTS, **replaced}.items():
+        (root / path).write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("simulate", "traces.csv"),
+        ("simulate", "stations.csv"),
+        ("simulate", "run.cfg"),
+        ("analyze", "results.csv"),
+        ("gen-traces", "run.cfg"),
+    ],
+)
+def test_input_path_through_a_file_exits_3(tmp_path, monkeypatch, capsys, command, name):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+    argv = [f"{arg}/x" if arg == name else arg for arg in COMMANDS[command]]
+    assert main(argv) == 3
+    expected = f"input error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{name}/x'"
+    assert capsys.readouterr().err.startswith(expected)
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_out_dir_that_is_a_file_exits_3(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path, out="not a directory\n")
+    assert main(COMMANDS[command]) == 3
+    expected = f"input error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: 'out'"
+    assert capsys.readouterr().err.startswith(expected)
+    assert (tmp_path / "out").read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_gen_traces_out_path_through_a_file_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+    assert main(["gen-traces", "--config", "run.cfg", "--out", "run.cfg/out.csv"]) == 3
+    assert capsys.readouterr().err.startswith(f"input error: [Errno {errno.ENOTDIR}]")
+
+
+@pytest.mark.parametrize("stations", ["station_id,x,y\n", "station_id,x,y,antenna_gain\n\n\n"])
+def test_station_file_without_stations_exits_3(tmp_path, monkeypatch, capsys, stations):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path, **{"stations.csv": stations})
+    assert main(COMMANDS["simulate"]) == 3
+    assert capsys.readouterr().err == "input error: station CSV holds no stations\n"
+    assert not (tmp_path / "out").exists()
+
+
 RING_CFG = """
 road.topology = ring
 road.length = 2000

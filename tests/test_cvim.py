@@ -304,6 +304,25 @@ def test_aggregated_package_duration():
     assert [r.t for r in back.records] == [float(t) for t in range(10)]
 
 
+@pytest.mark.parametrize("n_extra_channels", [0, 2])
+@pytest.mark.parametrize("ticks", [1, 65])
+def test_size_model_matches_the_wire_at_default_sizes(n_extra_channels, ticks):
+    # engine.run sizes a package that buffers `ticks` ticks as
+    # payload_bytes(records_per_tick * ticks); the wire adds a 4-byte length prefix.
+    config = PackagingConfig(n_extra_channels=n_extra_channels, aggregate_ticks=ticks)
+    start = 130
+    recs = [
+        rec
+        for t in range(start, start + ticks)
+        for rec in tick_records(t, 12.5 * t, -3.0, 20.0, config)
+    ]
+    pkg = package("v", start, recs, config, duration=ticks)
+    n_records = config.records_per_tick * ticks
+    assert len(recs) == n_records
+    assert pkg.payload_bytes == config.payload_bytes(n_records)
+    assert len(serialize_package(pkg, config)) == 4 + config.payload_bytes(n_records)
+
+
 def test_packaging_config_validation():
     with pytest.raises(ConfigError):
         PackagingConfig(aggregate_ticks=0)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from car2cloud.errors import ConfigError
 from car2cloud.linkrate import RbRateParams, rb_rate, rb_rates
 from car2cloud.scheduler import vehicle_rate
+from scalar_models import rb_rate as oracle_rb_rate
 
 P = RbRateParams()
 
@@ -130,8 +131,18 @@ speeds = st.one_of(st.floats(0.0, 120.0), st.sampled_from([36.11, 1.0, 100.0, -3
 def test_rb_rates_match_rb_rate_bit_for_bit(params, pairs):
     snr_db = np.array([s for s, _ in pairs], dtype=np.float64)
     speed = np.array([v for _, v in pairs], dtype=np.float64)
-    expected = np.array([rb_rate(s, v, params) for s, v in pairs], dtype=np.float64)
+    expected = np.array([oracle_rb_rate(s, v, params) for s, v in pairs], dtype=np.float64)
     assert rb_rates(snr_db, speed, params).tobytes() == expected.tobytes()
+    got = np.array([rb_rate(s, v, params) for s, v in pairs], dtype=np.float64)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf, -10.0, 3082.6])
+@pytest.mark.parametrize("speed", [math.nan, math.inf, 0.0])
+def test_rb_rate_is_a_python_float_with_the_oracle_bits(snr_db, speed):
+    got = rb_rate(snr_db, speed, P)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(oracle_rb_rate(snr_db, speed, P)).tobytes()
 
 
 def test_rb_rates_match_rb_rate_on_a_dense_sweep():
@@ -139,5 +150,5 @@ def test_rb_rates_match_rb_rate_on_a_dense_sweep():
     # share of inputs, which a sweep of this size meets.
     snr_db = np.linspace(-12.0, 40.0, 100_001)
     speed = np.linspace(0.0, 50.0, 100_001)
-    expected = np.array([rb_rate(s, v, P) for s, v in zip(snr_db.tolist(), speed.tolist())])
-    assert rb_rates(snr_db, speed, P).tobytes() == expected.tobytes()
+    expected = [oracle_rb_rate(s, v, P) for s, v in zip(snr_db.tolist(), speed.tolist())]
+    assert rb_rates(snr_db, speed, P).tobytes() == np.array(expected).tobytes()

@@ -20,9 +20,15 @@ from car2cloud.radio import (
     screen_links,
     snr,
 )
+import scalar_models as oracle
 from trace_rows import trace_table
 
 CFG = LinkBudgetConfig()
+
+
+def bits(values) -> bytes:
+    """The IEEE bytes of a sequence of floats, so that NaNs and signed zeros compare too."""
+    return np.array(values, dtype=np.float64).tobytes()
 
 
 def test_breakpoint_distance_default():
@@ -209,6 +215,13 @@ def test_parse_stations_csv_duplicate_id():
         parse_stations_csv(io.StringIO(data))
 
 
+@pytest.mark.parametrize("data", ["station_id,x,y\n", "station_id,x,y\n\n", "station_id,x,y"])
+def test_parse_stations_csv_without_stations_is_bad_data(data):
+    with pytest.raises(ValidationError) as err:
+        parse_stations_csv(io.StringIO(data))
+    assert str(err.value) == "station CSV holds no stations"
+
+
 def test_parse_stations_csv_bad_header():
     with pytest.raises(ParseError):
         parse_stations_csv(io.StringIO("x,y,station_id\n"))
@@ -269,7 +282,7 @@ def test_screen_defers_ulp_near_ties():
     ]
     _, unsure = screen_links(np.array([pos]), stations, CFG)
     assert unsure.tolist() == [True]
-    station, link = best_link(pos, stations, CFG)
+    station, link = oracle.best_link(pos, stations, CFG)
     table = run(SimConfig(), trace_table([("v", 0, *pos, 1.0)]), stations)
     assert (table.serving_station[0], table.snr_db[0]) == (station.station_id, link.snr)
 
@@ -334,11 +347,11 @@ def test_columnar_association_matches_best_link(layout):
     table = run(SimConfig(link=cfg), traces, stations)
     rows = zip(positions, winners, unsure, table.serving_station, table.snr_db.tolist())
     for pos, winner, tie, serving, snr_db in rows:
-        station, link = best_link(pos, stations, cfg)
+        station, link = oracle.best_link(pos, stations, cfg)
         assert (serving, snr_db) == (station.station_id, link.snr)
         if not tie:
             assert canonical[winner] == station
-            assert snr(pos, station, cfg).snr == link.snr
+            assert oracle.snr(pos, station, cfg).snr == link.snr
 
 
 @settings(max_examples=200, deadline=None)
@@ -355,7 +368,7 @@ def test_link_snrs_match_snr_bit_for_bit(layout, data):
     got = link_snrs(
         np.array([pos for pos, _ in pairs]), np.array([i for _, i in pairs]), stations, cfg
     )
-    expected = [snr(pos, stations[i], cfg).snr for pos, i in pairs]
+    expected = [oracle.snr(pos, stations[i], cfg).snr for pos, i in pairs]
     assert got.tobytes() == np.array(expected).tobytes()
 
 
@@ -366,7 +379,7 @@ def test_link_snrs_raise_the_ue_height_error():
     cfg = LinkBudgetConfig(ue_height_m=1.0000001)
     station = BaseStation("a", 5.0, 5.0)
     got = link_snrs(np.zeros((1, 2)), np.zeros(1, dtype=np.int64), [station], cfg)
-    assert got.tolist() == [snr((0.0, 0.0), station, cfg).snr]
+    assert got.tolist() == [oracle.snr((0.0, 0.0), station, cfg).snr]
 
 
 def test_link_snrs_match_snr_on_a_dense_sweep():
@@ -377,5 +390,59 @@ def test_link_snrs_match_snr_on_a_dense_sweep():
     x = np.linspace(-3000.0, 3000.0, 25_001)
     positions = np.column_stack((np.repeat(x, 2), np.full(len(x) * 2, 7.25)))
     serving = np.tile([0, 1], len(x))
-    expected = [snr(pos, stations[i], cfg).snr for pos, i in zip(positions.tolist(), serving.tolist())]
+    pairs = zip(positions.tolist(), serving.tolist())
+    expected = [oracle.snr(pos, stations[i], cfg).snr for pos, i in pairs]
     assert link_snrs(positions, serving, stations, cfg).tobytes() == np.array(expected).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(layouts(), st.data())
+def test_scalar_functions_match_the_oracle_bit_for_bit(layout, data):
+    """snr, path_loss_b1, breakpoint_distance and best_link run the array
+    link budget on one element; the oracle is the scalar formula."""
+    stations, positions, cfg = layout
+    for station in stations:
+        d_bp = breakpoint_distance(cfg, station.height)
+        assert bits([d_bp]) == bits([oracle.breakpoint_distance(cfg, station.height)])
+        extra = [d_bp, 0.0, -5.0, -50.0, 9.999999999999998, 10.0, math.inf, math.nan]
+        for distance in [*data.draw(st.lists(st.floats(-100.0, 9000.0), max_size=3)), *extra]:
+            got = path_loss_b1(distance, cfg, station.height)
+            assert bits([got]) == bits([oracle.path_loss_b1(distance, cfg, station.height)])
+        for pos in positions:
+            assert bits(snr(pos, station, cfg)) == bits(oracle.snr(pos, station, cfg))
+    for pos in positions:
+        station, link = best_link(pos, stations, cfg)
+        expected_station, expected_link = oracle.best_link(pos, stations, cfg)
+        assert station is expected_station
+        assert bits(link) == bits(expected_link)
+
+
+# An infinite antenna gain against an infinite path loss gives a NaN SNR;
+# an infinite extra loss gives every station an SNR of -inf.
+NAN_STATION = BaseStation("b", math.inf, 0.0, antenna_gain=math.inf)
+
+
+@pytest.mark.parametrize(
+    "stations, cfg, winner",
+    [
+        ([BaseStation("b", 10.0, 0.0), BaseStation("a", -10.0, 0.0)], CFG, "a"),
+        ([BaseStation("a", 900.0, 0.0), NAN_STATION], CFG, "a"),
+        ([BaseStation("a", 900.0, 0.0), NAN_STATION, BaseStation("c", 5.0, 0.0)], CFG, "c"),
+        ([NAN_STATION, BaseStation("c", 5.0, 0.0)], CFG, "b"),
+        ([BaseStation("b", 5.0, 0.0), BaseStation("a", 900.0, 0.0)],
+         LinkBudgetConfig(extra_loss_db=math.inf), "a"),
+    ],
+    ids=["exact-tie", "later-nan", "later-nan-then-better", "first-nan", "all-minus-inf"],
+)
+def test_best_link_edge_cases_match_the_oracle(stations, cfg, winner):
+    station, link = best_link((0.0, 0.0), stations, cfg)
+    expected_station, expected_link = oracle.best_link((0.0, 0.0), stations, cfg)
+    assert station.station_id == expected_station.station_id == winner
+    assert bits(link) == bits(expected_link)
+    assert [type(value) for value in link] == [float, float, float]
+
+
+def test_edge_stations_give_nan_and_minus_inf_snrs():
+    assert math.isnan(snr((0.0, 0.0), NAN_STATION, CFG).snr)
+    station = BaseStation("a", 5.0, 0.0)
+    assert snr((0.0, 0.0), station, LinkBudgetConfig(extra_loss_db=math.inf)).snr == -math.inf
