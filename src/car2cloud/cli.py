@@ -190,10 +190,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        ValidationError, FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError
-    ) as exc:
+    except ValidationError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # exit-code contract: anything else is internal
         print(f"internal error: {exc}", file=sys.stderr)

@@ -9,23 +9,16 @@ orjson.loads call per slice of 4096 fields where a byte gate shows that
 orjson reads the slice's text as int or float would, else int or float
 field by field, which also raises their errors.  A chunk that does not
 convert is read again line by line to name its first bad line, as a row
-reader would.  Readers run their chunks through ordered_map, which hands
-every other chunk to a forked worker when a second CPU is available;
-tables and errors are the same either way.  Writers format every chunk in
-this process: with column_text, a forked worker costs them more time than
-it saves.
+reader would.
 """
 
 from __future__ import annotations
 
-import gc
-import os
-import pickle
 import re
 import sys
 from functools import partial
-from itertools import chain, islice, repeat
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from itertools import chain, repeat
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 import orjson
@@ -175,16 +168,12 @@ def parse_chunk(lines: list[str], converters: Sequence) -> list:
 
 
 def join_chunks(chunks: list[list], converters: Sequence) -> list:
-    """Each column of parse_chunk's chunks, concatenated in chunk order.
-
-    Ids are interned again: a chunk unpickled from ordered_map's worker
-    holds copies of its own.
-    """
+    """Each column of parse_chunk's chunks, concatenated in chunk order."""
     columns: list = []
     for i, convert in enumerate(converters):
         parts = [chunk[i] for chunk in chunks]
         if convert is None:
-            columns.append(list(map(sys.intern, chain.from_iterable(parts))))
+            columns.append(list(chain.from_iterable(parts)))
         else:
             columns.append(np.concatenate(parts) if parts else np.zeros(0, _DTYPES[convert]))
     return columns
@@ -215,16 +204,17 @@ def _raise_bad_line(lines: list[str], lineno: int, converters: Sequence) -> None
 def read_columns(stream: IO[str], converters: Sequence, check: Callable | None = None) -> list:
     """The columns of the CSV lines after a one-line header, one per converter.
 
-    Lines are read about READ_CHUNK_BYTES at a time and each chunk goes
-    through ordered_map: blank lines are skipped, the rest parsed by
-    parse_chunk and then passed, with their columns, to check, which may
-    raise.  A chunk that does not parse raises ParseError naming its first
-    bad line, the header being line 1.
+    Lines are read about READ_CHUNK_BYTES at a time.  In each chunk blank
+    lines are skipped, the rest parsed by parse_chunk and then passed, with
+    their columns, to check, which may raise.  A chunk that does not parse
+    raises ParseError naming its first bad line, the header being line 1.
     """
 
     def read_chunk(chunk: tuple[int, list[str]]) -> list | None:
         lineno, lines = chunk
-        rows = [line for line in lines if line not in BLANK_LINES]
+        rows = lines
+        if any(blank in lines for blank in BLANK_LINES):
+            rows = [line for line in lines if line not in BLANK_LINES]
         if not rows:
             return None
         try:
@@ -245,102 +235,7 @@ def read_columns(stream: IO[str], converters: Sequence, check: Callable | None =
 
     # Numbered by map: a generator would hold each chunk read while the one before it is parsed.
     chunks = map(number, iter(partial(stream.readlines, READ_CHUNK_BYTES), []))
-    return join_chunks(list(filter(None, ordered_map(read_chunk, chunks))), converters)
-
-
-def _send(pipe: IO[bytes], data: bytes) -> None:
-    """Write one message: its length, then its bytes."""
-    pipe.write(len(data).to_bytes(8, "little"))
-    pipe.write(data)
-    pipe.flush()
-
-
-def _receive(pipe: IO[bytes]) -> bytes | None:
-    """The next message _send wrote to the pipe, or None if the pipe ends first."""
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little")
-    data = pipe.read(size)
-    return data if len(head) == 8 and len(data) == size else None
-
-
-_END = object()
-
-
-def ordered_map(fn: Callable, items: Iterable) -> Iterator:
-    """map(fn, items), with every odd item computed by a forked worker.
-
-    The worker is forked only where os.sched_getaffinity grants two CPUs or
-    more, and only for two items or more.  It has fn, and whatever fn
-    reads, through the fork; each odd item goes to it, and its result comes
-    back, pickled over a pipe, while this process computes the even item
-    before it.  An item the worker fails on, and every item after the
-    worker is gone, is computed here, so an exception is raised here, at
-    the item map would raise it at.  The worker leaves only through
-    os._exit, so it never flushes an inherited stream, and it is reaped
-    when the iteration ends, also when the consumer stops early.
-    """
-    items = iter(items)
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        yield from map(fn, items)
-        return
-    pair = list(islice(items, 2))
-    if len(pair) < 2:
-        yield from map(fn, pair)
-        return
-    even, odd = pair
-    del pair  # so that each item is freed once it is done with
-    down_r, down_w = os.pipe()
-    up_r, up_w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: compute every item here
-        for fd in (down_r, down_w, up_r, up_w):
-            os.close(fd)
-        yield from map(fn, chain((even, odd), items))
-        return
-    if pid == 0:
-        try:
-            gc.disable()  # a collection could finalize, so flush, an inherited file
-            os.close(down_w)
-            os.close(up_r)
-            with os.fdopen(down_r, "rb") as inbox, os.fdopen(up_w, "wb") as outbox:
-                while (item := _receive(inbox)) is not None:
-                    try:
-                        reply = (True, fn(pickle.loads(item)))
-                        _send(outbox, pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
-                    except Exception:
-                        _send(outbox, pickle.dumps((False, None)))
-        finally:
-            os._exit(0)
-    os.close(down_r)
-    os.close(up_w)
-    inbox, outbox = os.fdopen(up_r, "rb"), os.fdopen(down_w, "wb")
-    alive = True
-    try:
-        while odd is not _END:
-            # Kept pickled, so that its objects are freed before fn(even) runs.
-            odd = pickle.dumps(odd, pickle.HIGHEST_PROTOCOL)
-            if alive:
-                try:
-                    _send(outbox, odd)
-                except BrokenPipeError:
-                    alive = False
-            yield fn(even)
-            reply = _receive(inbox) if alive else None
-            alive = reply is not None
-            ok, result = pickle.loads(reply) if reply else (False, None)
-            yield result if ok else fn(pickle.loads(odd))
-            even = next(items, _END)
-            odd = next(items, _END)
-        if even is not _END:
-            yield fn(even)
-    finally:
-        try:
-            outbox.close()
-        except BrokenPipeError:  # what the worker did not read yet
-            pass
-        inbox.close()
-        os.waitpid(pid, 0)
+    return join_chunks(list(filter(None, map(read_chunk, chunks))), converters)
 
 
 def write_columns(stream: IO[str], header: str, columns: Sequence) -> None:

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 
 RateModel = Callable[[float, float], float]
 
@@ -53,6 +53,7 @@ class RbRateParams:
             raise ConfigError("linkrate.rb_bandwidth_hz must be positive")
         if self.v_ref <= 0:
             raise ConfigError("linkrate.v_ref must be positive")
+        check_finite(self, "linkrate.")
 
 
 def _snr_linear(snr_db_tenth: float) -> float:

@@ -22,7 +22,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .csvio import check_id, read_columns, records, write_columns
-from .errors import ConfigError, ParseError, SimulationError, ValidationError
+from .errors import ConfigError, ParseError, SimulationError, ValidationError, check_finite
 
 TRACE_CSV_HEADER = ("vehicle_id", "t", "x", "y", "speed")
 # Conversion of each trace CSV field by csvio.parse_chunk: ids (None) are kept as read.
@@ -107,6 +107,7 @@ class KraussParams:
             raise ConfigError("krauss.sigma must be in [0, 1]")
         if self.speed_dev < 0:
             raise ConfigError("krauss.speed_dev must be non-negative")
+        check_finite(self, "krauss.")
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,7 @@ class RoadSpec:
             raise ConfigError("road.duration must be non-negative")
         if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
             raise ConfigError(f"sim.seed must be non-negative, got {self.seed}")
+        check_finite(self, "road.")
 
 
 def _safe_speed(gap, v_lead, v, params: KraussParams):

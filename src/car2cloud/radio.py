@@ -25,7 +25,7 @@ from typing import IO, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .csvio import check_id, records
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError, check_finite
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
@@ -53,6 +53,7 @@ class BaseStation:
                 f"station {self.station_id!r}: height must exceed 1 m "
                 f"(effective height h-1 must stay positive)"
             )
+        check_finite(self, f"station {self.station_id!r}: ")
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,7 @@ class LinkBudgetConfig:
             raise ConfigError("link.carrier_freq_ghz must be positive")
         if not self.ue_height_m > 1.0:  # the effective height h-1 must stay positive
             raise ConfigError(f"link.ue_height_m must exceed 1 m, got {self.ue_height_m!r}")
+        check_finite(self, "link.")
 
 
 class LinkSample(NamedTuple):
@@ -210,17 +212,26 @@ def screen_links(
     an ulp picks the other B1 slope), or a value is not finite.  Every other
     row has the same winner as best_link; compute its SNR with snr() to get
     best_link's value bit for bit.
+
+    A station whose x, y, gain and height repeat an earlier station's is
+    left out: its SNR equals that station's everywhere, and best_link keeps
+    the first of equal SNRs, so it never wins, and its tie would send every
+    row to best_link.
     """
-    x, y, gain, d_bp, log_h_bs = _station_terms(stations, cfg)
+    sites: dict[tuple, int] = {}
+    for i, s in enumerate(stations):
+        sites.setdefault((s.x, s.y, s.antenna_gain, s.height), i)
+    distinct = np.fromiter(sites.values(), np.int64, len(sites))
+    x, y, gain, d_bp, log_h_bs = (terms[distinct] for terms in _station_terms(stations, cfg))
     dx, dy = positions[:, :1] - x, positions[:, 1:2] - y
     with np.errstate(all="ignore"):
         d, _, _, value = _link_budget(np.hypot(dx, dy), gain, d_bp, log_h_bs, cfg, np.log10)
         unsure = ~np.isfinite(value).all(axis=1)
         unsure |= (np.abs(d - d_bp) <= 1e-12 * d_bp).any(axis=1)
-        if len(stations) > 1:
+        if len(distinct) > 1:
             top2 = np.partition(value, -2, axis=1)[:, -2:]
             unsure |= top2[:, 1] - top2[:, 0] <= SCREEN_TIE_DB
-    return np.argmax(value, axis=1), unsure
+    return distinct[np.argmax(value, axis=1)], unsure
 
 
 def link_snrs(

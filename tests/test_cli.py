@@ -430,7 +430,7 @@ def test_input_that_is_a_directory_exits_3_like_a_missing_one(
         (tmp_path / name).mkdir()
     assert main(COMMANDS[command]) == 3
     error = errno.ENOENT if missing else errno.EISDIR
-    expected = f"input error: [Errno {error}] {os.strerror(error)}: '{name}'"
+    expected = f"file error: [Errno {error}] {os.strerror(error)}: '{name}'"
     assert capsys.readouterr().err.startswith(expected)
 
 
@@ -454,7 +454,7 @@ def test_input_path_through_a_file_exits_3(tmp_path, monkeypatch, capsys, comman
     _write_inputs(tmp_path)
     argv = [f"{arg}/x" if arg == name else arg for arg in COMMANDS[command]]
     assert main(argv) == 3
-    expected = f"input error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{name}/x'"
+    expected = f"file error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{name}/x'"
     assert capsys.readouterr().err.startswith(expected)
 
 
@@ -463,7 +463,7 @@ def test_out_dir_that_is_a_file_exits_3(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
     _write_inputs(tmp_path, out="not a directory\n")
     assert main(COMMANDS[command]) == 3
-    expected = f"input error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: 'out'"
+    expected = f"file error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: 'out'"
     assert capsys.readouterr().err.startswith(expected)
     assert (tmp_path / "out").read_text(encoding="utf-8") == "not a directory\n"
 
@@ -472,7 +472,7 @@ def test_gen_traces_out_path_through_a_file_exits_3(tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     _write_inputs(tmp_path)
     assert main(["gen-traces", "--config", "run.cfg", "--out", "run.cfg/out.csv"]) == 3
-    assert capsys.readouterr().err.startswith(f"input error: [Errno {errno.ENOTDIR}]")
+    assert capsys.readouterr().err.startswith(f"file error: [Errno {errno.ENOTDIR}]")
 
 
 @pytest.mark.parametrize("stations", ["station_id,x,y\n", "station_id,x,y,antenna_gain\n\n\n"])

@@ -1,33 +1,43 @@
-"""The CSV codec's worker process and number text live behind one module, car2cloud.csvio.
+"""The package runs in its caller's process and thread, and its number text lives in csvio.
 
-Forking, pipes and pickling are the codec's decisions: its worker protocol.
-So is orjson, which writes the codec's number text and, where a byte gate
-shows that it reads the text as int and float do, reads it back.  Each
-module's source is read with ast, so that a use is found wherever it sits,
-also in a function no test calls.
+No module forks, opens a pipe, pickles, or starts a process or thread, so
+the package is safe to call from a program that runs threads.  orjson is
+the codec's decision, behind one module, car2cloud.csvio: it writes the
+codec's number text and, where a byte gate shows that it reads the text as
+int and float do, reads it back.  Each module's source is read with ast, so
+that a use is found wherever it sits, also in a function no test calls.
 """
 
 import ast
+from itertools import chain
 from pathlib import Path
 
 import car2cloud
 
 PACKAGE = Path(car2cloud.__file__).resolve().parent
-WORKER_NAMES = {"os.fork", "os.pipe", "pickle"}
+CONCURRENCY_NAMES = {
+    "os.fork", "os.pipe", "pickle", "multiprocessing", "concurrent.futures", "threading",
+}
 
 
 def names_used(path: Path) -> set[str]:
-    """The modules the module at path imports, and the module.attribute names it refers to."""
+    """The modules the module at path imports, their packages, and its module.attribute names."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            found.update(alias.name for alias in node.names)
+            found.update(chain.from_iterable(packages(alias.name) for alias in node.names))
         elif isinstance(node, ast.ImportFrom):
             found.update(f"{node.module}.{alias.name}" for alias in node.names)
-            found.add(node.module or "")
+            found.update(packages(node.module or ""))
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             found.add(f"{node.value.id}.{node.attr}")
     return found
+
+
+def packages(module: str) -> list[str]:
+    """module and each package that holds it: a.b.c, a.b and a."""
+    parts = module.split(".")
+    return [".".join(parts[:i]) for i in range(1, len(parts) + 1)]
 
 
 def users(names: set[str]) -> dict[str, list[str]]:
@@ -36,8 +46,8 @@ def users(names: set[str]) -> dict[str, list[str]]:
     return {module: used for module, used in found.items() if used}
 
 
-def test_only_csvio_forks_pipes_or_pickles():
-    assert users(WORKER_NAMES) == {"csvio.py": sorted(WORKER_NAMES)}
+def test_no_module_forks_pipes_pickles_or_starts_threads():
+    assert users(CONCURRENCY_NAMES) == {}
 
 
 def test_only_csvio_imports_orjson():

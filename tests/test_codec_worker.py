@@ -1,8 +1,8 @@
-"""csvio.ordered_map and the CSV readers that run on it, with and without a worker.
+"""The CSV codecs on inputs of several chunks: errors in any chunk, and the pipeline's bytes.
 
-Each test runs both paths: os.sched_getaffinity patched to one CPU (plain
-map) and to two (a forked worker computes every odd item).  Results, bytes
-and errors must not depend on the path.
+Each reader test runs with os.sched_getaffinity patched to one CPU and to
+two.  The readers run in this process whatever the count: results, bytes
+and errors must not depend on it, and no child process may be left.
 """
 
 import hashlib
@@ -14,7 +14,7 @@ import pytest
 
 import trace_csv_oracle
 from car2cloud import analysis, cli, csvio, engine
-from car2cloud.csvio import READ_CHUNK_BYTES, ordered_map
+from car2cloud.csvio import READ_CHUNK_BYTES
 from car2cloud.engine import TickTable
 from car2cloud.errors import ParseError
 from car2cloud.mobility import emit_trace_csv, parse_trace_csv
@@ -35,55 +35,6 @@ def cpus(request, monkeypatch):
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 10])
-def test_results_come_in_item_order(cpus, n):
-    results = list(ordered_map(lambda x: (x * x, os.getpid()), range(n)))
-    assert [square for square, _ in results] == [x * x for x in range(n)]
-    here = os.getpid()
-    worker_items = [x for x, (_, pid) in enumerate(results) if pid != here]
-    assert worker_items == (list(range(1, n, 2)) if cpus == 2 and n >= 2 else [])
-
-
-def test_a_failing_item_raises_here_at_its_place(cpus):
-    seen = []
-
-    def fn(x):
-        if x == 5:
-            raise KeyError(f"item {x} on pid {os.getpid()}")
-        return x
-
-    with pytest.raises(KeyError) as err:
-        for value in ordered_map(fn, range(10)):
-            seen.append(value)
-    assert seen == [0, 1, 2, 3, 4]
-    assert str(err.value) == repr(f"item 5 on pid {os.getpid()}")
-    assert_no_child()
-
-
-@pytest.mark.parametrize("exit_at", [1, 5, 9])
-def test_a_worker_that_exits_leaves_its_items_to_this_process(cpus, exit_at):
-    here = os.getpid()
-
-    def fn(x):
-        if x == exit_at and os.getpid() != here:
-            os._exit(0)
-        return -x
-
-    assert list(ordered_map(fn, range(12))) == [-x for x in range(12)]
-    assert_no_child()
-
-
-def test_a_consumer_that_raises_leaves_no_child(cpus):
-    def consume():
-        for value in ordered_map(lambda x: x, range(10)):
-            if value == 2:
-                raise RuntimeError("consumer stops")
-
-    with pytest.raises(RuntimeError):
-        consume()
-    assert_no_child()
 
 
 class FullDisk(io.StringIO):
@@ -129,7 +80,7 @@ def test_read_results_csv_names_a_bad_line_in_any_chunk(cpus, chunk):
     ],
     ids=["bad float", "quoted id"],
 )
-@pytest.mark.parametrize("chunk", [1, 2])  # the worker's first, this process's second
+@pytest.mark.parametrize("chunk", [1, 2])
 def test_parse_trace_csv_restarts_from_either_process(cpus, chunk, edit):
     lines = valid_lines(3 * READ_CHUNK_BYTES // len(valid_lines(1)[0]))
     assert len(chunk_starts(lines)) > 2
@@ -146,8 +97,8 @@ RING = (
     "cell.rb_limit = 1\ncvim.aggregate_ticks = 20\nsim.seed = 5\n"
 )
 STATIONS = "station_id,x,y\nbs0,1591.5,25\nbs1,-1591.5,25\nbs2,0,1616.5\n"
-# SHA-256 of each output of the pipeline on RING, written by the one-process
-# codecs: 24000 rows, so every codec has two chunks or more.
+# SHA-256 of each output of the pipeline on RING: 24000 rows, so every codec
+# has two chunks or more.
 GOLDEN = {
     "traces.csv": "53c4a51d1286653cae928bec05bde75e7e73472424c32657772cda747f8c0eb2",
     "sim/results.csv": "2fdba10eb0410cfcb47c2882bf4b4d6f1fbf4cff91e965df1ff462703106f257",
@@ -189,8 +140,6 @@ def test_writer_output_is_read_without_the_per_field_path(tmp_path, monkeypatch)
     RING traces, analyze its results, and read_columns its CDF; so are
     tables of -0.0 and of values repr writes with an exponent.
     """
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
     def per_field(column, convert):
         raise AssertionError(f"{convert.__name__} field by field: {column[:3]}")
 

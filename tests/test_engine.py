@@ -2,6 +2,9 @@ import hashlib
 import io
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from car2cloud import csvio
+from car2cloud import csvio, radio
 from car2cloud.engine import (
     RESULTS_CSV_HEADER,
     SimConfig,
@@ -27,7 +30,8 @@ from car2cloud.engine import (
 from car2cloud.csvio import ID_FORBIDDEN_CHARS, READ_CHUNK_BYTES
 from car2cloud.cvim import PackagingConfig, count_packages_per_cell
 from car2cloud.errors import ConfigError, ParseError, ValidationError
-from car2cloud.linkrate import rb_rate
+from car2cloud.linkrate import RbRateParams, rb_rate
+from car2cloud.mobility import KraussParams, RoadSpec, generate_traces
 from car2cloud.radio import BaseStation, LinkBudgetConfig
 from scalar_engine import run as scalar_run
 from test_trace_csv import GATE_TOKENS
@@ -286,6 +290,32 @@ def test_tick_must_be_one():
         parse_config_text("sim.tick = 2\n")
 
 
+# Each config class with float fields, the key prefix its errors name, and
+# the arguments it needs besides the field under test.
+FLOAT_CONFIGS = [
+    (KraussParams, "krauss.", {}),
+    (RoadSpec, "road.", {}),
+    (LinkBudgetConfig, "link.", {}),
+    (RbRateParams, "linkrate.", {}),
+    (BaseStation, "station 'bs0': ", {"station_id": "bs0", "x": 0.0, "y": 0.0}),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls, prefix, args, name",
+    [
+        pytest.param(cls, prefix, args, f.name, id=f"{cls.__name__}.{f.name}")
+        for cls, prefix, args in FLOAT_CONFIGS
+        for f in fields(cls)
+        if f.type in ("float", float)
+    ],
+)
+def test_config_floats_must_be_finite(cls, prefix, args, name, value):
+    with pytest.raises(ConfigError, match=f"^{re.escape(prefix + name)} must "):
+        cls(**{**args, name: value})
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("road.duration = 5\nsim.seed = 4\n", encoding="utf-8")
@@ -339,6 +369,25 @@ def test_station_order_does_not_change_results():
     forward = run(SimConfig(), traces, stations)
     backward = run(SimConfig(), traces, list(reversed(stations)))
     assert csv_text(forward) == csv_text(backward)
+
+
+def test_co_sited_twin_stations_leave_every_row_to_the_screen():
+    """Each station doubled at its site, with its gain and height, under a later id:
+    the twin never serves, and no row is an exact tie for best_link."""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    config = load_config(configs / "traffic_jam.cfg", ["road.duration=150"])
+    traces = generate_traces(config.road_spec(), config.krauss)
+    with open(configs / "stations_10km.csv", encoding="utf-8", newline="") as fh:
+        single = radio.parse_stations_csv(fh)
+    doubled = single + [
+        BaseStation(f"{s.station_id}b", s.x, s.y, antenna_gain=s.antenna_gain, height=s.height)
+        for s in single
+    ]
+    expected = csv_text(run(config, traces, single))
+    with mock.patch("car2cloud.engine.best_link", wraps=radio.best_link) as best_link:
+        assert csv_text(run(config, traces, doubled)) == expected
+    assert best_link.call_count == 0
+    assert csv_text(scalar_run(config, traces, doubled)) == expected
 
 
 def test_run_accepts_fcd_parsed_traces():

@@ -272,6 +272,13 @@ def test_screen_flags_exact_ties_and_breakpoint():
     assert winners[1] == 0
 
 
+def test_screen_leaves_out_a_co_sited_twin():
+    twins = [BaseStation("a", 0.0, 30.0), BaseStation("b", 0.0, 30.0)]
+    winners, unsure = screen_links(np.array([[0.0, 0.0], [500.0, 0.0]]), twins, CFG)
+    assert winners.tolist() == [0, 0]
+    assert unsure.tolist() == [False, False]
+
+
 def test_screen_defers_ulp_near_ties():
     # Two stations at one distance from the vehicle in exact arithmetic;
     # numpy's screen ranks them the other way round from math.
@@ -417,20 +424,24 @@ def test_scalar_functions_match_the_oracle_bit_for_bit(layout, data):
         assert bits(link) == bits(expected_link)
 
 
-# An infinite antenna gain against an infinite path loss gives a NaN SNR;
-# an infinite extra loss gives every station an SNR of -inf.
-NAN_STATION = BaseStation("b", math.inf, 0.0, antenna_gain=math.inf)
+# Finite values near the largest double overflow in the link budget.  A
+# station this far off has an infinite path loss, so an SNR of -inf; under
+# HOT's transmit power, with this antenna gain, its budget is infinite too,
+# so its SNR is NaN, and a near station with that gain has an SNR of +inf.
+HUGE = 1.5e308
+HOT = LinkBudgetConfig(tx_power_dbm=HUGE)
+NAN_STATION = BaseStation("b", HUGE, HUGE, antenna_gain=HUGE)
 
 
 @pytest.mark.parametrize(
     "stations, cfg, winner",
     [
         ([BaseStation("b", 10.0, 0.0), BaseStation("a", -10.0, 0.0)], CFG, "a"),
-        ([BaseStation("a", 900.0, 0.0), NAN_STATION], CFG, "a"),
-        ([BaseStation("a", 900.0, 0.0), NAN_STATION, BaseStation("c", 5.0, 0.0)], CFG, "c"),
-        ([NAN_STATION, BaseStation("c", 5.0, 0.0)], CFG, "b"),
-        ([BaseStation("b", 5.0, 0.0), BaseStation("a", 900.0, 0.0)],
-         LinkBudgetConfig(extra_loss_db=math.inf), "a"),
+        ([BaseStation("a", 900.0, 0.0), NAN_STATION], HOT, "a"),
+        ([BaseStation("a", 900.0, 0.0), NAN_STATION,
+          BaseStation("c", 5.0, 0.0, antenna_gain=HUGE)], HOT, "c"),
+        ([NAN_STATION, BaseStation("c", 5.0, 0.0)], HOT, "b"),
+        ([BaseStation("b", HUGE, HUGE), BaseStation("a", -HUGE, HUGE)], CFG, "a"),
     ],
     ids=["exact-tie", "later-nan", "later-nan-then-better", "first-nan", "all-minus-inf"],
 )
@@ -443,6 +454,6 @@ def test_best_link_edge_cases_match_the_oracle(stations, cfg, winner):
 
 
 def test_edge_stations_give_nan_and_minus_inf_snrs():
-    assert math.isnan(snr((0.0, 0.0), NAN_STATION, CFG).snr)
-    station = BaseStation("a", 5.0, 0.0)
-    assert snr((0.0, 0.0), station, LinkBudgetConfig(extra_loss_db=math.inf)).snr == -math.inf
+    assert math.isnan(snr((0.0, 0.0), NAN_STATION, HOT).snr)
+    assert snr((0.0, 0.0), BaseStation("a", HUGE, HUGE), CFG).snr == -math.inf
+    assert snr((0.0, 0.0), BaseStation("c", 5.0, 0.0, antenna_gain=HUGE), HOT).snr == math.inf
