@@ -207,6 +207,7 @@ def write_cdf_csv(points: tuple[np.ndarray, np.ndarray], stream: IO[str]) -> Non
 
 
 def write_cell_packages_csv(per_cell: dict[str, float], stream: IO[str]) -> None:
-    stream.write("station_id,mean_packages\n")
-    for sid in sorted(per_cell):
-        stream.write(f"{sid},{per_cell[sid]!r}\n")
+    """Write each station's mean packages per traversal as CSV, stations in id order."""
+    ids = sorted(per_cell)
+    means = np.array([per_cell[sid] for sid in ids], dtype=np.float64)
+    write_columns(stream, "station_id,mean_packages", (ids, means))

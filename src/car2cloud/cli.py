@@ -97,6 +97,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     paths = [Path(p) for p in args.results]
     labels = [_scenario_label(p, labels[i] if labels else None) for i, p in enumerate(paths)]
     for label in labels:
+        if "/" in label:
+            raise ConfigError(f"scenario label {label!r} contains '/', so it cannot name a file")
         if labels.count(label) > 1:
             raise ConfigError(f"scenario label {label!r} names more than one results file")
     out_dir = Path(args.out_dir)

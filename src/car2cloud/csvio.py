@@ -5,11 +5,10 @@ are, and numeric columns, written by column_text as str and repr write
 them, from orjson's shortest round-trip digits.  Readers check their header
 line and give the rest to read_columns, which splits each chunk of lines
 once on commas and converts each numeric column with convert_column: one
-orjson.loads call per slice of 4096 fields where a byte gate shows that
-orjson reads the slice's text as int or float would, else int or float
-field by field, which also raises their errors.  A chunk that does not
-convert is read again line by line to name its first bad line, as a row
-reader would.
+orjson.loads call where a byte gate shows that orjson reads the column's
+text as int or float would, else int or float field by field, which also
+raises their errors.  A chunk that does not convert is read again line by
+line to name its first bad line, as a row reader would.
 """
 
 from __future__ import annotations
@@ -28,8 +27,13 @@ from .errors import ParseError, ValidationError
 # Characters that would split or break a row where an id is written unquoted.
 ID_FORBIDDEN_CHARS = ',"\r\n'
 
-# Bytes of CSV lines read (and parsed) at a time by read_columns.
-READ_CHUNK_BYTES = 1 << 20
+# Bytes of CSV lines read, parsed and converted at a time by read_columns;
+# each numeric column of a chunk is one orjson.loads call.  The chunk bounds
+# the parse's temporaries (the lines, their fields, a column's text and
+# orjson's list of numbers).  Reading ring_backlog's results and traces in
+# one process, chunks of 64 KiB and of 1 MiB were no faster and peaked 5 and
+# 7 MB higher.
+READ_CHUNK_BYTES = 1 << 17
 # Rows formatted per chunk by write_columns, about 1 MB of results CSV text.
 # Chunks of 2**11 to 2**14 rows write ring_backlog's 300k rows at one speed
 # and larger ones no faster; their transient column texts and row strings
@@ -37,12 +41,8 @@ READ_CHUNK_BYTES = 1 << 20
 WRITE_CHUNK_ROWS = 1 << 13
 
 _DTYPES = {int: np.int64, float: np.float64}
-# Fields of a numeric column read per orjson.loads call.  Whole-column
-# temporaries (the text, its bytes, orjson's list of floats) raised
-# simulate's peak RSS on ring_backlog by 9 MB over per-field conversion; in
-# slices of 4096 fields, which read as fast, the pipeline's peak stays
-# within 0.4 MB of it.
-JSON_SLICE_FIELDS = 1 << 12
+# The int64 bound, exclusive, of every integer the CSV files and tables hold.
+INT64_BOUND = 1 << 63
 # The bytes a column's text may hold for _json_numbers to read it with
 # orjson: digits, signs, line breaks and commas, and for floats the point
 # and the exponent.  This keeps out what float or int reads and JSON does
@@ -50,7 +50,7 @@ JSON_SLICE_FIELDS = 1 << 12
 # they do not (true, null, quotes, brackets).
 _JSON_BYTES = {int: b"0123456789-\r\n,", float: b"0123456789-\r\n,+.eE"}
 # A field -0, which orjson reads as int 0, not as float's -0.0.  A false
-# hit, such as the exponent of 1e-0, only sends a slice field by field.
+# hit, such as the exponent of 1e-0, only sends a column field by field.
 _NEGATIVE_ZERO = re.compile(rb"-0(?:[,\r\n]|\Z)")
 
 # Lines read_columns skips: a blank line, closed by LF or by CRLF.
@@ -98,18 +98,15 @@ def records(reader) -> Iterator[tuple[int, list[str]]]:
 def convert_column(column: list[str], convert) -> np.ndarray:
     """np.fromiter(map(convert, column), ...) into int64 (convert is int) or float64 (float).
 
-    The column is read JSON_SLICE_FIELDS fields at a time, each slice by
-    _json_numbers where orjson provably reads it as convert would, else
-    field by field by _convert_each, which raises as the per-field
+    The column is read by _json_numbers where orjson provably reads it as
+    convert would, else field by field, which raises as the per-field
     conversion always did: ValueError for a field that does not convert,
     OverflowError for an integer beyond int64.
     """
-    array = np.empty(len(column), _DTYPES[convert])
-    for lo in range(0, len(column), JSON_SLICE_FIELDS):
-        part = column[lo:lo + JSON_SLICE_FIELDS]
-        values = _json_numbers(part, convert)
-        array[lo:lo + len(part)] = _convert_each(part, convert) if values is None else values
-    return array
+    values = _json_numbers(column, convert)
+    if values is None:
+        return np.fromiter(map(convert, column), dtype=_DTYPES[convert], count=len(column))
+    return values
 
 
 def _json_numbers(column: list[str], convert) -> np.ndarray | None:
@@ -138,11 +135,6 @@ def _json_numbers(column: list[str], convert) -> np.ndarray | None:
     return array
 
 
-def _convert_each(column: list[str], convert) -> np.ndarray:
-    """convert_column's fallback: one int or float call per field."""
-    return np.fromiter(map(convert, column), dtype=_DTYPES[convert], count=len(column))
-
-
 def parse_chunk(lines: list[str], converters: Sequence) -> list:
     """Columns of a chunk of non-blank CSV lines, one per converter.
 
@@ -167,18 +159,6 @@ def parse_chunk(lines: list[str], converters: Sequence) -> list:
     return columns
 
 
-def join_chunks(chunks: list[list], converters: Sequence) -> list:
-    """Each column of parse_chunk's chunks, concatenated in chunk order."""
-    columns: list = []
-    for i, convert in enumerate(converters):
-        parts = [chunk[i] for chunk in chunks]
-        if convert is None:
-            columns.append(list(chain.from_iterable(parts)))
-        else:
-            columns.append(np.concatenate(parts) if parts else np.zeros(0, _DTYPES[convert]))
-    return columns
-
-
 def _raise_bad_line(lines: list[str], lineno: int, converters: Sequence) -> None:
     """Raise ParseError naming the first of these lines, from line lineno, that cannot be read.
 
@@ -197,7 +177,7 @@ def _raise_bad_line(lines: list[str], lineno: int, converters: Sequence) -> None
                 value = convert(part)
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
-            if convert is int and not -(1 << 63) <= value < 1 << 63:
+            if convert is int and not -INT64_BOUND <= value < INT64_BOUND:
                 raise ParseError(f"line {lineno}: integer {part!r} exceeds 64 bits")
 
 
@@ -209,33 +189,27 @@ def read_columns(stream: IO[str], converters: Sequence, check: Callable | None =
     their columns, to check, which may raise.  A chunk that does not parse
     raises ParseError naming its first bad line, the header being line 1.
     """
-
-    def read_chunk(chunk: tuple[int, list[str]]) -> list | None:
-        lineno, lines = chunk
+    chunks: list[list] = []
+    lineno = 2
+    for lines in iter(partial(stream.readlines, READ_CHUNK_BYTES), []):
         rows = lines
         if any(blank in lines for blank in BLANK_LINES):
             rows = [line for line in lines if line not in BLANK_LINES]
-        if not rows:
-            return None
-        try:
-            columns = parse_chunk(rows, converters)
-        except (ValueError, OverflowError):
-            _raise_bad_line(lines, lineno, converters)
-            raise
-        if check is not None:
-            check(rows, columns)
-        return columns
-
-    lineno = 2
-
-    def number(lines: list[str]) -> tuple[int, list[str]]:
-        nonlocal lineno
+        if rows:
+            try:
+                columns = parse_chunk(rows, converters)
+            except (ValueError, OverflowError):
+                _raise_bad_line(lines, lineno, converters)
+                raise
+            if check is not None:
+                check(rows, columns)
+            chunks.append(columns)
         lineno += len(lines)
-        return lineno - len(lines), lines
-
-    # Numbered by map: a generator would hold each chunk read while the one before it is parsed.
-    chunks = map(number, iter(partial(stream.readlines, READ_CHUNK_BYTES), []))
-    return join_chunks(list(filter(None, map(read_chunk, chunks))), converters)
+    return [
+        list(chain.from_iterable(chunk[i] for chunk in chunks)) if convert is None
+        else np.concatenate([chunk[i] for chunk in chunks] or [np.zeros(0, _DTYPES[convert])])
+        for i, convert in enumerate(converters)
+    ]
 
 
 def write_columns(stream: IO[str], header: str, columns: Sequence) -> None:

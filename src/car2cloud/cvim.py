@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from .csvio import INT64_BOUND
 from .errors import ConfigError, ValidationError
 from .mobility import id_codes
 
@@ -127,7 +128,7 @@ class PackagingConfig:
         # Queued bytes and sent bits are int64 columns, so the bits of one
         # full package must fit in one.
         bits = 8 * self.payload_bytes(self.records_per_tick * self.aggregate_ticks)
-        if bits > np.iinfo(np.int64).max:
+        if bits >= INT64_BOUND:
             raise ConfigError(
                 f"cvim.header_bytes={self.header_bytes}, cvim.record_bytes={self.record_bytes}, "
                 f"cvim.n_extra_channels={self.n_extra_channels} and "

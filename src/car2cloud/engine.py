@@ -39,7 +39,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import cvim, scheduler
-from .csvio import read_columns, write_columns
+from .csvio import INT64_BOUND, read_columns, write_columns
 from .cvim import PackagingConfig
 from .errors import ConfigError, ParseError, ValidationError
 from .linkrate import RateModel, RbRateParams, rb_rates
@@ -57,7 +57,6 @@ RESULTS_CSV_HEADER = (
 # raise the peak RSS of simulate with the table's size.
 KERNEL_BLOCK_ROWS = 1 << 14
 
-_INT64_MAX = (1 << 63) - 1
 # Conversion of each results CSV field: ids (None) are kept as read.
 _CONVERTERS = (int, None, None, float, float, float, int, int, int)
 
@@ -317,7 +316,7 @@ def run(
         try:
             sent[rows], queued[rows] = bits, left
         except OverflowError:
-            i = next(i for i, pair in enumerate(zip(bits, left)) if max(pair) > _INT64_MAX)
+            i = next(i for i, pair in enumerate(zip(bits, left)) if max(pair) >= INT64_BOUND)
             raise ConfigError(
                 f"vehicle {names[vehicle[rows[i]]]!r} at t={ticks[rows[i]]}: {left[i]} bytes "
                 f"queued and {bits[i]} bits sent, beyond 64 bits"

@@ -21,7 +21,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .csvio import check_id, read_columns, records, write_columns
+from .csvio import INT64_BOUND, check_id, read_columns, records, write_columns
 from .errors import ConfigError, ParseError, SimulationError, ValidationError, check_finite
 
 TRACE_CSV_HEADER = ("vehicle_id", "t", "x", "y", "speed")
@@ -29,7 +29,7 @@ TRACE_CSV_HEADER = ("vehicle_id", "t", "x", "y", "speed")
 _TRACE_CONVERTERS = (None, int, float, float, float)
 
 # Ticks are held as int64 in the trace and result tables.
-MAX_TICK = (1 << 63) - 1
+MAX_TICK = INT64_BOUND - 1
 
 # Per-vehicle desired-speed factors are clamped to keep pathological normal
 # draws out of the dynamics; the 0.1 deviation only fixes the spread.

@@ -258,6 +258,17 @@ def test_analyze_rejects_duplicate_labels(tmp_path, capsys, explicit):
     assert not out.exists()  # rejected before any file is read or written
 
 
+def test_analyze_rejects_a_label_with_a_slash(tmp_path, capsys):
+    a = write_results(tmp_path / "a" / "results.csv", ["0,v,bs,1.0,1.0,5.0,1,0,0"])
+    b = write_results(tmp_path / "b" / "results.csv", ["0,v,bs,1.0,1.0,7.0,1,0,0"])
+    out = tmp_path / "stats"
+    out.mkdir()
+    code = main(["analyze", a, b, "--label", "free", "--label", "jam/x", "--out-dir", str(out)])
+    assert code == 2
+    assert repr("jam/x") in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # rejected before the first scenario's files are written
+
+
 def test_analyze_int_beyond_int64_exits_3(tmp_path, capsys):
     rows = ["0,v,bs,1.0,1.0,5.0,1,0,0", "1,v,bs,1.0,1.0,5.0,1,0,9223372036854775808"]
     path = write_results(tmp_path / "r" / "results.csv", rows)

@@ -1,13 +1,16 @@
 """The CSV codecs on inputs of several chunks: errors in any chunk, and the pipeline's bytes.
 
-Each reader test runs with os.sched_getaffinity patched to one CPU and to
-two.  The readers run in this process whatever the count: results, bytes
-and errors must not depend on it, and no child process may be left.
+The tests of bad lines, of the trace restart and of the pipeline's bytes
+run with os.sched_getaffinity patched to one CPU and to two.  The readers
+run in this process whatever the count: results, bytes and errors must not
+depend on it, and no child process may be left.
 """
 
+import bisect
 import hashlib
 import io
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,9 +21,10 @@ from car2cloud.csvio import READ_CHUNK_BYTES
 from car2cloud.engine import TickTable
 from car2cloud.errors import ParseError
 from car2cloud.mobility import emit_trace_csv, parse_trace_csv
+from test_convert_column import fast_path_only
 from test_engine import MANY as RESULT_LINES
 from test_engine import results_lines
-from test_trace_csv import HEADER, outcome, valid_lines
+from test_trace_csv import GATE_TOKENS, HEADER, outcome, valid_lines
 from trace_rows import trace_table
 
 CPUS = {"one cpu": {0}, "two cpus": {0, 1}}
@@ -70,6 +74,57 @@ def test_read_results_csv_names_a_bad_line_in_any_chunk(cpus, chunk):
         engine.read_results_csv(io.StringIO(engine.RESULTS_CSV_HEADER + "\n" + "".join(lines)))
     assert str(err.value) == f"line {bad + 2}: could not convert string to float: 'half'"
     assert_no_child()
+
+
+# Gate tokens that float, or int, reads and that csvio's byte gate refuses.
+FLOAT_GATE_TOKENS = ["-0", "+1", "01", "1_0", ".5", "5.", "1e400"]
+INT_GATE_TOKENS = ["+1", "01", "1_0"]
+assert set(FLOAT_GATE_TOKENS + INT_GATE_TOKENS) <= set(GATE_TOKENS)
+
+
+@pytest.mark.parametrize(
+    "name, token",
+    [("snr_db", token) for token in FLOAT_GATE_TOKENS]
+    + [("bits_sent", token) for token in INT_GATE_TOKENS],
+)
+def test_a_gate_token_sends_only_its_chunks_column_field_by_field(name, token):
+    """A token in a middle chunk: that one column of that chunk is read field by field.
+
+    Every column still equals per-field conversion of the whole file, bit for bit.
+    """
+    header = engine.RESULTS_CSV_HEADER.split(",")
+    field = header.index(name)
+    lines = results_lines(2 * RESULT_LINES)
+    bad = chunk_starts(lines)[1] + 17
+    parts = lines[bad].split(",")
+    parts[field] = token
+    lines[bad] = ",".join(parts)
+    starts = chunk_starts(lines) + [len(lines)]
+    chunk = bisect.bisect_right(starts, bad) - 1
+    assert 0 < chunk < len(starts) - 2  # a middle chunk of several
+    json_numbers, refused = csvio._json_numbers, []
+
+    def gate(column, convert):
+        values = json_numbers(column, convert)
+        if values is None:
+            refused.append((convert, column))
+        return values
+
+    with mock.patch.object(csvio, "_json_numbers", wraps=gate) as spy:
+        table = engine.read_results_csv(
+            io.StringIO(engine.RESULTS_CSV_HEADER + "\n" + "".join(lines)))
+    rows = [line.rstrip("\n").split(",") for line in lines]
+    assert spy.call_count == 7 * (len(starts) - 1)  # one per numeric column per chunk
+    refused_column = [row[field] for row in rows[starts[chunk]:starts[chunk + 1]]]
+    assert refused == [(engine._CONVERTERS[field], refused_column)]
+    for i, (column, convert) in enumerate(zip(header, engine._CONVERTERS)):
+        values = [row[i] for row in rows]
+        if convert is None:
+            assert getattr(table, column) == values, column
+        else:
+            expected = np.array(list(map(convert, values)), np.int64 if convert is int else np.float64)
+            assert getattr(table, column).dtype == expected.dtype, column
+            assert getattr(table, column).tobytes() == expected.tobytes(), column
 
 
 @pytest.mark.parametrize(
@@ -134,21 +189,22 @@ def test_pipeline_bytes_match_the_golden_digests(cpus, tmp_path):
 
 
 def test_writer_output_is_read_without_the_per_field_path(tmp_path, monkeypatch):
-    """Every numeric column the three writers write is read by orjson alone.
+    """Every numeric column the four writers write is read by orjson alone.
 
     With csvio's per-field conversion patched to fail, simulate reads the
-    RING traces, analyze its results, and read_columns its CDF; so are
-    tables of -0.0 and of values repr writes with an exponent.
+    RING traces, analyze its results, and read_columns its CDF and per-cell
+    means; so are tables of -0.0 and of values repr writes with an exponent.
     """
-    def per_field(column, convert):
-        raise AssertionError(f"{convert.__name__} field by field: {column[:3]}")
-
-    monkeypatch.setattr(csvio, "_convert_each", per_field)
+    fast_path_only(monkeypatch)
     run_ring_pipeline(tmp_path)
     with open(tmp_path / "stats" / "cdf.csv", encoding="utf-8", newline="") as fh:
         assert fh.readline() == "rate_bps,cum_prob\n"
         rates, probs = csvio.read_columns(fh, (float, float))
     assert len(rates) == len(probs) > 1000
+    with open(tmp_path / "stats" / "cell_packages.csv", encoding="utf-8", newline="") as fh:
+        assert fh.readline() == "station_id,mean_packages\n"
+        ids, means = csvio.read_columns(fh, (None, float))
+    assert ids == sorted(ids) and len(means) == len(ids) == 3
 
     values = np.array([-0.0, 0.0, 1.5e-05, -1.5e-05, 1e16, 1e300, 5e-324, -2.5])
     n = len(values)

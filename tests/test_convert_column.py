@@ -8,7 +8,6 @@ reads and the other does not, or reads otherwise.
 """
 
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,13 +48,22 @@ def per_field(column: list[str], convert) -> np.ndarray:
 
 
 def assert_same(column: list[str]):
-    """Same outcome for either converter, read whole or in slices of 1 or 3 fields."""
+    """Same outcome for either converter as per-field conversion of the whole column."""
     for convert in CONVERTERS:
-        expected = outcome(per_field, column, convert)
-        for fields in (csvio.JSON_SLICE_FIELDS, 1, 3):
-            with mock.patch.object(csvio, "JSON_SLICE_FIELDS", fields):
-                assert outcome(convert_column, column, convert) == expected, (
-                    convert, fields, column)
+        assert outcome(convert_column, column, convert) == outcome(per_field, column, convert), (
+            convert, column)
+
+
+def fast_path_only(monkeypatch):
+    """Patch csvio so that a column its byte gate sends field by field fails the test."""
+    json_numbers = csvio._json_numbers
+
+    def gate(column, convert):
+        values = json_numbers(column, convert)
+        assert values is not None, f"{convert.__name__} field by field: {column[:3]}"
+        return values
+
+    monkeypatch.setattr(csvio, "_json_numbers", gate)
 
 
 @settings(max_examples=400, deadline=None)
@@ -98,12 +106,8 @@ def test_random_token_columns():
 
 
 def test_plain_columns_take_the_fast_path(monkeypatch):
-    """Plain fields are read by orjson alone: the per-field path is not called."""
-
-    def fail(column, convert):
-        raise AssertionError(f"{convert.__name__} field by field: {column}")
-
-    monkeypatch.setattr(csvio, "_convert_each", fail)
+    """Plain fields are read by orjson alone: the per-field path is not taken."""
+    fast_path_only(monkeypatch)
     floats = convert_column(PLAIN, float)
     assert floats.tolist() == list(map(float, PLAIN))
     ints = convert_column(["0", "1", "-7", str(INT64_MIN), str(INT64_MAX) + "\r\n"], int)
