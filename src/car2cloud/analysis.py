@@ -68,6 +68,22 @@ def sorted_rates(rates: Sequence[float] | np.ndarray) -> np.ndarray:
     return np.sort(values, kind="stable")
 
 
+def float_total(values: np.ndarray) -> float:
+    """The float sum of values added one at a time, left to right, from 0.0.
+
+    That is builtin sum's result up to Python 3.11; from 3.12 builtin sum
+    compensates its rounding, and numpy's sum adds pairwise, so both may
+    differ in the last bits.  np.cumsum adds one value at a time, and the
+    0.0 turns a sum of -0.0 values into 0.0, as builtin sum does.  A sum
+    that overflows is inf, or nan once it meets the opposite inf, without
+    a warning, as builtin sum gives it.
+    """
+    if not len(values):
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.0 + float(np.cumsum(values)[-1])
+
+
 def percentile(sorted_values: Sequence[float], p: int) -> float:
     """Smallest value whose empirical CDF is >= p/100 (integer arithmetic)."""
     n = len(sorted_values)
@@ -79,13 +95,13 @@ def percentile(sorted_values: Sequence[float], p: int) -> float:
 
 def rate_stats(rates: Sequence[float] | np.ndarray, scenario_label: str) -> RateStats:
     """Mean and step-convention percentiles of the pooled per-tick rates."""
-    values = sorted_rates(rates).tolist()
-    if not values:
+    values = sorted_rates(rates)
+    if not len(values):
         raise ValidationError("rate_stats needs at least one sample")
     return RateStats(
         scenario_label=scenario_label,
-        mean_rate=sum(values) / len(values),
-        percentiles={p: percentile(values, p) for p in PERCENTILES},
+        mean_rate=float_total(values) / len(values),
+        percentiles={p: float(percentile(values, p)) for p in PERCENTILES},
         sample_count=len(values),
     )
 

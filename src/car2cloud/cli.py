@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -103,6 +104,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             raise ConfigError(f"scenario label {label!r} names more than one results file")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # The longest file name a label makes must fit in the out-dir.
+    name_max = os.pathconf(out_dir, "PC_NAME_MAX")
+    for label in labels:
+        if len(f"cell_packages_{label}.csv".encode()) > name_max:
+            raise ConfigError(
+                f"scenario label {label!r} makes file names longer than {name_max} bytes"
+            )
     all_stats: list[analysis.RateStats] = []
     for i, (path, label) in enumerate(zip(paths, labels)):
         table = _read(path, engine.read_results_csv)

@@ -135,20 +135,20 @@ def _json_numbers(column: list[str], convert) -> np.ndarray | None:
     return array
 
 
-def parse_chunk(lines: list[str], converters: Sequence) -> list:
+def parse_chunk(lines: list[str], text: str, converters: Sequence) -> list:
     """Columns of a chunk of non-blank CSV lines, one per converter.
 
-    The chunk is split once on commas and each column converted as a whole:
-    by convert_column, as int into an int64 array or as float into a
-    float64 array, and where the converter is None kept as interned
-    strings, so each distinct value is held once.  Raises ValueError if a
-    line has not one field per converter or a field does not convert, and
-    OverflowError if an integer does not fit in int64.
+    text, the lines joined by commas, is split once on commas and each
+    column converted as a whole: by convert_column, as int into an int64
+    array or as float into a float64 array, and where the converter is
+    None kept as interned strings, so each distinct value is held once.
+    Raises ValueError if a line has not one field per converter or a field
+    does not convert, and OverflowError if an integer does not fit in int64.
     """
     width = len(converters)
     if set(map(str.count, lines, repeat(","))) != {width - 1}:
         raise ValueError(f"a line without {width} fields")
-    fields = ",".join(lines).split(",")
+    fields = text.split(",")
     columns: list = []
     for i, convert in enumerate(converters):
         column = fields[i::width]
@@ -185,9 +185,10 @@ def read_columns(stream: IO[str], converters: Sequence, check: Callable | None =
     """The columns of the CSV lines after a one-line header, one per converter.
 
     Lines are read about READ_CHUNK_BYTES at a time.  In each chunk blank
-    lines are skipped, the rest parsed by parse_chunk and then passed, with
-    their columns, to check, which may raise.  A chunk that does not parse
-    raises ParseError naming its first bad line, the header being line 1.
+    lines are skipped and the rest joined by commas once, parsed by
+    parse_chunk and then passed, with that text and their columns, to
+    check, which may raise.  A chunk that does not parse raises ParseError
+    naming its first bad line, the header being line 1.
     """
     chunks: list[list] = []
     lineno = 2
@@ -196,13 +197,14 @@ def read_columns(stream: IO[str], converters: Sequence, check: Callable | None =
         if any(blank in lines for blank in BLANK_LINES):
             rows = [line for line in lines if line not in BLANK_LINES]
         if rows:
+            text = ",".join(rows)
             try:
-                columns = parse_chunk(rows, converters)
+                columns = parse_chunk(rows, text, converters)
             except (ValueError, OverflowError):
                 _raise_bad_line(lines, lineno, converters)
                 raise
             if check is not None:
-                check(rows, columns)
+                check(rows, text, columns)
             chunks.append(columns)
         lineno += len(lines)
     return [

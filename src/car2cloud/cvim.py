@@ -394,29 +394,77 @@ def try_transmit(queue: TransmitQueue, capacity_bits: int) -> tuple[list[str | N
         sent.append(head[1])
 
 
-def drain_sizes(pushed: Iterable[int], capacity: Iterable[int]) -> tuple[list[int], list[int]]:
-    """One vehicle's FIFO queue over its rows, in tick order, on plain ints.
+def drain_queues(
+    pushed: np.ndarray, capacity: np.ndarray, vehicle: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every vehicle's FIFO queue over its rows, as try_transmit drains it.
 
-    Row i queues a package of pushed[i] bytes (none where pushed[i] is 0)
-    and then drains the queue against capacity[i] bits as try_transmit
-    does: whole packages from the head while they fit.  Returns the bits
-    sent and the bytes left queued after each row.
+    Row i queues a package of pushed[i] bytes (none where it is 0), then
+    sends whole packages from the head of its vehicle's queue while they
+    fit in capacity[i] bits.  Each vehicle's rows, those of one code in
+    vehicle, are consecutive and in tick order.  pushed and capacity are
+    int64 arrays whose pushed bits sum to less than 2**62, so that no sum
+    here overflows and a capacity of 2**62 holds them all, or object
+    arrays of Python ints.  Returns the bits sent and the bytes left
+    queued after each row, of their dtype.
+
+    With head-of-line blocking a package leaves in its predecessor's
+    departure row if the bits sent there up to the predecessor and its own
+    still fit, else at the first later row that holds it alone; a package
+    pushed after its predecessor left leaves at the first row from its push
+    that holds it alone.  Departures start as that first row for every
+    package and are recomputed from the predecessors' until none moves.
+    Each round settles at least one more package of each vehicle, so the
+    rounds end, at the one set of departures that obeys the rule.
     """
-    queue: deque[int] = deque()
-    queued = 0
-    sent_bits: list[int] = []
-    queued_bytes: list[int] = []
-    for size, cap in zip(pushed, capacity):
-        if size:
-            queue.append(size)
-            queued += size
-        sent = 0
-        while queue and sent + queue[0] * 8 <= cap:
-            sent += queue[0] * 8
-            queued -= queue.popleft()
-        sent_bits.append(sent)
-        queued_bytes.append(queued)
-    return sent_bits, queued_bytes
+    n = len(pushed)
+    rows = np.flatnonzero(pushed)
+    bits = pushed[rows] * 8
+    first_row = np.ones(n, dtype=bool)
+    first_row[1:] = vehicle[1:] != vehicle[:-1]
+    starts = np.flatnonzero(first_row)
+    nth_vehicle = np.cumsum(first_row) - 1
+    # Package k can leave from row rows[k] to its vehicle's end; n means never.
+    end = np.append(starts[1:], n)[nth_vehicle[rows]]
+    sizes, size_code = np.unique(bits, return_inverse=True)
+    holds = [np.append(np.flatnonzero(capacity >= size), n) for size in sizes]
+
+    def first_fit(k: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """The first row from start, before package k's vehicle ends, that holds it alone, or n."""
+        found = np.empty(len(k), dtype=np.int64)
+        codes = size_code[k]
+        start = np.minimum(start, n)
+        for code, fit in enumerate(holds):
+            here = codes == code
+            found[here] = fit[np.searchsorted(fit, start[here])]
+        return np.where(found < end[k], found, n)
+
+    alone = first_fit(np.arange(len(rows)), rows)
+    follows = np.flatnonzero(nth_vehicle[rows[1:]] == nth_vehicle[rows[:-1]]) + 1
+    # No package joins one that never leaves.
+    capacity_or_none = np.append(capacity, -1)
+    total = np.cumsum(bits)
+    departure = alone
+    while True:
+        before = departure[follows - 1]
+        waits = before >= rows[follows]
+        k, before = follows[waits], before[waits]
+        # Bits sent in each departure row up to and including each package.
+        new_row = np.diff(departure, prepend=-1) != 0
+        sent_so_far = total - (total - bits)[new_row][np.cumsum(new_row) - 1]
+        joins = sent_so_far[k - 1] + bits[k] <= capacity_or_none[before]
+        moved = alone.copy()
+        moved[k[joins]] = before[joins]
+        moved[k[~joins]] = first_fit(k[~joins], before[~joins] + 1)
+        if np.array_equal(moved, departure):
+            break
+        departure = moved
+    sent = np.zeros(n + 1, dtype=pushed.dtype)
+    np.add.at(sent, departure, bits)
+    change = pushed - sent[:n] // 8
+    queued = np.cumsum(change)
+    queued -= (queued - change)[starts][nth_vehicle]
+    return sent[:n], queued
 
 
 def count_packages_per_cell(table: TickTable) -> dict[str, float]:

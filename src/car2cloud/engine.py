@@ -11,9 +11,9 @@ with array kernels that give the scalar formulas' bits:
   resource blocks, as scheduler.rr_allocate deals them;
 - linkrate.rb_rates, or the caller's rate model per row: the rate of one
   block, times the share;
-- cvim.drain_sizes: per vehicle and in tick order, the package queued at a
-  flush and the whole packages each tick's capacity sends, as
-  cvim.try_transmit sends them.
+- cvim.drain_queues: for blocks of whole vehicles, each in tick order, the
+  package queued at a flush and the whole packages each tick's capacity
+  sends, as cvim.try_transmit sends them.
 
 numpy's + - * / and comparisons round exactly as Python's float operations
 do, so the kernels follow the scalar code's operation order on arrays; only
@@ -39,6 +39,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import cvim, scheduler
+from .analysis import float_total
 from .csvio import INT64_BOUND, read_columns, write_columns
 from .cvim import PackagingConfig
 from .errors import ConfigError, ParseError, ValidationError
@@ -52,9 +53,10 @@ RESULTS_CSV_HEADER = (
 )
 
 
-# Rows per call of the SNR and rate kernels, and values per call of the
-# association screen: whole-table arrays and per-element Python lists would
-# raise the peak RSS of simulate with the table's size.
+# Rows per call of the SNR and rate kernels, values per call of the
+# association screen, and about the rows per call of the queue drain:
+# whole-table arrays and per-element Python lists would raise the peak RSS
+# of simulate with the table's size.
 KERNEL_BLOCK_ROWS = 1 << 14
 
 # Conversion of each results CSV field: ids (None) are kept as read.
@@ -299,28 +301,39 @@ def run(
     flushed = np.flatnonzero(flush[by_vehicle])
     buffered = np.zeros(n, dtype=np.int64)
     buffered[flushed] = np.diff(flushed, prepend=-1)
-    package_bytes = [0] + [
+    package_bytes = np.array([0] + [
         pkg_cfg.payload_bytes(pkg_cfg.records_per_tick * k)
         for k in range(1, int(buffered.max(initial=0)) + 1)
-    ]
-    vehicle_rates = rates[by_vehicle]
+    ], dtype=np.int64)
     sent = np.empty(n, dtype=np.int64)
     queued = np.empty(n, dtype=np.int64)
-    stops = np.cumsum(np.bincount(vehicle, minlength=len(names))).tolist()
-    for lo, hi in zip([0, *stops], stops):
+    # Blocks of whole vehicles, each up to the first vehicle end at or past
+    # a multiple of KERNEL_BLOCK_ROWS.
+    stops = np.cumsum(np.bincount(vehicle, minlength=len(names)))
+    cuts = stops[np.searchsorted(stops, np.arange(KERNEL_BLOCK_ROWS, n, KERNEL_BLOCK_ROWS))]
+    bounds = [0, *np.unique(np.append(cuts, n)).tolist()]
+    for lo, hi in zip(bounds, bounds[1:]):
         rows = by_vehicle[lo:hi]
-        bits, left = cvim.drain_sizes(
-            map(package_bytes.__getitem__, buffered[lo:hi].tolist()),
-            map(int, vehicle_rates[lo:hi].tolist()),
-        )
-        try:
-            sent[rows], queued[rows] = bits, left
-        except OverflowError:
-            i = next(i for i, pair in enumerate(zip(bits, left)) if max(pair) >= INT64_BOUND)
-            raise ConfigError(
-                f"vehicle {names[vehicle[rows[i]]]!r} at t={ticks[rows[i]]}: {left[i]} bytes "
-                f"queued and {bits[i]} bits sent, beyond 64 bits"
-            ) from None
+        pushed = package_bytes[buffered[lo:hi]]
+        if int(pushed.max(initial=0)) * int(np.count_nonzero(pushed)) < 1 << 59:
+            # The block's bits stay below 2**62, so its sums fit in int64
+            # and a capacity of 2**62 bits holds every package, as any
+            # larger one does.
+            bits, left = cvim.drain_queues(
+                pushed, np.minimum(rates[rows], 2.0**62).astype(np.int64), vehicle[rows]
+            )
+        else:
+            bits, left = cvim.drain_queues(
+                pushed.astype(object), np.frompyfunc(int, 1, 1)(rates[rows]), vehicle[rows]
+            )
+            beyond = np.flatnonzero((bits >= INT64_BOUND) | (left >= INT64_BOUND))
+            if beyond.size:
+                i = beyond[0]
+                raise ConfigError(
+                    f"vehicle {names[vehicle[rows[i]]]!r} at t={ticks[rows[i]]}: {left[i]} bytes "
+                    f"queued and {bits[i]} bits sent, beyond 64 bits"
+                )
+        sent[rows], queued[rows] = bits, left
     return TickTable(
         t=ticks,
         vehicle_id=list(map(names.__getitem__, vehicle.tolist())),
@@ -351,18 +364,30 @@ def read_results_csv(stream: IO[str]) -> TickTable:
     return TickTable(*read_columns(stream, _CONVERTERS))
 
 
-def undelivered_bytes(table: TickTable) -> dict[str, int]:
+def undelivered_bytes(
+    table: TickTable, codes: tuple[list[str], np.ndarray] | None = None
+) -> dict[str, int]:
     """Bytes still queued at each vehicle's final tick (departed unsent).
 
     Of rows with a vehicle's final tick, the first in row order counts.
+    codes is id_codes of the table's vehicle ids, if the caller has it.
     """
-    names, vehicle = id_codes(table.vehicle_id)
-    n = len(vehicle)
-    # Rows by vehicle, then tick, with equal ticks in reverse row order, so
-    # the last of each vehicle's rows is the first at its final tick.
-    order = n - 1 - np.lexsort((table.t[::-1], vehicle[::-1]))
-    last = order[np.cumsum(np.bincount(vehicle, minlength=len(names))) - 1]
-    return {vid: q for vid, q in zip(names, table.queue_bytes[last].tolist()) if q}
+    names, vehicle = codes or id_codes(table.vehicle_id)
+    final = np.full(len(names), np.iinfo(np.int64).min)
+    np.maximum.at(final, vehicle, table.t)
+    at_final = np.flatnonzero(table.t == final[vehicle])
+    first = np.full(len(names), len(vehicle))
+    np.minimum.at(first, vehicle[at_final], at_final)
+    return {vid: q for vid, q in zip(names, table.queue_bytes[first].tolist()) if q}
+
+
+def int_total(column: np.ndarray) -> int:
+    """The exact sum of an int64 column, also beyond int64.
+
+    The sums of the values' high and low 32 bits each fit in int64 for
+    fewer than 2**31 values.
+    """
+    return (int((column >> 32).sum()) << 32) + int((column & 0xFFFFFFFF).sum())
 
 
 def summarize(config: SimConfig, table: TickTable) -> dict:
@@ -372,17 +397,18 @@ def summarize(config: SimConfig, table: TickTable) -> dict:
     depends on order.
     """
     n = len(table)
+    codes = id_codes(table.vehicle_id)
     return {
         "scenario_label": config.scenario_label,
         "seed": config.seed,
         "config": config_echo(config),
-        "n_vehicles": len(set(table.vehicle_id)),
-        "n_ticks": len(set(table.t.tolist())),
+        "n_vehicles": len(codes[0]),
+        "n_ticks": len(np.unique(table.t)),
         "n_rows": n,
-        "mean_rate_bps": sum(table.rate_bps.tolist()) / n if n else 0.0,
-        "total_bits_sent": sum(table.bits_sent.tolist()),
-        "total_packages_generated": sum(table.packages_generated.tolist()),
-        "undelivered_bytes": undelivered_bytes(table),
+        "mean_rate_bps": float_total(table.rate_bps) / n if n else 0.0,
+        "total_bits_sent": int_total(table.bits_sent),
+        "total_packages_generated": int_total(table.packages_generated),
+        "undelivered_bytes": undelivered_bytes(table, codes),
     }
 
 

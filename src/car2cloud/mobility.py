@@ -412,9 +412,11 @@ def generate_traces(road: RoadSpec, params: KraussParams | None = None) -> Trace
     return _generate_ring(road, params)
 
 
-def _check_trace_chunk(lines: list[str], columns: list) -> None:
-    """Raise ValueError where _read_chunks gives up on a chunk of non-blank lines."""
-    text = "".join(lines)
+def _check_trace_chunk(lines: list[str], text: str, columns: list) -> None:
+    """Raise ValueError where _read_chunks gives up on a chunk of non-blank lines.
+
+    text is the lines joined by commas; a comma adds no quote or line break.
+    """
     vid, t, x, y, speed = columns
     if (
         '"' in text

@@ -5,13 +5,15 @@ kernels: per-tick screen, scalar snr or best_link per row, one
 rr_allocate per cell and tick, vehicle_rate with the rate model per row,
 and a TransmitQueue drained by try_transmit.  snr, best_link and the
 default rate model rb_rate are the scalar formulas of scalar_models.
-Tests compare the results CSV bytes of engine.run against it.
+Tests compare the results CSV bytes of engine.run against it.  drain_sizes
+is the per-vehicle queue loop that cvim.drain_queues replaced.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -122,3 +124,28 @@ def run(
         bits_sent=np.array(sent, dtype=np.int64),
         queue_bytes=np.array(queued, dtype=np.int64),
     )
+
+
+def drain_sizes(pushed: Iterable[int], capacity: Iterable[int]) -> tuple[list[int], list[int]]:
+    """One vehicle's FIFO queue over its rows, in tick order, on plain ints.
+
+    Row i queues a package of pushed[i] bytes (none where pushed[i] is 0)
+    and then drains the queue against capacity[i] bits as try_transmit
+    does: whole packages from the head while they fit.  Returns the bits
+    sent and the bytes left queued after each row.
+    """
+    queue: deque[int] = deque()
+    queued = 0
+    sent_bits: list[int] = []
+    queued_bytes: list[int] = []
+    for size, cap in zip(pushed, capacity):
+        if size:
+            queue.append(size)
+            queued += size
+        sent = 0
+        while queue and sent + queue[0] * 8 <= cap:
+            sent += queue[0] * 8
+            queued -= queue.popleft()
+        sent_bits.append(sent)
+        queued_bytes.append(queued)
+    return sent_bits, queued_bytes

@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import operator
 import random
+from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,7 +149,7 @@ def test_array_statistics_match_sorted_list_oracle(values):
     # is the left-to-right sum over the sorted list, bit for bit.
     ordered = sorted(values)
     stats = rate_stats(np.array(values), "x")
-    assert repr(stats.mean_rate) == repr(sum(ordered) / len(ordered))
+    assert repr(stats.mean_rate) == repr(reduce(operator.add, ordered, 0.0) / len(ordered))
     assert [repr(stats.percentiles[p]) for p in PERCENTILES] == [
         repr(percentile(ordered, p)) for p in PERCENTILES
     ]
@@ -282,3 +285,22 @@ def test_write_cell_packages_csv():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "station_id,mean_packages"
     assert lines[1].startswith("a,")
+
+
+def compensated_sum(values, start=0):
+    """builtin sum as Python 3.12 and later add floats: with compensated rounding."""
+    return start + math.fsum(values)
+
+
+def test_rate_stats_mean_does_not_depend_on_builtin_sum():
+    # Left to right, -1e16 + 1.0 rounds back to -1e16, so the mean is 0.0;
+    # a compensated sum would make it 1/3.
+    with mock.patch("builtins.sum", compensated_sum):
+        assert sum([-1e16, 1.0, 1e16]) == 1.0
+        assert rate_stats([1e16, -1e16, 1.0], "x").mean_rate == 0.0
+
+
+@pytest.mark.parametrize("values", [[-0.0], [-0.0, -0.0], [-0.0, 0.0], [1e308, 1e308, -1e308]])
+def test_rate_stats_mean_of_signed_zeros_and_overflow_is_the_left_fold(values):
+    expected = reduce(operator.add, sorted(values), 0.0) / len(values)
+    assert repr(rate_stats(values, "x").mean_rate) == repr(expected)

@@ -269,6 +269,22 @@ def test_analyze_rejects_a_label_with_a_slash(tmp_path, capsys):
     assert list(out.iterdir()) == []  # rejected before the first scenario's files are written
 
 
+def test_analyze_rejects_a_label_too_long_for_a_file_name(tmp_path, capsys):
+    a = write_results(tmp_path / "a" / "results.csv", ["0,v,bs,1.0,1.0,5.0,1,0,0"])
+    b = write_results(tmp_path / "b" / "results.csv", ["0,v,bs,1.0,1.0,7.0,1,0,0"])
+    out = tmp_path / "stats"
+    out.mkdir()
+    label = "x" * (os.pathconf(out, "PC_NAME_MAX") - len("cell_packages_.csv") + 1)
+    code = main(["analyze", a, b, "--label", "free", "--label", label, "--out-dir", str(out)])
+    assert code == 2
+    assert repr(label) in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # rejected before the first scenario's files are written
+    # One byte shorter, the label names its files.
+    code = main(["analyze", a, b, "--label", "free", "--label", label[1:], "--out-dir", str(out)])
+    assert code == 0
+    assert (out / f"cell_packages_{label[1:]}.csv").exists()
+
+
 def test_analyze_int_beyond_int64_exits_3(tmp_path, capsys):
     rows = ["0,v,bs,1.0,1.0,5.0,1,0,0", "1,v,bs,1.0,1.0,5.0,1,0,9223372036854775808"]
     path = write_results(tmp_path / "r" / "results.csv", rows)

@@ -6,6 +6,8 @@ the codec's decision, behind one module, car2cloud.csvio: it writes the
 codec's number text and, where a byte gate shows that it reads the text as
 int and float do, reads it back.  Each module's source is read with ast, so
 that a use is found wherever it sits, also in a function no test calls.
+Float totals are explicit left-to-right folds, not builtin sum, whose
+rounding changed in Python 3.12.
 """
 
 import ast
@@ -52,3 +54,17 @@ def test_no_module_forks_pipes_pickles_or_starts_threads():
 
 def test_only_csvio_imports_orjson():
     assert users({"orjson"}) == {"csvio.py": ["orjson"]}
+
+
+def builtin_sum_calls(path: Path) -> list[int]:
+    """The lines of the module at path that call a name sum."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+
+
+def test_no_module_calls_builtin_sum():
+    found = {path.name: builtin_sum_calls(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

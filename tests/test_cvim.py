@@ -11,7 +11,7 @@ from car2cloud.cvim import (
     PackagingConfig,
     TransmitQueue,
     count_packages_per_cell,
-    drain_sizes,
+    drain_queues,
     harmonize,
     package,
     parse_package,
@@ -22,6 +22,7 @@ from car2cloud.cvim import (
 )
 from car2cloud.engine import TickTable
 from car2cloud.errors import ConfigError, ValidationError
+from scalar_engine import drain_sizes
 
 
 def table(rows):
@@ -197,6 +198,69 @@ def test_drain_sizes_match_try_transmit(rows):
         expected_queued.append(queue.queued_bytes)
     pushed, capacity = zip(*rows) if rows else ((), ())
     assert drain_sizes(pushed, capacity) == (expected_sent, expected_queued)
+
+
+@st.composite
+def vehicle_queues(draw):
+    """Rows of (pushed bytes, capacity bits) of 0 to 5 vehicles, and each vehicle's code.
+
+    Packages are small or near 2**60 bytes, whose bits need Python ints;
+    capacities are 0, random, the bits of one of the vehicle's packages,
+    or at least 2**63.
+    """
+    vehicles = []
+    for _ in range(draw(st.integers(0, 5))):
+        pushed = draw(st.lists(
+            st.just(0) | st.integers(1, 50) | st.integers(2**60 - 8, 2**60 - 1), min_size=1,
+            max_size=40,
+        ))
+        bits = [8 * size for size in pushed if size] or [0]
+        capacity = [
+            draw(st.just(0) | st.integers(0, 1000) | st.sampled_from(bits)
+                 | st.sampled_from([2**63, 8 * 2**70, 10**30]))
+            for _ in pushed
+        ]
+        vehicles.append((pushed, capacity))
+    n = len(vehicles)
+    codes = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    return vehicles, codes
+
+
+@settings(max_examples=500, deadline=None)
+@given(vehicle_queues())
+def test_drain_queues_matches_drain_sizes_vehicle_by_vehicle(case):
+    vehicles, codes = case
+    expected_sent, expected_queued = [], []
+    for pushed, capacity in vehicles:
+        sent, queued = drain_sizes(pushed, capacity)
+        expected_sent += sent
+        expected_queued += queued
+    pushed = [size for sizes, _ in vehicles for size in sizes]
+    capacity = [cap for _, caps in vehicles for cap in caps]
+    vehicle = np.repeat(np.array(codes, dtype=np.int64), [len(sizes) for sizes, _ in vehicles])
+    sent, queued = drain_queues(
+        np.array(pushed, dtype=object), np.array(capacity, dtype=object), vehicle
+    )
+    assert sent.dtype == queued.dtype == object
+    assert (sent.tolist(), queued.tolist()) == (expected_sent, expected_queued)
+    if 8 * sum(pushed) < 2**62:
+        # In int64, a capacity of 2**62 bits holds every package there is.
+        sent, queued = drain_queues(
+            np.array(pushed, dtype=np.int64), np.minimum(capacity, 2**62).astype(np.int64), vehicle
+        )
+        assert sent.dtype == queued.dtype == np.int64
+        assert (sent.tolist(), queued.tolist()) == (expected_sent, expected_queued)
+
+
+def test_drain_queues_moves_a_backlog_one_package_per_row():
+    # Every other row sends one 2-byte package of the two pushed meanwhile,
+    # so the queue grows by one package per two rows and each package
+    # leaves two rows after the one before it.
+    pushed = [2] * 12
+    capacity = [0, 24] * 6
+    sent, queued = drain_queues(np.array(pushed), np.array(capacity), np.zeros(12, dtype=np.int64))
+    assert (sent.tolist(), queued.tolist()) == drain_sizes(pushed, capacity)
+    assert sent.tolist() == [0, 16] * 6 and queued.tolist()[-1] == 12
 
 
 QUEUE_OPS = st.lists(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from car2cloud import csvio, radio
+from car2cloud import csvio, engine, radio
 from car2cloud.engine import (
     RESULTS_CSV_HEADER,
     SimConfig,
@@ -850,3 +850,31 @@ def test_run_matches_the_scalar_loop(case):
     config, traces, stations, rate_model = case
     expected = csv_text(scalar_run(config, traces, stations, rate_model))
     assert csv_text(run(config, traces, stations, rate_model)) == expected
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+@settings(max_examples=100, deadline=None)
+@given(engine_cases())
+def test_run_matches_the_scalar_loop_in_small_blocks(block_rows, case):
+    # Drain blocks of one vehicle each, or cut after the vehicle that passes
+    # 7 or 64 rows; the association and rate blocks shrink alike.
+    config, traces, stations, rate_model = case
+    expected = csv_text(scalar_run(config, traces, stations, rate_model))
+    with mock.patch.object(engine, "KERNEL_BLOCK_ROWS", block_rows):
+        assert csv_text(run(config, traces, stations, rate_model)) == expected
+
+
+@pytest.mark.parametrize("block_rows", [1, 4])
+def test_queue_totals_beyond_int64_name_the_first_vehicle_in_any_block(block_rows):
+    # 'a' stays below int64; 'b' overflows at t=8 and 'c', in a later block,
+    # at an earlier tick.  As one vehicle after another drains, 'b' is named.
+    rows = [("a", t, 10.0, 0.0, 0.0) for t in range(3)]
+    rows += [("b", t, 20.0, 0.0, 0.0) for t in range(10)]
+    rows += [("c", t, 30.0, 0.0, 0.0) for t in range(-5, 5)]
+    config = SimConfig(packaging=PackagingConfig(header_bytes=2**60 - 52))
+    with mock.patch.object(engine, "KERNEL_BLOCK_ROWS", block_rows):
+        with pytest.raises(ConfigError) as err:
+            run(config, trace_table(rows), STATION, rate_model=lambda snr_db, speed: 0.0)
+    assert str(err.value) == (
+        f"vehicle 'b' at t=8: {9 * (2**60 - 4)} bytes queued and 0 bits sent, beyond 64 bits"
+    )
