@@ -408,63 +408,38 @@ def drain_queues(
     arrays of Python ints.  Returns the bits sent and the bytes left
     queued after each row, of their dtype.
 
-    With head-of-line blocking a package leaves in its predecessor's
-    departure row if the bits sent there up to the predecessor and its own
-    still fit, else at the first later row that holds it alone; a package
-    pushed after its predecessor left leaves at the first row from its push
-    that holds it alone.  Departures start as that first row for every
-    package and are recomputed from the predecessors' until none moves.
-    Each round settles at least one more package of each vehicle, so the
-    rounds end, at the one set of departures that obeys the rule.
+    Whole packages leave in order, so the bits a vehicle has sent always
+    equal the running total of its pushed bits at some row.  A row sends
+    up to the largest such total within its capacity of the bits already
+    sent and no more than the bits pushed so far.  Step j drains the j-th
+    row of every vehicle that has one, so the steps are as many as the
+    longest vehicle's rows, however deep its queue.
     """
     n = len(pushed)
-    rows = np.flatnonzero(pushed)
-    bits = pushed[rows] * 8
+    # pushed_bits[i + 1] is the bits pushed up to row i, over all vehicles.
+    pushed_bits = np.zeros(n + 1, dtype=pushed.dtype)
+    np.multiply(pushed, 8, out=pushed_bits[1:])
+    np.cumsum(pushed_bits, out=pushed_bits)
     first_row = np.ones(n, dtype=bool)
     first_row[1:] = vehicle[1:] != vehicle[:-1]
     starts = np.flatnonzero(first_row)
-    nth_vehicle = np.cumsum(first_row) - 1
-    # Package k can leave from row rows[k] to its vehicle's end; n means never.
-    end = np.append(starts[1:], n)[nth_vehicle[rows]]
-    sizes, size_code = np.unique(bits, return_inverse=True)
-    holds = [np.append(np.flatnonzero(capacity >= size), n) for size in sizes]
-
-    def first_fit(k: np.ndarray, start: np.ndarray) -> np.ndarray:
-        """The first row from start, before package k's vehicle ends, that holds it alone, or n."""
-        found = np.empty(len(k), dtype=np.int64)
-        codes = size_code[k]
-        start = np.minimum(start, n)
-        for code, fit in enumerate(holds):
-            here = codes == code
-            found[here] = fit[np.searchsorted(fit, start[here])]
-        return np.where(found < end[k], found, n)
-
-    alone = first_fit(np.arange(len(rows)), rows)
-    follows = np.flatnonzero(nth_vehicle[rows[1:]] == nth_vehicle[rows[:-1]]) + 1
-    # No package joins one that never leaves.
-    capacity_or_none = np.append(capacity, -1)
-    total = np.cumsum(bits)
-    departure = alone
-    while True:
-        before = departure[follows - 1]
-        waits = before >= rows[follows]
-        k, before = follows[waits], before[waits]
-        # Bits sent in each departure row up to and including each package.
-        new_row = np.diff(departure, prepend=-1) != 0
-        sent_so_far = total - (total - bits)[new_row][np.cumsum(new_row) - 1]
-        joins = sent_so_far[k - 1] + bits[k] <= capacity_or_none[before]
-        moved = alone.copy()
-        moved[k[joins]] = before[joins]
-        moved[k[~joins]] = first_fit(k[~joins], before[~joins] + 1)
-        if np.array_equal(moved, departure):
-            break
-        departure = moved
-    sent = np.zeros(n + 1, dtype=pushed.dtype)
-    np.add.at(sent, departure, bits)
-    change = pushed - sent[:n] // 8
-    queued = np.cumsum(change)
-    queued -= (queued - change)[starts][nth_vehicle]
-    return sent[:n], queued
+    lengths = np.diff(starts, append=n)
+    # Longest first: alive[j] vehicles have a j-th row, and they come first.
+    longest = np.argsort(-lengths)
+    starts, lengths = starts[longest], lengths[longest]
+    alive = np.searchsorted(-lengths, -np.arange(lengths.max(initial=0)))
+    ahead = pushed_bits[starts]
+    sent = np.empty(n, dtype=pushed.dtype)
+    queued = np.empty(n, dtype=pushed.dtype)
+    for j, count in enumerate(alive.tolist()):
+        row = starts[:count] + j
+        now = pushed_bits[row + 1]
+        fits = np.searchsorted(pushed_bits, ahead[:count] + capacity[row], "right") - 1
+        reach = np.minimum(pushed_bits[fits], now)
+        sent[row] = reach - ahead[:count]
+        queued[row] = (now - reach) // 8
+        ahead[:count] = reach
+    return sent, queued
 
 
 def count_packages_per_cell(table: TickTable) -> dict[str, float]:

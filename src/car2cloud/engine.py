@@ -11,9 +11,9 @@ with array kernels that give the scalar formulas' bits:
   resource blocks, as scheduler.rr_allocate deals them;
 - linkrate.rb_rates, or the caller's rate model per row: the rate of one
   block, times the share;
-- cvim.drain_queues: for blocks of whole vehicles, each in tick order, the
-  package queued at a flush and the whole packages each tick's capacity
-  sends, as cvim.try_transmit sends them.
+- cvim.drain_queues: over each vehicle's rows in tick order, the package
+  queued at a flush and the whole packages each tick's capacity sends, as
+  cvim.try_transmit sends them.
 
 numpy's + - * / and comparisons round exactly as Python's float operations
 do, so the kernels follow the scalar code's operation order on arrays; only
@@ -53,10 +53,9 @@ RESULTS_CSV_HEADER = (
 )
 
 
-# Rows per call of the SNR and rate kernels, values per call of the
-# association screen, and about the rows per call of the queue drain:
-# whole-table arrays and per-element Python lists would raise the peak RSS
-# of simulate with the table's size.
+# Rows per call of the SNR and rate kernels and values per call of the
+# association screen: whole-table temporaries and per-element Python lists
+# would raise the peak RSS of simulate with the table's size.
 KERNEL_BLOCK_ROWS = 1 << 14
 
 # Conversion of each results CSV field: ids (None) are kept as read.
@@ -276,6 +275,9 @@ def run(
             per_rb = rb_rates(snr_db[block], speed, config.rate)
         with np.errstate(all="ignore"):
             rates[block] = shares[block] * per_rb
+    # The drain's whole-table columns need not stack on the trace state;
+    # speed, a view of it, is unbound where the table is empty.
+    order = state = speed = finite = None
     # A one-second tick's capacity is int(rate) bits, which must exist and
     # not be negative.
     bad = ~np.isfinite(rates) | (rates <= -1.0)
@@ -305,35 +307,29 @@ def run(
         pkg_cfg.payload_bytes(pkg_cfg.records_per_tick * k)
         for k in range(1, int(buffered.max(initial=0)) + 1)
     ], dtype=np.int64)
+    pushed = package_bytes[buffered]
+    if int(pushed.max(initial=0)) * int(np.count_nonzero(pushed)) < 1 << 59:
+        # The pushed bits stay below 2**62, so the drain's sums fit in int64
+        # and a capacity of 2**62 bits holds every package, as any larger
+        # one does.
+        bits, left = cvim.drain_queues(
+            pushed, np.minimum(rates[by_vehicle], 2.0**62).astype(np.int64), vehicle[by_vehicle]
+        )
+    else:
+        bits, left = cvim.drain_queues(
+            pushed.astype(object), np.frompyfunc(int, 1, 1)(rates[by_vehicle]), vehicle[by_vehicle]
+        )
+        beyond = np.flatnonzero((bits >= INT64_BOUND) | (left >= INT64_BOUND))
+        if beyond.size:
+            k = beyond[0]
+            i = by_vehicle[k]
+            raise ConfigError(
+                f"vehicle {names[vehicle[i]]!r} at t={ticks[i]}: {left[k]} bytes "
+                f"queued and {bits[k]} bits sent, beyond 64 bits"
+            )
     sent = np.empty(n, dtype=np.int64)
     queued = np.empty(n, dtype=np.int64)
-    # Blocks of whole vehicles, each up to the first vehicle end at or past
-    # a multiple of KERNEL_BLOCK_ROWS.
-    stops = np.cumsum(np.bincount(vehicle, minlength=len(names)))
-    cuts = stops[np.searchsorted(stops, np.arange(KERNEL_BLOCK_ROWS, n, KERNEL_BLOCK_ROWS))]
-    bounds = [0, *np.unique(np.append(cuts, n)).tolist()]
-    for lo, hi in zip(bounds, bounds[1:]):
-        rows = by_vehicle[lo:hi]
-        pushed = package_bytes[buffered[lo:hi]]
-        if int(pushed.max(initial=0)) * int(np.count_nonzero(pushed)) < 1 << 59:
-            # The block's bits stay below 2**62, so its sums fit in int64
-            # and a capacity of 2**62 bits holds every package, as any
-            # larger one does.
-            bits, left = cvim.drain_queues(
-                pushed, np.minimum(rates[rows], 2.0**62).astype(np.int64), vehicle[rows]
-            )
-        else:
-            bits, left = cvim.drain_queues(
-                pushed.astype(object), np.frompyfunc(int, 1, 1)(rates[rows]), vehicle[rows]
-            )
-            beyond = np.flatnonzero((bits >= INT64_BOUND) | (left >= INT64_BOUND))
-            if beyond.size:
-                i = beyond[0]
-                raise ConfigError(
-                    f"vehicle {names[vehicle[rows[i]]]!r} at t={ticks[rows[i]]}: {left[i]} bytes "
-                    f"queued and {bits[i]} bits sent, beyond 64 bits"
-                )
-        sent[rows], queued[rows] = bits, left
+    sent[by_vehicle], queued[by_vehicle] = bits, left
     return TickTable(
         t=ticks,
         vehicle_id=list(map(names.__getitem__, vehicle.tolist())),

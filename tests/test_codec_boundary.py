@@ -7,7 +7,9 @@ codec's number text and, where a byte gate shows that it reads the text as
 int and float do, reads it back.  Each module's source is read with ast, so
 that a use is found wherever it sits, also in a function no test calls.
 Float totals are explicit left-to-right folds, not builtin sum, whose
-rounding changed in Python 3.12.
+rounding changed in Python 3.12.  numpy's transcendental functions may
+differ from math's in the last ulp, so only the association screen, which
+sends every row it cannot decide exactly to best_link, refers to them.
 """
 
 import ast
@@ -68,3 +70,48 @@ def builtin_sum_calls(path: Path) -> list[int]:
 def test_no_module_calls_builtin_sum():
     found = {path.name: builtin_sum_calls(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+NUMPY_TRANSCENDENTALS = {"log", "log10", "log2", "exp", "power", "hypot"}
+
+
+def numpy_transcendental_refs(path: Path) -> dict[str, list[str]]:
+    """Each function of the module at path that refers to one of NUMPY_TRANSCENDENTALS.
+
+    A reference is a numpy.name attribute, called or passed as a value, or
+    a from-numpy import; it counts for the innermost enclosing function,
+    or for the module.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    numpy_names = {
+        alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "numpy"
+    }
+    found: dict[str, set[str]] = {}
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                if child.value.id in numpy_names:
+                    names = [child.attr]
+            elif isinstance(child, ast.ImportFrom) and child.module == "numpy":
+                names = [alias.name for alias in child.names]
+            for name in NUMPY_TRANSCENDENTALS.intersection(names):
+                found.setdefault(scope, set()).add(name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+            else:
+                visit(child, scope)
+
+    visit(tree, path.stem)
+    return {scope: sorted(names) for scope, names in found.items()}
+
+
+def test_only_the_association_screen_refers_to_numpy_transcendentals():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        found.update(numpy_transcendental_refs(path))
+    # screen_links passes np.log10 to the link budget as a value.
+    assert "log10" in found.pop("radio.screen_links")
+    assert found == {}

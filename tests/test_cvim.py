@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,7 +208,8 @@ def vehicle_queues(draw):
 
     Packages are small or near 2**60 bytes, whose bits need Python ints;
     capacities are 0, random, the bits of one of the vehicle's packages,
-    or at least 2**63.
+    or at least 2**63.  A vehicle may repeat its rows 5 to 15 times, so
+    that vehicles of a few hundred rows drain beside short ones.
     """
     vehicles = []
     for _ in range(draw(st.integers(0, 5))):
@@ -220,7 +223,8 @@ def vehicle_queues(draw):
                  | st.sampled_from([2**63, 8 * 2**70, 10**30]))
             for _ in pushed
         ]
-        vehicles.append((pushed, capacity))
+        repeats = draw(st.just(1) | st.integers(5, 15))
+        vehicles.append((pushed * repeats, capacity * repeats))
     n = len(vehicles)
     codes = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
     return vehicles, codes
@@ -261,6 +265,45 @@ def test_drain_queues_moves_a_backlog_one_package_per_row():
     sent, queued = drain_queues(np.array(pushed), np.array(capacity), np.zeros(12, dtype=np.int64))
     assert (sent.tolist(), queued.tolist()) == drain_sizes(pushed, capacity)
     assert sent.tolist() == [0, 16] * 6 and queued.tolist()[-1] == 12
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_drain_queues_of_no_rows(dtype):
+    empty = np.array([], dtype=dtype)
+    sent, queued = drain_queues(empty, empty, np.array([], dtype=np.int64))
+    assert sent.dtype == queued.dtype == dtype
+    assert sent.tolist() == queued.tolist() == []
+
+
+def searchsorted_calls(pushed, capacity, vehicle):
+    """drain_queues' outputs, and how many np.searchsorted calls it made."""
+    calls = []
+    searchsorted = np.searchsorted
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return searchsorted(*args, **kwargs)
+
+    with mock.patch.object(np, "searchsorted", counted):
+        sent, queued = drain_queues(pushed, capacity, vehicle)
+    return sent, queued, len(calls)
+
+
+def test_drain_queues_work_does_not_grow_with_the_backlog():
+    # 4 vehicles of 3600 rows each push 2 bytes per row and send 24 bits
+    # every other row: each queue grows to 1800 packages and every package
+    # waits for the one before it.  The drain makes as many searches as
+    # for the same rows with room for everything.
+    rows = 3600
+    pushed = np.full(4 * rows, 2, dtype=np.int64)
+    capacity = np.tile(np.array([0, 24], dtype=np.int64), 2 * rows)
+    vehicle = np.repeat(np.arange(4, dtype=np.int64), rows)
+    sent, queued, backlog_calls = searchsorted_calls(pushed, capacity, vehicle)
+    _, _, ample_calls = searchsorted_calls(pushed, np.full_like(capacity, 1000), vehicle)
+    assert backlog_calls == ample_calls <= rows + 2
+    expected_sent, expected_queued = drain_sizes([2] * rows, [0, 24] * (rows // 2))
+    assert sent.tolist() == expected_sent * 4 and queued.tolist() == expected_queued * 4
+    assert max(expected_queued) == 1800 * 2
 
 
 QUEUE_OPS = st.lists(

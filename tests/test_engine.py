@@ -443,6 +443,27 @@ def test_queue_scenario_golden_digest():
     assert serving_w == {"bs0"}
 
 
+def test_deep_ring_backlog_matches_the_scalar_loop():
+    # 50 cars on the 10 km ring, one 3 kHz resource block per cell and a
+    # package every tick: queues reach 37 packages and drain in part.
+    config = parse_config_text("", [
+        "road.topology=ring", "road.inflow=50", "road.duration=120", "cell.rb_limit=1",
+        "cvim.aggregate_ticks=1", "linkrate.rb_bandwidth_hz=3000", "sim.seed=42",
+    ])
+    traces = generate_traces(config.road_spec(), config.krauss)
+    radius = config.road.length / (2.0 * math.pi) + 25.0
+    stations = [
+        BaseStation(f"bs{k}", radius * math.cos(2.0 * math.pi * k / 5),
+                    radius * math.sin(2.0 * math.pi * k / 5))
+        for k in range(5)
+    ]
+    results = run(config, traces, stations)
+    package = config.packaging.payload_bytes(config.packaging.records_per_tick)
+    assert results.queue_bytes.max() == 37 * package
+    assert ((results.bits_sent > 0) & (results.queue_bytes >= 2 * package)).any()
+    assert csv_text(results) == csv_text(scalar_run(config, traces, stations))
+
+
 def test_queue_scenario_conserves_bytes():
     cfg, traces, stations = queue_scenario()
     results = run(cfg, traces, stations)
@@ -856,8 +877,8 @@ def test_run_matches_the_scalar_loop(case):
 @settings(max_examples=100, deadline=None)
 @given(engine_cases())
 def test_run_matches_the_scalar_loop_in_small_blocks(block_rows, case):
-    # Drain blocks of one vehicle each, or cut after the vehicle that passes
-    # 7 or 64 rows; the association and rate blocks shrink alike.
+    # The association, SNR and rate kernels run on blocks of 1, 7 or 64
+    # rows; the drain takes the whole table at once.
     config, traces, stations, rate_model = case
     expected = csv_text(scalar_run(config, traces, stations, rate_model))
     with mock.patch.object(engine, "KERNEL_BLOCK_ROWS", block_rows):
@@ -866,8 +887,9 @@ def test_run_matches_the_scalar_loop_in_small_blocks(block_rows, case):
 
 @pytest.mark.parametrize("block_rows", [1, 4])
 def test_queue_totals_beyond_int64_name_the_first_vehicle_in_any_block(block_rows):
-    # 'a' stays below int64; 'b' overflows at t=8 and 'c', in a later block,
-    # at an earlier tick.  As one vehicle after another drains, 'b' is named.
+    # 'a' stays below int64; 'b' overflows at t=8 and 'c' at an earlier
+    # tick.  The drain takes one vehicle after another, so 'b' is named,
+    # however small the association and rate blocks.
     rows = [("a", t, 10.0, 0.0, 0.0) for t in range(3)]
     rows += [("b", t, 20.0, 0.0, 0.0) for t in range(10)]
     rows += [("c", t, 30.0, 0.0, 0.0) for t in range(-5, 5)]
