@@ -177,8 +177,9 @@ def compare_scenarios(stats_a: RateStats, stats_b: RateStats) -> ScenarioCompari
     )
 
 
-def _json_safe(value: float):
-    return "inf" if math.isinf(value) else value
+def json_float(value: float) -> float | str:
+    """value, or its str ('inf', '-inf' or 'nan') where JSON has no number for it."""
+    return value if math.isfinite(value) else str(value)
 
 
 def stats_payload(
@@ -188,7 +189,7 @@ def stats_payload(
         "percentile_convention": "lower-step: smallest value with CDF >= p/100",
         "scenarios": {
             s.scenario_label: {
-                "mean_rate_bps": s.mean_rate,
+                "mean_rate_bps": json_float(s.mean_rate),
                 "percentiles_bps": {str(p): s.percentiles[p] for p in PERCENTILES},
                 "sample_count": s.sample_count,
             }
@@ -199,9 +200,9 @@ def stats_payload(
         payload["ratio"] = {
             "a": comparison.label_a,
             "b": comparison.label_b,
-            "mean": _json_safe(comparison.mean_ratio),
+            "mean": json_float(comparison.mean_ratio),
             "percentiles": {
-                str(p): _json_safe(comparison.percentile_ratios[p])
+                str(p): json_float(comparison.percentile_ratios[p])
                 for p in PERCENTILES
             },
         }
@@ -213,7 +214,7 @@ def write_stats_json(
     comparison: ScenarioComparison | None,
     stream: IO[str],
 ) -> None:
-    json.dump(stats_payload(stats, comparison), stream, indent=2, sort_keys=True)
+    json.dump(stats_payload(stats, comparison), stream, indent=2, sort_keys=True, allow_nan=False)
     stream.write("\n")
 
 

@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import analysis, cvim, engine, mobility, radio
 from .errors import ConfigError, ValidationError
 
@@ -116,6 +118,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         table = _read(path, engine.read_results_csv)
         if not len(table):
             raise ValidationError(f"results file {path} holds no tick rows")
+        bad = np.flatnonzero(~np.isfinite(table.rate_bps))
+        if bad.size:
+            row = bad[0]
+            raise ValidationError(
+                f"results file {path}: vehicle {table.vehicle_id[row]!r} at t={table.t[row]}: "
+                f"rate {float(table.rate_bps[row])!r} bit/s is not finite"
+            )
         rates = analysis.sorted_rates(table.rate_bps)
         all_stats.append(analysis.rate_stats(rates, label))
         suffix = "" if i == 0 else f"_{label}"

@@ -9,8 +9,7 @@ with array kernels that give the scalar formulas' bits:
 - radio.link_snrs: the SNR to that station, as radio.snr computes it;
 - scheduler.rr_shares: the vehicle's Round-Robin share of its cell's
   resource blocks, as scheduler.rr_allocate deals them;
-- linkrate.rb_rates, or the caller's rate model per row: the rate of one
-  block, times the share;
+- linkrate.rb_rates: the rate of one block, times the share;
 - cvim.drain_queues: over each vehicle's rows in tick order, the package
   queued at a flush and the whole packages each tick's capacity sends, as
   cvim.try_transmit sends them.
@@ -39,11 +38,11 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import cvim, scheduler
-from .analysis import float_total
+from .analysis import float_total, json_float
 from .csvio import INT64_BOUND, read_columns, write_columns
 from .cvim import PackagingConfig
 from .errors import ConfigError, ParseError, ValidationError
-from .linkrate import RateModel, RbRateParams, rb_rates
+from .linkrate import RbRateParams, rb_rates
 from .mobility import KraussParams, RoadSpec, TraceTable, id_codes
 from .radio import BaseStation, LinkBudgetConfig, best_link, link_snrs, screen_links
 
@@ -220,12 +219,7 @@ def config_echo(config: SimConfig) -> dict[str, str]:
     return echo
 
 
-def run(
-    config: SimConfig,
-    traces: TraceTable,
-    stations: Sequence[BaseStation],
-    rate_model: RateModel | None = None,
-) -> TickTable:
+def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) -> TickTable:
     """Simulate every trace sample; rows ordered by (t, vehicle_id)."""
     stations = sorted(stations, key=lambda s: str(s.station_id))
     if not stations:
@@ -266,21 +260,15 @@ def run(
     for lo in range(0, n, KERNEL_BLOCK_ROWS):
         block = slice(lo, lo + KERNEL_BLOCK_ROWS)
         snr_db[block] = link_snrs(state[block, :2], serving[block], stations, config.link)
-        speed = state[block, 2]
-        if rate_model:
-            per_rb = np.fromiter(
-                map(rate_model, snr_db[block].tolist(), speed.tolist()), np.float64, len(speed)
-            )
-        else:
-            per_rb = rb_rates(snr_db[block], speed, config.rate)
+        per_rb = rb_rates(snr_db[block], state[block, 2], config.rate)
         with np.errstate(all="ignore"):
             rates[block] = shares[block] * per_rb
-    # The drain's whole-table columns need not stack on the trace state;
-    # speed, a view of it, is unbound where the table is empty.
-    order = state = speed = finite = None
-    # A one-second tick's capacity is int(rate) bits, which must exist and
-    # not be negative.
-    bad = ~np.isfinite(rates) | (rates <= -1.0)
+    # The drain's whole-table columns need not stack on the trace state.
+    order = state = finite = None
+    # A one-second tick's capacity is int(rate) bits, which must exist.  No
+    # rate is negative: shares and efficiencies are not, and the speed
+    # penalty is positive at any speed.
+    bad = ~np.isfinite(rates)
     if bad.any():
         i = int(np.argmax(bad))
         raise ConfigError(
@@ -390,7 +378,7 @@ def summarize(config: SimConfig, table: TickTable) -> dict:
     """Run metadata, config echo and aggregate statistics for summary.json.
 
     The mean rate is a left-to-right sum in row order, as float addition
-    depends on order.
+    depends on order; a sum that overflows gives the mean 'inf'.
     """
     n = len(table)
     codes = id_codes(table.vehicle_id)
@@ -401,7 +389,7 @@ def summarize(config: SimConfig, table: TickTable) -> dict:
         "n_vehicles": len(codes[0]),
         "n_ticks": len(np.unique(table.t)),
         "n_rows": n,
-        "mean_rate_bps": float_total(table.rate_bps) / n if n else 0.0,
+        "mean_rate_bps": json_float(float_total(table.rate_bps) / n if n else 0.0),
         "total_bits_sent": int_total(table.bits_sent),
         "total_packages_generated": int_total(table.packages_generated),
         "undelivered_bytes": undelivered_bytes(table, codes),
@@ -409,5 +397,5 @@ def summarize(config: SimConfig, table: TickTable) -> dict:
 
 
 def write_summary_json(summary: dict, stream: IO[str]) -> None:
-    json.dump(summary, stream, indent=2, sort_keys=True)
+    json.dump(summary, stream, indent=2, sort_keys=True, allow_nan=False)
     stream.write("\n")

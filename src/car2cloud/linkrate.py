@@ -1,18 +1,16 @@
 """Per-resource-block uplink rate model: truncated Shannon with speed penalty.
 
-Measured LTE uplink rate surfaces are not publicly available, so the default
-model is an attenuated Shannon bound truncated at a 64-QAM-class spectral
-efficiency ceiling, multiplied by a linear speed penalty that saturates at
-the reference speed:
+Measured LTE uplink rate surfaces are not publicly available, so the model
+is the attenuated Shannon bound of Mogensen et al. (VTC 2007-Spring),
+truncated at a 64-QAM-class spectral efficiency ceiling and multiplied by a
+linear speed penalty that saturates at the reference speed:
 
     rate = min(beta * log2(1 + snr_lin), eta_max) * B_rb * phi(v)
     phi(v) = 1 - penalty * min(v, v_ref) / v_ref
 
 Below the snr_min outage cutoff the rate is zero.  Where snr_lin exceeds
 the largest double (SNR above about 3082 dB) it counts as infinite, so the
-efficiency is eta_max.  Any replacement model is a plain callable
-(snr_db, speed) -> bit/s per RB; the scheduler and engine only rely on that
-signature.
+efficiency is eta_max.
 
 The formula is written once, in rb_rates; rb_rate evaluates it on one
 pair.  The scalar formula as first written is kept in
@@ -24,13 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, check_finite
-
-RateModel = Callable[[float, float], float]
 
 
 @dataclass(frozen=True)

@@ -592,8 +592,8 @@ def parse_fcd_xml(stream: IO) -> TraceTable:
 
 def speed_distribution(traces: TraceTable, bin_width: float) -> dict[float, float]:
     """Histogram of all sample speeds: bin lower edge -> probability."""
-    if bin_width <= 0:
-        raise ConfigError("bin_width must be positive")
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ConfigError(f"bin_width must be a positive finite number, got {bin_width!r}")
     counts: dict[float, int] = {}
     for speed in traces.speed.tolist():
         edge = math.floor(speed / bin_width) * bin_width

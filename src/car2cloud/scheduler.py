@@ -14,11 +14,11 @@ for every row of a whole table at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
-from .linkrate import RateModel
 
 MODES = ("fractional", "integer")
 
@@ -103,7 +103,9 @@ def rr_shares(t: np.ndarray, cell: np.ndarray, n_rb: int, mode: str) -> np.ndarr
     return np.where(extra, share + 1.0, share)
 
 
-def vehicle_rate(share: float, snr_db: float, speed: float, model: RateModel) -> float:
+def vehicle_rate(
+    share: float, snr_db: float, speed: float, model: Callable[[float, float], float]
+) -> float:
     """Uplink rate of one vehicle holding `share` resource blocks.
 
     ``model`` is any callable (snr_db, speed) -> bit/s per block, such as

@@ -2,9 +2,9 @@
 
 run here is the scalar loop of car2cloud's engine before its columnar
 kernels: per-tick screen, scalar snr or best_link per row, one
-rr_allocate per cell and tick, vehicle_rate with the rate model per row,
-and a TransmitQueue drained by try_transmit.  snr, best_link and the
-default rate model rb_rate are the scalar formulas of scalar_models.
+rr_allocate per cell and tick, vehicle_rate with rb_rate per row, and a
+TransmitQueue drained by try_transmit.  snr, best_link and rb_rate are the
+scalar formulas of scalar_models.
 Tests compare the results CSV bytes of engine.run against it.  drain_sizes
 is the per-vehicle queue loop that cvim.drain_queues replaced.
 """
@@ -21,23 +21,17 @@ from car2cloud import cvim, scheduler
 from car2cloud.cvim import TransmitQueue
 from car2cloud.engine import SimConfig, TickTable
 from car2cloud.errors import ConfigError, ValidationError
-from car2cloud.linkrate import RateModel
 from car2cloud.mobility import TraceTable, id_codes
 from car2cloud.radio import BaseStation, screen_links
 from scalar_models import best_link, rb_rate, snr
 
 
-def run(
-    config: SimConfig,
-    traces: TraceTable,
-    stations: Sequence[BaseStation],
-    rate_model: RateModel | None = None,
-) -> TickTable:
+def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) -> TickTable:
     """Execute the tick loop over all traces; rows ordered by (t, vehicle_id)."""
     stations = sorted(stations, key=lambda s: str(s.station_id))
     if not stations:
         raise ConfigError("simulation needs at least one base station")
-    model = rate_model or partial(rb_rate, params=config.rate)
+    model = partial(rb_rate, params=config.rate)
     pkg_cfg = config.packaging
     # Package metadata is checked here once, as no package object is built.
     cvim.PackageMeta(owner=pkg_cfg.owner, privacy_level=pkg_cfg.privacy_level)

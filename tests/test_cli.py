@@ -1,11 +1,15 @@
 import errno
 import hashlib
 import json
+import math
 import os
+from pathlib import Path
 
 import pytest
 
 from car2cloud.cli import main
+
+STATIONS_10KM = Path(__file__).resolve().parent.parent / "configs" / "stations_10km.csv"
 
 FREE_CFG = """
 road.topology = strip
@@ -290,6 +294,80 @@ def test_analyze_int_beyond_int64_exits_3(tmp_path, capsys):
     path = write_results(tmp_path / "r" / "results.csv", rows)
     assert main(["analyze", path, "--out-dir", str(tmp_path / "o")]) == 3
     assert "line 3: integer '9223372036854775808' exceeds 64 bits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+def test_analyze_rejects_a_non_finite_rate_naming_file_vehicle_and_tick(tmp_path, capsys, rate):
+    rows = ["0,v,bs,1.0,1.0,5.0,1,0,0", f"1,v,bs,1.0,1.0,{rate},1,0,0"]
+    path = write_results(tmp_path / "r" / "results.csv", rows)
+    assert main(["analyze", path, "--out-dir", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        f"input error: results file {path}: vehicle 'v' at t=1: rate {rate} bit/s is not finite\n"
+    )
+    assert not (tmp_path / "o" / "stats.json").exists()
+
+
+def strict_json(path):
+    """The JSON document at path; NaN, Infinity and -Infinity are errors."""
+    def reject(token):
+        raise ValueError(f"{path.name} holds {token}, which strict JSON lacks")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+def simulate_four_rows_at_1000_m(tmp_path, *settings):
+    """simulate's exit code on one vehicle's 4 rows at x = 1000 m, 10 km layout."""
+    traces = tmp_path / "traces.csv"
+    traces.write_text(
+        "vehicle_id,t,x,y,speed\n" + "".join(f"v1,{t},1000,0,10\n" for t in range(4)),
+        encoding="utf-8",
+    )
+    overrides = [arg for setting in settings for arg in ("--set", setting)]
+    return main([
+        "simulate", "--traces", str(traces), "--stations", str(STATIONS_10KM),
+        *overrides, "--out-dir", str(tmp_path / "sim"),
+    ])
+
+
+@pytest.mark.parametrize(
+    "settings, rate",
+    [
+        (["cell.n_rb=0", "linkrate.rb_bandwidth_hz=1e308"], "nan"),  # 0 blocks * inf
+        ([f"cell.n_rb=1{'0' * 307}"], "inf"),
+    ],
+)
+def test_simulate_rejects_a_non_finite_rate_with_exit_2(tmp_path, capsys, settings, rate):
+    assert simulate_four_rows_at_1000_m(tmp_path, *settings) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: vehicle 'v1' at t=0: rate {rate} bit/s is not a finite, "
+        "non-negative capacity\n"
+    )
+
+
+def test_overflowing_rate_sums_are_written_as_strict_json(tmp_path):
+    """Finite rates whose left-to-right sum overflows: the means are written 'inf'."""
+    code = simulate_four_rows_at_1000_m(
+        tmp_path, "linkrate.rb_bandwidth_hz=1e307", "cell.n_rb=1"
+    )
+    assert code == 0
+    summary = strict_json(tmp_path / "sim" / "summary.json")
+    assert summary["mean_rate_bps"] == "inf"
+    results = str(tmp_path / "sim" / "results.csv")
+    assert main(["analyze", results, results, "--label", "a", "--label", "b",
+                 "--out-dir", str(tmp_path / "stats")]) == 0
+    stats = strict_json(tmp_path / "stats" / "stats.json")
+    assert stats["scenarios"]["a"]["mean_rate_bps"] == "inf"
+    assert math.isfinite(stats["scenarios"]["a"]["percentiles_bps"]["50"])
+    assert stats["ratio"]["mean"] == "nan"  # inf / inf
+    assert stats["ratio"]["percentiles"]["50"] == 1.0
+
+
+def test_a_negative_overflowing_mean_keeps_its_sign(tmp_path):
+    path = write_results(tmp_path / "r" / "results.csv",
+                         ["0,v,bs,1.0,1.0,-1e308,1,0,0", "1,v,bs,1.0,1.0,-1e308,1,0,0"])
+    assert main(["analyze", path, "--out-dir", str(tmp_path / "o")]) == 0
+    stats = strict_json(tmp_path / "o" / "stats.json")
+    assert stats["scenarios"]["r"]["mean_rate_bps"] == "-inf"
 
 
 def test_simulate_non_finite_trace_exits_3_naming_the_line(tmp_path, capsys):

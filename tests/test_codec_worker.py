@@ -9,7 +9,11 @@ depend on it, and no child process may be left.
 import bisect
 import hashlib
 import io
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -186,6 +190,57 @@ def test_pipeline_bytes_match_the_golden_digests(cpus, tmp_path):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN
     }
     assert digests == GOLDEN
+
+
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1
+    from numpy.core import _multiarray_umath as umath
+
+# The child runs run_ring_pipeline into argv[1] and prints the dispatch
+# targets numpy left enabled.
+DISPATCH_CHILD = """
+import json, pathlib, sys
+from test_codec_worker import run_ring_pipeline, umath
+run_ring_pipeline(pathlib.Path(sys.argv[1]))
+print(json.dumps([f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]))
+"""
+
+
+def test_pipeline_bytes_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
+    """The RING pipeline in a child whose numpy dispatch is cut to its baseline.
+
+    numpy picks SIMD loops for its ufuncs from the CPU's features when it is
+    imported, and its log10, power, log2 and hypot may then miss math's
+    results by an ulp.  Outputs go through math per element, so a child
+    with every dispatch target that this CPU has disabled
+    (NPY_DISABLE_CPU_FEATURES; naming a target the build lacks is an error)
+    must write the same bytes as this process at default dispatch.  Both
+    runs are compared with each other, not only with GOLDEN: a kernel using
+    numpy's log10 can match GOLDEN at baseline and miss it at default.  On
+    a host without AVX2 the two dispatches coincide and this proves nothing.
+    """
+    present = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": " ".join(present),
+        "PYTHONPATH": os.pathsep.join(filter(None, path)),
+    }
+    (tmp_path / "baseline").mkdir()
+    (tmp_path / "default").mkdir()
+    child = subprocess.run(
+        [sys.executable, "-c", DISPATCH_CHILD, str(tmp_path / "baseline")],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == []
+    run_ring_pipeline(tmp_path / "default")
+    for name in GOLDEN:
+        baseline = (tmp_path / "baseline" / name).read_bytes()
+        assert baseline == (tmp_path / "default" / name).read_bytes(), name
+        assert hashlib.sha256(baseline).hexdigest() == GOLDEN[name], name
 
 
 def test_writer_output_is_read_without_the_per_field_path(tmp_path, monkeypatch):

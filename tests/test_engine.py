@@ -137,18 +137,17 @@ def test_queue_drains_every_tick_at_high_rate():
 
 
 def test_queue_backlog_with_tiny_rate_model():
-    def trickle(snr_db, speed):
-        return 10.0  # 1000 bits/s at share 100: fits one 112 B package per tick
-
-    results = run(
-        SimConfig(), trace_table(trace("v1", [10, 20, 30, 40])), STATION, rate_model=trickle
-    )
-    # capacity 1000 bits < 896*2: exactly one package (896 bits) sent per tick
+    # 2 Hz blocks at the efficiency ceiling: about 1018 bits/s at share 100.
+    trickle = parse_config_text("", ["linkrate.rb_bandwidth_hz=2"])
+    results = run(trickle, trace_table(trace("v1", [10, 20, 30, 40])), STATION)
+    assert all(896 <= rate < 2 * 896 for rate in results.rate_bps.tolist())
+    # exactly one package (896 bits) sent per tick
     assert results.bits_sent.tolist() == [896] * 4
     assert results.queue_bytes.tolist() == [0] * 4
-    zero = run(
-        SimConfig(), trace_table(trace("v1", [10, 20, 30])), STATION, rate_model=lambda s, v: 0.0
-    )
+    # Every row is in outage below a 100 dB cutoff: nothing is sent.
+    outage = parse_config_text("", ["linkrate.snr_min_db=100"])
+    zero = run(outage, trace_table(trace("v1", [10, 20, 30])), STATION)
+    assert zero.rate_bps.tolist() == [0.0] * 3
     assert zero.queue_bytes.tolist() == [112, 224, 336]
     assert undelivered_bytes(zero) == {"v1": 336}
 
@@ -502,20 +501,24 @@ def test_run_names_first_bad_vehicle_of_first_bad_tick():
     assert str(err.value) == "vehicle 'c' at t=3: non-finite position or speed"
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -5.0])
-def test_run_names_the_first_row_with_a_bad_rate(value):
-    rows = [("a", t, 10.0, 0.0, 10.0) for t in range(4)]
-    rows += [("b", t, 20.0, 0.0, 20.0 if t >= 2 else 10.0) for t in range(4)]
-    rows += [("c", t, 30.0, 0.0, 20.0) for t in range(2, 4)]
-
-    def model(snr_db, speed):
-        return value if speed == 20.0 else 1000.0
-
+@pytest.mark.parametrize(
+    "value, overrides",
+    [
+        # A block's rate overflows to inf where the SNR is high; its share is 0.
+        pytest.param(math.nan, ["cell.n_rb=0", "linkrate.rb_bandwidth_hz=1e308"], id="nan"),
+        # A share of 10**307 / 3 blocks times a finite rate overflows.
+        pytest.param(math.inf, [f"cell.n_rb={10**307}"], id="inf"),
+    ],
+)
+def test_run_names_the_first_row_with_a_bad_rate(value, overrides):
+    # Rows 10 km and more from the station are in outage, with rate 0.
+    rows = [("a", t, 10_000.0, 0.0, 10.0) for t in range(4)]
+    rows += [("b", t, 20.0 if t >= 2 else 20_000.0, 0.0, 10.0) for t in range(4)]
+    rows += [("c", t, 30_000.0, 0.0, 10.0) for t in range(2, 4)]
     with pytest.raises(ConfigError) as err:
-        run(SimConfig(), trace_table(rows), STATION, rate_model=model)
+        run(parse_config_text("", overrides), trace_table(rows), STATION)
     assert str(err.value) == (
-        f"vehicle 'b' at t=2: rate {100 / 3 * value!r} bit/s is not a finite, "
-        "non-negative capacity"
+        f"vehicle 'b' at t=2: rate {value!r} bit/s is not a finite, non-negative capacity"
     )
 
 
@@ -523,24 +526,26 @@ def test_run_names_the_first_row_with_a_bad_rate(value):
     "speeds, message",
     [
         # Nothing is sent: the ninth package of 2**60 - 4 bytes overflows.
-        ([0.0] * 10, f"vehicle 'b' at t=8: {9 * (2**60 - 4)} bytes queued and 0 bits sent"),
+        ([1.0] * 10, f"vehicle 'b' at t=8: {9 * (2**60 - 4)} bytes queued and 0 bits sent"),
         # Four packages wait, then the fifth tick sends them all at once.
         (
-            [0.0] * 4 + [1.0],
+            [1.0] * 4 + [0.0],
             f"vehicle 'b' at t=4: 0 bytes queued and {5 * 8 * (2**60 - 4)} bits sent",
         ),
     ],
 )
 def test_run_rejects_queue_totals_beyond_int64(speeds, message):
-    rows = [("a", t, 10.0, 0.0, 0.0) for t in range(3)]
+    rows = [("a", t, 10.0, 0.0, 1.0) for t in range(3)]
     rows += [("b", t, 20.0, 0.0, speed) for t, speed in enumerate(speeds)]
-    config = SimConfig(packaging=PackagingConfig(header_bytes=2**60 - 52))
-
-    def model(snr_db, speed):
-        return 1e300 * speed
-
+    # Packages of 2**63 - 32 bits.  A standing vehicle alone in its cell
+    # gets 100 * 5.55 * 1e17 bit/s, room for six; at v_ref = 1 m/s the
+    # penalty leaves a tenth of that, under one.
+    config = parse_config_text("", [
+        f"cvim.header_bytes={2**60 - 52}", "linkrate.rb_bandwidth_hz=1e17",
+        "linkrate.speed_penalty_at_vmax=0.9", "linkrate.v_ref=1",
+    ])
     with pytest.raises(ConfigError) as err:
-        run(config, trace_table(rows), STATION, rate_model=model)
+        run(config, trace_table(rows), STATION)
     assert str(err.value) == message + ", beyond 64 bits"
 
 
@@ -817,20 +822,14 @@ def test_run_is_invariant_under_trace_and_station_order(layout):
     assert csv_text(run(cfg, shuffled_traces, shuffled_stations)) == expected
 
 
-RATE_MODELS = [
-    None,
-    lambda snr_db, speed: max(snr_db, 0.0) * 37.5 + speed,
-    lambda snr_db, speed: 9000.0 if snr_db > 15.0 else 15.0,
-]
-
-
 @st.composite
 def engine_cases(draw):
-    """Traces, stations, config and rate model across the engine's branches.
+    """Traces, stations and config across the engine's branches.
 
     Vehicles may leave and come back, ticks may be negative, and some
     samples sit exactly halfway between twin stations (an exact SNR tie).
-    Stations mix gains and heights; extra loss drives rows into outage.
+    Stations mix gains and heights; extra loss and a high outage cutoff
+    drive rows into outage, and narrow blocks leave packages queued.
     """
     rows = []
     for k in range(draw(st.integers(0, 7))):
@@ -854,23 +853,31 @@ def engine_cases(draw):
     ]
     config = SimConfig(
         link=LinkBudgetConfig(extra_loss_db=draw(st.sampled_from([0.0, 40.0, 95.0]))),
+        rate=RbRateParams(
+            # 3 and 30 Hz blocks give a few packages per tick at some shares.
+            rb_bandwidth_hz=draw(
+                st.sampled_from([180_000.0, 3.0, 30.0])
+                | st.floats(-1.0, 4.0).map(lambda exponent: 10.0**exponent)
+            ),
+            snr_min_db=draw(st.sampled_from([-10.0, 15.0]) | st.floats(-40.0, 70.0)),
+        ),
         packaging=PackagingConfig(
-            aggregate_ticks=draw(st.integers(1, 65)),
+            aggregate_ticks=draw(st.sampled_from([1, 2]) | st.integers(1, 65)),
             n_extra_channels=draw(st.integers(0, 6)),
         ),
         n_rb=draw(st.sampled_from([100, 6, 0])),
         rb_limit=draw(st.sampled_from([0, 1, 3, 7])),
         scheduler_mode=draw(st.sampled_from(["fractional", "integer"])),
     )
-    return config, trace_table(rows), stations, draw(st.sampled_from(RATE_MODELS))
+    return config, trace_table(rows), stations
 
 
 @settings(max_examples=300, deadline=None)
 @given(engine_cases())
 def test_run_matches_the_scalar_loop(case):
-    config, traces, stations, rate_model = case
-    expected = csv_text(scalar_run(config, traces, stations, rate_model))
-    assert csv_text(run(config, traces, stations, rate_model)) == expected
+    config, traces, stations = case
+    expected = csv_text(scalar_run(config, traces, stations))
+    assert csv_text(run(config, traces, stations)) == expected
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 64])
@@ -879,10 +886,10 @@ def test_run_matches_the_scalar_loop(case):
 def test_run_matches_the_scalar_loop_in_small_blocks(block_rows, case):
     # The association, SNR and rate kernels run on blocks of 1, 7 or 64
     # rows; the drain takes the whole table at once.
-    config, traces, stations, rate_model = case
-    expected = csv_text(scalar_run(config, traces, stations, rate_model))
+    config, traces, stations = case
+    expected = csv_text(scalar_run(config, traces, stations))
     with mock.patch.object(engine, "KERNEL_BLOCK_ROWS", block_rows):
-        assert csv_text(run(config, traces, stations, rate_model)) == expected
+        assert csv_text(run(config, traces, stations)) == expected
 
 
 @pytest.mark.parametrize("block_rows", [1, 4])
@@ -893,10 +900,13 @@ def test_queue_totals_beyond_int64_name_the_first_vehicle_in_any_block(block_row
     rows = [("a", t, 10.0, 0.0, 0.0) for t in range(3)]
     rows += [("b", t, 20.0, 0.0, 0.0) for t in range(10)]
     rows += [("c", t, 30.0, 0.0, 0.0) for t in range(-5, 5)]
-    config = SimConfig(packaging=PackagingConfig(header_bytes=2**60 - 52))
+    config = SimConfig(
+        packaging=PackagingConfig(header_bytes=2**60 - 52),
+        rate=RbRateParams(snr_min_db=100.0),  # every row in outage: nothing is sent
+    )
     with mock.patch.object(engine, "KERNEL_BLOCK_ROWS", block_rows):
         with pytest.raises(ConfigError) as err:
-            run(config, trace_table(rows), STATION, rate_model=lambda snr_db, speed: 0.0)
+            run(config, trace_table(rows), STATION)
     assert str(err.value) == (
         f"vehicle 'b' at t=8: {9 * (2**60 - 4)} bytes queued and 0 bits sent, beyond 64 bits"
     )

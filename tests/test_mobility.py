@@ -400,6 +400,14 @@ def test_speed_distribution_empty_errors():
         speed_distribution(trace_table([]), 1.0)
 
 
+@pytest.mark.parametrize("bin_width", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_speed_distribution_rejects_a_bin_width_that_is_not_positive_and_finite(bin_width):
+    trace = trace_table([("v", 0, 0.0, 0.0, 5.0), ("v", 1, 5.0, 0.0, 15.0)])
+    with pytest.raises(ConfigError) as err:
+        speed_distribution(trace, bin_width)
+    assert str(err.value) == f"bin_width must be a positive finite number, got {bin_width!r}"
+
+
 def test_speed_distribution_jam_mass_lower():
     free = generate_traces(RoadSpec("strip", 2000.0, 1000.0, 300, seed=11))
     jam = generate_traces(RoadSpec("strip", 2000.0, 4000.0, 300, seed=11))
