@@ -23,7 +23,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .csvio import write_columns
-from .errors import InfeasibleError, ValidationError
+from .errors import ConfigError, InfeasibleError, ValidationError
 from .linkrate import RbRateParams, rb_rate
 
 PERCENTILES = (1, 5, 25, 50, 75, 95, 99)
@@ -145,6 +145,11 @@ def plan_rb(
     if required_rate == 0:
         return RbPlan(required_rate, snr_db, speed, 0)
     per_rb = rb_rate(snr_db, speed, params)
+    if not math.isfinite(per_rb):
+        raise ConfigError(
+            f"rate of one resource block {per_rb!r} bit/s at snr {snr_db} dB "
+            "is not a finite capacity"
+        )
     if per_rb <= 0:
         raise InfeasibleError(
             f"radio outage at snr {snr_db} dB: no RB count can deliver "

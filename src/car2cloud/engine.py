@@ -5,7 +5,7 @@ in (tick, vehicle id) order.  run computes each results column for all rows
 with array kernels that give the scalar formulas' bits:
 
 - association: a numpy screen (radio.screen_links) picks each vehicle's
-  best-SNR station; rows it cannot decide go to radio.best_link;
+  best-SNR station; its unsure rows go to one radio.best_link call per block;
 - radio.link_snrs: the SNR to that station, as radio.snr computes it;
 - scheduler.rr_shares: the vehicle's Round-Robin share of its cell's
   resource blocks, as scheduler.rr_allocate deals them;
@@ -241,13 +241,12 @@ def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) 
     # Association, in blocks of rows whose rows x stations screen matrix
     # holds KERNEL_BLOCK_ROWS values: rows it cannot decide go to best_link.
     serving = np.empty(n, dtype=np.int64)
-    station_index = {id(s): i for i, s in enumerate(stations)}
     step = max(1, KERNEL_BLOCK_ROWS // len(stations))
     for lo in range(0, n, step):
-        winners, unsure = screen_links(state[lo : lo + step, :2], stations, config.link)
-        for i in np.flatnonzero(unsure).tolist():
-            station, _ = best_link(tuple(state[lo + i, :2].tolist()), stations, config.link)
-            winners[i] = station_index[id(station)]
+        block = state[lo : lo + step, :2]
+        winners, unsure = screen_links(block, stations, config.link)
+        if unsure.any():
+            winners[unsure] = best_link(block[unsure], stations, config.link)
         serving[lo : lo + step] = winners
     station_ids = [s.station_id for s in stations]
     _, cell = id_codes(station_ids)

@@ -596,6 +596,8 @@ def speed_distribution(traces: TraceTable, bin_width: float) -> dict[float, floa
         raise ConfigError(f"bin_width must be a positive finite number, got {bin_width!r}")
     counts: dict[float, int] = {}
     for speed in traces.speed.tolist():
+        if not math.isfinite(speed / bin_width):
+            raise ConfigError(f"bin_width {bin_width!r} is too small for speed {speed!r}")
         edge = math.floor(speed / bin_width) * bin_width
         counts[edge] = counts.get(edge, 0) + 1
     total = len(traces)

@@ -8,9 +8,10 @@ are the physical heights minus 1 m.  SNR follows the additive link budget
 
 with every term in dB/dBm.  All functions here are pure.  Each formula is
 written once and works on arrays: breakpoint_distance, and the path loss
-and SNR in _link_budget.  The scalar functions path_loss_b1, snr and
-best_link, and link_snrs, evaluate them with math's hypot and log10 per
-element; the screen_links association screen evaluates them with numpy's.
+and SNR in _link_budget.  path_loss_b1 and snr on one element, and
+best_link and link_snrs on arrays, evaluate them with math's hypot and
+log10 per element; the screen_links association screen evaluates them with
+numpy's, and best_link decides the rows the screen cannot.
 The scalar formulas as first written are kept in tests/scalar_models.py,
 the independent oracle these functions are checked against bit for bit.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +36,7 @@ MIN_MODEL_DISTANCE = 10.0
 
 # numpy's hypot and log10 may differ from math's in the last ulp, so the
 # vectorised screen leaves rows whose two best SNRs are this close to the
-# scalar best_link.  Real ulp errors are around 1e-14 dB.
+# exact best_link.  Real ulp errors are around 1e-14 dB.
 SCREEN_TIE_DB = 1e-9
 
 
@@ -125,24 +126,29 @@ def snr(
     The reported path loss includes the configured extra_loss_db offset, so
     the budget identity holds exactly against the reported value.
     """
-    return _links(vehicle_pos, [station], cfg)[0]
+    links = _serving_links(np.array([vehicle_pos], dtype=np.float64), [0], [station], cfg)
+    return LinkSample(*(a.item() for a in links))
 
 
 def best_link(
-    vehicle_pos: tuple[float, float],
-    stations: Iterable[BaseStation],
-    cfg: LinkBudgetConfig,
-) -> tuple[BaseStation, LinkSample]:
-    """Best-SNR station for a position; ties go to the smallest station id.
+    positions: np.ndarray, stations: Sequence[BaseStation], cfg: LinkBudgetConfig
+) -> np.ndarray:
+    """Index into stations of the best-SNR station of each row of an (n, 2) array.
 
-    max keeps the first of the stations in canonical id order unless a later
-    one has a strictly greater SNR, so the result is independent of the
-    input collection's ordering, and a NaN SNR never replaces the best.
+    Walking the stations in id order, a station replaces the best so far only
+    if its SNR is strictly greater: ties go to the smallest id whatever the
+    list's order, and a NaN SNR never replaces the best.
     """
-    ordered = sorted(stations, key=lambda s: str(s.station_id))
-    if not ordered:
+    if not stations:
         raise ConfigError("cannot associate: no base stations configured")
-    return max(zip(ordered, _links(vehicle_pos, ordered, cfg)), key=lambda pair: pair[1].snr)
+    order = sorted(range(len(stations)), key=lambda i: str(stations[i].station_id))
+    best = np.full(len(positions), order[0], dtype=np.int64)
+    top = _serving_links(positions, best, stations, cfg)[2]
+    for i in order[1:]:
+        value = _serving_links(positions, np.full_like(best, i), stations, cfg)[2]
+        better = value > top
+        best[better], top[better] = i, value[better]
+    return best
 
 
 def _station_terms(stations: Sequence[BaseStation], cfg: LinkBudgetConfig) -> tuple:
@@ -191,13 +197,6 @@ def _serving_links(positions, serving, stations, cfg: LinkBudgetConfig) -> tuple
     return distance, loss, value
 
 
-def _links(vehicle_pos, stations: Sequence[BaseStation], cfg: LinkBudgetConfig) -> list:
-    """One LinkSample of Python floats per station, for one position."""
-    position = np.array([vehicle_pos], dtype=np.float64)
-    links = _serving_links(position, np.arange(len(stations)), stations, cfg)
-    return list(map(LinkSample._make, zip(*(a.tolist() for a in links))))
-
-
 def screen_links(
     positions: np.ndarray,
     stations: Sequence[BaseStation],
@@ -205,13 +204,13 @@ def screen_links(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised best-SNR screen over an (n, 2) array of positions.
 
-    ``stations`` must be in canonical id order, as best_link orders them.
+    ``stations`` must be in canonical id order, the order best_link walks.
     Returns the screened winner's index into ``stations`` per row and a mask
     of the rows the screen cannot decide exactly: the two best SNRs lie
     within SCREEN_TIE_DB, a station sits at the breakpoint distance (where
     an ulp picks the other B1 slope), or a value is not finite.  Every other
-    row has the same winner as best_link; compute its SNR with snr() to get
-    best_link's value bit for bit.
+    row has the same winner as best_link; give the masked rows to best_link
+    in one call, and compute every row's SNR with link_snrs.
 
     A station whose x, y, gain and height repeat an earlier station's is
     left out: its SNR equals that station's everywhere, and best_link keeps

@@ -25,7 +25,7 @@ from car2cloud.analysis import (
     write_cell_packages_csv,
     write_stats_json,
 )
-from car2cloud.errors import InfeasibleError, ValidationError
+from car2cloud.errors import ConfigError, InfeasibleError, ValidationError
 from car2cloud.linkrate import RbRateParams, rb_rate
 
 P = RbRateParams()
@@ -183,6 +183,16 @@ def test_plan_rb_thirty_blocks():
 def test_plan_rb_outage_infeasible():
     with pytest.raises(InfeasibleError):
         plan_rb(1000.0, -30.0, 0.0, P)
+
+
+def test_plan_rb_rejects_an_infinite_block_rate():
+    params = RbRateParams(rb_bandwidth_hz=1e308)
+    assert rb_rate(20.0, 0.0, params) == math.inf
+    with pytest.raises(ConfigError) as err:
+        plan_rb(50_000.0, 20.0, 0.0, params)
+    assert str(err.value) == (
+        "rate of one resource block inf bit/s at snr 20.0 dB is not a finite capacity"
+    )
 
 
 def test_plan_rb_negative_demand():

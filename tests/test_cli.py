@@ -184,6 +184,14 @@ def test_plan_outage_exits_3(capsys):
     assert "outage" in capsys.readouterr().err
 
 
+def test_plan_with_an_infinite_block_rate_exits_2(capsys):
+    args = ["--rate", "50000", "--snr", "20", "--speed", "0"]
+    assert main(["plan", *args, "--set", "linkrate.rb_bandwidth_hz=1e308"]) == 2
+    captured = capsys.readouterr()
+    assert "rate of one resource block inf bit/s" in captured.err
+    assert captured.out == ""
+
+
 def test_seed_flag_overrides(workspace):
     out_a = workspace / "a.csv"
     out_b = workspace / "b.csv"

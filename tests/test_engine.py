@@ -389,6 +389,26 @@ def test_co_sited_twin_stations_leave_every_row_to_the_screen():
     assert csv_text(scalar_run(config, traces, doubled)) == expected
 
 
+def test_mirrored_sites_resolve_each_block_in_one_best_link_call():
+    """Stations in pairs across the road tie exactly on every strip row, so
+    the screen leaves those rows to best_link, which takes a block's rows at once."""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    config = load_config(configs / "traffic_jam.cfg", ["road.duration=150"])
+    traces = generate_traces(config.road_spec(), config.krauss)
+    stations = [
+        BaseStation(f"bs{x}{side}", float(x), y)
+        for x in range(1000, 10000, 2000)
+        for side, y in (("n", 25.0), ("s", -25.0))
+    ]
+    with mock.patch("car2cloud.engine.best_link", wraps=radio.best_link) as best_link:
+        table = run(config, traces, stations)
+    blocks = -(-len(table) // (engine.KERNEL_BLOCK_ROWS // len(stations)))
+    assert 1 <= best_link.call_count <= blocks
+    # A bool, so that a mismatch fails at once rather than in a diff of 8k lines.
+    same = csv_text(table) == csv_text(scalar_run(config, traces, stations))
+    assert same, "results.csv differs from the scalar engine's"
+
+
 def test_run_accepts_fcd_parsed_traces():
     import io
 

@@ -408,6 +408,13 @@ def test_speed_distribution_rejects_a_bin_width_that_is_not_positive_and_finite(
     assert str(err.value) == f"bin_width must be a positive finite number, got {bin_width!r}"
 
 
+def test_speed_distribution_rejects_a_bin_width_too_small_for_a_speed():
+    trace = trace_table([("v", 0, 0.0, 0.0, 0.0), ("v", 1, 5.0, 0.0, 5.0)])
+    with pytest.raises(ConfigError) as err:
+        speed_distribution(trace, 1e-320)
+    assert str(err.value) == "bin_width 1e-320 is too small for speed 5.0"
+
+
 def test_speed_distribution_jam_mass_lower():
     free = generate_traces(RoadSpec("strip", 2000.0, 1000.0, 300, seed=11))
     jam = generate_traces(RoadSpec("strip", 2000.0, 4000.0, 300, seed=11))

@@ -121,8 +121,8 @@ def test_extra_loss_reduces_snr_exactly():
 
 def associate(vehicle_pos, stations, cfg):
     """Id of the station best_link attaches the position to."""
-    station, _ = best_link(vehicle_pos, stations, cfg)
-    return station.station_id
+    (winner,) = best_link(np.array([vehicle_pos]), stations, cfg).tolist()
+    return stations[winner].station_id
 
 
 def test_associate_single_station():
@@ -178,18 +178,22 @@ def test_associate_permutation_invariance():
 
 def test_snr_sample_fields():
     stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 1000.0, 0.0)]
-    station, sample = best_link((100.0, 0.0), stations, CFG)
-    assert station.station_id == "a"
+    assert associate((100.0, 0.0), stations, CFG) == "a"
+    sample = snr((100.0, 0.0), stations[0], CFG)
     assert sample.distance == 100.0
     assert sample.path_loss == path_loss_b1(100.0, CFG)
     assert sample.snr == pytest.approx(55.474, abs=1e-3)
 
 
-def test_best_link_returns_matching_sample():
-    stations = [BaseStation("a", 0.0, 0.0), BaseStation("b", 400.0, 0.0)]
-    station, link = best_link((80.0, 0.0), stations, CFG)
-    assert station.station_id == "a"
-    assert link.distance == pytest.approx(80.0)
+def test_best_link_answers_each_row_with_an_index_into_the_list():
+    stations = [BaseStation("b", 400.0, 0.0), BaseStation("a", 0.0, 0.0)]
+    positions = np.array([[80.0, 0.0], [390.0, 0.0], [200.0, 0.0]])
+    winners = best_link(positions, stations, CFG)
+    assert winners.dtype == np.int64
+    # (200, 0) is 200 m from both, so the tie goes to "a".
+    assert winners.tolist() == [1, 0, 1]
+    none = best_link(np.empty((0, 2)), stations, CFG)
+    assert none.dtype == np.int64 and none.shape == (0,)
 
 
 def test_base_station_height_validation():
@@ -405,8 +409,9 @@ def test_link_snrs_match_snr_on_a_dense_sweep():
 @settings(max_examples=200, deadline=None)
 @given(layouts(), st.data())
 def test_scalar_functions_match_the_oracle_bit_for_bit(layout, data):
-    """snr, path_loss_b1, breakpoint_distance and best_link run the array
-    link budget on one element; the oracle is the scalar formula."""
+    """snr, path_loss_b1 and breakpoint_distance run the array link budget
+    on one element, and best_link on all positions at once, for the list in
+    either order; the oracle is the scalar formula."""
     stations, positions, cfg = layout
     for station in stations:
         d_bp = breakpoint_distance(cfg, station.height)
@@ -417,11 +422,12 @@ def test_scalar_functions_match_the_oracle_bit_for_bit(layout, data):
             assert bits([got]) == bits([oracle.path_loss_b1(distance, cfg, station.height)])
         for pos in positions:
             assert bits(snr(pos, station, cfg)) == bits(oracle.snr(pos, station, cfg))
-    for pos in positions:
-        station, link = best_link(pos, stations, cfg)
-        expected_station, expected_link = oracle.best_link(pos, stations, cfg)
-        assert station is expected_station
-        assert bits(link) == bits(expected_link)
+    for listed in (stations, stations[::-1]):
+        winners = best_link(np.array(positions), listed, cfg).tolist()
+        for pos, winner in zip(positions, winners):
+            expected_station, expected_link = oracle.best_link(pos, stations, cfg)
+            assert listed[winner] is expected_station
+            assert bits(snr(pos, listed[winner], cfg)) == bits(expected_link)
 
 
 # Finite values near the largest double overflow in the link budget.  A
@@ -446,11 +452,14 @@ NAN_STATION = BaseStation("b", HUGE, HUGE, antenna_gain=HUGE)
     ids=["exact-tie", "later-nan", "later-nan-then-better", "first-nan", "all-minus-inf"],
 )
 def test_best_link_edge_cases_match_the_oracle(stations, cfg, winner):
-    station, link = best_link((0.0, 0.0), stations, cfg)
     expected_station, expected_link = oracle.best_link((0.0, 0.0), stations, cfg)
-    assert station.station_id == expected_station.station_id == winner
-    assert bits(link) == bits(expected_link)
-    assert [type(value) for value in link] == [float, float, float]
+    assert expected_station.station_id == winner
+    for listed in (stations, stations[::-1]):
+        (index,) = best_link(np.zeros((1, 2)), listed, cfg).tolist()
+        assert listed[index] is expected_station
+        link = snr((0.0, 0.0), listed[index], cfg)
+        assert bits(link) == bits(expected_link)
+        assert [type(value) for value in link] == [float, float, float]
 
 
 def test_edge_stations_give_nan_and_minus_inf_snrs():
