@@ -103,6 +103,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.tick != 1:
             raise ConfigError("sim.tick is fixed at 1 second")
+        if self.seed < 0:  # RoadSpec checks it too, for library callers
+            raise ConfigError(f"sim.seed must be non-negative, got {self.seed}")
         if self.n_rb < 0 or self.rb_limit < 0:
             raise ConfigError("cell.n_rb and cell.rb_limit must be non-negative")
         # RB shares are floats.

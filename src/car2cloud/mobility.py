@@ -17,7 +17,7 @@ import math
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import ConfigError, ParseError, SimulationError, ValidationError, c
 TRACE_CSV_HEADER = ("vehicle_id", "t", "x", "y", "speed")
 # Conversion of each trace CSV field by csvio.parse_chunk: ids (None) are kept as read.
 _TRACE_CONVERTERS = (None, int, float, float, float)
+_FCD_ATTRIBUTES = ("id", "x", "y", "speed")  # of an FCD <vehicle> element
 
 # Ticks are held as int64 in the trace and result tables.
 MAX_TICK = INT64_BOUND - 1
@@ -303,8 +304,7 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
     """
     arrivals = _arrival_times(road)
     names = _vehicle_names(len(arrivals))
-    rngs = [_VehicleRng(road.seed, k) for k in range(len(arrivals))]
-    factors = [rng.speed_factor(params.speed_dev) for rng in rngs]
+    drawn = -1  # the last arrival to reach the origin, whose stream and factor exist
     dawdles = np.zeros((len(arrivals), road.duration))  # a row drawn on entry
     recorder = _Recorder(names, ring_length=None)
 
@@ -321,13 +321,16 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
         # Entries during (t, t+1] appear in the t+1 sample set.  Positions
         # within the window are linear at the post-step speed, matching the
         # discrete position update.
-        entered: list[tuple[int, float, float]] = []  # (k, position, speed), rear last
+        entered: list[tuple] = []  # (k, position, speed, factor), rear last
         rear = (float(position[0]), float(speed[0])) if len(vehicles) else None
         while (
             next_k < len(arrivals)
             and arrivals[next_k] <= t + 1
             and t + 1 <= road.duration - 1
         ):
+            if drawn < next_k:  # arrival next_k has just reached the origin
+                drawn, rng = next_k, _VehicleRng(road.seed, next_k)
+                factor_k = rng.speed_factor(params.speed_dev)
             entry_offset = max(arrivals[next_k] - t, 0.0)
             if rear is not None:
                 rear_pos, v_r = rear
@@ -343,23 +346,22 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
             if entry_offset >= 1.0:
                 break
             if rear is None:
-                v_in = params.v_max * factors[next_k]
+                v_in = params.v_max * factor_k
             else:
                 v_in = _entry_speed(
-                    rear_window_start + v_r * entry_offset, v_r, factors[next_k], params
+                    rear_window_start + v_r * entry_offset, v_r, factor_k, params
                 )
             rear = (v_in * (1.0 - entry_offset), v_in)
-            entered.append((next_k, *rear))
+            entered.append((next_k, *rear, factor_k))
             # one draw for each of its steps, at ticks t+1 .. duration-1
-            dawdles[next_k, t + 1:] = rngs[next_k].dawdles(road.duration - t - 1)
+            dawdles[next_k, t + 1:] = rng.dawdles(road.duration - t - 1)
             next_k += 1
         if entered:
-            entered.reverse()
-            ks = [e[0] for e in entered]
+            ks, xs, vs, fs = zip(*reversed(entered))
             vehicles = np.concatenate([ks, vehicles])
-            position = np.concatenate([[e[1] for e in entered], position])
-            speed = np.concatenate([[e[2] for e in entered], speed])
-            factor = np.concatenate([[factors[k] for k in ks], factor])
+            position = np.concatenate([xs, position])
+            speed = np.concatenate([vs, speed])
+            factor = np.concatenate([fs, factor])
         on_road = position <= road.length
         if not on_road.all():
             vehicles, position, speed, factor = (
@@ -448,45 +450,27 @@ def _read_chunks(stream: IO[str]) -> TraceTable:
     return _trace_table(*id_codes(vid), t, x, y, speed)
 
 
-def _read_rows(stream: IO[str]) -> TraceTable:
-    """A trace CSV read row by row by csv.reader, each row checked as read.
+def _checked_table(samples: Iterable[tuple[str, str, int, float, float, float]]) -> TraceTable:
+    """The (where, vehicle_id, t, x, y, speed) samples as a table, each checked as it comes.
 
-    The first bad line is named; ids are interned, as csvio.parse_chunk interns them.
+    A non-finite x, y or speed, a tick outside [0, MAX_TICK], a negative
+    speed or a repeated (id, tick) raises ValidationError, starting with
+    where; ids are interned, as csvio.parse_chunk interns them.
     """
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("trace CSV is empty (missing header)") from None
-    if tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
-        raise ParseError(f"bad trace CSV header: {','.join(header)!r}")
     vids, ts, xs, ys, speeds = [], [], [], [], []
-    known: set[str] = set()
     seen: set[tuple[str, int]] = set()
-    for lineno, row in records(reader):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise ParseError(f"line {lineno}: expected 5 fields, got {len(row)}")
-        try:
-            t = int(row[1])
-            x, y, speed = float(row[2]), float(row[3]), float(row[4])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        vid = sys.intern(row[0])
-        if vid not in known:
-            check_id(vid, f"line {lineno}", "vehicle_id")
-            known.add(vid)
+    for where, vid, t, x, y, speed in samples:
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(speed)):
-            raise ValidationError(f"line {lineno}: non-finite x, y or speed")
+            raise ValidationError(f"{where}: non-finite x, y or speed")
         if t < 0:
-            raise ValidationError(f"line {lineno}: negative tick {t}")
+            raise ValidationError(f"{where}: negative tick {t}")
         if t > MAX_TICK:
-            raise ValidationError(f"line {lineno}: tick {t} exceeds 64 bits")
+            raise ValidationError(f"{where}: tick {t} exceeds 64 bits")
         if speed < 0:
-            raise ValidationError(f"line {lineno}: negative speed {speed}")
+            raise ValidationError(f"{where}: negative speed {speed}")
+        vid = sys.intern(vid)
         if (vid, t) in seen:
-            raise ValidationError(f"line {lineno}: duplicate sample ({vid!r}, t={t})")
+            raise ValidationError(f"{where}: duplicate sample ({vid!r}, t={t})")
         seen.add((vid, t))
         vids.append(vid)
         ts.append(t)
@@ -494,6 +478,36 @@ def _read_rows(stream: IO[str]) -> TraceTable:
         ys.append(y)
         speeds.append(speed)
     return _trace_table(*id_codes(vids), ts, xs, ys, speeds)
+
+
+def _read_rows(stream: IO[str]) -> TraceTable:
+    """A trace CSV read row by row by csv.reader; the first bad line is named, as ``line N``."""
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("trace CSV is empty (missing header)") from None
+    if tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
+        raise ParseError(f"bad trace CSV header: {','.join(header)!r}")
+
+    def samples():
+        known: set[str] = set()
+        for lineno, row in records(reader):
+            if not row:
+                continue
+            if len(row) != 5:
+                raise ParseError(f"line {lineno}: expected 5 fields, got {len(row)}")
+            try:
+                t = int(row[1])
+                x, y, speed = float(row[2]), float(row[3]), float(row[4])
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+            if row[0] not in known:
+                check_id(row[0], f"line {lineno}", "vehicle_id")
+                known.add(row[0])
+            yield f"line {lineno}", row[0], t, x, y, speed
+
+    return _checked_table(samples())
 
 
 def parse_trace_csv(stream: IO[str]) -> TraceTable:
@@ -530,64 +544,48 @@ def parse_fcd_xml(stream: IO) -> TraceTable:
 
     Only ``<timestep time="..">`` elements with ``<vehicle id x y speed/>``
     children are interpreted; anything else is ignored.  Timesteps must fall
-    on whole seconds.
+    on whole seconds.  An error names its element's path, as in
+    ``timestep[time='1.00']/vehicle[id='v1']: negative speed -2.0``.
     """
     try:
         root = ET.parse(stream).getroot()
     except ET.ParseError as exc:
         raise ParseError(f"bad FCD XML: {exc}") from None
-    vids, ts, xs, ys, speeds = [], [], [], [], []
-    seen: set[tuple[str, int]] = set()
-    for timestep in root.iter("timestep"):
-        raw_t = timestep.get("time")
-        if raw_t is None:
-            raise ParseError("timestep: missing required attribute 'time'")
-        try:
-            t_float = float(raw_t)
-        except ValueError:
-            raise ParseError(f"timestep[time={raw_t!r}]: not a number") from None
-        if t_float % 1 != 0:  # also true of inf and nan
-            raise ValidationError(
-                f"timestep time={raw_t}: not a whole second (traces are 1 Hz)"
-            )
-        t = int(t_float)
-        if t < 0:
-            raise ValidationError(f"timestep time={raw_t}: negative tick")
-        if t > MAX_TICK:
-            raise ValidationError(f"timestep time={raw_t}: tick exceeds 64 bits")
-        for vehicle in timestep.iter("vehicle"):
-            attrs = {}
-            for name in ("id", "x", "y", "speed"):
-                value = vehicle.get(name)
-                if value is None:
-                    raise ParseError(
-                        f"timestep[time={raw_t!r}]/vehicle: missing required "
-                        f"attribute {name!r}"
-                    )
-                attrs[name] = value
-            path = f"timestep[time={raw_t!r}]/vehicle[id={attrs['id']!r}]"
-            check_id(attrs["id"], path, "vehicle id")
+
+    def samples():
+        for timestep in root.iter("timestep"):
+            raw_t = timestep.get("time")
+            if raw_t is None:
+                raise ParseError("timestep: missing required attribute 'time'")
+            element = f"timestep[time={raw_t!r}]"
             try:
-                x, y, speed = (float(attrs[k]) for k in ("x", "y", "speed"))
-            except ValueError as exc:
-                raise ParseError(f"timestep[time={raw_t!r}]/vehicle: {exc}") from None
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(speed)):
-                raise ValidationError(f"{path}: non-finite x, y or speed")
-            if speed < 0:
+                t_float = float(raw_t)
+            except ValueError:
+                raise ParseError(f"{element}: not a number") from None
+            if t_float % 1 != 0:  # also true of inf and nan
                 raise ValidationError(
-                    f"vehicle {attrs['id']!r} at t={t}: negative speed {speed}"
+                    f"timestep time={raw_t}: not a whole second (traces are 1 Hz)"
                 )
-            if (attrs["id"], t) in seen:
-                raise ValidationError(
-                    f"duplicate sample ({attrs['id']!r}, t={t}) in FCD input"
-                )
-            seen.add((attrs["id"], t))
-            vids.append(attrs["id"])
-            ts.append(t)
-            xs.append(x)
-            ys.append(y)
-            speeds.append(speed)
-    return _trace_table(*id_codes(vids), ts, xs, ys, speeds)
+            t = int(t_float)
+            if t < 0:
+                raise ValidationError(f"timestep time={raw_t}: negative tick")
+            if t > MAX_TICK:
+                raise ValidationError(f"timestep time={raw_t}: tick exceeds 64 bits")
+            for vehicle in timestep.iter("vehicle"):
+                attrs = [vehicle.get(name) for name in _FCD_ATTRIBUTES]
+                if None in attrs:
+                    name = _FCD_ATTRIBUTES[attrs.index(None)]
+                    raise ParseError(f"{element}/vehicle: missing required attribute {name!r}")
+                vid, *xys = attrs
+                path = f"{element}/vehicle[id={vid!r}]"
+                check_id(vid, path, "vehicle id")
+                try:
+                    x, y, speed = map(float, xys)
+                except ValueError as exc:
+                    raise ParseError(f"{element}/vehicle: {exc}") from None
+                yield path, vid, t, x, y, speed
+
+    return _checked_table(samples())
 
 
 def speed_distribution(traces: TraceTable, bin_width: float) -> dict[float, float]:

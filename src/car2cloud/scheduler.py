@@ -108,9 +108,9 @@ def vehicle_rate(
 ) -> float:
     """Uplink rate of one vehicle holding `share` resource blocks.
 
-    ``model`` is any callable (snr_db, speed) -> bit/s per block, such as
-    linkrate.rb_rate with its parameters bound, so alternative rate models
-    plug in without touching the scheduler.
+    ``model`` is a callable (snr_db, speed) -> bit/s per block, such as
+    linkrate.rb_rate with its parameters bound.  engine.run does not call
+    it: every rate there is linkrate.rb_rates times the share.
     """
     if share < 0:
         raise ConfigError("rb share must be non-negative")

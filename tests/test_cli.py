@@ -202,17 +202,21 @@ def test_seed_flag_overrides(workspace):
     assert out_a.read_text() == out_b.read_text()
 
 
-def test_negative_seed_is_a_config_error_for_gen_traces_only(workspace, capsys):
-    out = workspace / "traces.csv"
-    assert main(["gen-traces", "--config", str(workspace / "free.cfg"), "--seed", "-1",
-                 "--out", str(out)]) == 2
-    assert "sim.seed must be non-negative, got -1" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["gen-traces", "simulate", "plan"])
+def test_negative_seed_is_a_config_error_for_every_command(workspace, capsys, command):
+    traces, out = workspace / "traces.csv", workspace / "out"
+    traces.write_text(INPUTS["traces.csv"], encoding="utf-8")
+    argv = {
+        "gen-traces": ["gen-traces", "--out", str(out)],
+        "simulate": ["simulate", "--traces", str(traces),
+                     "--stations", str(workspace / "stations.csv"), "--out-dir", str(out)],
+        "plan": ["plan", "--rate", "50000", "--snr", "20", "--speed", "0"],
+    }[command]
+    assert main([*argv, "--config", str(workspace / "free.cfg"), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "configuration error: sim.seed must be non-negative, got -1\n"
+    assert captured.out == ""
     assert not out.exists()
-    main(["gen-traces", "--config", str(workspace / "free.cfg"), "--out", str(out)])
-    # simulate draws no random numbers, so any seed is accepted
-    assert main(["simulate", "--config", str(workspace / "free.cfg"), "--seed", "-1",
-                 "--traces", str(out), "--stations", str(workspace / "stations.csv"),
-                 "--out-dir", str(workspace / "r")]) == 0
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from car2cloud.errors import ConfigError, ParseError, ValidationError
 from car2cloud.linkrate import RbRateParams, rb_rate
 from car2cloud.mobility import KraussParams, RoadSpec, generate_traces
 from car2cloud.radio import BaseStation, LinkBudgetConfig
+from same_text import assert_same_text
 from scalar_engine import run as scalar_run
 from test_trace_csv import GATE_TOKENS
 from trace_rows import trace_table
@@ -103,7 +104,7 @@ def test_results_ordered_and_deterministic():
     cfg = SimConfig()
     first = run(cfg, traces, STATION)
     second = run(cfg, traces, STATION)
-    assert csv_text(first) == csv_text(second)
+    assert_same_text(csv_text(first), csv_text(second))
     keys = list(zip(first.t.tolist(), first.vehicle_id))
     assert keys == sorted(keys)
 
@@ -214,7 +215,7 @@ def test_results_csv_round_trip():
     text = csv_text(results)
     back = read_results_csv(io.StringIO(text))
     assert_tables_equal(back, results)
-    assert csv_text(back) == text
+    assert_same_text(csv_text(back), text)
 
 
 def test_results_csv_rejects_bad_header():
@@ -367,7 +368,7 @@ def test_station_order_does_not_change_results():
     ]
     forward = run(SimConfig(), traces, stations)
     backward = run(SimConfig(), traces, list(reversed(stations)))
-    assert csv_text(forward) == csv_text(backward)
+    assert_same_text(csv_text(forward), csv_text(backward))
 
 
 def test_co_sited_twin_stations_leave_every_row_to_the_screen():
@@ -384,9 +385,9 @@ def test_co_sited_twin_stations_leave_every_row_to_the_screen():
     ]
     expected = csv_text(run(config, traces, single))
     with mock.patch("car2cloud.engine.best_link", wraps=radio.best_link) as best_link:
-        assert csv_text(run(config, traces, doubled)) == expected
+        assert_same_text(csv_text(run(config, traces, doubled)), expected)
     assert best_link.call_count == 0
-    assert csv_text(scalar_run(config, traces, doubled)) == expected
+    assert_same_text(csv_text(scalar_run(config, traces, doubled)), expected)
 
 
 def test_mirrored_sites_resolve_each_block_in_one_best_link_call():
@@ -404,9 +405,7 @@ def test_mirrored_sites_resolve_each_block_in_one_best_link_call():
         table = run(config, traces, stations)
     blocks = -(-len(table) // (engine.KERNEL_BLOCK_ROWS // len(stations)))
     assert 1 <= best_link.call_count <= blocks
-    # A bool, so that a mismatch fails at once rather than in a diff of 8k lines.
-    same = csv_text(table) == csv_text(scalar_run(config, traces, stations))
-    assert same, "results.csv differs from the scalar engine's"
+    assert_same_text(csv_text(table), csv_text(scalar_run(config, traces, stations)))
 
 
 def test_run_accepts_fcd_parsed_traces():
@@ -480,7 +479,7 @@ def test_deep_ring_backlog_matches_the_scalar_loop():
     package = config.packaging.payload_bytes(config.packaging.records_per_tick)
     assert results.queue_bytes.max() == 37 * package
     assert ((results.bits_sent > 0) & (results.queue_bytes >= 2 * package)).any()
-    assert csv_text(results) == csv_text(scalar_run(config, traces, stations))
+    assert_same_text(csv_text(results), csv_text(scalar_run(config, traces, stations)))
 
 
 def test_queue_scenario_conserves_bytes():
@@ -673,7 +672,7 @@ def test_results_csv_round_trip_property(rows, blanks, bad, chunk_bytes, crlf):
             return
         back = read_results_csv(stream)
     assert_tables_equal(back, results)
-    assert csv_text(back) == text  # bit for bit, -0.0 included
+    assert_same_text(csv_text(back), text)  # bit for bit, -0.0 included
 
 
 def results_lines(n):
@@ -756,7 +755,7 @@ def test_read_results_csv_skips_blank_lines_and_interns_ids():
     text = RESULTS_CSV_HEADER + "\n\n" + "".join(lines[:50]) + "\n\n" + "".join(lines[50:])
     table = read_results_csv(io.StringIO(text.rstrip("\n")))  # no final line break
     assert len(table) == MANY
-    assert csv_text(table) == RESULTS_CSV_HEADER + "\n" + "".join(lines)
+    assert_same_text(csv_text(table), RESULTS_CSV_HEADER + "\n" + "".join(lines))
     assert len({id(vid) for vid in table.vehicle_id}) == 7
     assert table.t.dtype == np.int64 and table.rate_bps.dtype == np.float64
 
@@ -765,7 +764,7 @@ def test_read_results_csv_header_only():
     table = read_results_csv(io.StringIO(RESULTS_CSV_HEADER + "\n"))
     assert len(table) == 0
     assert table.t.dtype == np.int64 and table.snr_db.dtype == np.float64
-    assert csv_text(table) == RESULTS_CSV_HEADER + "\n"
+    assert_same_text(csv_text(table), RESULTS_CSV_HEADER + "\n")
 
 
 def test_undelivered_bytes_takes_each_vehicles_last_tick():
@@ -839,7 +838,7 @@ def test_run_is_invariant_under_trace_and_station_order(layout):
     traces, shuffled_traces, stations, shuffled_stations = layout
     cfg, _, _ = queue_scenario()  # integer RR on 2 RBs: queues build
     expected = csv_text(run(cfg, traces, stations))
-    assert csv_text(run(cfg, shuffled_traces, shuffled_stations)) == expected
+    assert_same_text(csv_text(run(cfg, shuffled_traces, shuffled_stations)), expected)
 
 
 @st.composite
@@ -897,7 +896,7 @@ def engine_cases(draw):
 def test_run_matches_the_scalar_loop(case):
     config, traces, stations = case
     expected = csv_text(scalar_run(config, traces, stations))
-    assert csv_text(run(config, traces, stations)) == expected
+    assert_same_text(csv_text(run(config, traces, stations)), expected)
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 64])
@@ -909,7 +908,7 @@ def test_run_matches_the_scalar_loop_in_small_blocks(block_rows, case):
     config, traces, stations = case
     expected = csv_text(scalar_run(config, traces, stations))
     with mock.patch.object(engine, "KERNEL_BLOCK_ROWS", block_rows):
-        assert csv_text(run(config, traces, stations)) == expected
+        assert_same_text(csv_text(run(config, traces, stations)), expected)
 
 
 @pytest.mark.parametrize("block_rows", [1, 4])

@@ -2,13 +2,17 @@ import hashlib
 import io
 import math
 import random
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from car2cloud import mobility
 from car2cloud.csvio import ID_FORBIDDEN_CHARS
+from car2cloud.engine import load_config
 from car2cloud.errors import ConfigError, ParseError, SimulationError, ValidationError
 from car2cloud.mobility import (
     KraussParams,
@@ -20,6 +24,7 @@ from car2cloud.mobility import (
     parse_trace_csv,
     speed_distribution,
 )
+from same_text import assert_same_text
 from trace_rows import trace_table
 
 PARAMS = KraussParams()
@@ -152,6 +157,24 @@ GOLDEN_TRACE_DIGESTS = {
 def test_generated_traces_match_golden_digest(name):
     road, digest, *params = GOLDEN_TRACE_DIGESTS[name]
     assert hashlib.sha256(csv_text(generate_traces(road, *params)).encode()).hexdigest() == digest
+
+
+def test_strip_makes_no_random_stream_for_an_arrival_that_never_enters():
+    """An arrival's stream and speed factor are drawn when it reaches the origin.
+
+    On the jam config 229 of 658 arrivals are still waiting at the origin
+    when the run ends; at most the first of them has drawn.
+    """
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "traffic_jam.cfg")
+    road = config.road_spec()
+    with mock.patch.object(mobility, "_VehicleRng", wraps=mobility._VehicleRng) as streams:
+        traces = generate_traces(road, config.krauss)
+    entered = len(set(traces.vehicle_id))
+    assert (len(mobility._arrival_times(road)), entered) == (658, 429)
+    assert entered <= streams.call_count <= entered + 1
+    assert hashlib.sha256(csv_text(traces).encode()).hexdigest() == (
+        "32c0f6100d96717a8a3df6a17ed8590f7942b5df5362ffa594f6d03682a8056e"
+    )
 
 
 def random_generator_cases(count: int = 40, seed: int = 15):
@@ -334,7 +357,7 @@ def test_parse_trace_csv_non_1hz():
 def test_trace_csv_round_trip():
     traces = generate_traces(RoadSpec("strip", 1500.0, 2000.0, 90, seed=21))
     text = csv_text(traces)
-    assert csv_text(parse_trace_csv(io.StringIO(text))) == text
+    assert_same_text(csv_text(parse_trace_csv(io.StringIO(text))), text)
 
 
 FCD = """<?xml version="1.0"?>
@@ -360,7 +383,7 @@ def test_parse_fcd_xml_two_timesteps():
 def test_parse_fcd_xml_single_vehicle_element():
     xml = '<fcd-export><timestep time="3"><vehicle id="a" x="1" y="2" speed="3"/></timestep></fcd-export>'
     traces = parse_fcd_xml(io.StringIO(xml))
-    assert csv_text(traces) == csv_text(trace_table([("a", 3, 1.0, 2.0, 3.0)]))
+    assert_same_text(csv_text(traces), csv_text(trace_table([("a", 3, 1.0, 2.0, 3.0)])))
 
 
 def test_parse_fcd_xml_fractional_timestep_rejected():
@@ -376,6 +399,50 @@ def test_parse_fcd_xml_missing_attribute():
     with pytest.raises(ParseError) as err:
         parse_fcd_xml(io.StringIO(xml))
     assert "speed" in str(err.value) and "vehicle" in str(err.value)
+
+
+def fcd_xml(*timesteps: tuple[str, str]) -> str:
+    """An FCD export of (time, vehicle elements) timesteps."""
+    body = "".join(f'<timestep time="{t}">{vehicles}</timestep>' for t, vehicles in timesteps)
+    return f"<fcd-export>{body}</fcd-export>"
+
+
+@pytest.mark.parametrize(
+    "vehicles, message",
+    [
+        ('<vehicle id="v1" x="0" y="0" speed="-2"/>', "negative speed -2.0"),
+        ('<vehicle id="v1" x="0" y="0" speed="1"/><vehicle id="v1" x="5" y="0" speed="1"/>',
+         "duplicate sample ('v1', t=1)"),
+    ],
+    ids=["negative speed", "duplicate"],
+)
+def test_parse_fcd_xml_names_the_element_of_a_bad_sample(vehicles, message):
+    xml = fcd_xml(("0.00", '<vehicle id="v1" x="0" y="0" speed="1"/>'), ("1.00", vehicles))
+    with pytest.raises(ValidationError) as err:
+        parse_fcd_xml(io.StringIO(xml))
+    assert str(err.value) == f"timestep[time='1.00']/vehicle[id='v1']: {message}"
+
+
+def test_parse_fcd_xml_checks_an_id_before_its_numbers():
+    xml = fcd_xml(("0", '<vehicle id="" x="east" y="0" speed="1"/>'))
+    with pytest.raises(ParseError) as err:
+        parse_fcd_xml(io.StringIO(xml))
+    assert str(err.value) == "timestep[time='0']/vehicle[id='']: empty vehicle id"
+
+
+def test_parse_fcd_xml_rejects_a_negative_timestep_without_vehicles():
+    xml = fcd_xml(("0", '<vehicle id="v1" x="0" y="0" speed="1"/>'), ("-1", ""))
+    with pytest.raises(ValidationError) as err:
+        parse_fcd_xml(io.StringIO(xml))
+    assert str(err.value) == "timestep time=-1: negative tick"
+
+
+def test_parse_fcd_xml_reports_the_first_bad_element_in_document_order():
+    # A bad sample comes before a timestep whose time is not a number.
+    xml = fcd_xml(("0", '<vehicle id="v1" x="0" y="0" speed="-1"/>'), ("soon", ""))
+    with pytest.raises(ValidationError) as err:
+        parse_fcd_xml(io.StringIO(xml))
+    assert str(err.value) == "timestep[time='0']/vehicle[id='v1']: negative speed -1.0"
 
 
 def test_speed_distribution_hand_counted():
