@@ -1,7 +1,10 @@
 """The CSV codecs on inputs of several chunks: errors in any chunk, and the pipeline's bytes.
 
-Every reader and writer runs in this process; the pipeline's bytes must
-not depend on numpy's CPU dispatch, which one test checks in a child.
+The tests of bad lines, of the trace restart and of the pipeline's bytes
+run with os.sched_getaffinity patched to one CPU and to two.  Every reader
+and writer runs in this process: results, bytes and errors must not depend
+on the CPU count it sees, nor on numpy's CPU dispatch, which one test
+checks in a child.
 """
 
 import bisect
@@ -29,6 +32,14 @@ from test_engine import results_lines
 from test_trace_csv import GATE_TOKENS, HEADER, outcome, valid_lines
 from trace_rows import trace_table
 
+CPUS = {"one cpu": {0}, "two cpus": {0, 1}}
+
+
+@pytest.fixture(params=sorted(CPUS))
+def cpus(request, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: CPUS[request.param])
+    return len(CPUS[request.param])
+
 
 class FullDisk(io.StringIO):
     def write(self, text):
@@ -37,7 +48,7 @@ class FullDisk(io.StringIO):
         return super().write(text)
 
 
-def test_a_writer_whose_stream_fails_leaves_no_child():
+def test_a_writer_whose_stream_fails_leaves_no_child(cpus):
     points = (np.arange(30_000, dtype=np.float64), np.arange(1, 30_001) / 30_000)
     with pytest.raises(OSError, match="disk full"):
         analysis.write_cdf_csv(points, FullDisk())
@@ -52,7 +63,7 @@ def chunk_starts(lines: list[str]) -> list[int]:
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
-def test_read_results_csv_names_a_bad_line_in_any_chunk(chunk):
+def test_read_results_csv_names_a_bad_line_in_any_chunk(cpus, chunk):
     lines = results_lines(2 * RESULT_LINES)
     assert len(chunk_starts(lines)) > 3
     bad = chunk_starts(lines)[chunk] + 17
@@ -123,7 +134,7 @@ def test_a_gate_token_sends_only_its_chunks_column_field_by_field(name, token):
     ids=["bad float", "quoted id"],
 )
 @pytest.mark.parametrize("chunk", [1, 2])
-def test_parse_trace_csv_restarts_on_a_line_in_any_chunk(chunk, edit):
+def test_parse_trace_csv_restarts_from_either_process(cpus, chunk, edit):
     lines = valid_lines(3 * READ_CHUNK_BYTES // len(valid_lines(1)[0]))
     assert len(chunk_starts(lines)) > 2
     bad = chunk_starts(lines)[chunk] + 701
@@ -166,7 +177,7 @@ def run_ring_pipeline(tmp_path):
     ]) == 0
 
 
-def test_pipeline_bytes_match_the_golden_digests(tmp_path):
+def test_pipeline_bytes_match_the_golden_digests(cpus, tmp_path):
     run_ring_pipeline(tmp_path)
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN
