@@ -463,10 +463,8 @@ def count_packages_per_cell(table: TickTable) -> dict[str, float]:
         (vehicle[1:] != vehicle[:-1]) | (station[1:] != station[:-1]) | (t[1:] != t[:-1] + 1),
     )))
     packages = np.add.reduceat(table.packages_generated[order], starts)
-    totals = [0] * len(station_ids)
-    counts = [0] * len(station_ids)
-    for code, n in zip(station[starts].tolist(), packages.tolist()):
-        totals[code] += n
-        counts[code] += 1
-    return {sid: total / count for sid, total, count in zip(station_ids, totals, counts)}
+    # Totals below 2**53 are exact in float64, so their quotients are int / int's.
+    totals = np.bincount(station[starts], weights=packages, minlength=len(station_ids))
+    counts = np.bincount(station[starts], minlength=len(station_ids))
+    return dict(zip(station_ids, (totals / counts).tolist()))
 

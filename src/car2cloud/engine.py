@@ -4,12 +4,12 @@ The traces come in as one mobility.TraceTable, whose rows one lexsort puts
 in (tick, vehicle id) order.  run computes each results column for all rows
 with array kernels that give the scalar formulas' bits:
 
-- association: a numpy screen (radio.screen_links) picks each vehicle's
-  best-SNR station; its unsure rows go to one radio.best_link call per block;
-- radio.link_snrs: the SNR to that station, as radio.snr computes it;
+- per block of rows, the station, SNR and block rate: a numpy screen
+  (radio.screen_links) picks each vehicle's best-SNR station, leaving its
+  unsure rows to one radio.best_link call; radio.link_snrs gives the SNR,
+  as radio.snr computes it, and linkrate.rb_rates one block's rate;
 - scheduler.rr_shares: the vehicle's Round-Robin share of its cell's
-  resource blocks, as scheduler.rr_allocate deals them;
-- linkrate.rb_rates: the rate of one block, times the share;
+  resource blocks; its rate is the share times the block rate;
 - cvim.drain_queues: over each vehicle's rows in tick order, the package
   queued at a flush and the whole packages each tick's capacity sends, as
   cvim.try_transmit sends them.
@@ -52,8 +52,8 @@ RESULTS_CSV_HEADER = (
 )
 
 
-# Rows per call of the SNR and rate kernels and values per call of the
-# association screen: whole-table temporaries and per-element Python lists
+# Values in one block's rows x stations association screen, so it bounds the
+# rows per kernel call: whole-table temporaries and per-element Python lists
 # would raise the peak RSS of simulate with the table's size.
 KERNEL_BLOCK_ROWS = 1 << 14
 
@@ -240,32 +240,31 @@ def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) 
         )
     n = len(ticks)
 
-    # Association, in blocks of rows whose rows x stations screen matrix
-    # holds KERNEL_BLOCK_ROWS values: rows it cannot decide go to best_link.
+    # Each block of rows gets its station (rows the screen cannot decide go
+    # to best_link), its SNR and the rate of one resource block.
     serving = np.empty(n, dtype=np.int64)
+    snr_db = np.empty(n)
+    rates = np.empty(n)
     step = max(1, KERNEL_BLOCK_ROWS // len(stations))
     for lo in range(0, n, step):
-        block = state[lo : lo + step, :2]
-        winners, unsure = screen_links(block, stations, config.link)
+        block = slice(lo, lo + step)
+        positions = state[block, :2]
+        winners, unsure = screen_links(positions, stations, config.link)
         if unsure.any():
-            winners[unsure] = best_link(block[unsure], stations, config.link)
-        serving[lo : lo + step] = winners
+            winners[unsure] = best_link(positions[unsure], stations, config.link)
+        serving[block] = winners
+        snr_db[block] = link_snrs(positions, winners, stations, config.link)
+        rates[block] = rb_rates(snr_db[block], state[block, 2], config.rate)
+    # The shares' and the drain's whole-table temporaries need not stack on
+    # the trace state.
+    order = state = finite = positions = None
     station_ids = [s.station_id for s in stations]
     _, cell = id_codes(station_ids)
     shares = scheduler.rr_shares(
         ticks, cell[serving], config.effective_n_rb, config.scheduler_mode
     )
-
-    snr_db = np.empty(n)
-    rates = np.empty(n)
-    for lo in range(0, n, KERNEL_BLOCK_ROWS):
-        block = slice(lo, lo + KERNEL_BLOCK_ROWS)
-        snr_db[block] = link_snrs(state[block, :2], serving[block], stations, config.link)
-        per_rb = rb_rates(snr_db[block], state[block, 2], config.rate)
-        with np.errstate(all="ignore"):
-            rates[block] = shares[block] * per_rb
-    # The drain's whole-table columns need not stack on the trace state.
-    order = state = finite = None
+    with np.errstate(all="ignore"):
+        np.multiply(shares, rates, out=rates)
     # A one-second tick's capacity is int(rate) bits, which must exist.  No
     # rate is negative: shares and efficiencies are not, and the speed
     # penalty is positive at any speed.

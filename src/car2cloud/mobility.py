@@ -305,7 +305,7 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
     arrivals = _arrival_times(road)
     names = _vehicle_names(len(arrivals))
     drawn = -1  # the last arrival to reach the origin, whose stream and factor exist
-    dawdles = np.zeros((len(arrivals), road.duration))  # a row drawn on entry
+    dawdles = np.zeros((1, road.duration))  # a row per entered vehicle, drawn on entry
     recorder = _Recorder(names, ring_length=None)
 
     # The platoon, ordered back to front.
@@ -353,6 +353,8 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
                 )
             rear = (v_in * (1.0 - entry_offset), v_in)
             entered.append((next_k, *rear, factor_k))
+            if next_k == len(dawdles):
+                dawdles = np.concatenate((dawdles, np.zeros_like(dawdles)))
             # one draw for each of its steps, at ticks t+1 .. duration-1
             dawdles[next_k, t + 1:] = rng.dawdles(road.duration - t - 1)
             next_k += 1

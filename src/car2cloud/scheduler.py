@@ -7,8 +7,10 @@ gets the floor share and the remainder goes, one block each, to vehicles
 starting at the rotation offset in canonical order, so no vehicle id is
 systematically favored.
 
-rr_allocate splits one cell at one tick; rr_shares gives the same shares
-for every row of a whole table at once.
+The dealing rule is written once, in rr_shares, which gives the shares of
+every row of a whole table at once; rr_allocate is rr_shares on one cell
+at one tick.  The dealing loop as first written is kept in
+tests/scalar_models.py as the independent oracle both are checked against.
 """
 
 from __future__ import annotations
@@ -40,47 +42,37 @@ class RbAllocation:
     shares: dict[str, float] = field(default_factory=dict)
 
 
-def _check(n_rb: int, mode: str) -> None:
-    if mode not in MODES:
-        raise ConfigError(f"scheduler.mode must be one of {MODES}, got {mode!r}")
-    if n_rb < 0:
-        raise ConfigError("cell.n_rb must be non-negative")
-
-
 def rr_allocate(
     cell: CellTickState,
     n_rb: int,
     mode: str = "fractional",
     rotation_offset: int = 0,
 ) -> RbAllocation:
-    """Equal-share Round-Robin allocation of n_rb blocks to one cell."""
-    _check(n_rb, mode)
-    k = len(cell.attached)
-    if k == 0:
-        return RbAllocation(cell.station_id, cell.t, mode, {})
-    if mode == "fractional":
-        share = n_rb / k
-        shares = {vid: share for vid in cell.attached}
-    else:
-        base, remainder = divmod(int(n_rb), k)
-        shares = {vid: float(base) for vid in cell.attached}
-        start = rotation_offset % k
-        for i in range(remainder):
-            shares[cell.attached[(start + i) % k]] += 1.0
-    return RbAllocation(cell.station_id, cell.t, mode, shares)
+    """Equal-share Round-Robin allocation of n_rb blocks to one cell.
+
+    rr_shares over the cell's vehicles, all at tick rotation_offset in one
+    cell; the offset must fit int64, as ticks do.
+    """
+    t = np.full(len(cell.attached), rotation_offset, dtype=np.int64)
+    shares = rr_shares(t, np.zeros_like(t), n_rb, mode).tolist()
+    return RbAllocation(cell.station_id, cell.t, mode, dict(zip(cell.attached, shares)))
 
 
 def rr_shares(t: np.ndarray, cell: np.ndarray, n_rb: int, mode: str) -> np.ndarray:
-    """RB share of every row, as rr_allocate(..., rotation_offset=t) gives it.
+    """RB share of every row: its cell's Round-Robin deal at rotation offset t.
 
     Rows are vehicles at ticks ``t`` attached to cells coded ``cell``, in
     (t, vehicle id) order, so a vehicle's rank within its cell and tick is
     its position in the cell's attached tuple.  The share depends only on
     the cell load k (and, in integer mode, on whether the vehicle gets one
     of the remainder blocks), so it is computed in Python once per distinct
-    k, exactly as rr_allocate computes it.
+    k: n_rb / k, or the floor share n_rb // k plus one block for the
+    n_rb % k vehicles ranked from t % k on, wrapping round the cell.
     """
-    _check(n_rb, mode)
+    if mode not in MODES:
+        raise ConfigError(f"scheduler.mode must be one of {MODES}, got {mode!r}")
+    if n_rb < 0:
+        raise ConfigError("cell.n_rb must be non-negative")
     if not len(t):
         return np.zeros(0)
     # A stable sort keeps each cell's rows in vehicle order.

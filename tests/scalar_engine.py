@@ -1,10 +1,10 @@
 """Test oracle: the per-row simulation loop engine.run replaced.
 
 run here is the scalar loop of car2cloud's engine before its columnar
-kernels: per-tick screen, scalar snr or best_link per row, one
-rr_allocate per cell and tick, vehicle_rate with rb_rate per row, and a
-TransmitQueue drained by try_transmit.  snr, best_link and rb_rate are the
-scalar formulas of scalar_models.
+kernels: best_link per row, one rr_allocate per cell and tick,
+vehicle_rate with rb_rate per row, and a TransmitQueue drained by
+try_transmit.  best_link, rr_allocate and rb_rate are the scalar code of
+scalar_models, so no kernel of engine.run checks itself here.
 Tests compare the results CSV bytes of engine.run against it.  drain_sizes
 is the per-vehicle queue loop that cvim.drain_queues replaced.
 """
@@ -22,8 +22,8 @@ from car2cloud.cvim import TransmitQueue
 from car2cloud.engine import SimConfig, TickTable
 from car2cloud.errors import ConfigError, ValidationError
 from car2cloud.mobility import TraceTable, id_codes
-from car2cloud.radio import BaseStation, screen_links
-from scalar_models import best_link, rb_rate, snr
+from car2cloud.radio import BaseStation
+from scalar_models import best_link, rb_rate, rr_allocate
 
 
 def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) -> TickTable:
@@ -71,24 +71,15 @@ def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) 
         t = int(ticks[start])
         present = vehicle[start:stop].tolist()
         rows = state[start:stop]
-        winners, unsure = screen_links(rows[:, :2], stations, config.link)
         cells: dict[str, list[str]] = {}
-        for v, (x, y, _), winner, needs_scalar in zip(
-            present, rows.tolist(), winners.tolist(), unsure.tolist()
-        ):
-            if needs_scalar:
-                station, link = best_link((x, y), stations, config.link)
-            else:
-                station = stations[winner]
-                link = snr((x, y), station, config.link)
+        for v, (x, y, _) in zip(present, rows.tolist()):
+            station, link = best_link((x, y), stations, config.link)
             serving.append(station.station_id)
             snrs.append(link.snr)
             cells.setdefault(station.station_id, []).append(names[v])
         shares: dict[str, float] = {}
         for sid in sorted(cells):
-            cell = scheduler.CellTickState(sid, t, tuple(cells[sid]))
-            allocation = scheduler.rr_allocate(cell, n_rb, mode, rotation_offset=t)
-            shares.update(allocation.shares)
+            shares.update(rr_allocate(cells[sid], n_rb, mode, rotation_offset=t))
         for v, speed, snr_db, last in zip(
             present, rows[:, 2].tolist(), snrs[start:stop], departing[start:stop].tolist()
         ):

@@ -1,17 +1,17 @@
-"""Test oracle: the scalar link-budget and RB-rate formulas as first written.
+"""Test oracle: the scalar link-budget, RB-rate and dealing rules as first written.
 
-car2cloud evaluates each formula once, on arrays (radio._path_loss and
-radio._link_budget, linkrate.rb_rates); its scalar functions run that
-array code on one element.  The functions here are the plain per-pair
-Python formulas the array code replaced, kept apart from it so that the
-bit-for-bit checks of the public scalar functions and of the kernels do
-not compare the code with itself.
+car2cloud evaluates each formula once, on arrays (radio._link_budget,
+linkrate.rb_rates, scheduler.rr_shares); its scalar functions run that
+array code on one element or one cell.  The functions here are the plain
+per-pair and per-cell Python code the array code replaced, kept apart from
+it so that the bit-for-bit checks of the public scalar functions and of
+the kernels do not compare the code with itself.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from car2cloud.errors import ConfigError
 from car2cloud.linkrate import RbRateParams
@@ -118,3 +118,24 @@ def rb_rate(snr_db: float, speed: float, params: RbRateParams | None = None) -> 
     efficiency = min(p.attenuation_beta * math.log2(1.0 + snr_lin), p.eta_max)
     penalty = 1.0 - p.speed_penalty_at_vmax * min(speed, p.v_ref) / p.v_ref
     return efficiency * p.rb_bandwidth_hz * penalty
+
+
+def rr_allocate(
+    attached: Sequence[str], n_rb: int, mode: str, rotation_offset: int
+) -> dict[str, float]:
+    """Round-Robin shares of n_rb blocks among one cell's vehicles, by vehicle id.
+
+    Fractional mode gives each of the k vehicles n_rb / k.  Integer mode
+    deals everyone the floor share, then one remainder block each to the
+    vehicles from position rotation_offset % k on, wrapping round.
+    """
+    k = len(attached)
+    if mode == "fractional":
+        share = n_rb / k
+        return {vid: share for vid in attached}
+    base, remainder = divmod(int(n_rb), k)
+    shares = {vid: float(base) for vid in attached}
+    start = rotation_offset % k
+    for i in range(remainder):
+        shares[attached[(start + i) % k]] += 1.0
+    return shares

@@ -2,6 +2,8 @@ import hashlib
 import io
 import math
 import random
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -175,6 +177,27 @@ def test_strip_makes_no_random_stream_for_an_arrival_that_never_enters():
     assert hashlib.sha256(csv_text(traces).encode()).hexdigest() == (
         "32c0f6100d96717a8a3df6a17ed8590f7942b5df5362ffa594f6d03682a8056e"
     )
+
+
+def test_strip_memory_grows_with_the_vehicles_that_enter_not_with_demand():
+    """At 160000 veh/h on the jam strip some 26,700 vehicles arrive but only
+    about 430 enter, as at 4000 veh/h; only those get a row of dawdles."""
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "traffic_jam.cfg")
+    peaks, digests = [], []
+    for inflow in (4000.0, 160000.0):
+        road = replace(config.road_spec(), inflow=inflow)
+        tracemalloc.start()
+        try:
+            traces = generate_traces(road, config.krauss)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        digests.append(hashlib.sha256(csv_text(traces).encode()).hexdigest())
+    assert peaks[1] <= 2 * peaks[0]
+    assert digests == [
+        "32c0f6100d96717a8a3df6a17ed8590f7942b5df5362ffa594f6d03682a8056e",
+        "71be6d5cd9045afde149ece60089126ac0d719b8491ec28ec58e29299bc39e68",
+    ]
 
 
 def random_generator_cases(count: int = 40, seed: int = 15):

@@ -11,6 +11,7 @@ from car2cloud.errors import ConfigError
 from car2cloud.linkrate import RbRateParams, rb_rate
 from car2cloud.radio import BaseStation
 from car2cloud.scheduler import MODES, CellTickState, rr_allocate, rr_shares, vehicle_rate
+import scalar_models
 from trace_rows import trace_table
 
 MODEL = partial(rb_rate, params=RbRateParams())
@@ -187,8 +188,7 @@ def test_rr_shares_match_rr_allocate(rows, mode, n_rb):
         cells.setdefault((tick, c), []).append(f"v{vehicle:02d}")
     shares = {}
     for (tick, c), attached in cells.items():
-        cell_state = CellTickState(str(c), tick, tuple(attached))
-        for vid, share in rr_allocate(cell_state, n_rb, mode, rotation_offset=tick).shares.items():
+        for vid, share in scalar_models.rr_allocate(attached, n_rb, mode, tick).items():
             shares[tick, vid] = share
     expected = [shares[tick, f"v{vehicle:02d}"] for tick, vehicle, _ in rows]
     assert got.tobytes() == np.array(expected, dtype=np.float64).tobytes()
