@@ -3,21 +3,25 @@
 Writers give write_columns their columns: lists of ids, written as they
 are, and numeric columns, written by column_text as str and repr write
 them, from orjson's shortest round-trip digits.  Readers check their header
-line and give the rest to read_columns, which splits each chunk of lines
-once on commas and converts each numeric column with convert_column: one
-orjson.loads call where a byte gate shows that orjson reads the column's
-text as int or float would, else int or float field by field, which also
-raises their errors.  A chunk that does not convert is read again line by
-line to name its first bad line, as a row reader would.
+line and give the rest to read_columns, which reads the stream once and
+splits each chunk of lines once on commas; a quote, or a CR or LF before
+a line's closing line break, is data.  Each numeric column is converted
+with convert_column: one orjson.loads call where a byte gate shows that
+orjson reads the column's text as int or float would, else int or float
+field by field, which also raises their errors.  A chunk that does not
+convert is read again line by line to name its first bad line, as a row
+reader would, and a reader's check of the rows before that line comes
+first; RowLines gives any row's line number.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_right
 from functools import partial
 from itertools import chain, repeat
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 import orjson
@@ -53,8 +57,8 @@ _JSON_BYTES = {int: b"0123456789-\r\n,", float: b"0123456789-\r\n,+.eE"}
 # hit, such as the exponent of 1e-0, only sends a column field by field.
 _NEGATIVE_ZERO = re.compile(rb"-0(?:[,\r\n]|\Z)")
 
-# Lines read_columns skips: a blank line, closed by LF or by CRLF.
-BLANK_LINES = ("\n", "\r\n")
+# The characters of a line break; read_columns skips a line of only these.
+LINE_BREAK = "\r\n"
 
 
 def check_id(value: str, where: str, what: str) -> None:
@@ -85,14 +89,6 @@ def column_text(column: np.ndarray) -> list[str]:
         for i in np.flatnonzero(unlike).tolist():
             fields[i] = repr(column[i].item())
     return fields
-
-
-def records(reader) -> Iterator[tuple[int, list[str]]]:
-    """Each csv.reader record after the line it starts on (a quoted field may hold line breaks)."""
-    lineno = reader.line_num + 1
-    for row in reader:
-        yield lineno, row
-        lineno = reader.line_num + 1
 
 
 def convert_column(column: list[str], convert) -> np.ndarray:
@@ -159,57 +155,88 @@ def parse_chunk(lines: list[str], text: str, converters: Sequence) -> list:
     return columns
 
 
-def _raise_bad_line(lines: list[str], lineno: int, converters: Sequence) -> None:
-    """Raise ParseError naming the first of these lines, from line lineno, that cannot be read.
+class RowLines:
+    """The line number of each row that read_columns reads, the header being line 1.
 
-    Goes line by line, so the error names the line and field a row reader would.
+    Rows count from 0 over all chunks.  Only the skipped blank lines are
+    kept, each as the number of rows before it, so a row's line number is
+    its index, plus 2, plus the blank lines before it.
     """
-    for lineno, line in enumerate(lines, start=lineno):
-        if line in BLANK_LINES:
-            continue
-        parts = line.rstrip("\n").split(",")
+
+    def __init__(self) -> None:
+        self.blanks: list[int] = []
+
+    def __call__(self, row: int) -> int:
+        return row + 2 + bisect_right(self.blanks, row)
+
+
+def _first_bad_row(rows: list[str], converters: Sequence) -> tuple[int, str]:
+    """The index of the first of these non-blank lines that cannot be read, and why.
+
+    Goes line by line, so the reason names the field a row reader would.
+    """
+    for i, row in enumerate(rows):
+        parts = row.rstrip(LINE_BREAK).split(",")
         if len(parts) != len(converters):
-            raise ParseError(f"line {lineno}: expected {len(converters)} fields, got {len(parts)}")
+            return i, f"expected {len(converters)} fields, got {len(parts)}"
         for part, convert in zip(parts, converters):
             if convert is None:
                 continue
             try:
                 value = convert(part)
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
+                return i, str(exc)
             if convert is int and not -INT64_BOUND <= value < INT64_BOUND:
-                raise ParseError(f"line {lineno}: integer {part!r} exceeds 64 bits")
+                return i, f"integer {part!r} exceeds 64 bits"
+    raise AssertionError("parse_chunk failed on rows that each parse")
 
 
-def read_columns(stream: IO[str], converters: Sequence, check: Callable | None = None) -> list:
+def read_columns(
+    stream: IO[str],
+    converters: Sequence,
+    check: Callable | None = None,
+    lines: RowLines | None = None,
+) -> list:
     """The columns of the CSV lines after a one-line header, one per converter.
 
-    Lines are read about READ_CHUNK_BYTES at a time.  In each chunk blank
-    lines are skipped and the rest joined by commas once, parsed by
-    parse_chunk and then passed, with that text and their columns, to
-    check, which may raise.  A chunk that does not parse raises ParseError
-    naming its first bad line, the header being line 1.
+    Lines are read about READ_CHUNK_BYTES at a time, from where the stream
+    stands, once.  In each chunk the blank lines (of only CR and LF) are
+    skipped and the rest joined by commas once and parsed by parse_chunk.
+    check(columns, start), if given, is called with each chunk's columns
+    and the index of the chunk's first row among all rows, and may raise.
+    A chunk that does not parse raises ParseError naming its first bad
+    line, after check has been given the rows before that line, so the
+    first bad line in file order is the one named.  lines, if given,
+    learns the line number of every row read.
     """
-    chunks: list[list] = []
-    lineno = 2
-    for lines in iter(partial(stream.readlines, READ_CHUNK_BYTES), []):
-        rows = lines
-        if any(blank in lines for blank in BLANK_LINES):
-            rows = [line for line in lines if line not in BLANK_LINES]
+    lines = RowLines() if lines is None else lines
+    parsed: list[list] = []
+    start = 0  # rows before this chunk
+    for chunk in iter(partial(stream.readlines, READ_CHUNK_BYTES), []):
+        rows = chunk
+        if min(chunk)[0] <= "\r":  # a line starts with CR, LF or a lower character
+            rows = []
+            for line in chunk:
+                if line.strip(LINE_BREAK):
+                    rows.append(line)
+                else:
+                    lines.blanks.append(start + len(rows))
         if rows:
             text = ",".join(rows)
             try:
                 columns = parse_chunk(rows, text, converters)
             except (ValueError, OverflowError):
-                _raise_bad_line(lines, lineno, converters)
-                raise
+                bad, reason = _first_bad_row(rows, converters)
+                if check is not None and bad:
+                    check(parse_chunk(rows[:bad], ",".join(rows[:bad]), converters), start)
+                raise ParseError(f"line {lines(start + bad)}: {reason}") from None
             if check is not None:
-                check(rows, text, columns)
-            chunks.append(columns)
-        lineno += len(lines)
+                check(columns, start)
+            parsed.append(columns)
+        start += len(rows)
     return [
-        list(chain.from_iterable(chunk[i] for chunk in chunks)) if convert is None
-        else np.concatenate([chunk[i] for chunk in chunks] or [np.zeros(0, _DTYPES[convert])])
+        list(chain.from_iterable(chunk[i] for chunk in parsed)) if convert is None
+        else np.concatenate([chunk[i] for chunk in parsed] or [np.zeros(0, _DTYPES[convert])])
         for i, convert in enumerate(converters)
     ]
 

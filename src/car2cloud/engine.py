@@ -6,8 +6,8 @@ with array kernels that give the scalar formulas' bits:
 
 - per block of rows, the station, SNR and block rate: a numpy screen
   (radio.screen_links) picks each vehicle's best-SNR station, leaving its
-  unsure rows to one radio.best_link call; radio.link_snrs gives the SNR,
-  as radio.snr computes it, and linkrate.rb_rates one block's rate;
+  unsure rows to one radio.best_link call; radio.link_snrs gives the SNR
+  and linkrate.rb_rates one block's rate;
 - scheduler.rr_shares: the vehicle's Round-Robin share of its cell's
   resource blocks; its rate is the share times the block rate;
 - cvim.drain_queues: over each vehicle's rows in tick order, the package

@@ -5,26 +5,29 @@ one of three sources: an external trace CSV, a SUMO floating-car-data XML
 export, or the built-in car-following generator.  Every source yields one
 TraceTable: id, tick, x, y and speed columns with rows by vehicle id, then
 tick, which emit_trace_csv writes in that order and engine.run takes as is.
-Synthetic roads are either a straight strip along the x axis (vehicles
+A trace CSV is read once, in chunks, by csvio.read_columns, with the
+sample rules as array masks; an error names the first bad line, and a
+quote or a line break inside a line is data.  Synthetic roads are either a straight strip along the x axis (vehicles
 injected at the origin) or a ring mapped onto a circle in the plane, so
 radio distances are always well defined.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .csvio import INT64_BOUND, check_id, read_columns, records, write_columns
+from .csvio import INT64_BOUND, RowLines, check_id, read_columns, write_columns
 from .errors import ConfigError, ParseError, SimulationError, ValidationError, check_finite
 
 TRACE_CSV_HEADER = ("vehicle_id", "t", "x", "y", "speed")
+# The header lines parse_trace_csv reads: closed by LF, by CRLF or by the end of the file.
+_TRACE_HEADER_LINES = tuple(",".join(TRACE_CSV_HEADER) + end for end in ("", "\n", "\r\n"))
 # Conversion of each trace CSV field by csvio.parse_chunk: ids (None) are kept as read.
 _TRACE_CONVERTERS = (None, int, float, float, float)
 _FCD_ATTRIBUTES = ("id", "x", "y", "speed")  # of an FCD <vehicle> element
@@ -66,25 +69,38 @@ def id_codes(ids: Sequence[str]) -> tuple[list[str], np.ndarray]:
     return distinct, np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
 
 
-def _trace_table(names: list[str], code: np.ndarray, t, x, y, speed) -> TraceTable:
+def _trace_table(
+    names: list[str], code: np.ndarray, t, x, y, speed, line: Callable[[int], int] | None = None
+) -> TraceTable:
     """Samples of vehicles names[code] as a table in canonical order.
 
     ``t``, ``x``, ``y`` and ``speed`` are sequences or arrays, row for row
-    with ``code``.  A 1 Hz gap, or a repeated sample, names the smallest
-    vehicle id that has one, and its first gap.
+    with ``code``.  A repeated sample names, by ``line`` of its row index,
+    the first row in input order that repeats an earlier one; only rows
+    read from a file, which ``line`` numbers, can repeat.  Then a 1 Hz gap
+    names the smallest vehicle id that has one, and its first gap.
     """
     t = np.asarray(t, dtype=np.int64)
     order = np.lexsort((t, code))
-    code, t = code[order], t[order]
-    gaps = np.flatnonzero((code[1:] == code[:-1]) & (t[1:] - t[:-1] != 1))
+    sorted_code, sorted_t = code[order], t[order]
+    gaps = np.flatnonzero(
+        (sorted_code[1:] == sorted_code[:-1]) & (sorted_t[1:] - sorted_t[:-1] != 1)
+    )
     if gaps.size:
+        # The sort is stable, so of two equal samples the later in input order repeats.
+        repeats = order[gaps[sorted_t[gaps] == sorted_t[gaps + 1]] + 1]
+        if repeats.size:
+            i = int(repeats.min())
+            raise ValidationError(
+                f"line {line(i)}: duplicate sample ({names[code[i]]!r}, t={t[i]})"
+            )
         i = int(gaps[0])
         raise ValidationError(
-            f"vehicle {names[code[i]]!r}: samples not on a 1 Hz grid "
-            f"(ticks {t[i]} -> {t[i + 1]})"
+            f"vehicle {names[sorted_code[i]]!r}: samples not on a 1 Hz grid "
+            f"(ticks {sorted_t[i]} -> {sorted_t[i + 1]})"
         )
     x, y, speed = (np.asarray(c, dtype=np.float64)[order] for c in (x, y, speed))
-    return TraceTable(list(map(names.__getitem__, code.tolist())), t, x, y, speed)
+    return TraceTable(list(map(names.__getitem__, sorted_code.tolist())), sorted_t, x, y, speed)
 
 
 @dataclass(frozen=True)
@@ -416,60 +432,30 @@ def generate_traces(road: RoadSpec, params: KraussParams | None = None) -> Trace
     return _generate_ring(road, params)
 
 
-def _check_trace_chunk(lines: list[str], text: str, columns: list) -> None:
-    """Raise ValueError where _read_chunks gives up on a chunk of non-blank lines.
+def _check_sample(where: str, t: int, x: float, y: float, speed: float) -> None:
+    """Raise ValidationError, starting with where, at the first sample rule the sample breaks.
 
-    text is the lines joined by commas; a comma adds no quote or line break.
+    The rules, in order: finite x, y and speed, then t >= 0, then speed >= 0.
     """
-    vid, t, x, y, speed = columns
-    if (
-        '"' in text
-        or text.count("\n") != len(lines) - (not text.endswith("\n"))
-        or ("\r" in text and text.count("\r") != text.count("\r\n"))
-        or max(map(len, lines)) > csv.field_size_limit()
-        or "" in vid
-        or not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(speed).all())
-        or t.min() < 0
-        or speed.min() < 0
-    ):
-        raise ValueError("a chunk for csv.reader")
-
-
-def _read_chunks(stream: IO[str]) -> TraceTable:
-    """A trace CSV read by csvio.read_columns.
-
-    Gives up, raising ValueError, OverflowError or ValidationError, on a
-    header other than ``vehicle_id,t,x,y,speed``, a quote, a line break
-    other than one closing ``\n`` or ``\r\n`` per line, a line longer than
-    csv's field size limit, a failed row check, a repeated sample or a 1 Hz
-    gap.  Without those a split on commas reads each field as csv.reader
-    does; check_id rejects only the id "".
-    """
-    header = ",".join(TRACE_CSV_HEADER)
-    if stream.readline() not in (header + "\n", header + "\r\n"):
-        raise ValueError("a header for csv.reader")
-    vid, t, x, y, speed = read_columns(stream, _TRACE_CONVERTERS, _check_trace_chunk)
-    return _trace_table(*id_codes(vid), t, x, y, speed)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(speed)):
+        raise ValidationError(f"{where}: non-finite x, y or speed")
+    if t < 0:
+        raise ValidationError(f"{where}: negative tick {t}")
+    if speed < 0:
+        raise ValidationError(f"{where}: negative speed {speed}")
 
 
 def _checked_table(samples: Iterable[tuple[str, str, int, float, float, float]]) -> TraceTable:
     """The (where, vehicle_id, t, x, y, speed) samples as a table, each checked as it comes.
 
-    A non-finite x, y or speed, a tick outside [0, MAX_TICK], a negative
-    speed or a repeated (id, tick) raises ValidationError, starting with
-    where; ids are interned, as csvio.parse_chunk interns them.
+    Ticks are ints no larger than MAX_TICK.  A sample that breaks a rule of
+    _check_sample, or repeats an (id, tick), raises ValidationError starting
+    with where; ids are interned, as csvio.parse_chunk interns them.
     """
     vids, ts, xs, ys, speeds = [], [], [], [], []
     seen: set[tuple[str, int]] = set()
     for where, vid, t, x, y, speed in samples:
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(speed)):
-            raise ValidationError(f"{where}: non-finite x, y or speed")
-        if t < 0:
-            raise ValidationError(f"{where}: negative tick {t}")
-        if t > MAX_TICK:
-            raise ValidationError(f"{where}: tick {t} exceeds 64 bits")
-        if speed < 0:
-            raise ValidationError(f"{where}: negative speed {speed}")
+        _check_sample(where, t, x, y, speed)
         vid = sys.intern(vid)
         if (vid, t) in seen:
             raise ValidationError(f"{where}: duplicate sample ({vid!r}, t={t})")
@@ -482,55 +468,43 @@ def _checked_table(samples: Iterable[tuple[str, str, int, float, float, float]])
     return _trace_table(*id_codes(vids), ts, xs, ys, speeds)
 
 
-def _read_rows(stream: IO[str]) -> TraceTable:
-    """A trace CSV read row by row by csv.reader; the first bad line is named, as ``line N``."""
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("trace CSV is empty (missing header)") from None
-    if tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
-        raise ParseError(f"bad trace CSV header: {','.join(header)!r}")
-
-    def samples():
-        known: set[str] = set()
-        for lineno, row in records(reader):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ParseError(f"line {lineno}: expected 5 fields, got {len(row)}")
-            try:
-                t = int(row[1])
-                x, y, speed = float(row[2]), float(row[3]), float(row[4])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            if row[0] not in known:
-                check_id(row[0], f"line {lineno}", "vehicle_id")
-                known.add(row[0])
-            yield f"line {lineno}", row[0], t, x, y, speed
-
-    return _checked_table(samples())
-
-
 def parse_trace_csv(stream: IO[str]) -> TraceTable:
     """Read a trace CSV (header ``vehicle_id,t,x,y,speed``), rows in any order.
 
-    Where the stream can seek back to where it starts, _read_chunks reads
-    it first; if that gives up, or the stream cannot seek back (it is not
-    seekable, or ``tell`` fails, as it does on a text file iterated with
-    ``next``), _read_rows reads it from the start.  Either way the table,
-    or the error and the line it names, is the row-by-row reader's.
+    The stream is read once, from where it stands, by csvio.read_columns.
+    Each chunk's new ids get check_id and its rows the rules of
+    _check_sample, as array masks; the first bad row names its line, as in
+    ``line 7: negative speed -2.0``, before any later line is parsed.  A
+    repeated sample, found with the 1 Hz gaps by _trace_table's one
+    lexsort, is named only where no line has another error.
     """
-    try:
-        start = stream.tell() if stream.seekable() else None
-    except OSError:
-        start = None
-    if start is not None:
-        try:
-            return _read_chunks(stream)
-        except (ValueError, OverflowError, ValidationError):
-            stream.seek(start)
-    return _read_rows(stream)
+    header = stream.readline()
+    if not header:
+        raise ParseError("trace CSV is empty (missing header)")
+    if header not in _TRACE_HEADER_LINES:
+        shown = header.removesuffix("\r\n").removesuffix("\n")
+        raise ParseError(f"bad trace CSV header: {shown!r}")
+    known: set[str] = set()  # ids that passed check_id
+    lines = RowLines()
+
+    def check(columns: list, start: int) -> None:
+        vid, t, x, y, speed = columns
+        bad = ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(speed)) | (t < 0) | (speed < 0)
+        first = int(bad.argmax()) if bad.any() else len(vid)
+        new = set(vid).difference(known)
+        for value in new:
+            try:
+                check_id(value, "", "")
+            except ValidationError:
+                first = min(first, vid.index(value))
+        if first < len(vid):
+            where = f"line {lines(start + first)}"
+            check_id(vid[first], where, "vehicle_id")
+            _check_sample(where, *(column[first].item() for column in (t, x, y, speed)))
+        known.update(new)
+
+    vid, t, x, y, speed = read_columns(stream, _TRACE_CONVERTERS, check, lines)
+    return _trace_table(*id_codes(vid), t, x, y, speed, lines)
 
 
 def emit_trace_csv(traces: TraceTable, stream: IO[str]) -> None:
@@ -588,19 +562,3 @@ def parse_fcd_xml(stream: IO) -> TraceTable:
                 yield path, vid, t, x, y, speed
 
     return _checked_table(samples())
-
-
-def speed_distribution(traces: TraceTable, bin_width: float) -> dict[float, float]:
-    """Histogram of all sample speeds: bin lower edge -> probability."""
-    if not (math.isfinite(bin_width) and bin_width > 0):
-        raise ConfigError(f"bin_width must be a positive finite number, got {bin_width!r}")
-    counts: dict[float, int] = {}
-    for speed in traces.speed.tolist():
-        if not math.isfinite(speed / bin_width):
-            raise ConfigError(f"bin_width {bin_width!r} is too small for speed {speed!r}")
-        edge = math.floor(speed / bin_width) * bin_width
-        counts[edge] = counts.get(edge, 0) + 1
-    total = len(traces)
-    if total == 0:
-        raise ValidationError("cannot build a speed distribution from empty traces")
-    return {edge: counts[edge] / total for edge in sorted(counts)}

@@ -8,12 +8,12 @@ are the physical heights minus 1 m.  SNR follows the additive link budget
 
 with every term in dB/dBm.  All functions here are pure.  Each formula is
 written once and works on arrays: breakpoint_distance, and the path loss
-and SNR in _link_budget.  path_loss_b1 and snr on one element, and
-best_link and link_snrs on arrays, evaluate them with math's hypot and
-log10 per element; the screen_links association screen evaluates them with
-numpy's, and best_link decides the rows the screen cannot.
-The scalar formulas as first written are kept in tests/scalar_models.py,
-the independent oracle these functions are checked against bit for bit.
+and SNR in _link_budget.  best_link and link_snrs evaluate them with
+math's hypot and log10 per element; the screen_links association screen
+evaluates them with numpy's, and best_link decides the rows the screen
+cannot.  The scalar formulas as first written are kept in
+tests/scalar_models.py, the independent oracle these functions are checked
+against bit for bit.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO, NamedTuple, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .csvio import check_id, records
+from .csvio import check_id
 from .errors import ConfigError, ParseError, ValidationError, check_finite
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
@@ -76,14 +76,6 @@ class LinkBudgetConfig:
         check_finite(self, "link.")
 
 
-class LinkSample(NamedTuple):
-    """Link-budget evaluation for one vehicle-station pair."""
-
-    distance: float
-    path_loss: float
-    snr: float
-
-
 def _per_element(fn):
     """fn applied by Python to each element of float64 arrays of one length."""
     return lambda *a: np.fromiter(map(fn, *map(np.ndarray.tolist, a)), np.float64, len(a[0]))
@@ -102,32 +94,6 @@ def breakpoint_distance(cfg: LinkBudgetConfig, bs_height: float = 10.0) -> float
     if np.any(h_bs <= 0) or h_ue <= 0:
         raise ConfigError("antenna heights must exceed 1 m")
     return 4.0 * h_bs * h_ue * cfg.carrier_freq_ghz * 1e9 / SPEED_OF_LIGHT
-
-
-def path_loss_b1(distance: float, cfg: LinkBudgetConfig, bs_height: float = 10.0) -> float:
-    """WINNER-II B1 LOS path loss in dB at the given 2-D distance.
-
-    Below the breakpoint: PL = 22.7 log10(d) + 41.0 + 20 log10(f/5GHz).
-    Beyond it:  PL = 40 log10(d) + 9.45 - 17.3 log10(h'_bs)
-                - 17.3 log10(h'_ue) + 2.7 log10(f/5GHz).
-    Distances under 10 m are clamped to 10 m.
-    """
-    d_bp, log_h_bs = _height_terms(np.array([bs_height], dtype=np.float64), cfg)
-    with np.errstate(all="ignore"):
-        _, b1, _, _ = _link_budget(np.array([distance]), 0.0, d_bp, log_h_bs, cfg, _LOG10)
-    return b1.item()
-
-
-def snr(
-    vehicle_pos: tuple[float, float], station: BaseStation, cfg: LinkBudgetConfig
-) -> LinkSample:
-    """Distance, total path loss and uplink SNR for one vehicle-station pair.
-
-    The reported path loss includes the configured extra_loss_db offset, so
-    the budget identity holds exactly against the reported value.
-    """
-    links = _serving_links(np.array([vehicle_pos], dtype=np.float64), [0], [station], cfg)
-    return LinkSample(*(a.item() for a in links))
 
 
 def best_link(
@@ -239,25 +205,40 @@ def link_snrs(
     stations: Sequence[BaseStation],
     cfg: LinkBudgetConfig,
 ) -> np.ndarray:
-    """snr(position, stations[serving]).snr of every row."""
+    """The SNR of each row's link to stations[serving], as best_link computes it."""
     return _serving_links(positions, serving, stations, cfg)[2]
 
 
 STATION_CSV_FIELDS = ("station_id", "x", "y", "antenna_gain", "height")
 
 
+def _records(reader) -> Iterator[tuple[int, list[str]]]:
+    """Each csv.reader record after the line it starts on (a quoted field may hold line breaks).
+
+    A record csv.reader cannot read, such as one with a field longer than
+    csv.field_size_limit(), raises ParseError naming that line.
+    """
+    lineno = reader.line_num + 1
+    try:
+        for row in reader:
+            yield lineno, row
+            lineno = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+
+
 def parse_stations_csv(stream: IO[str]) -> list[BaseStation]:
     """Read base stations from CSV; gain and height columns are optional."""
-    reader = csv.reader(stream)
+    records = _records(csv.reader(stream))
     try:
-        header = [h.strip() for h in next(reader)]
+        header = [h.strip() for h in next(records)[1]]
     except StopIteration:
         raise ParseError("station CSV is empty (missing header)") from None
     if tuple(header) != STATION_CSV_FIELDS[: len(header)] or len(header) < 3:
         raise ParseError(f"bad station CSV header: {','.join(header)!r}")
     stations: list[BaseStation] = []
     seen: set[str] = set()
-    for lineno, row in records(reader):
+    for lineno, row in records:
         if not row:
             continue
         if len(row) != len(header):

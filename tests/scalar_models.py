@@ -11,17 +11,19 @@ the kernels do not compare the code with itself.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from car2cloud.errors import ConfigError
 from car2cloud.linkrate import RbRateParams
-from car2cloud.radio import (
-    MIN_MODEL_DISTANCE,
-    SPEED_OF_LIGHT,
-    BaseStation,
-    LinkBudgetConfig,
-    LinkSample,
-)
+from car2cloud.radio import MIN_MODEL_DISTANCE, SPEED_OF_LIGHT, BaseStation, LinkBudgetConfig
+
+
+class LinkSample(NamedTuple):
+    """Link-budget evaluation for one vehicle-station pair."""
+
+    distance: float
+    path_loss: float
+    snr: float
 
 
 def breakpoint_distance(cfg: LinkBudgetConfig, bs_height: float = 10.0) -> float:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from car2cloud import analysis, cli, cvim, engine, linkrate, mobility, radio, scheduler
+from speed_histogram import speed_distribution
 
 SEED = 42
 STATIONS = [radio.BaseStation(f"bs{i}", 1000.0 + 2000.0 * i, 25.0) for i in range(5)]
@@ -170,13 +171,14 @@ def test_limited_rb_percentiles(runs):
 
 def test_link_budget_oracle():
     cfg = radio.LinkBudgetConfig()
-    sample = radio.snr((100.0, 0.0), radio.BaseStation("o", 0.0, 0.0), cfg)
+    station = radio.BaseStation("o", 0.0, 0.0)
+    snr = radio.link_snrs(np.array([[100.0, 0.0]]), np.zeros(1, np.int64), [station], cfg).item()
     d_bp = radio.breakpoint_distance(cfg, 10.0)
-    ok = abs(sample.snr - 55.474) <= 0.001 and abs(d_bp - 108.0) <= 0.1
+    ok = abs(snr - 55.474) <= 0.001 and abs(d_bp - 108.0) <= 0.1
     report(
         "link-budget-oracle",
         ok,
-        f"snr(100m) {sample.snr:.4f} dB, breakpoint {d_bp:.2f} m",
+        f"snr(100m) {snr:.4f} dB, breakpoint {d_bp:.2f} m",
     )
 
 
@@ -320,8 +322,8 @@ def test_mobility_safety(runs):
             for rear, front in zip(positions, positions[1:]):
                 if rear + params.min_gap > front - params.veh_length + 1e-9:
                     collisions += 1
-    hist_free = mobility.speed_distribution(runs["free_flow"].traces, 2.0)
-    hist_jam = mobility.speed_distribution(runs["traffic_jam"].traces, 2.0)
+    hist_free = speed_distribution(runs["free_flow"].traces, 2.0)
+    hist_jam = speed_distribution(runs["traffic_jam"].traces, 2.0)
 
     def mass_below(hist, threshold):
         return sum(p for edge, p in hist.items() if edge < threshold)

@@ -1,3 +1,4 @@
+import csv
 import errno
 import hashlib
 import json
@@ -599,6 +600,42 @@ def test_station_file_without_stations_exits_3(tmp_path, monkeypatch, capsys, st
     assert main(COMMANDS["simulate"]) == 3
     assert capsys.readouterr().err == "input error: station CSV holds no stations\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_station_field_beyond_the_csv_field_limit_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    limit = csv.field_size_limit()
+    _write_inputs(tmp_path, **{"stations.csv": f"station_id,x,y\nbs0,{'0' * (limit + 1)},25\n"})
+    assert main(COMMANDS["simulate"]) == 3
+    assert capsys.readouterr().err == (
+        f"input error: line 2: field larger than field limit ({limit})\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "traces, message",
+    [
+        ('vehicle_id,t,x,y,speed\nv1,0,0,0,1\n"v1",1,1,0,1\n',
+         """line 3: vehicle_id '"v1"' contains a comma, quote or line break"""),
+        ("vehicle_id, t, x, y, speed\nv1,0,0,0,1\n",
+         "bad trace CSV header: 'vehicle_id, t, x, y, speed'"),
+    ],
+    ids=["quoted id", "padded header"],
+)
+def test_trace_with_a_quoted_id_or_a_padded_header_exits_3(tmp_path, monkeypatch, capsys, traces, message):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path, **{"traces.csv": traces})
+    assert main(COMMANDS["simulate"]) == 3
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_trace_line_beyond_the_csv_field_limit_simulates(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    long_zero = "0." + "0" * csv.field_size_limit()
+    _write_inputs(tmp_path, **{"traces.csv": f"vehicle_id,t,x,y,speed\nv1,0,{long_zero},0,1\n"})
+    assert main(COMMANDS["simulate"]) == 0
+    assert (tmp_path / "out" / "results.csv").read_text().startswith(f"{RESULTS_HEADER}0,v1,bs0,")
 
 
 RING_CFG = """

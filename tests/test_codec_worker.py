@@ -24,7 +24,7 @@ import trace_csv_oracle
 from car2cloud import analysis, cli, csvio, engine
 from car2cloud.csvio import READ_CHUNK_BYTES
 from car2cloud.engine import TickTable
-from car2cloud.errors import ParseError
+from car2cloud.errors import ParseError, ValidationError
 from car2cloud.mobility import emit_trace_csv, parse_trace_csv
 from test_convert_column import fast_path_only
 from test_engine import MANY as RESULT_LINES
@@ -128,8 +128,8 @@ def test_a_gate_token_sends_only_its_chunks_column_field_by_field(name, token):
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda line: line.replace(",0.0,", ",north,"),  # a ParseError, read row by row
-        lambda line: '"' + line.replace(",", '",', 1),  # quoted: accepted by csv.reader
+        lambda line: line.replace(",0.0,", ",north,"),  # a ParseError, as the row reader's
+        lambda line: '"' + line.replace(",", '",', 1),  # a quote is data: a bad id
     ],
     ids=["bad float", "quoted id"],
 )
@@ -140,8 +140,12 @@ def test_parse_trace_csv_restarts_from_either_process(cpus, chunk, edit):
     bad = chunk_starts(lines)[chunk] + 701
     lines[bad] = edit(lines[bad])
     text = HEADER + "".join(lines)
-    expected = outcome(trace_csv_oracle.parse_trace_csv, text)
-    assert outcome(parse_trace_csv, text) == expected
+    vid = lines[bad].split(",")[0]
+    if vid.startswith('"'):
+        message = f"line {bad + 2}: vehicle_id {vid!r} contains a comma, quote or line break"
+        assert outcome(parse_trace_csv, text) == (ValidationError, message)
+    else:
+        assert outcome(parse_trace_csv, text) == outcome(trace_csv_oracle.parse_trace_csv, text)
 
 
 RING = (

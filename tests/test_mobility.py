@@ -24,9 +24,9 @@ from car2cloud.mobility import (
     krauss_step,
     parse_fcd_xml,
     parse_trace_csv,
-    speed_distribution,
 )
 from same_text import assert_same_text
+from speed_histogram import speed_distribution
 from trace_rows import trace_table
 
 PARAMS = KraussParams()
@@ -572,10 +572,11 @@ def test_parse_trace_csv_rejects_delimiters_in_id(vid):
 
 
 def test_parse_trace_csv_counts_line_breaks_inside_quotes():
+    # A quote is data, so a line break inside quotes ends the line.
     data = 'vehicle_id,t,x,y,speed\na,0,"1\n",0,1\na,1,2,0,1\na,2,oops,0,1\n'
     with pytest.raises(ParseError) as err:
         parse_trace_csv(io.StringIO(data))
-    assert str(err.value) == "line 5: could not convert string to float: 'oops'"
+    assert str(err.value) == "line 2: expected 5 fields, got 3"
 
 
 @pytest.mark.parametrize("vid", ["a,b", "a&quot;b", "a&#10;b"])
@@ -602,13 +603,13 @@ def test_parse_fcd_xml_rejects_empty_id():
 
 def test_parse_trace_csv_checks_an_id_where_it_first_appears():
     # The bad id first appears after rows of good ids, and then again.
-    rows = ["ok,0,0,0,1", "ok,1,1,0,1", '"a,b",5,0,0,1', "ok,2,2,0,1", '"a,b",6,1,0,1']
+    rows = ["ok,0,0,0,1", "ok,1,1,0,1", 'a"b,5,0,0,1', "ok,2,2,0,1", 'a"b,6,1,0,1']
     data = "vehicle_id,t,x,y,speed\n" + "\n".join(rows) + "\n"
     with pytest.raises(ValidationError) as err:
         parse_trace_csv(io.StringIO(data))
-    assert str(err.value) == "line 4: vehicle_id 'a,b' contains a comma, quote or line break"
+    assert str(err.value) == """line 4: vehicle_id 'a"b' contains a comma, quote or line break"""
     # A row that does not convert is reported before the id it holds.
-    rows[2] = '"a,b",5,east,0,1'
+    rows[2] = 'a"b,5,east,0,1'
     data = "vehicle_id,t,x,y,speed\n" + "\n".join(rows) + "\n"
     with pytest.raises(ParseError) as err:
         parse_trace_csv(io.StringIO(data))

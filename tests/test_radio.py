@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from car2cloud import radio
 from car2cloud.engine import SimConfig, run
 from car2cloud.errors import ConfigError, ParseError, ValidationError
 from car2cloud.radio import (
@@ -16,11 +17,10 @@ from car2cloud.radio import (
     breakpoint_distance,
     link_snrs,
     parse_stations_csv,
-    path_loss_b1,
     screen_links,
-    snr,
 )
 import scalar_models as oracle
+from scalar_models import LinkSample
 from trace_rows import trace_table
 
 CFG = LinkBudgetConfig()
@@ -29,6 +29,26 @@ CFG = LinkBudgetConfig()
 def bits(values) -> bytes:
     """The IEEE bytes of a sequence of floats, so that NaNs and signed zeros compare too."""
     return np.array(values, dtype=np.float64).tobytes()
+
+
+def path_loss_b1(distance: float, cfg: LinkBudgetConfig, bs_height: float = 10.0) -> float:
+    """The B1 path loss of radio._link_budget on one distance, with math's log10."""
+    d_bp, log_h_bs = radio._height_terms(np.array([bs_height], dtype=np.float64), cfg)
+    with np.errstate(all="ignore"):
+        _, b1, _, _ = radio._link_budget(np.array([distance]), 0.0, d_bp, log_h_bs, cfg, radio._LOG10)
+    return b1.item()
+
+
+def snr(position, station: BaseStation, cfg: LinkBudgetConfig) -> LinkSample:
+    """Distance, total path loss and SNR of one position's link to station.
+
+    The array code link_snrs runs, on one row; its SNR is link_snrs's.
+    """
+    positions = np.array([position], dtype=np.float64)
+    links = radio._serving_links(positions, np.zeros(1, dtype=np.int64), [station], cfg)
+    sample = LinkSample(*(a.item() for a in links))
+    assert bits([sample.snr]) == link_snrs(positions, np.zeros(1, dtype=np.int64), [station], cfg).tobytes()
+    return sample
 
 
 def test_breakpoint_distance_default():
@@ -409,9 +429,9 @@ def test_link_snrs_match_snr_on_a_dense_sweep():
 @settings(max_examples=200, deadline=None)
 @given(layouts(), st.data())
 def test_scalar_functions_match_the_oracle_bit_for_bit(layout, data):
-    """snr, path_loss_b1 and breakpoint_distance run the array link budget
-    on one element, and best_link on all positions at once, for the list in
-    either order; the oracle is the scalar formula."""
+    """The array link budget on one element (link_snrs's SNR, _link_budget's
+    B1 path loss) and breakpoint_distance, and best_link on all positions
+    at once, for the list in either order; the oracle is the scalar formula."""
     stations, positions, cfg = layout
     for station in stations:
         d_bp = breakpoint_distance(cfg, station.height)

