@@ -66,7 +66,7 @@ def _cmd_gen_traces(args: argparse.Namespace) -> int:
     traces = mobility.generate_traces(config.road_spec(), config.krauss)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         mobility.emit_trace_csv(traces, fh)
-    print(f"wrote {len(set(traces.vehicle_id))} traces to {args.out}", file=sys.stderr)
+    print(f"wrote {len(traces.vehicle_id.names)} traces to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -121,8 +121,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         bad = np.flatnonzero(~np.isfinite(table.rate_bps))
         if bad.size:
             row = bad[0]
+            names, codes = table.vehicle_id
             raise ValidationError(
-                f"results file {path}: vehicle {table.vehicle_id[row]!r} at t={table.t[row]}: "
+                f"results file {path}: vehicle {names[codes[row]]!r} at t={table.t[row]}: "
                 f"rate {float(table.rate_bps[row])!r} bit/s is not finite"
             )
         rates = analysis.sorted_rates(table.rate_bps)

@@ -245,10 +245,13 @@ def write_columns(stream: IO[str], header: str, columns: Sequence) -> None:
     """Write the header line, then the rows of columns, WRITE_CHUNK_ROWS rows per write.
 
     Each column is an int64 or float64 array, written as column_text writes
-    it, or a list of str, written as it is.
+    it, or a list or object array of str, written as it is.
     """
     stream.write(header + "\n")
     for lo in range(0, len(columns[0]), WRITE_CHUNK_ROWS):
         rows = slice(lo, lo + WRITE_CHUNK_ROWS)
-        texts = [column_text(c[rows]) if isinstance(c, np.ndarray) else c[rows] for c in columns]
+        texts = [
+            column_text(c[rows]) if isinstance(c, np.ndarray) and c.dtype != object else c[rows]
+            for c in columns
+        ]
         stream.write("\n".join(map(",".join, zip(*texts))) + "\n")

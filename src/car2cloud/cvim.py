@@ -37,7 +37,6 @@ import numpy as np
 
 from .csvio import INT64_BOUND
 from .errors import ConfigError, ValidationError
-from .mobility import id_codes
 
 if TYPE_CHECKING:
     from .engine import TickTable
@@ -453,8 +452,8 @@ def count_packages_per_cell(table: TickTable) -> dict[str, float]:
     """
     if not len(table):
         raise ValidationError("no tick results: nothing ever traversed a cell")
-    _, vehicle = id_codes(table.vehicle_id)
-    station_ids, station = id_codes(table.serving_station)
+    vehicle = table.vehicle_id.codes
+    station_ids, station = table.serving_station
     # Rows by vehicle, then tick; a stable sort keeps repeated ticks in order.
     order = np.lexsort((table.t, vehicle))
     vehicle, station, t = vehicle[order], station[order], table.t[order]

@@ -1,11 +1,12 @@
 """Per-second simulation of every trace sample, and its file interfaces.
 
 The traces come in as one mobility.TraceTable, whose rows one lexsort puts
-in (tick, vehicle id) order.  run computes each results column for all rows
-with array kernels that give the scalar formulas' bits:
+in (tick, vehicle id) order; its vehicle id codes are the results' too.
+run computes each results column for all rows with array kernels that give
+the scalar formulas' bits:
 
 - per block of rows, the station, SNR and block rate: a numpy screen
-  (radio.screen_links) picks each vehicle's best-SNR station, leaving its
+  (radio.screen_links) ranks the stations for each vehicle, leaving its
   unsure rows to one radio.best_link call; radio.link_snrs gives the SNR
   and linkrate.rb_rates one block's rate;
 - scheduler.rr_shares: the vehicle's Round-Robin share of its cell's
@@ -17,11 +18,13 @@ with array kernels that give the scalar formulas' bits:
 numpy's + - * / and comparisons round exactly as Python's float operations
 do, so the kernels follow the scalar code's operation order on arrays; only
 the transcendental functions (math.hypot, math.log10, ** and math.log2) run
-in Python per element, as numpy's may differ in the last ulp.  The queues are
-the only causal state, and they hold package sizes only; no output reads
-package contents.  All outputs are byte-identical across runs with equal
-inputs.  Results travel as one column table, TickTable, from run through
-the results CSV, written and read with the csvio codec, to the analysis.
+in Python per element, as numpy's may differ in the last ulp, and only where
+an output sees them.  The queues are the only causal state, and they hold
+package sizes only; no output reads package contents.  All outputs are
+byte-identical across runs with equal inputs.  Results travel as one column
+table, TickTable, from run through the results CSV, written and read with
+the csvio codec, to the analysis; its ids travel as codes, turned back into
+ids only by the writers and the error messages.
 
 Config files are flat ``section.key = value`` text; unknown keys are
 rejected outright so typos cannot silently fall back to defaults.
@@ -43,7 +46,7 @@ from .csvio import INT64_BOUND, read_columns, write_columns
 from .cvim import PackagingConfig
 from .errors import ConfigError, ParseError, ValidationError
 from .linkrate import RbRateParams, rb_rates
-from .mobility import KraussParams, RoadSpec, TraceTable, id_codes
+from .mobility import IdCodes, KraussParams, RoadSpec, TraceTable, id_codes
 from .radio import BaseStation, LinkBudgetConfig, best_link, link_snrs, screen_links
 
 RESULTS_CSV_HEADER = (
@@ -66,13 +69,13 @@ class TickTable:
     """Every vehicle's communication outcome in every second, as columns.
 
     One column per RESULTS_CSV_HEADER field, all of one length: int64
-    arrays for the counts, float64 arrays for the radio values and lists
-    of str for the ids.  Row i is the i-th entry of every column.
+    arrays for the counts, float64 arrays for the radio values and
+    mobility.IdCodes for the ids.  Row i is the i-th entry of every column.
     """
 
     t: np.ndarray
-    vehicle_id: list[str]
-    serving_station: list[str]
+    vehicle_id: IdCodes
+    serving_station: IdCodes
     snr_db: np.ndarray
     rb_share: np.ndarray
     rate_bps: np.ndarray
@@ -81,7 +84,7 @@ class TickTable:
     queue_bytes: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.vehicle_id)
+        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -228,7 +231,7 @@ def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) 
         raise ConfigError("simulation needs at least one base station")
     pkg_cfg = config.packaging
 
-    names, vehicle = id_codes(traces.vehicle_id)
+    names, vehicle = traces.vehicle_id
     order = np.lexsort((vehicle, traces.t))
     ticks, vehicle = traces.t[order], vehicle[order]
     state = np.column_stack((traces.x, traces.y, traces.speed))[order]
@@ -258,11 +261,12 @@ def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) 
     # The shares' and the drain's whole-table temporaries need not stack on
     # the trace state.
     order = state = finite = positions = None
-    station_ids = [s.station_id for s in stations]
-    _, cell = id_codes(station_ids)
-    shares = scheduler.rr_shares(
-        ticks, cell[serving], config.effective_n_rb, config.scheduler_mode
-    )
+    # A cell is a station id; the ids that serve no row are left out.
+    hits = np.bincount(serving, minlength=len(stations)).tolist()
+    cells = sorted({s.station_id for s, hit in zip(stations, hits) if hit})
+    index = {sid: i for i, sid in enumerate(cells)}
+    cell = np.array([index.get(s.station_id, -1) for s in stations], dtype=np.int64)[serving]
+    shares = scheduler.rr_shares(ticks, cell, config.effective_n_rb, config.scheduler_mode)
     with np.errstate(all="ignore"):
         np.multiply(shares, rates, out=rates)
     # A one-second tick's capacity is int(rate) bits, which must exist.  No
@@ -320,8 +324,8 @@ def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) 
     sent[by_vehicle], queued[by_vehicle] = bits, left
     return TickTable(
         t=ticks,
-        vehicle_id=list(map(names.__getitem__, vehicle.tolist())),
-        serving_station=list(map(station_ids.__getitem__, serving.tolist())),
+        vehicle_id=IdCodes(names, vehicle),
+        serving_station=IdCodes(cells, cell),
         snr_db=snr_db,
         rb_share=shares,
         rate_bps=rates,
@@ -334,29 +338,28 @@ def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) 
 def write_results_csv(table: TickTable, stream: IO[str]) -> None:
     """Write the table as results CSV, with csvio.write_columns."""
     columns = [getattr(table, name) for name in RESULTS_CSV_HEADER.split(",")]
+    columns[1:3] = table.vehicle_id.ids(), table.serving_station.ids()
     write_columns(stream, RESULTS_CSV_HEADER, columns)
 
 
 def read_results_csv(stream: IO[str]) -> TickTable:
     """Read a results CSV written by write_results_csv, with csvio.read_columns.
 
-    Lines may end in LF or CRLF.
+    Lines may end in LF or CRLF.  Each id column is coded once, by id_codes.
     """
     header = stream.readline()
     if header not in (RESULTS_CSV_HEADER, RESULTS_CSV_HEADER + "\n", RESULTS_CSV_HEADER + "\r\n"):
         raise ParseError("bad results header: " + repr(header.rstrip("\n")))
-    return TickTable(*read_columns(stream, _CONVERTERS))
+    t, vehicle, station, *counts = read_columns(stream, _CONVERTERS)
+    return TickTable(t, id_codes(vehicle), id_codes(station), *counts)
 
 
-def undelivered_bytes(
-    table: TickTable, codes: tuple[list[str], np.ndarray] | None = None
-) -> dict[str, int]:
+def undelivered_bytes(table: TickTable) -> dict[str, int]:
     """Bytes still queued at each vehicle's final tick (departed unsent).
 
     Of rows with a vehicle's final tick, the first in row order counts.
-    codes is id_codes of the table's vehicle ids, if the caller has it.
     """
-    names, vehicle = codes or id_codes(table.vehicle_id)
+    names, vehicle = table.vehicle_id
     final = np.full(len(names), np.iinfo(np.int64).min)
     np.maximum.at(final, vehicle, table.t)
     at_final = np.flatnonzero(table.t == final[vehicle])
@@ -381,18 +384,17 @@ def summarize(config: SimConfig, table: TickTable) -> dict:
     depends on order; a sum that overflows gives the mean 'inf'.
     """
     n = len(table)
-    codes = id_codes(table.vehicle_id)
     return {
         "scenario_label": config.scenario_label,
         "seed": config.seed,
         "config": config_echo(config),
-        "n_vehicles": len(codes[0]),
+        "n_vehicles": len(table.vehicle_id.names),
         "n_ticks": len(np.unique(table.t)),
         "n_rows": n,
         "mean_rate_bps": json_float(float_total(table.rate_bps) / n if n else 0.0),
         "total_bits_sent": int_total(table.bits_sent),
         "total_packages_generated": int_total(table.packages_generated),
-        "undelivered_bytes": undelivered_bytes(table, codes),
+        "undelivered_bytes": undelivered_bytes(table),
     }
 
 

@@ -13,9 +13,10 @@ the largest double (SNR above about 3082 dB) it counts as infinite, so the
 efficiency is eta_max.
 
 The formula is written once, in rb_rates; rb_rate evaluates it on one
-pair.  The scalar formula as first written is kept in
-tests/scalar_models.py as the independent oracle both are checked against
-bit for bit.
+pair.  rb_rates evaluates the power and log2 only where they decide the
+rate: between snr_min and the SNR above which the efficiency is eta_max.
+The scalar formula as first written is kept in tests/scalar_models.py as
+the independent oracle both are checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -65,6 +66,24 @@ def rb_rate(snr_db: float, speed: float, params: RbRateParams | None = None) -> 
     return float(rb_rates(*pair, params)[0])
 
 
+def _ceiling_db(p: RbRateParams) -> float:
+    """An SNR in dB above which the efficiency is eta_max, or inf where none is known.
+
+    beta * log2(1 + snr_lin) reaches eta_max at snr_lin = 2**(eta_max/beta) - 1;
+    1e-6 dB above that, far beyond any rounding of the chain, the min in the
+    module docstring keeps eta_max.  The ceiling is kept only if the
+    formula itself saturates there.  It is inf where the power overflows or
+    the log's argument is not positive.
+    """
+    try:
+        ceiling = 10.0 * math.log10(2.0 ** (p.eta_max / p.attenuation_beta) - 1.0) + 1e-6
+    except (OverflowError, ValueError):
+        return math.inf
+    if p.attenuation_beta * math.log2(1.0 + _snr_linear(ceiling / 10.0)) < p.eta_max:
+        return math.inf
+    return ceiling
+
+
 def rb_rates(
     snr_db: np.ndarray, speed: np.ndarray, params: RbRateParams | None = None
 ) -> np.ndarray:
@@ -72,16 +91,23 @@ def rb_rates(
 
     numpy's + - * / and comparisons round as Python's float operations do;
     the power and log2 go through Python per element, as numpy's may differ
-    from math's in the last ulp.  Python's min(a, b) is a unless b < a,
-    which np.where repeats.
+    from math's in the last ulp.  They run only on the rows whose outcome
+    they decide: not below snr_min_db, where the rate is 0, nor above
+    _ceiling_db, where the efficiency is eta_max.  NaN rows are neither.
+    Python's min(a, b) is a unless b < a, which np.where repeats.
     """
     p = params or RbRateParams()
     with np.errstate(all="ignore"):
-        snr_lin = np.fromiter(map(_snr_linear, (snr_db / 10.0).tolist()), np.float64, len(snr_db))
-        shannon = p.attenuation_beta * np.fromiter(
-            map(math.log2, (1.0 + snr_lin).tolist()), np.float64, len(snr_db)
-        )
-        efficiency = np.where(p.eta_max < shannon, p.eta_max, shannon)
+        outage = snr_db < p.snr_min_db
+        exact = np.flatnonzero(~(outage | (snr_db > _ceiling_db(p))))
+        efficiency = np.full(len(snr_db), p.eta_max)
+        if exact.size:
+            tenths = (snr_db[exact] / 10.0).tolist()
+            snr_lin = np.fromiter(map(_snr_linear, tenths), np.float64, len(tenths))
+            shannon = p.attenuation_beta * np.fromiter(
+                map(math.log2, (1.0 + snr_lin).tolist()), np.float64, len(tenths)
+            )
+            efficiency[exact] = np.where(p.eta_max < shannon, p.eta_max, shannon)
         slow = np.where(p.v_ref < speed, p.v_ref, speed)
         penalty = 1.0 - p.speed_penalty_at_vmax * slow / p.v_ref
-        return np.where(snr_db < p.snr_min_db, 0.0, efficiency * p.rb_bandwidth_hz * penalty)
+        return np.where(outage, 0.0, efficiency * p.rb_bandwidth_hz * penalty)

@@ -5,20 +5,23 @@ one of three sources: an external trace CSV, a SUMO floating-car-data XML
 export, or the built-in car-following generator.  Every source yields one
 TraceTable: id, tick, x, y and speed columns with rows by vehicle id, then
 tick, which emit_trace_csv writes in that order and engine.run takes as is.
+Ids are coded once, where they arrive as strings (id_codes): a table holds
+each id column as IdCodes, and writers turn the codes back into ids.
 A trace CSV is read once, in chunks, by csvio.read_columns, with the
 sample rules as array masks; an error names the first bad line, and a
-quote or a line break inside a line is data.  Synthetic roads are either a straight strip along the x axis (vehicles
-injected at the origin) or a ring mapped onto a circle in the plane, so
-radio distances are always well defined.
+quote or a line break inside a line is data.  In both trace readers a
+repeated sample is named only where no sample breaks a rule.  Synthetic
+roads are either a straight strip along the x axis (vehicles injected at
+the origin) or a ring mapped onto a circle in the plane, so radio
+distances are always well defined.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,44 +44,58 @@ SPEED_FACTOR_MIN = 0.7
 SPEED_FACTOR_MAX = 1.3
 
 
+class IdCodes(NamedTuple):
+    """An id column: the sorted distinct ids, each used by some row, and each
+    row's index among them, as id_codes gives them."""
+
+    names: list[str]
+    codes: np.ndarray  # int64
+
+    def ids(self) -> np.ndarray:
+        """Each row's id, as an object array, by one gather."""
+        return np.array(self.names, dtype=object)[self.codes]
+
+
 @dataclass(frozen=True, eq=False)
 class TraceTable:
     """1 Hz samples of (x, y, speed) of every vehicle, as columns.
 
-    ``vehicle_id`` is a list of str holding one shared object per vehicle,
-    ``t`` an int64 array and ``x``, ``y`` and ``speed`` float64 arrays, all
-    of one length; row i is the i-th entry of every column.  Producers give
-    rows in canonical order: by vehicle id string, then by tick, with each
-    vehicle's ticks consecutive.
+    ``vehicle_id`` is IdCodes, ``t`` an int64 array and ``x``, ``y`` and
+    ``speed`` float64 arrays, all of one length; row i is the i-th entry of
+    every column.  Producers give rows in canonical order: by vehicle id
+    string, then by tick, with each vehicle's ticks consecutive.
     """
 
-    vehicle_id: list[str]
+    vehicle_id: IdCodes
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
     speed: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.vehicle_id)
+        return len(self.t)
 
 
-def id_codes(ids: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """The sorted distinct ids, and each id's index among them."""
+def id_codes(ids: Sequence[str]) -> IdCodes:
+    """The ids coded: the sorted distinct ids, and each id's index among them."""
     distinct = sorted(set(ids))
     index = {value: i for i, value in enumerate(distinct)}
-    return distinct, np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+    return IdCodes(
+        distinct, np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+    )
 
 
 def _trace_table(
-    names: list[str], code: np.ndarray, t, x, y, speed, line: Callable[[int], int] | None = None
+    names: list[str], code: np.ndarray, t, x, y, speed, where: Callable[[int], str] | None = None
 ) -> TraceTable:
     """Samples of vehicles names[code] as a table in canonical order.
 
     ``t``, ``x``, ``y`` and ``speed`` are sequences or arrays, row for row
-    with ``code``.  A repeated sample names, by ``line`` of its row index,
-    the first row in input order that repeats an earlier one; only rows
-    read from a file, which ``line`` numbers, can repeat.  Then a 1 Hz gap
-    names the smallest vehicle id that has one, and its first gap.
+    with ``code``, and every name has a row.  A repeated sample names, by
+    ``where`` of its row index (``line 7``, or an FCD element's path), the
+    first row in input order that repeats an earlier one; only rows read
+    from a file, which ``where`` names, can repeat.  Then a 1 Hz gap names
+    the smallest vehicle id that has one, and its first gap.
     """
     t = np.asarray(t, dtype=np.int64)
     order = np.lexsort((t, code))
@@ -92,7 +109,7 @@ def _trace_table(
         if repeats.size:
             i = int(repeats.min())
             raise ValidationError(
-                f"line {line(i)}: duplicate sample ({names[code[i]]!r}, t={t[i]})"
+                f"{where(i)}: duplicate sample ({names[code[i]]!r}, t={t[i]})"
             )
         i = int(gaps[0])
         raise ValidationError(
@@ -100,7 +117,7 @@ def _trace_table(
             f"(ticks {sorted_t[i]} -> {sorted_t[i + 1]})"
         )
     x, y, speed = (np.asarray(c, dtype=np.float64)[order] for c in (x, y, speed))
-    return TraceTable(list(map(names.__getitem__, sorted_code.tolist())), sorted_t, x, y, speed)
+    return TraceTable(IdCodes(names, sorted_code), sorted_t, x, y, speed)
 
 
 @dataclass(frozen=True)
@@ -298,9 +315,12 @@ class _Recorder:
         if not self.ticks:
             return _trace_table([], np.zeros(0, dtype=np.int64), [], [], [], [])
         vehicle, t, x, y, speed = map(np.concatenate, zip(*self.ticks))
-        # Vehicle names are unique, so their codes rank them by id string.
-        names, rank = id_codes(self.names.tolist())
-        return _trace_table(names, rank[vehicle], t, x, y, speed)
+        # Vehicle names are unique, so the codes of those recorded rank them by id string.
+        recorded = np.flatnonzero(np.bincount(vehicle, minlength=len(self.names)))
+        names, rank = id_codes(self.names[recorded].tolist())
+        code = np.zeros(len(self.names), dtype=np.int64)
+        code[recorded] = rank
+        return _trace_table(names, code[vehicle], t, x, y, speed)
 
 
 def _vehicle_names(count: int) -> np.ndarray:
@@ -449,23 +469,17 @@ def _checked_table(samples: Iterable[tuple[str, str, int, float, float, float]])
     """The (where, vehicle_id, t, x, y, speed) samples as a table, each checked as it comes.
 
     Ticks are ints no larger than MAX_TICK.  A sample that breaks a rule of
-    _check_sample, or repeats an (id, tick), raises ValidationError starting
-    with where; ids are interned, as csvio.parse_chunk interns them.
+    _check_sample raises ValidationError starting with where.  A repeated
+    (id, tick), found by _trace_table, is named by its where only if no
+    sample breaks a rule, as parse_trace_csv names it.
     """
-    vids, ts, xs, ys, speeds = [], [], [], [], []
-    seen: set[tuple[str, int]] = set()
-    for where, vid, t, x, y, speed in samples:
+    rows = []
+    for sample in samples:
+        where, _, t, x, y, speed = sample
         _check_sample(where, t, x, y, speed)
-        vid = sys.intern(vid)
-        if (vid, t) in seen:
-            raise ValidationError(f"{where}: duplicate sample ({vid!r}, t={t})")
-        seen.add((vid, t))
-        vids.append(vid)
-        ts.append(t)
-        xs.append(x)
-        ys.append(y)
-        speeds.append(speed)
-    return _trace_table(*id_codes(vids), ts, xs, ys, speeds)
+        rows.append(sample)
+    wheres, vids, ts, xs, ys, speeds = map(list, zip(*rows)) if rows else [[]] * 6
+    return _trace_table(*id_codes(vids), ts, xs, ys, speeds, wheres.__getitem__)
 
 
 def parse_trace_csv(stream: IO[str]) -> TraceTable:
@@ -504,14 +518,14 @@ def parse_trace_csv(stream: IO[str]) -> TraceTable:
         known.update(new)
 
     vid, t, x, y, speed = read_columns(stream, _TRACE_CONVERTERS, check, lines)
-    return _trace_table(*id_codes(vid), t, x, y, speed, lines)
+    return _trace_table(*id_codes(vid), t, x, y, speed, lambda i: f"line {lines(i)}")
 
 
 def emit_trace_csv(traces: TraceTable, stream: IO[str]) -> None:
     """Write traces in the canonical CSV schema; round-trips via parse_trace_csv."""
     write_columns(
         stream, ",".join(TRACE_CSV_HEADER),
-        [traces.vehicle_id, traces.t, traces.x, traces.y, traces.speed],
+        [traces.vehicle_id.ids(), traces.t, traces.x, traces.y, traces.speed],
     )
 
 

@@ -9,11 +9,11 @@ are the physical heights minus 1 m.  SNR follows the additive link budget
 with every term in dB/dBm.  All functions here are pure.  Each formula is
 written once and works on arrays: breakpoint_distance, and the path loss
 and SNR in _link_budget.  best_link and link_snrs evaluate them with
-math's hypot and log10 per element; the screen_links association screen
-evaluates them with numpy's, and best_link decides the rows the screen
-cannot.  The scalar formulas as first written are kept in
-tests/scalar_models.py, the independent oracle these functions are checked
-against bit for bit.
+math's hypot and log10 per element.  The screen_links association screen
+evaluates them with numpy's sqrt and log10 only to rank the stations, and
+best_link decides the rows the screen cannot.  The scalar formulas as
+first written are kept in tests/scalar_models.py, the independent oracle
+these functions are checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ SPEED_OF_LIGHT = 3.0e8  # m/s
 # clamped so SNR stays bounded as a vehicle drives past a station.
 MIN_MODEL_DISTANCE = 10.0
 
-# numpy's hypot and log10 may differ from math's in the last ulp, so the
-# vectorised screen leaves rows whose two best SNRs are this close to the
-# exact best_link.  Real ulp errors are around 1e-14 dB.
+# numpy's sqrt(dx*dx + dy*dy) and log10 may differ from math's hypot and
+# log10 in the last ulp, so the vectorised screen leaves rows whose two best
+# SNRs are this close to the exact best_link.  Real ulp errors are around
+# 1e-14 dB.
 SCREEN_TIE_DB = 1e-9
 
 
@@ -172,11 +173,12 @@ def screen_links(
 
     ``stations`` must be in canonical id order, the order best_link walks.
     Returns the screened winner's index into ``stations`` per row and a mask
-    of the rows the screen cannot decide exactly: the two best SNRs lie
-    within SCREEN_TIE_DB, a station sits at the breakpoint distance (where
-    an ulp picks the other B1 slope), or a value is not finite.  Every other
-    row has the same winner as best_link; give the masked rows to best_link
-    in one call, and compute every row's SNR with link_snrs.
+    of the rows the screen cannot decide exactly: more than one station
+    lies within SCREEN_TIE_DB of the best SNR, a station sits at the
+    breakpoint distance (where an ulp picks the other B1 slope), or a value
+    is not finite, as where a squared distance overflows.  Every other row
+    has the same winner as best_link; give the masked rows to best_link in
+    one call, and compute every row's SNR with link_snrs.
 
     A station whose x, y, gain and height repeat an earlier station's is
     left out: its SNR equals that station's everywhere, and best_link keeps
@@ -190,13 +192,17 @@ def screen_links(
     x, y, gain, d_bp, log_h_bs = (terms[distinct] for terms in _station_terms(stations, cfg))
     dx, dy = positions[:, :1] - x, positions[:, 1:2] - y
     with np.errstate(all="ignore"):
-        d, _, _, value = _link_budget(np.hypot(dx, dy), gain, d_bp, log_h_bs, cfg, np.log10)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        d, _, _, value = _link_budget(np.sqrt(dx, out=dx), gain, d_bp, log_h_bs, cfg, np.log10)
         unsure = ~np.isfinite(value).all(axis=1)
         unsure |= (np.abs(d - d_bp) <= 1e-12 * d_bp).any(axis=1)
+        winner = np.argmax(value, axis=1)
         if len(distinct) > 1:
-            top2 = np.partition(value, -2, axis=1)[:, -2:]
-            unsure |= top2[:, 1] - top2[:, 0] <= SCREEN_TIE_DB
-    return distinct[np.argmax(value, axis=1)], unsure
+            top = value[np.arange(len(value)), winner]
+            unsure |= np.count_nonzero(value >= (top - SCREEN_TIE_DB)[:, None], axis=1) > 1
+    return distinct[winner], unsure
 
 
 def link_snrs(

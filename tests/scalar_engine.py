@@ -21,7 +21,7 @@ from car2cloud import cvim, scheduler
 from car2cloud.cvim import TransmitQueue
 from car2cloud.engine import SimConfig, TickTable
 from car2cloud.errors import ConfigError, ValidationError
-from car2cloud.mobility import TraceTable, id_codes
+from car2cloud.mobility import IdCodes, TraceTable, id_codes
 from car2cloud.radio import BaseStation
 from scalar_models import best_link, rb_rate, rr_allocate
 
@@ -38,7 +38,7 @@ def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) 
     n_rb = config.effective_n_rb
     mode = config.scheduler_mode
 
-    names, vehicle = id_codes(traces.vehicle_id)
+    names, vehicle = traces.vehicle_id
     order = np.lexsort((vehicle, traces.t))
     ticks, vehicle = traces.t[order], vehicle[order]
     state = np.column_stack((traces.x, traces.y, traces.speed))[order]
@@ -100,8 +100,8 @@ def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) 
             queued.append(queue.queued_bytes)
     return TickTable(
         t=ticks,
-        vehicle_id=list(map(names.__getitem__, vehicle.tolist())),
-        serving_station=serving,
+        vehicle_id=IdCodes(names, vehicle),
+        serving_station=id_codes(serving),
         snr_db=np.array(snrs, dtype=np.float64),
         rb_share=np.array(rb_shares, dtype=np.float64),
         rate_bps=np.array(rates, dtype=np.float64),

@@ -57,7 +57,7 @@ def runs():
         positions = {
             (vid, t): (x, y, speed)
             for vid, t, x, y, speed in zip(
-                traces.vehicle_id,
+                traces.vehicle_id.ids().tolist(),
                 traces.t.tolist(),
                 traces.x.tolist(),
                 traces.y.tolist(),
@@ -87,7 +87,8 @@ def test_generation_residence_identity(runs):
     for scenario in (runs["free_flow"], runs["traffic_jam"]):
         results = scenario.results_100
         per_vehicle = {}
-        for row in zip(results.vehicle_id, results.t.tolist(), results.serving_station,
+        for row in zip(results.vehicle_id.ids().tolist(), results.t.tolist(),
+                       results.serving_station.ids().tolist(),
                        results.packages_generated.tolist()):
             per_vehicle.setdefault(row[0], []).append(row[1:])
         for rows in per_vehicle.values():
@@ -125,7 +126,7 @@ def test_linear_rb_scaling(runs):
         full, tenth = scenario.results_100, scenario.results_10
         assert len(full) == len(tenth)
         assert full.t.tolist() == tenth.t.tolist()
-        assert full.vehicle_id == tenth.vehicle_id
+        assert full.vehicle_id.ids().tolist() == tenth.vehicle_id.ids().tolist()
         for rate_full, rate_tenth in zip(full.rate_bps.tolist(), tenth.rate_bps.tolist()):
             expected = 0.1 * rate_full
             if expected == 0.0:
@@ -148,8 +149,9 @@ def test_limited_rb_percentiles(runs):
         results = scenario.results_10
         p5[label] = _p5(results.rate_bps.tolist())
         near = []
-        for vid, t, sid, rate in zip(results.vehicle_id, results.t.tolist(),
-                                     results.serving_station, results.rate_bps.tolist()):
+        for vid, t, sid, rate in zip(results.vehicle_id.ids().tolist(), results.t.tolist(),
+                                     results.serving_station.ids().tolist(),
+                                     results.rate_bps.tolist()):
             x, y, _ = scenario.positions[(vid, t)]
             sx, sy = station_xy[sid]
             if math.hypot(x - sx, y - sy) < 500.0:
@@ -250,7 +252,8 @@ def test_queue_and_plan_invariants(runs):
         cum_generated = {}
         cum_sent_bytes = {}
         rows = sorted(zip(
-            results.vehicle_id, results.t.tolist(), results.packages_generated.tolist(),
+            results.vehicle_id.ids().tolist(), results.t.tolist(),
+            results.packages_generated.tolist(),
             results.bits_sent.tolist(), results.rate_bps.tolist(), results.queue_bytes.tolist(),
         ))
         for vid, _, generated, bits_sent, rate, queue_bytes in rows:

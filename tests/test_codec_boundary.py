@@ -10,6 +10,8 @@ Float totals are explicit left-to-right folds, not builtin sum, whose
 rounding changed in Python 3.12.  numpy's transcendental functions may
 differ from math's in the last ulp, so only the association screen, which
 sends every row it cannot decide exactly to best_link, refers to them.
+Ids are coded once, where they arrive as strings, and tables carry the
+codes from there to the writers.
 """
 
 import ast
@@ -75,6 +77,21 @@ def test_no_module_calls_builtin_sum():
 NUMPY_TRANSCENDENTALS = {"log", "log10", "log2", "exp", "power", "hypot"}
 
 
+def scoped_nodes(path: Path):
+    """Each node of the module at path, with the innermost enclosing function or
+    class (module.Class.function), or the module."""
+
+    def visit(node: ast.AST, scope: str):
+        for child in ast.iter_child_nodes(node):
+            yield scope, child
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}")
+            else:
+                yield from visit(child, scope)
+
+    return visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+
+
 def numpy_transcendental_refs(path: Path) -> dict[str, list[str]]:
     """Each function of the module at path that refers to one of NUMPY_TRANSCENDENTALS.
 
@@ -88,23 +105,15 @@ def numpy_transcendental_refs(path: Path) -> dict[str, list[str]]:
         for alias in node.names if alias.name == "numpy"
     }
     found: dict[str, set[str]] = {}
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            names = []
-            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
-                if child.value.id in numpy_names:
-                    names = [child.attr]
-            elif isinstance(child, ast.ImportFrom) and child.module == "numpy":
-                names = [alias.name for alias in child.names]
-            for name in NUMPY_TRANSCENDENTALS.intersection(names):
-                found.setdefault(scope, set()).add(name)
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}")
-            else:
-                visit(child, scope)
-
-    visit(tree, path.stem)
+    for scope, node in scoped_nodes(path):
+        names = []
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in numpy_names:
+                names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            names = [alias.name for alias in node.names]
+        for name in NUMPY_TRANSCENDENTALS.intersection(names):
+            found.setdefault(scope, set()).add(name)
     return {scope: sorted(names) for scope, names in found.items()}
 
 
@@ -115,3 +124,23 @@ def test_only_the_association_screen_refers_to_numpy_transcendentals():
     # screen_links passes np.log10 to the link budget as a value.
     assert "log10" in found.pop("radio.screen_links")
     assert found == {}
+
+
+def id_codes_callers() -> set[str]:
+    """Each function of the package that calls id_codes, by name or as module.id_codes."""
+    return {
+        scope
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, node in scoped_nodes(path)
+        if isinstance(node, ast.Call) and "id_codes" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        )
+    }
+
+
+def test_ids_are_coded_only_where_they_arrive_as_strings():
+    # Tables carry id codes from the readers and the generator to the writers.
+    assert id_codes_callers() == {
+        "mobility.parse_trace_csv", "mobility._checked_table", "mobility._Recorder.table",
+        "engine.read_results_csv",
+    }

@@ -24,6 +24,7 @@ from car2cloud.cvim import (
 )
 from car2cloud.engine import TickTable
 from car2cloud.errors import ConfigError, ValidationError
+from car2cloud.mobility import id_codes
 from scalar_engine import drain_sizes
 
 
@@ -33,8 +34,8 @@ def table(rows):
     zeros = np.zeros(len(rows))
     return TickTable(
         t=np.array(t, dtype=np.int64),
-        vehicle_id=list(vid),
-        serving_station=list(sid),
+        vehicle_id=id_codes(vid),
+        serving_station=id_codes(sid),
         snr_db=zeros,
         rb_share=zeros,
         rate_bps=zeros,

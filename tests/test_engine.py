@@ -31,7 +31,7 @@ from car2cloud.csvio import ID_FORBIDDEN_CHARS, READ_CHUNK_BYTES
 from car2cloud.cvim import PackagingConfig, count_packages_per_cell
 from car2cloud.errors import ConfigError, ParseError, ValidationError
 from car2cloud.linkrate import RbRateParams, rb_rate
-from car2cloud.mobility import KraussParams, RoadSpec, generate_traces
+from car2cloud.mobility import IdCodes, KraussParams, RoadSpec, generate_traces, id_codes
 from car2cloud.radio import BaseStation, LinkBudgetConfig
 from same_text import assert_same_text
 from scalar_engine import run as scalar_run
@@ -58,8 +58,8 @@ def table_of(rows):
     t, vid, sid, snr_db, share, rate, generated, sent, queued = zip(*rows) if rows else [()] * 9
     return TickTable(
         t=np.array(t, dtype=np.int64),
-        vehicle_id=list(vid),
-        serving_station=list(sid),
+        vehicle_id=id_codes(vid),
+        serving_station=id_codes(sid),
         snr_db=np.array(snr_db, dtype=np.float64),
         rb_share=np.array(share, dtype=np.float64),
         rate_bps=np.array(rate, dtype=np.float64),
@@ -74,7 +74,7 @@ def test_single_vehicle_gets_all_rbs():
     results = run(SimConfig(), traces, STATION)
     assert len(results) == 10
     assert results.rb_share.tolist() == [100.0] * 10
-    assert results.serving_station == ["bs0"] * 10
+    assert results.serving_station.ids().tolist() == ["bs0"] * 10
     assert results.t.tolist() == list(range(10))
 
 
@@ -82,7 +82,7 @@ def test_colocated_vehicles_equal_rates():
     traces = trace_table(trace("a", [50] * 5) + trace("b", [50] * 5))
     results = run(SimConfig(), traces, STATION)
     assert results.t.tolist() == [t for t in range(5) for _ in "ab"]
-    assert results.vehicle_id == ["a", "b"] * 5
+    assert results.vehicle_id.ids().tolist() == ["a", "b"] * 5
     rates = results.rate_bps.tolist()
     assert rates[0::2] == rates[1::2]
     assert results.rb_share.tolist() == [50.0] * 10
@@ -105,7 +105,7 @@ def test_results_ordered_and_deterministic():
     first = run(cfg, traces, STATION)
     second = run(cfg, traces, STATION)
     assert_same_text(csv_text(first), csv_text(second))
-    keys = list(zip(first.t.tolist(), first.vehicle_id))
+    keys = list(zip(first.t.tolist(), first.vehicle_id.ids().tolist()))
     assert keys == sorted(keys)
 
 
@@ -124,7 +124,8 @@ def test_per_tick_share_conservation():
     stations = [BaseStation("bs0", 0.0, 30.0), BaseStation("bs1", 3000.0, 30.0)]
     results = run(SimConfig(), traces, stations)
     per_cell_tick = {}
-    for t, sid, share in zip(results.t.tolist(), results.serving_station, results.rb_share):
+    stations = results.serving_station.ids().tolist()
+    for t, sid, share in zip(results.t.tolist(), stations, results.rb_share):
         per_cell_tick[(t, sid)] = per_cell_tick.get((t, sid), 0.0) + share
     for total in per_cell_tick.values():
         assert total == pytest.approx(100.0, abs=1e-9)
@@ -173,7 +174,7 @@ def test_aggregated_packages_per_cell():
 
 def vehicle_timeseries(results, vehicle_id):
     """(t, snr_db, rate_bps) of one vehicle's rows, in tick order."""
-    rows = zip(results.vehicle_id, results.t.tolist(), results.snr_db.tolist(),
+    rows = zip(results.vehicle_id.ids().tolist(), results.t.tolist(), results.snr_db.tolist(),
                results.rate_bps.tolist())
     return sorted((t, snr_db, rate) for vid, t, snr_db, rate in rows if vid == vehicle_id)
 
@@ -196,7 +197,10 @@ def test_empty_cell_spike():
     series = vehicle_timeseries(results, "x")
     serving = {
         t: sid
-        for vid, t, sid in zip(results.vehicle_id, results.t.tolist(), results.serving_station)
+        for vid, t, sid in zip(
+            results.vehicle_id.ids().tolist(), results.t.tolist(),
+            results.serving_station.ids().tolist(),
+        )
         if vid == "x"
     }
     crowded = [rate for t, _, rate in series if serving[t] == "busy"]
@@ -457,7 +461,8 @@ def test_queue_scenario_golden_digest():
         "36657144dc0feaaab51f89a9973eb7f27aaa372afafe0bfc0c807b543c52e697"
     )
     assert results.queue_bytes.max() >= 2 * (64 + 16 * 8 * 4)
-    serving_w = {sid for vid, sid in zip(results.vehicle_id, results.serving_station) if vid == "w"}
+    rows = zip(results.vehicle_id.ids().tolist(), results.serving_station.ids().tolist())
+    serving_w = {sid for vid, sid in rows if vid == "w"}
     assert serving_w == {"bs0"}
 
 
@@ -616,6 +621,9 @@ def assert_tables_equal(a, b):
     assert len(a) == len(b)
     for name in RESULTS_CSV_HEADER.split(","):
         column_a, column_b = getattr(a, name), getattr(b, name)
+        if isinstance(column_b, IdCodes):
+            assert column_a.names == column_b.names, name
+            column_a, column_b = column_a.codes, column_b.codes
         if isinstance(column_b, np.ndarray):
             assert column_a.dtype == column_b.dtype, name
             column_a, column_b = column_a.tolist(), column_b.tolist()
@@ -756,7 +764,8 @@ def test_read_results_csv_skips_blank_lines_and_interns_ids():
     table = read_results_csv(io.StringIO(text.rstrip("\n")))  # no final line break
     assert len(table) == MANY
     assert_same_text(csv_text(table), RESULTS_CSV_HEADER + "\n" + "".join(lines))
-    assert len({id(vid) for vid in table.vehicle_id}) == 7
+    assert table.vehicle_id.names == sorted({line.split(",")[1] for line in lines})
+    assert len(table.vehicle_id.names) == 7
     assert table.t.dtype == np.int64 and table.rate_bps.dtype == np.float64
 
 
@@ -780,7 +789,8 @@ def test_undelivered_bytes_takes_each_vehicles_last_tick():
 def undelivered_bytes_loop(table):
     """The per-row loop undelivered_bytes replaced, as its oracle."""
     final: dict[str, tuple[int, int]] = {}
-    for vid, t, queued in zip(table.vehicle_id, table.t.tolist(), table.queue_bytes.tolist()):
+    rows = zip(table.vehicle_id.ids().tolist(), table.t.tolist(), table.queue_bytes.tolist())
+    for vid, t, queued in rows:
         cur = final.get(vid)
         if cur is None or t > cur[0]:
             final[vid] = (t, queued)

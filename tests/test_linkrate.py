@@ -152,3 +152,46 @@ def test_rb_rates_match_rb_rate_on_a_dense_sweep():
     speed = np.linspace(0.0, 50.0, 100_001)
     expected = [oracle_rb_rate(s, v, P) for s, v in zip(snr_db.tolist(), speed.tolist())]
     assert rb_rates(snr_db, speed, P).tobytes() == np.array(expected).tobytes()
+
+
+def around(value: float) -> list[float]:
+    """value, one ulp either side of it and 1e-7 either side of it."""
+    return [
+        value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf),
+        value - 1e-7, value + 1e-7,
+    ]
+
+
+def ceiling_db(params: RbRateParams) -> float | None:
+    """The SNR in dB, plus 1e-6, where beta * log2(1 + snr_lin) reaches eta_max,
+    or None where it cannot be computed."""
+    try:
+        return 10.0 * math.log10(2.0 ** (params.eta_max / params.attenuation_beta) - 1.0) + 1e-6
+    except (OverflowError, ValueError):
+        return None
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        P,
+        # 2 ** (eta_max / beta) overflows.
+        RbRateParams(eta_max=5000.0, attenuation_beta=0.05, snr_min_db=-300.0),
+        # 2 ** (eta_max / beta) rounds to 1, so the log's argument is 0.
+        RbRateParams(eta_max=1e-17, attenuation_beta=1.0, snr_min_db=-300.0),
+        # The argument is positive but loses its digits to the rounding of
+        # 1 + snr_lin: the formula has not saturated at the ceiling.
+        RbRateParams(eta_max=1e-10, snr_min_db=-300.0),
+        RbRateParams(eta_max=1e-12, snr_min_db=-300.0),
+    ],
+    ids=["defaults", "power overflows", "argument zero", "argument tiny", "argument small"],
+)
+def test_rb_rates_match_the_oracle_at_the_efficiency_ceiling(params):
+    ceiling = ceiling_db(params)
+    points = around(ceiling_db(P) if ceiling is None else ceiling)
+    points += around(params.snr_min_db) + [math.nan, math.inf, -math.inf]
+    pairs = [(s, v) for s in points for v in (0.0, 20.0, 50.0)]
+    snr_db = np.array([s for s, _ in pairs], dtype=np.float64)
+    speed = np.array([v for _, v in pairs], dtype=np.float64)
+    expected = np.array([oracle_rb_rate(s, v, params) for s, v in pairs], dtype=np.float64)
+    assert rb_rates(snr_db, speed, params).tobytes() == expected.tobytes()

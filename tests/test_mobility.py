@@ -171,7 +171,7 @@ def test_strip_makes_no_random_stream_for_an_arrival_that_never_enters():
     road = config.road_spec()
     with mock.patch.object(mobility, "_VehicleRng", wraps=mobility._VehicleRng) as streams:
         traces = generate_traces(road, config.krauss)
-    entered = len(set(traces.vehicle_id))
+    entered = len(traces.vehicle_id.names)
     assert (len(mobility._arrival_times(road)), entered) == (658, 429)
     assert entered <= streams.call_count <= entered + 1
     assert hashlib.sha256(csv_text(traces).encode()).hexdigest() == (
@@ -249,7 +249,7 @@ def test_dense_ring_golden_case_stops_and_wraps():
     assert any(speed == 0.0 for speed in traces.speed.tolist())
     # a wrap shows as the angle jumping from just below 2*pi to just above 0
     # between two rows of one vehicle
-    ids = traces.vehicle_id
+    ids = traces.vehicle_id.ids().tolist()
     angles = [
         math.atan2(y, x) % (2 * math.pi) for x, y in zip(traces.x.tolist(), traces.y.tolist())
     ]
@@ -262,7 +262,7 @@ def test_dense_ring_golden_case_stops_and_wraps():
 def test_single_vehicle_ring_converges_to_desired_speed():
     road = RoadSpec("ring", 1000.0, 1, 10, seed=5)
     traces = generate_traces(road, KraussParams(sigma=0.0))
-    assert set(traces.vehicle_id) == {"veh0000"}
+    assert set(traces.vehicle_id.ids().tolist()) == {"veh0000"}
     assert len(traces) == 10
     speeds = traces.speed.tolist()
     assert speeds == sorted(speeds)
@@ -326,7 +326,7 @@ def test_generate_traces_deterministic():
 
 def test_traces_are_1hz_and_strictly_increasing():
     traces = generate_traces(RoadSpec("strip", 2000.0, 3000.0, 120, seed=8))
-    ids, ticks = traces.vehicle_id, traces.t.tolist()
+    ids, ticks = traces.vehicle_id.ids().tolist(), traces.t.tolist()
     for i in range(1, len(traces)):
         if ids[i] == ids[i - 1]:
             assert ticks[i] == ticks[i - 1] + 1
@@ -336,7 +336,7 @@ def test_traces_are_1hz_and_strictly_increasing():
 
 def test_parse_trace_csv_minimal():
     traces = parse_trace_csv(io.StringIO("vehicle_id,t,x,y,speed\na,0,0,0,10\na,1,10,0,10\n"))
-    assert traces.vehicle_id == ["a", "a"]
+    assert traces.vehicle_id.ids().tolist() == ["a", "a"]
     assert traces.t.tolist() == [0, 1]
 
 
@@ -354,7 +354,7 @@ def test_parse_trace_csv_header_only():
 def test_parse_trace_csv_rows_in_any_order():
     data = "vehicle_id,t,x,y,speed\nb,1,5,0,5\na,1,10,0,10\nb,0,0,0,5\na,0,0,0,10\n"
     traces = parse_trace_csv(io.StringIO(data))
-    assert traces.vehicle_id == ["a", "a", "b", "b"]
+    assert traces.vehicle_id.ids().tolist() == ["a", "a", "b", "b"]
     assert traces.t.tolist() == [0, 1, 0, 1]
     assert traces.x.tolist() == [0.0, 10.0, 0.0, 5.0]
 
@@ -398,7 +398,7 @@ FCD = """<?xml version="1.0"?>
 
 def test_parse_fcd_xml_two_timesteps():
     traces = parse_fcd_xml(io.StringIO(FCD))
-    assert set(traces.vehicle_id) == {"v1"}
+    assert set(traces.vehicle_id.ids().tolist()) == {"v1"}
     assert len(traces) == 2
     assert traces.x[1] == 10.0
 
@@ -444,6 +444,27 @@ def test_parse_fcd_xml_names_the_element_of_a_bad_sample(vehicles, message):
     with pytest.raises(ValidationError) as err:
         parse_fcd_xml(io.StringIO(xml))
     assert str(err.value) == f"timestep[time='1.00']/vehicle[id='v1']: {message}"
+
+
+@pytest.mark.parametrize(
+    "speed, message",
+    [
+        ("-3", "timestep[time='2']/vehicle[id='v2']: negative speed -3.0"),
+        ("3", "timestep[time='0.00']/vehicle[id='v1']: duplicate sample ('v1', t=0)"),
+    ],
+    ids=["later bad element", "repeat"],
+)
+def test_parse_fcd_xml_names_a_repeat_only_where_no_element_is_bad(speed, message):
+    # Element 2 repeats element 1's sample under an equal time; element 5 holds the speed.
+    xml = fcd_xml(
+        ("0", '<vehicle id="v1" x="0" y="0" speed="1"/>'),
+        ("0.00", '<vehicle id="v1" x="0" y="0" speed="1"/>'),
+        ("1", '<vehicle id="v1" x="1" y="0" speed="1"/><vehicle id="v2" x="0" y="0" speed="1"/>'),
+        ("2", f'<vehicle id="v2" x="1" y="0" speed="{speed}"/>'),
+    )
+    with pytest.raises(ValidationError) as err:
+        parse_fcd_xml(io.StringIO(xml))
+    assert str(err.value) == message
 
 
 def test_parse_fcd_xml_checks_an_id_before_its_numbers():
@@ -539,7 +560,7 @@ def test_strip_samples_begin_after_entry_instant():
     # entrants appear within one tick of their arrival, already moving
     traces = generate_traces(RoadSpec("strip", 5000.0, 1000.0, 30, seed=14))
     assert len(traces)
-    ids = traces.vehicle_id
+    ids = traces.vehicle_id.ids().tolist()
     for i, x in enumerate(traces.x.tolist()):
         if i == 0 or ids[i] != ids[i - 1]:  # a vehicle's first sample
             assert 0.0 <= x <= 36.11 * 1.3
@@ -620,7 +641,8 @@ def test_parse_trace_csv_shares_one_id_object_per_vehicle():
     data = "vehicle_id,t,x,y,speed\nab,0,0,0,1\nab,1,1,0,1\nab,2,2,0,1\n"
     trace = parse_trace_csv(io.StringIO(data))
     assert len(trace) == 3
-    assert len({id(vid) for vid in trace.vehicle_id}) == 1
+    assert trace.vehicle_id.names == ["ab"]
+    assert trace.vehicle_id.codes.tolist() == [0, 0, 0]
 
 
 def test_parsers_reject_ticks_beyond_int64():
@@ -672,7 +694,7 @@ def test_trace_csv_round_trip_property(traces):
     emit_trace_csv(traces, buf)
     buf.seek(0)
     back = parse_trace_csv(buf)
-    assert back.vehicle_id == traces.vehicle_id
+    assert back.vehicle_id.ids().tolist() == traces.vehicle_id.ids().tolist()
     assert back.t.tolist() == traces.t.tolist()
     assert back.t.dtype == np.int64 and back.speed.dtype == np.float64
     again = io.StringIO()
@@ -693,9 +715,10 @@ def test_generated_traces_are_in_id_string_order():
     # 10,001 cars are named veh0000 .. veh10000, and "veh10000" sorts
     # between "veh1000" and "veh1001".
     traces = generate_traces(RoadSpec("ring", 100_000.0, 10_001, 1, seed=42))
-    assert traces.vehicle_id == sorted(traces.vehicle_id)
-    i = traces.vehicle_id.index("veh10000")
-    assert traces.vehicle_id[i - 1 : i + 2] == ["veh1000", "veh10000", "veh1001"]
+    ids = traces.vehicle_id.ids().tolist()
+    assert ids == sorted(ids)
+    i = ids.index("veh10000")
+    assert ids[i - 1 : i + 2] == ["veh1000", "veh10000", "veh1001"]
     # SHA-256 of emit_trace_csv output from the per-vehicle trace objects
     # that the table replaced.
     assert hashlib.sha256(csv_text(traces).encode()).hexdigest() == (

@@ -296,6 +296,55 @@ def test_screen_flags_exact_ties_and_breakpoint():
     assert winners[1] == 0
 
 
+def screened(positions, stations, cfg):
+    """Each row's station id as engine.run picks it: screen_links, then best_link on
+    the unsure rows; and the unsure mask."""
+    canonical = sorted(stations, key=lambda s: s.station_id)
+    winners, unsure = screen_links(positions, canonical, cfg)
+    if unsure.any():
+        winners[unsure] = best_link(positions[unsure], canonical, cfg)
+    return [canonical[i].station_id for i in winners.tolist()], unsure.tolist()
+
+
+def test_screen_and_best_link_match_the_oracle_at_exact_ties():
+    # Mirrored sites: a and b tie on the y axis, d and e on x = 5000.
+    stations = [
+        BaseStation("b", 300.0, 0.0), BaseStation("a", -300.0, 0.0),
+        BaseStation("c", 0.0, 5000.0), BaseStation("e", 5000.0, 200.0),
+        BaseStation("d", 5000.0, -200.0),
+    ]
+    positions = np.array([[0.0, 0.0], [0.0, 100.0], [0.0, -250.0], [5000.0, 0.0], [10.0, 0.0]])
+    ids, unsure = screened(positions, stations, CFG)
+    assert ids == [oracle.best_link(p, stations, CFG)[0].station_id for p in positions.tolist()]
+    assert ids == ["a", "a", "a", "d", "b"]
+    assert unsure == [True, True, True, True, False]
+
+
+@pytest.mark.parametrize("offset", [1e-9, 1e-8, 1.5e-8])
+def test_screen_and_best_link_match_the_oracle_within_the_tie_margin(offset):
+    # b lies offset m farther than a: the SNRs differ by less than SCREEN_TIE_DB.
+    stations = [BaseStation("b", -300.0, 30.0), BaseStation("a", 300.0 + offset, 30.0)]
+    position = (0.0, 0.0)
+    links = [oracle.snr(position, s, CFG).snr for s in stations]
+    assert 0.0 < links[0] - links[1] <= radio.SCREEN_TIE_DB
+    ids, unsure = screened(np.array([position]), stations, CFG)
+    assert ids == [oracle.best_link(position, stations, CFG)[0].station_id] == ["b"]
+    assert unsure == [True]
+
+
+def test_screen_and_best_link_match_the_oracle_where_squares_overflow():
+    # dx * dx overflows beyond 1.3e154 m; math.hypot does not.
+    stations = [
+        BaseStation("a", 0.0, 30.0), BaseStation("b", 1e160, 1e160 + 100.0),
+        BaseStation("c", -1e160, 0.0),
+    ]
+    positions = np.array([[1e160, 1e160], [0.0, 0.0], [-1e160, 1e159], [1e155, -1e155]])
+    ids, unsure = screened(positions, stations, CFG)
+    assert ids == [oracle.best_link(p, stations, CFG)[0].station_id for p in positions.tolist()]
+    assert ids[:2] == ["b", "a"]
+    assert unsure == [True, True, True, True]
+
+
 def test_screen_leaves_out_a_co_sited_twin():
     twins = [BaseStation("a", 0.0, 30.0), BaseStation("b", 0.0, 30.0)]
     winners, unsure = screen_links(np.array([[0.0, 0.0], [500.0, 0.0]]), twins, CFG)
@@ -315,7 +364,8 @@ def test_screen_defers_ulp_near_ties():
     assert unsure.tolist() == [True]
     station, link = oracle.best_link(pos, stations, CFG)
     table = run(SimConfig(), trace_table([("v", 0, *pos, 1.0)]), stations)
-    assert (table.serving_station[0], table.snr_db[0]) == (station.station_id, link.snr)
+    assert table.serving_station.names == [station.station_id]
+    assert table.snr_db[0] == link.snr
 
 
 def test_screen_sends_bad_ue_height_to_scalar_path():
@@ -376,7 +426,8 @@ def test_columnar_association_matches_best_link(layout):
     winners, unsure = screen_links(np.array(positions), canonical, cfg)
     traces = trace_table((f"v{i:02d}", 0, x, y, 10.0) for i, (x, y) in enumerate(positions))
     table = run(SimConfig(link=cfg), traces, stations)
-    rows = zip(positions, winners, unsure, table.serving_station, table.snr_db.tolist())
+    serving = table.serving_station.ids().tolist()
+    rows = zip(positions, winners, unsure, serving, table.snr_db.tolist())
     for pos, winner, tie, serving, snr_db in rows:
         station, link = oracle.best_link(pos, stations, cfg)
         assert (serving, snr_db) == (station.station_id, link.snr)

@@ -35,7 +35,7 @@ def build_cells(positions, t, stations):
     cells = {}
     table = run(SimConfig(), traces, stations)
     assert table.t.tolist() == [t] * len(table)
-    for vid, sid in zip(table.vehicle_id, table.serving_station):
+    for vid, sid in zip(table.vehicle_id.ids().tolist(), table.serving_station.ids().tolist()):
         cells.setdefault(sid, []).append(vid)
     return {sid: tuple(members) for sid, members in sorted(cells.items())}
 

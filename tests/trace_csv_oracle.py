@@ -17,7 +17,7 @@ import numpy as np
 
 from car2cloud.errors import ParseError, ValidationError
 from car2cloud.csvio import check_id
-from car2cloud.mobility import MAX_TICK, TRACE_CSV_HEADER, TraceTable, id_codes
+from car2cloud.mobility import MAX_TICK, TRACE_CSV_HEADER, IdCodes, TraceTable, id_codes
 
 
 def _trace_table(names: list[str], code: np.ndarray, t, x, y, speed) -> TraceTable:
@@ -38,7 +38,7 @@ def _trace_table(names: list[str], code: np.ndarray, t, x, y, speed) -> TraceTab
             f"(ticks {t[i]} -> {t[i + 1]})"
         )
     x, y, speed = (np.asarray(c, dtype=np.float64)[order] for c in (x, y, speed))
-    return TraceTable(list(map(names.__getitem__, code.tolist())), t, x, y, speed)
+    return TraceTable(IdCodes(names, code), t, x, y, speed)
 
 
 def parse_trace_csv(stream: IO[str]) -> TraceTable:

@@ -2,19 +2,15 @@
 
 import numpy as np
 
-from car2cloud.mobility import TraceTable
+from car2cloud.mobility import TraceTable, id_codes
 
 
 def trace_table(rows) -> TraceTable:
-    """TraceTable of (vehicle_id, t, x, y, speed) rows, kept in the order given.
-
-    Equal ids share one string object, as in the tables the library makes.
-    """
+    """TraceTable of (vehicle_id, t, x, y, speed) rows, kept in the order given."""
     rows = list(rows)
     vid, t, x, y, speed = zip(*rows) if rows else [()] * 5
-    ids: dict[str, str] = {}
     return TraceTable(
-        vehicle_id=[ids.setdefault(v, v) for v in vid],
+        vehicle_id=id_codes(vid),
         t=np.array(t, dtype=np.int64),
         x=np.array(x, dtype=np.float64),
         y=np.array(y, dtype=np.float64),
