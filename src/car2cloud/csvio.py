@@ -1,4 +1,4 @@
-"""The CSV codec of the trace, results and CDF files.
+"""The CSV codec of the trace, station, results and CDF files.
 
 Writers give write_columns their columns: lists of ids, written as they
 are, and numeric columns, written by column_text as str and repr write

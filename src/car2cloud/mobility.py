@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, NamedTuple, Sequence
+from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -465,23 +465,6 @@ def _check_sample(where: str, t: int, x: float, y: float, speed: float) -> None:
         raise ValidationError(f"{where}: negative speed {speed}")
 
 
-def _checked_table(samples: Iterable[tuple[str, str, int, float, float, float]]) -> TraceTable:
-    """The (where, vehicle_id, t, x, y, speed) samples as a table, each checked as it comes.
-
-    Ticks are ints no larger than MAX_TICK.  A sample that breaks a rule of
-    _check_sample raises ValidationError starting with where.  A repeated
-    (id, tick), found by _trace_table, is named by its where only if no
-    sample breaks a rule, as parse_trace_csv names it.
-    """
-    rows = []
-    for sample in samples:
-        where, _, t, x, y, speed = sample
-        _check_sample(where, t, x, y, speed)
-        rows.append(sample)
-    wheres, vids, ts, xs, ys, speeds = map(list, zip(*rows)) if rows else [[]] * 6
-    return _trace_table(*id_codes(vids), ts, xs, ys, speeds, wheres.__getitem__)
-
-
 def parse_trace_csv(stream: IO[str]) -> TraceTable:
     """Read a trace CSV (header ``vehicle_id,t,x,y,speed``), rows in any order.
 
@@ -534,45 +517,49 @@ def parse_fcd_xml(stream: IO) -> TraceTable:
 
     Only ``<timestep time="..">`` elements with ``<vehicle id x y speed/>``
     children are interpreted; anything else is ignored.  Timesteps must fall
-    on whole seconds.  An error names its element's path, as in
-    ``timestep[time='1.00']/vehicle[id='v1']: negative speed -2.0``.
+    on whole seconds.  Each sample gets _check_sample as it is read, and an
+    error names its element's path, as in
+    ``timestep[time='1.00']/vehicle[id='v1']: negative speed -2.0``.  A
+    repeated (id, tick), found by _trace_table, is named only if no element
+    has an error, as parse_trace_csv names it.
     """
     try:
         root = ET.parse(stream).getroot()
     except ET.ParseError as exc:
         raise ParseError(f"bad FCD XML: {exc}") from None
 
-    def samples():
-        for timestep in root.iter("timestep"):
-            raw_t = timestep.get("time")
-            if raw_t is None:
-                raise ParseError("timestep: missing required attribute 'time'")
-            element = f"timestep[time={raw_t!r}]"
+    rows = []
+    for timestep in root.iter("timestep"):
+        raw_t = timestep.get("time")
+        if raw_t is None:
+            raise ParseError("timestep: missing required attribute 'time'")
+        element = f"timestep[time={raw_t!r}]"
+        try:
+            t_float = float(raw_t)
+        except ValueError:
+            raise ParseError(f"{element}: not a number") from None
+        if t_float % 1 != 0:  # also true of inf and nan
+            raise ValidationError(
+                f"timestep time={raw_t}: not a whole second (traces are 1 Hz)"
+            )
+        t = int(t_float)
+        if t < 0:
+            raise ValidationError(f"timestep time={raw_t}: negative tick")
+        if t > MAX_TICK:
+            raise ValidationError(f"timestep time={raw_t}: tick exceeds 64 bits")
+        for vehicle in timestep.iter("vehicle"):
+            attrs = [vehicle.get(name) for name in _FCD_ATTRIBUTES]
+            if None in attrs:
+                name = _FCD_ATTRIBUTES[attrs.index(None)]
+                raise ParseError(f"{element}/vehicle: missing required attribute {name!r}")
+            vid, *xys = attrs
+            path = f"{element}/vehicle[id={vid!r}]"
+            check_id(vid, path, "vehicle id")
             try:
-                t_float = float(raw_t)
-            except ValueError:
-                raise ParseError(f"{element}: not a number") from None
-            if t_float % 1 != 0:  # also true of inf and nan
-                raise ValidationError(
-                    f"timestep time={raw_t}: not a whole second (traces are 1 Hz)"
-                )
-            t = int(t_float)
-            if t < 0:
-                raise ValidationError(f"timestep time={raw_t}: negative tick")
-            if t > MAX_TICK:
-                raise ValidationError(f"timestep time={raw_t}: tick exceeds 64 bits")
-            for vehicle in timestep.iter("vehicle"):
-                attrs = [vehicle.get(name) for name in _FCD_ATTRIBUTES]
-                if None in attrs:
-                    name = _FCD_ATTRIBUTES[attrs.index(None)]
-                    raise ParseError(f"{element}/vehicle: missing required attribute {name!r}")
-                vid, *xys = attrs
-                path = f"{element}/vehicle[id={vid!r}]"
-                check_id(vid, path, "vehicle id")
-                try:
-                    x, y, speed = map(float, xys)
-                except ValueError as exc:
-                    raise ParseError(f"{element}/vehicle: {exc}") from None
-                yield path, vid, t, x, y, speed
-
-    return _checked_table(samples())
+                x, y, speed = map(float, xys)
+            except ValueError as exc:
+                raise ParseError(f"{element}/vehicle: {exc}") from None
+            _check_sample(path, t, x, y, speed)
+            rows.append((path, vid, t, x, y, speed))
+    paths, vids, *columns = zip(*rows) if rows else [()] * 6
+    return _trace_table(*id_codes(vids), *columns, paths.__getitem__)

@@ -18,14 +18,14 @@ these functions are checked against bit for bit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from itertools import repeat
+from typing import IO, Sequence
 
 import numpy as np
 
-from .csvio import check_id
+from .csvio import LINE_BREAK, RowLines, check_id, read_columns
 from .errors import ConfigError, ParseError, ValidationError, check_finite
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
@@ -218,56 +218,52 @@ def link_snrs(
 STATION_CSV_FIELDS = ("station_id", "x", "y", "antenna_gain", "height")
 
 
-def _records(reader) -> Iterator[tuple[int, list[str]]]:
-    """Each csv.reader record after the line it starts on (a quoted field may hold line breaks).
-
-    A record csv.reader cannot read, such as one with a field longer than
-    csv.field_size_limit(), raises ParseError naming that line.
-    """
-    lineno = reader.line_num + 1
-    try:
-        for row in reader:
-            yield lineno, row
-            lineno = reader.line_num + 1
-    except csv.Error as exc:
-        raise ParseError(f"line {lineno}: {exc}") from None
-
-
 def parse_stations_csv(stream: IO[str]) -> list[BaseStation]:
-    """Read base stations from CSV; gain and height columns are optional."""
-    records = _records(csv.reader(stream))
-    try:
-        header = [h.strip() for h in next(records)[1]]
-    except StopIteration:
-        raise ParseError("station CSV is empty (missing header)") from None
-    if tuple(header) != STATION_CSV_FIELDS[: len(header)] or len(header) < 3:
-        raise ParseError(f"bad station CSV header: {','.join(header)!r}")
+    """Read base stations from CSV; gain and height columns are optional.
+
+    The header is the first 3, 4 or 5 STATION_CSV_FIELDS, closed by LF,
+    CRLF or the end of the file, and csvio.read_columns reads the rest.
+    Each row gets, in order: check_id, the duplicate check, 15.0 and 10.0
+    for an empty gain and height, the finite check and BaseStation's height
+    check.  The first bad line in file order is named, as in
+    ``line 3: duplicate station_id 'bs1'``.
+    """
+    header = stream.readline()
+    if not header:
+        raise ParseError("station CSV is empty (missing header)")
+    shown = header.removesuffix("\r\n").removesuffix("\n")
+    width = len(shown.split(","))
+    if shown != ",".join(STATION_CSV_FIELDS[:width]) or width < 3:
+        raise ParseError(f"bad station CSV header: {shown!r}")
     stations: list[BaseStation] = []
     seen: set[str] = set()
-    for lineno, row in records:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(
-                f"line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        sid = row[0]
-        check_id(sid, f"line {lineno}", "station_id")
-        if sid in seen:
-            raise ValidationError(f"line {lineno}: duplicate station_id {sid!r}")
-        seen.add(sid)
-        try:
-            x, y = float(row[1]), float(row[2])
-            gain = float(row[3]) if len(row) > 3 and row[3] != "" else 15.0
-            height = float(row[4]) if len(row) > 4 and row[4] != "" else 10.0
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if not all(math.isfinite(v) for v in (x, y, gain, height)):
-            raise ValidationError(f"line {lineno}: non-finite station value")
-        try:
-            stations.append(BaseStation(sid, x, y, antenna_gain=gain, height=height))
-        except ConfigError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
+    lines = RowLines()
+
+    def check(columns: list, start: int) -> None:
+        ids, x, y, *optional = columns
+        # A gain or height column the header leaves out reads as empty fields.
+        rows = zip(ids, x.tolist(), y.tolist(), *optional, *[repeat("")] * (5 - width))
+        for row, (sid, sx, sy, gain, height) in enumerate(rows, start):
+            where = f"line {lines(row)}"
+            check_id(sid, where, "station_id")
+            if sid in seen:
+                raise ValidationError(f"{where}: duplicate station_id {sid!r}")
+            seen.add(sid)
+            # The last field keeps its line's closing line break.
+            gain, height = gain.rstrip(LINE_BREAK), height.rstrip(LINE_BREAK)
+            try:
+                gain = float(gain) if gain else 15.0
+                height = float(height) if height else 10.0
+            except ValueError as exc:
+                raise ParseError(f"{where}: {exc}") from None
+            if not all(math.isfinite(v) for v in (sx, sy, gain, height)):
+                raise ValidationError(f"{where}: non-finite station value")
+            try:
+                stations.append(BaseStation(sid, sx, sy, antenna_gain=gain, height=height))
+            except ConfigError as exc:
+                raise ValidationError(f"{where}: {exc}") from None
+
+    read_columns(stream, (None, float, float, None, None)[:width], check, lines)
     if not stations:
         raise ValidationError("station CSV holds no stations")
     return stations

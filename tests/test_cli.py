@@ -602,14 +602,12 @@ def test_station_file_without_stations_exits_3(tmp_path, monkeypatch, capsys, st
     assert not (tmp_path / "out").exists()
 
 
-def test_station_field_beyond_the_csv_field_limit_exits_3(tmp_path, monkeypatch, capsys):
+def test_station_field_beyond_the_csv_field_limit_simulates(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    limit = csv.field_size_limit()
-    _write_inputs(tmp_path, **{"stations.csv": f"station_id,x,y\nbs0,{'0' * (limit + 1)},25\n"})
-    assert main(COMMANDS["simulate"]) == 3
-    assert capsys.readouterr().err == (
-        f"input error: line 2: field larger than field limit ({limit})\n"
-    )
+    long_x = "0" * csv.field_size_limit() + "400"
+    _write_inputs(tmp_path, **{"stations.csv": f"station_id,x,y\nbs0,{long_x},25\n"})
+    assert main(COMMANDS["simulate"]) == 0
+    assert (tmp_path / "out" / "results.csv").read_text().startswith(f"{RESULTS_HEADER}0,v1,bs0,")
 
 
 @pytest.mark.parametrize(

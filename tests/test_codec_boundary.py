@@ -141,6 +141,6 @@ def id_codes_callers() -> set[str]:
 def test_ids_are_coded_only_where_they_arrive_as_strings():
     # Tables carry id codes from the readers and the generator to the writers.
     assert id_codes_callers() == {
-        "mobility.parse_trace_csv", "mobility._checked_table", "mobility._Recorder.table",
+        "mobility.parse_trace_csv", "mobility.parse_fcd_xml", "mobility._Recorder.table",
         "engine.read_results_csv",
     }

@@ -241,6 +241,22 @@ def test_summary_content():
     assert buf.getvalue().endswith("\n")
 
 
+def test_summary_counts_ticks_in_any_row_order():
+    # v1 is sampled at ticks 0-4 and v2 at 3-5: six distinct ticks in nine rows.
+    traces = trace_table(trace("v1", range(0, 50, 10)) + trace("v2", range(5, 35, 10), t0=3))
+    cfg = SimConfig()
+    results = run(cfg, traces, STATION)
+    columns = [
+        c.ids().tolist() if isinstance(c, IdCodes) else c.tolist()
+        for c in (getattr(results, f.name) for f in fields(TickTable))
+    ]
+    rows = list(zip(*columns))
+    shuffled = [rows[i] for i in np.random.default_rng(7).permutation(len(rows))]
+    assert [row[0] for row in shuffled] != sorted(row[0] for row in shuffled)
+    assert summarize(cfg, results)["n_ticks"] == 6
+    assert summarize(cfg, table_of(shuffled))["n_ticks"] == 6
+    assert summarize(cfg, table_of([]))["n_ticks"] == 0
+
 def test_parse_config_defaults_and_sections():
     cfg = parse_config_text("")
     assert cfg.n_rb == 100

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from car2cloud import radio
+from car2cloud.csvio import READ_CHUNK_BYTES
 from car2cloud.engine import SimConfig, run
 from car2cloud.errors import ConfigError, ParseError, ValidationError
 from car2cloud.radio import (
@@ -266,11 +267,81 @@ def test_parse_stations_csv_rejects_empty_id():
 
 
 def test_parse_stations_csv_names_the_line_a_record_starts_on():
-    # The quoted field of line 2 holds a line break, so bs1's record starts on line 4.
+    # A record never spans lines: a quote is data, so line 2 ends inside the quoted field.
     with pytest.raises(ParseError) as err:
         parse_stations_csv(io.StringIO('station_id,x,y\nbs0,"1\n",2\nbs1,1,oops\n'))
-    assert str(err.value) == "line 4: could not convert string to float: 'oops'"
+    assert str(err.value) == "line 2: expected 3 fields, got 2"
 
+
+
+def _station_lines(count):
+    return [f"bs{i:05d},{1000 + i},25\n" for i in range(count)]
+
+
+@pytest.mark.parametrize(
+    "duplicate, bad, message",
+    [
+        (10, 19000, "line 10: duplicate station_id 'bs00000'"),
+        (19000, 10, "line 10: could not convert string to float: 'oops'"),
+        (18000, 19000, "line 18000: duplicate station_id 'bs00000'"),
+    ],
+    ids=["duplicate in chunk 1", "bad line in chunk 1", "both in a later chunk"],
+)
+def test_parse_stations_csv_names_the_first_bad_line_across_chunks(duplicate, bad, message):
+    lines = ["station_id,x,y\n", *_station_lines(20000)]
+    lines[duplicate - 1] = "bs00000,5,25\n"
+    lines[bad - 1] = "bs99999,oops,25\n"
+    # Lines past 1000 lie beyond the first chunk.
+    beyond = [len("".join(lines[:n])) > READ_CHUNK_BYTES for n in (duplicate, bad)]
+    assert beyond == [duplicate > 1000, bad > 1000]
+    with pytest.raises(ValidationError) as err:
+        parse_stations_csv(io.StringIO("".join(lines)))
+    assert str(err.value) == message
+
+
+def test_parse_stations_csv_reads_every_chunk():
+    lines = _station_lines(20000)
+    stations = parse_stations_csv(io.StringIO("station_id,x,y\n" + "".join(lines)))
+    assert [(s.station_id, s.x) for s in stations] == [(f"bs{i:05d}", 1000.0 + i) for i in range(20000)]
+
+
+@pytest.mark.parametrize(
+    "row, error, message",
+    [
+        ('"bs2",1,1', ValidationError,
+         """line 3: station_id '"bs2"' contains a comma, quote or line break"""),
+        ('bs2,"1",1', ParseError, """line 3: could not convert string to float: '"1"'"""),
+        ('bs2,1,1,"15"', ParseError, "line 3: expected 3 fields, got 4"),
+    ],
+    ids=["quoted id", "quoted number", "quoted extra field"],
+)
+def test_parse_stations_csv_reads_a_quote_as_data(row, error, message):
+    with pytest.raises(error) as err:
+        parse_stations_csv(io.StringIO(f"station_id,x,y\nbs1,0,0\n{row}\n"))
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "header", ["station_id, x, y", '"station_id",x,y', " station_id,x,y", "station_id,x,y,"]
+)
+def test_parse_stations_csv_rejects_a_padded_or_quoted_header(header):
+    with pytest.raises(ParseError) as err:
+        parse_stations_csv(io.StringIO(f"{header}\r\nbs1,0,0\r\n"))
+    assert str(err.value) == f"bad station CSV header: {header!r}"
+
+
+@pytest.mark.parametrize("final_break", ["\r\n", ""])
+@pytest.mark.parametrize(
+    "header", ["station_id,x,y,antenna_gain,height", "station_id,x,y,antenna_gain"]
+)
+def test_crlf_station_file_with_empty_last_fields_takes_the_defaults(header, final_break):
+    width = header.count(",") + 1
+    rows = [",".join(["bs1", "0", "0", "", ""][:width]), ",".join(["bs2", "5", "0", "12", ""][:width])]
+    data = "\r\n".join([header, *rows]) + final_break
+    stations = parse_stations_csv(io.StringIO(data))
+    assert [(s.station_id, s.antenna_gain, s.height) for s in stations] == [
+        ("bs1", 15.0, 10.0), ("bs2", 12.0, 10.0)
+    ]
 
 def test_parse_stations_csv_rejects_non_finite():
     with pytest.raises(ValidationError) as err:

@@ -4,7 +4,8 @@ There is one reader and no second pass: a stream that is not seekable,
 stands after a preamble, or is a text file iterated with ``next`` (whose
 ``tell`` fails) is read in chunks from where it stands, and the table, or
 the error, is the row-by-row oracle's.  car2cloud.mobility and csvio, read
-with ast, neither import csv nor call seek or tell.
+with ast, neither import csv nor call seek or tell, and no module of the
+package imports csv.
 """
 
 import ast
@@ -19,7 +20,7 @@ from car2cloud import csvio, mobility
 from car2cloud.csvio import READ_CHUNK_BYTES
 from car2cloud.errors import ParseError, ValidationError
 from car2cloud.mobility import emit_trace_csv, parse_trace_csv
-from test_codec_boundary import names_used
+from test_codec_boundary import names_used, users
 from test_trace_csv import HEADER, MANY, valid_lines
 
 
@@ -114,6 +115,11 @@ def test_the_trace_reader_neither_imports_csv_nor_seeks(path):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
     }
     assert not calls & {"seek", "tell", "seekable"}
+
+
+def test_no_module_of_the_package_imports_csv():
+    # Traces, results and stations are all read by csvio.read_columns.
+    assert users({"csv"}) == {}
 
 
 @pytest.mark.parametrize("final_break", [True, False])
