@@ -50,9 +50,12 @@ def _load_config(args: argparse.Namespace) -> engine.SimConfig:
 
 
 def _read(path: str | Path, reader):
-    """reader applied to the UTF-8 text file at path; text that is not UTF-8 is bad input."""
+    """reader applied to the UTF-8 text file at path; text that is not UTF-8 is bad input.
+
+    Lines end at LF only, as they do in a StringIO, so a lone CR is data.
+    """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8", newline="\n") as fh:
             return reader(fh)
     except UnicodeDecodeError as exc:
         # exc.start counts from the decoder's current block, not the file's start.

@@ -6,9 +6,10 @@ run computes each results column for all rows with array kernels that give
 the scalar formulas' bits:
 
 - per block of rows, the station, SNR and block rate: a numpy screen
-  (radio.screen_links) ranks the stations for each vehicle, leaving its
-  unsure rows to one radio.best_link call; radio.link_snrs gives the SNR
-  and linkrate.rb_rates one block's rate;
+  (radio.screen_links) takes each vehicle's nearest station of each gain
+  and height and, only if there are several such classes, ranks those by
+  SNR, leaving its unsure rows to one radio.best_link call;
+  radio.link_snrs gives the SNR and linkrate.rb_rates one block's rate;
 - scheduler.rr_shares: the vehicle's Round-Robin share of its cell's
   resource blocks; its rate is the share times the block rate;
 - cvim.drain_queues: over each vehicle's rows in tick order, the package

@@ -10,8 +10,11 @@ with every term in dB/dBm.  All functions here are pure.  Each formula is
 written once and works on arrays: breakpoint_distance, and the path loss
 and SNR in _link_budget.  best_link and link_snrs evaluate them with
 math's hypot and log10 per element.  The screen_links association screen
-evaluates them with numpy's sqrt and log10 only to rank the stations, and
-best_link decides the rows the screen cannot.  The scalar formulas as
+ranks the stations of one gain and height by squared distance alone, as
+B1 loss never falls as distance grows, and evaluates the link budget with
+numpy's sqrt and log10 only to rank the nearest of each such class
+against each other; best_link decides the rows the screen cannot.  The
+scalar formulas as
 first written are kept in tests/scalar_models.py, the independent oracle
 these functions are checked against bit for bit.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import IO, Sequence
 
 import numpy as np
@@ -39,6 +42,21 @@ MIN_MODEL_DISTANCE = 10.0
 # SNRs are this close to the exact best_link.  Real ulp errors are around
 # 1e-14 dB.
 SCREEN_TIE_DB = 1e-9
+
+# Among stations of one antenna gain and height, the nearest has the best
+# SNR: B1 loss rises 22.7 dB per decade of distance up to d_bp and 40 dB
+# beyond it, and at d_bp it steps up by 17.3 log10(200/3) - 31.55, about
+# 0.0036 dB, whatever the frequency and heights.  Squared distances a factor
+# 1 + SCREEN_TIE_D2 apart part two such stations by at least
+# 22.7 log10(1 + SCREEN_TIE_D2) / 2 dB, which is SCREEN_TIE_DB where
+# SCREEN_TIE_D2 = 2 ln(10) 1e-9 / 22.7, about 2.03e-10; the rest is slack.
+SCREEN_TIE_D2 = 2.5e-10
+# Rounding in the budget's sums could close that gap where they grow large.
+# The B1 loss of a finite squared distance stays under 2e4 dB for any
+# frequency and heights, so while a station's gain and the config's other
+# budget terms sum to under SCREEN_BUDGET_DB in magnitude, each sum rounds
+# by under 1e-11 dB, and the gap stays open.
+SCREEN_BUDGET_DB = 1e5
 
 
 @dataclass(frozen=True)
@@ -173,36 +191,81 @@ def screen_links(
 
     ``stations`` must be in canonical id order, the order best_link walks.
     Returns the screened winner's index into ``stations`` per row and a mask
-    of the rows the screen cannot decide exactly: more than one station
-    lies within SCREEN_TIE_DB of the best SNR, a station sits at the
-    breakpoint distance (where an ulp picks the other B1 slope), or a value
-    is not finite, as where a squared distance overflows.  Every other row
-    has the same winner as best_link; give the masked rows to best_link in
-    one call, and compute every row's SNR with link_snrs.
+    of the rows the screen cannot decide exactly.  Every other row has the
+    same winner as best_link; give the masked rows to best_link in one call,
+    and compute every row's SNR with link_snrs.
 
     A station whose x, y, gain and height repeat an earlier station's is
     left out: its SNR equals that station's everywhere, and best_link keeps
     the first of equal SNRs, so it never wins, and its tie would send every
-    row to best_link.
+    row to best_link.  The other stations fall into classes of one gain and
+    height, within which the nearest has the best SNR (see SCREEN_TIE_D2).
+    A class's candidate is its station of least squared distance dx*dx +
+    dy*dy.  A row is marked where a square is not finite, or where another
+    station of a class lies within a factor 1 + SCREEN_TIE_D2 of the
+    larger of the candidate's square and the clamp's (10 m)**2.  With one
+    class the candidate wins and no SNR is computed.  Otherwise the
+    candidates are ranked by the link budget on numpy's sqrt and log10, and
+    a row is also marked where more than one lies within SCREEN_TIE_DB of
+    the best SNR, a candidate sits at the breakpoint distance (where an ulp
+    picks the other B1 slope), or an SNR is not finite.
     """
     sites: dict[tuple, int] = {}
     for i, s in enumerate(stations):
         sites.setdefault((s.x, s.y, s.antenna_gain, s.height), i)
-    distinct = np.fromiter(sites.values(), np.int64, len(sites))
-    x, y, gain, d_bp, log_h_bs = (terms[distinct] for terms in _station_terms(stations, cfg))
-    dx, dy = positions[:, :1] - x, positions[:, 1:2] - y
+    fixed = (abs(cfg.tx_power_dbm) + abs(cfg.ue_gain_dbi) + abs(cfg.extra_loss_db)
+             + abs(cfg.noise_power_dbm) + abs(cfg.noise_figure_db))
+    classes: dict[tuple, list[int]] = {}
+    for site, i in sites.items():
+        # A site of too large a budget is a class of its own.
+        key = site[2:] if fixed + abs(site[2]) < SCREEN_BUDGET_DB else site
+        classes.setdefault(key, []).append(i)
+    members = list(classes.values())
+    distinct = np.fromiter(chain.from_iterable(members), np.int64, len(sites))
+    x, y = np.array([(stations[i].x, stations[i].y) for i in distinct.tolist()]).T
+    # Sites are rows and positions columns, so each operation runs along
+    # the positions.
+    d2, dy = x[:, None] - positions[:, 0], y[:, None] - positions[:, 1]
     with np.errstate(all="ignore"):
-        dx *= dx
+        d2 *= d2
         dy *= dy
-        dx += dy
-        d, _, _, value = _link_budget(np.sqrt(dx, out=dx), gain, d_bp, log_h_bs, cfg, np.log10)
-        unsure = ~np.isfinite(value).all(axis=1)
-        unsure |= (np.abs(d - d_bp) <= 1e-12 * d_bp).any(axis=1)
-        winner = np.argmax(value, axis=1)
-        if len(distinct) > 1:
-            top = value[np.arange(len(value)), winner]
-            unsure |= np.count_nonzero(value >= (top - SCREEN_TIE_DB)[:, None], axis=1) > 1
-    return distinct[winner], unsure
+        d2 += dy
+        unsure = np.isinf(d2.max(axis=0))
+        near = np.empty((len(members), len(positions)))
+        pick = np.empty((len(members), len(positions)), np.int64)
+        start = 0
+        for c, group in enumerate(members):
+            block = d2[start:start + len(group)]
+            if len(group) == 1:
+                near[c], pick[c] = block[0], start
+            else:
+                np.minimum.reduce(block, axis=0, out=near[c])
+                limit = np.maximum(near[c], MIN_MODEL_DISTANCE * MIN_MODEL_DISTANCE)
+                limit *= 1.0 + SCREEN_TIE_D2
+                tied, pick[c] = _sole(block <= limit)
+                pick[c] += start
+                unsure |= tied
+            start += len(group)
+        if len(members) == 1:
+            return distinct[pick[0]], unsure
+        terms = _station_terms([stations[group[0]] for group in members], cfg)[2:]
+        gain, d_bp, log_h_bs = (t[:, None] for t in terms)
+        d, _, _, value = _link_budget(np.sqrt(near, out=near), gain, d_bp, log_h_bs, cfg, np.log10)
+        unsure |= ~np.isfinite(value).all(axis=0)
+        unsure |= (np.abs(d - d_bp) <= 1e-12 * d_bp).any(axis=0)
+        tied, best = _sole(value >= value.max(axis=0) - SCREEN_TIE_DB)
+        unsure |= tied
+    return distinct[pick[best, np.arange(len(best))]], unsure
+
+
+def _sole(close: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of a boolean matrix, whether more than one row is True, and
+    the last row that is True, or 0.
+
+    Both are reductions over axis 0, which numpy runs along the columns in
+    step; its argmin and argmax over axis 0 are several times slower.
+    """
+    return np.count_nonzero(close, axis=0) > 1, (close * np.arange(len(close))[:, None]).max(axis=0)
 
 
 def link_snrs(

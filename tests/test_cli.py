@@ -729,3 +729,31 @@ def test_config_values_are_checked_when_the_config_is_read(
     assert captured.err.startswith(f"configuration error: {key} must ")
     assert captured.out == ""
     assert not (workspace / "out.csv").exists() and not (workspace / "out").exists()
+
+
+def test_a_lone_cr_in_a_trace_id_is_data_as_in_a_string(tmp_path, monkeypatch, capsys):
+    # Input files end lines at LF only, so the CR stays inside the id.
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path, **{"traces.csv": "vehicle_id,t,x,y,speed\nv\r1,0,0,0,1\n"})
+    assert main(COMMANDS["simulate"]) == 3
+    assert capsys.readouterr().err == (
+        "input error: line 2: vehicle_id 'v\\r1' contains a comma, quote or line break\n"
+    )
+
+
+def test_a_lone_cr_beside_a_trace_number_is_read(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    clean = "vehicle_id,t,x,y,speed\nv1,0,0,0,1\nv1,1,1,0,1\n"
+    _write_inputs(tmp_path, **{"traces.csv": clean})
+    assert main(COMMANDS["simulate"]) == 0
+    expected = (tmp_path / "out" / "results.csv").read_bytes()
+    _write_inputs(tmp_path, **{"traces.csv": "vehicle_id,t,x,y,speed\nv1,0,0\r,0,1\nv1,1,\r1,0,1\r\n"})
+    assert main(COMMANDS["simulate"]) == 0
+    assert (tmp_path / "out" / "results.csv").read_bytes() == expected
+
+
+def test_a_later_bad_trace_line_is_numbered_by_its_lfs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path, **{"traces.csv": "vehicle_id,t,x,y,speed\nv1,0,0,0,1\r\r\nv1,1,nan,0,1\n"})
+    assert main(COMMANDS["simulate"]) == 3
+    assert capsys.readouterr().err == "input error: line 3: non-finite x, y or speed\n"

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -359,12 +360,28 @@ def test_parse_stations_csv_rejects_low_height_with_its_line():
 
 
 def test_screen_flags_exact_ties_and_breakpoint():
+    # In one class the row at the breakpoint is decided by distance, whichever
+    # B1 slope it takes; test_screen_flags_the_breakpoint_across_classes
+    # keeps it unsure.
     twins = [BaseStation("a", -300.0, 30.0), BaseStation("b", 300.0, 30.0)]
     d_bp = breakpoint_distance(CFG, 10.0)
     positions = np.array([[0.0, 0.0], [-290.0, 0.0], [300.0 + d_bp, 30.0]])
     winners, unsure = screen_links(positions, twins, CFG)
-    assert unsure.tolist() == [True, False, True]
+    assert unsure.tolist() == [True, False, False]
     assert winners[1] == 0
+    assert twins[winners[2]] == oracle.best_link(positions[2].tolist(), twins, CFG)[0]
+
+
+def test_screen_flags_the_breakpoint_across_classes():
+    stations = [BaseStation("a", -300.0, 30.0), BaseStation("b", 300.0, 30.0, height=25.0)]
+    positions = np.array([
+        [-300.0 - breakpoint_distance(CFG, 10.0), 30.0],
+        [300.0 + breakpoint_distance(CFG, 25.0), 30.0],
+        [-290.0, 0.0],
+    ])
+    winners, unsure = screen_links(positions, stations, CFG)
+    assert unsure.tolist() == [True, True, False]
+    assert winners[2] == 0
 
 
 def screened(positions, stations, cfg):
@@ -416,6 +433,75 @@ def test_screen_and_best_link_match_the_oracle_where_squares_overflow():
     assert unsure == [True, True, True, True]
 
 
+def test_screen_sends_rows_within_the_clamp_of_two_sites_of_a_class_to_best_link():
+    # Both distances clamp to 10 m, so the SNRs tie and the smaller id wins,
+    # though b is nearer.
+    stations = [BaseStation("b", 0.0, 0.0), BaseStation("a", 12.0, 0.0)]
+    positions = np.array([[4.0, 0.0], [5.0, 3.0], [-1.0, 0.0], [0.0, -20.0]])
+    ids, unsure = screened(positions, stations, CFG)
+    assert ids == [oracle.best_link(p, stations, CFG)[0].station_id for p in positions.tolist()]
+    assert ids == ["a", "a", "b", "b"]
+    assert unsure == [True, True, False, False]
+
+
+@pytest.mark.parametrize("distance", [50.0, 600.0], ids=["near", "far"])
+@pytest.mark.parametrize("gap, tied", [(0.9e-9, True), (1e-8, False), (1e-6, False)])
+def test_screen_margin_in_one_class(distance, gap, tied):
+    # b is nearer by an SNR gap of about gap dB; the far slope is 40 dB per
+    # decade, the near one 22.7.
+    assert (distance < breakpoint_distance(CFG, 10.0)) == (distance == 50.0)
+    slope = 22.7 if distance == 50.0 else 40.0
+    stations = [BaseStation("a", -distance * 10.0 ** (gap / slope), 0.0),
+                BaseStation("b", distance, 0.0)]
+    a, b = (oracle.snr((0.0, 0.0), s, CFG).snr for s in stations)
+    assert 0.9 * gap < b - a < 1.1 * gap
+    winners, unsure = screen_links(np.zeros((1, 2)), stations, CFG)
+    assert unsure.tolist() == [tied]
+    ids, _ = screened(np.zeros((1, 2)), stations, CFG)
+    assert ids == [oracle.best_link((0.0, 0.0), stations, CFG)[0].station_id] == ["b"]
+    if not tied:
+        assert winners.tolist() == [1]
+
+
+def test_screen_ranks_by_snr_where_the_budget_rounds_distances_away():
+    # A 1e20 dB loss leaves every SNR equal, so the smallest id wins
+    # everywhere, not the nearest station.
+    stations = [BaseStation("b", 0.0, 0.0), BaseStation("a", 3000.0, 0.0)]
+    cfg = LinkBudgetConfig(extra_loss_db=1e20)
+    positions = np.array([[100.0, 0.0], [2900.0, 0.0]])
+    ids, unsure = screened(positions, stations, cfg)
+    assert ids == [oracle.best_link(p, stations, cfg)[0].station_id for p in positions.tolist()]
+    assert ids == ["a", "a"]
+    assert unsure == [True, True]
+
+
+def test_a_single_class_screen_computes_no_link_budget():
+    stations = [BaseStation(f"s{i}", 500.0 * i, 25.0) for i in range(6)]
+    positions = np.column_stack((np.linspace(-100.0, 3000.0, 50), np.full(50, 3.0)))
+    with mock.patch.object(radio, "_link_budget", wraps=radio._link_budget) as budget:
+        screen_links(positions, stations, CFG)
+        assert budget.call_count == 0
+        screen_links(positions, [*stations, BaseStation("t", 0.0, 0.0, height=25.0)], CFG)
+        assert budget.call_count == 1
+
+
+@pytest.mark.parametrize("freq", [0.45, 1.8, 2.6, 5.0, 28.0, 60.0])
+@pytest.mark.parametrize("ue_height", [1.2, 1.5, 2.0, 3.0])
+def test_b1_loss_never_falls_with_distance(freq, ue_height):
+    """The screen's premise: across the 10 m clamp, the breakpoint and both slopes."""
+    cfg = LinkBudgetConfig(carrier_freq_ghz=freq, ue_height_m=ue_height)
+    for height in (1.5, 5.0, 10.0, 25.0, 60.0):
+        d_bp = breakpoint_distance(cfg, height)
+        marks = [radio.MIN_MODEL_DISTANCE, d_bp]
+        near = [np.nextafter(m, direction) for m in marks for direction in (0.0, np.inf)]
+        distances = np.sort(np.concatenate((np.geomspace(0.5, 20_000.0, 400), marks, near)))
+        loss = [path_loss_b1(d, cfg, height) for d in distances.tolist()]
+        assert np.all(np.diff(loss) >= 0.0)
+        if d_bp > radio.MIN_MODEL_DISTANCE:
+            step = path_loss_b1(np.nextafter(d_bp, np.inf), cfg, height) - path_loss_b1(d_bp, cfg, height)
+            assert step > 0.003
+
+
 def test_screen_leaves_out_a_co_sited_twin():
     twins = [BaseStation("a", 0.0, 30.0), BaseStation("b", 0.0, 30.0)]
     winners, unsure = screen_links(np.array([[0.0, 0.0], [500.0, 0.0]]), twins, CFG)
@@ -456,15 +542,19 @@ station_specs = st.lists(
 
 
 @st.composite
-def layouts(draw):
-    """Stations with mixed gains and heights, plus positions that include
-    free points, exact station sites and exact midpoints of station pairs.
+def layouts(draw, one_class=False):
+    """Stations with mixed gains and heights (one of each if one_class), plus
+    positions that include free points, exact station sites and exact
+    midpoints of station pairs.
 
     Twin stations are copies of a station rotated about a position: equal
     distance in exact arithmetic, so their SNRs tie to within an ulp or two
     and numpy and math may rank them differently.
     """
     specs = draw(station_specs)
+    if one_class:
+        gain, height = draw(station_specs)[0][2:]
+        specs = [(x, y, gain, height) for x, y, _, _ in specs]
     stations = [
         BaseStation(f"s{i}", x, y, antenna_gain=g, height=h)
         for i, (x, y, g, h) in enumerate(specs)
@@ -505,6 +595,20 @@ def test_columnar_association_matches_best_link(layout):
         if not tie:
             assert canonical[winner] == station
             assert oracle.snr(pos, station, cfg).snr == link.snr
+
+
+@settings(max_examples=300, deadline=None)
+@given(layouts(one_class=True))
+def test_one_class_association_matches_the_oracle(layout):
+    stations, positions, cfg = layout
+    canonical = sorted(stations, key=lambda s: s.station_id)
+    winners, unsure = screen_links(np.array(positions), canonical, cfg)
+    ids, _ = screened(np.array(positions), stations, cfg)
+    for pos, winner, tie, got in zip(positions, winners.tolist(), unsure.tolist(), ids):
+        station = oracle.best_link(pos, stations, cfg)[0]
+        assert got == station.station_id
+        if not tie:
+            assert canonical[winner] == station
 
 
 @settings(max_examples=200, deadline=None)
