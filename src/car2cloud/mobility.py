@@ -235,27 +235,36 @@ def krauss_step(
     return new_position, v_new
 
 
-class _VehicleRng:
-    """Per-vehicle random stream keyed by (seed, vehicle index).
+def _vehicle_draws(seed: int, k: int, speed_dev: float, steps: int) -> tuple[float, np.ndarray]:
+    """Vehicle k's speed factor, then its ``steps`` dawdles, from its own stream.
 
-    Splitting per vehicle makes every vehicle's imperfection draws
-    independent of insertion order, which keeps whole runs reproducible
-    even if the set of simultaneously active vehicles changes.  A vehicle
-    draws its speed factor first, then all its dawdles in one call: its row
-    of the run's draw array, whose column t the vehicle reads at tick t.
+    The stream is keyed by (seed, k), so a vehicle's draws depend neither on
+    insertion order nor on when they are made, and runs stay reproducible
+    however the set of simultaneously active vehicles changes.
     """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, k)))
+    raw = 1.0 + speed_dev * rng.standard_normal()
+    return min(max(raw, SPEED_FACTOR_MIN), SPEED_FACTOR_MAX), rng.random(steps)
 
-    def __init__(self, seed: int, vehicle_index: int):
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(1, vehicle_index))
-        )
 
-    def speed_factor(self, speed_dev: float) -> float:
-        raw = 1.0 + speed_dev * self._rng.standard_normal()
-        return min(max(raw, SPEED_FACTOR_MIN), SPEED_FACTOR_MAX)
+def _entry_offset(
+    rear_position: float, rear_speed: float, arrival_offset: float, params: KraussParams
+) -> float:
+    """The offset into a tick's window at which an arrival enters the strip.
 
-    def dawdles(self, steps: int) -> np.ndarray:
-        return self._rng.random(steps)
+    The rear vehicle ends the window at rear_position, having moved at
+    rear_speed through it, and blocks the origin while it is inside the
+    entry envelope veh_length + min_gap + rear_speed * tau.  The arrival
+    enters at arrival_offset or when the envelope clears, whichever is
+    later; at 1.0 or more (inf behind a standing rear vehicle inside it) it
+    waits for the next window.  An empty road is a standing rear vehicle at
+    infinity, (math.inf, 0.0), which never blocks.
+    """
+    start = rear_position - rear_speed  # the rear vehicle at the window's start
+    envelope = params.veh_length + params.min_gap + rear_speed * params.tau
+    if rear_speed > 0.0:
+        return max(arrival_offset, (envelope - start) / rear_speed)
+    return arrival_offset if start >= envelope else math.inf
 
 
 def _entry_speed(
@@ -331,24 +340,23 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
     """Strip run: arrivals enter at the origin, traces end past the far end.
 
     The arrival process is continuous, so entries happen at sub-tick
-    instants and the 1 Hz grid merely samples the road.  The origin counts
-    as blocked while the rearmost vehicle is inside the entry envelope
-    min_gap + veh_length + speed * tau: nothing can materialize within a
-    driver's reaction headway, and entries therefore always satisfy the
-    safe-speed law at full platoon speed, which lets the road actually
-    reach single-lane capacity under jam demand.
+    instants and the 1 Hz grid merely samples the road.  Arrivals enter in
+    order, by _entry_offset behind the rearmost vehicle: nothing can
+    materialize within a driver's reaction headway, so entries always
+    satisfy the safe-speed law at full platoon speed, which lets the road
+    reach single-lane capacity under jam demand.  An entrant joins the
+    platoon's rear at once and draws its random stream then, so an arrival
+    that never enters draws nothing.
     """
     arrivals = _arrival_times(road)
     names = _vehicle_names(len(arrivals))
-    drawn = -1  # the last arrival to reach the origin, whose stream and factor exist
-    dawdles = np.zeros((1, road.duration))  # a row per entered vehicle, drawn on entry
+    dawdles = np.zeros((1, road.duration))  # a row per vehicle, filled as it enters
     recorder = _Recorder(names, ring_length=None)
 
     # The platoon, ordered back to front.
     vehicles = np.zeros(0, dtype=np.int64)
     position = speed = factor = np.zeros(0)
-    next_k = 0
-    front_clearance = params.veh_length + params.min_gap
+    k = 0  # the next arrival to enter
     for t in range(road.duration):
         recorder.record(vehicles, position, speed)
         position, speed = krauss_step(
@@ -357,49 +365,22 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
         # Entries during (t, t+1] appear in the t+1 sample set.  Positions
         # within the window are linear at the post-step speed, matching the
         # discrete position update.
-        entered: list[tuple] = []  # (k, position, speed, factor), rear last
-        rear = (float(position[0]), float(speed[0])) if len(vehicles) else None
-        while (
-            next_k < len(arrivals)
-            and arrivals[next_k] <= t + 1
-            and t + 1 <= road.duration - 1
-        ):
-            if drawn < next_k:  # arrival next_k has just reached the origin
-                drawn, rng = next_k, _VehicleRng(road.seed, next_k)
-                factor_k = rng.speed_factor(params.speed_dev)
-            entry_offset = max(arrivals[next_k] - t, 0.0)
-            if rear is not None:
-                rear_pos, v_r = rear
-                rear_window_start = rear_pos - v_r
-                envelope = front_clearance + v_r * params.tau
-                if v_r <= 0.0:
-                    if rear_window_start < envelope:
-                        break
-                else:
-                    entry_offset = max(
-                        entry_offset, (envelope - rear_window_start) / v_r
-                    )
-            if entry_offset >= 1.0:
+        while k < len(arrivals) and arrivals[k] <= t + 1 < road.duration:
+            x_r, v_r = (float(position[0]), float(speed[0])) if len(vehicles) else (math.inf, 0.0)
+            offset = _entry_offset(x_r, v_r, max(arrivals[k] - t, 0.0), params)
+            if offset >= 1.0:
                 break
-            if rear is None:
-                v_in = params.v_max * factor_k
-            else:
-                v_in = _entry_speed(
-                    rear_window_start + v_r * entry_offset, v_r, factor_k, params
-                )
-            rear = (v_in * (1.0 - entry_offset), v_in)
-            entered.append((next_k, *rear, factor_k))
-            if next_k == len(dawdles):
+            # one dawdle for each of its steps, at ticks t+1 .. duration-1
+            factor_k, row = _vehicle_draws(road.seed, k, params.speed_dev, road.duration - t - 1)
+            if k == len(dawdles):
                 dawdles = np.concatenate((dawdles, np.zeros_like(dawdles)))
-            # one draw for each of its steps, at ticks t+1 .. duration-1
-            dawdles[next_k, t + 1:] = rng.dawdles(road.duration - t - 1)
-            next_k += 1
-        if entered:
-            ks, xs, vs, fs = zip(*reversed(entered))
-            vehicles = np.concatenate([ks, vehicles])
-            position = np.concatenate([xs, position])
-            speed = np.concatenate([vs, speed])
-            factor = np.concatenate([fs, factor])
+            dawdles[k, t + 1:] = row
+            v_in = _entry_speed(x_r - v_r + v_r * offset, v_r, factor_k, params)
+            vehicles = np.concatenate(([k], vehicles))
+            position = np.concatenate(([v_in * (1.0 - offset)], position))
+            speed = np.concatenate(([v_in], speed))
+            factor = np.concatenate(([factor_k], factor))
+            k += 1
         on_road = position <= road.length
         if not on_road.all():
             vehicles, position, speed, factor = (
@@ -417,9 +398,9 @@ def _generate_ring(road: RoadSpec, params: KraussParams) -> TraceTable:
             f"(need {params.veh_length + params.min_gap} m each)"
         )
     names = _vehicle_names(count)
-    rngs = [_VehicleRng(road.seed, k) for k in range(count)]
-    factor = np.array([rng.speed_factor(params.speed_dev) for rng in rngs])
-    dawdles = np.array([rng.dawdles(road.duration) for rng in rngs])
+    factor, dawdles = map(np.array, zip(*(
+        _vehicle_draws(road.seed, k, params.speed_dev, road.duration) for k in range(count)
+    )))
     recorder = _Recorder(names, ring_length=road.length)
 
     # The platoon, ordered back to front.

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from car2cloud import engine
 from car2cloud.cli import main
+from car2cloud.linkrate import rb_rate
 
 STATIONS_10KM = Path(__file__).resolve().parent.parent / "configs" / "stations_10km.csv"
 
@@ -191,6 +193,24 @@ def test_plan_with_an_infinite_block_rate_exits_2(capsys):
     captured = capsys.readouterr()
     assert "rate of one resource block inf bit/s" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "rate, snr, speed, ceiling, needed",
+    [
+        # ceil(rate / rate of one block) rounds one block too high ...
+        ("747520517810.3289", "36.82202933997298", "16.88427999845661", 870358, 870357),
+        # ... and one block too low
+        ("180454874074.1338", "9.679984318895698", "6.813967874227251", 526637, 526638),
+    ],
+)
+def test_plan_corrects_a_ceiling_that_rounding_moved(capsys, rate, snr, speed, ceiling, needed):
+    assert main(["plan", "--rate", rate, "--snr", snr, "--speed", speed]) == 0
+    n = json.loads(capsys.readouterr().out)["rb_needed"]
+    required, per_rb = float(rate), rb_rate(float(snr), float(speed))
+    assert math.ceil(required / per_rb) == ceiling
+    assert n == needed
+    assert n * per_rb >= required > (n - 1) * per_rb
 
 
 def test_seed_flag_overrides(workspace):
@@ -599,6 +619,52 @@ def test_station_file_without_stations_exits_3(tmp_path, monkeypatch, capsys, st
     _write_inputs(tmp_path, **{"stations.csv": stations})
     assert main(COMMANDS["simulate"]) == 3
     assert capsys.readouterr().err == "input error: station CSV holds no stations\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("traces.csv", "trace CSV is empty (missing header)"),
+        ("stations.csv", "station CSV is empty (missing header)"),
+    ],
+)
+def test_an_empty_input_csv_exits_3(tmp_path, monkeypatch, capsys, name, message):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path, **{name: ""})
+    assert main(COMMANDS["simulate"]) == 3
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("road.length", "override 'road.length': expected key=value"),
+        ("cell.n_rb=-1", "cell.n_rb and cell.rb_limit must be non-negative"),
+        ("cell.rb_limit=-1", "cell.n_rb and cell.rb_limit must be non-negative"),
+        ("cvim.n_extra_channels=-1", "cvim.n_extra_channels must be non-negative"),
+        ("road.duration=-1", "road.duration must be non-negative"),
+    ],
+)
+def test_a_bad_override_exits_2_naming_its_rule(tmp_path, monkeypatch, capsys, override, message):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+    assert main([*COMMANDS["gen-traces"], "--set", override]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_an_unexpected_exception_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+
+    def run(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(engine, "run", run)
+    assert main(COMMANDS["simulate"]) == 4
+    assert capsys.readouterr().err == "internal error: boom\n"
     assert not (tmp_path / "out").exists()
 
 

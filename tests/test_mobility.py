@@ -27,6 +27,7 @@ from car2cloud.mobility import (
 )
 from same_text import assert_same_text
 from speed_histogram import speed_distribution
+from strip_entry_oracle import strip_entry
 from trace_rows import trace_table
 
 PARAMS = KraussParams()
@@ -162,18 +163,19 @@ def test_generated_traces_match_golden_digest(name):
 
 
 def test_strip_makes_no_random_stream_for_an_arrival_that_never_enters():
-    """An arrival's stream and speed factor are drawn when it reaches the origin.
+    """A vehicle's stream and speed factor are drawn once, when it enters.
 
     On the jam config 229 of 658 arrivals are still waiting at the origin
-    when the run ends; at most the first of them has drawn.
+    when the run ends; none of them draws.
     """
     config = load_config(Path(__file__).resolve().parent.parent / "configs" / "traffic_jam.cfg")
     road = config.road_spec()
-    with mock.patch.object(mobility, "_VehicleRng", wraps=mobility._VehicleRng) as streams:
+    with mock.patch.object(mobility, "_vehicle_draws", wraps=mobility._vehicle_draws) as draws:
         traces = generate_traces(road, config.krauss)
     entered = len(traces.vehicle_id.names)
     assert (len(mobility._arrival_times(road)), entered) == (658, 429)
-    assert entered <= streams.call_count <= entered + 1
+    assert draws.call_count == entered
+    assert sorted(call.args[1] for call in draws.call_args_list) == list(range(entered))
     assert hashlib.sha256(csv_text(traces).encode()).hexdigest() == (
         "32c0f6100d96717a8a3df6a17ed8590f7942b5df5362ffa594f6d03682a8056e"
     )
@@ -198,6 +200,87 @@ def test_strip_memory_grows_with_the_vehicles_that_enter_not_with_demand():
         "32c0f6100d96717a8a3df6a17ed8590f7942b5df5362ffa594f6d03682a8056e",
         "71be6d5cd9045afde149ece60089126ac0d719b8491ec28ec58e29299bc39e68",
     ]
+
+
+def admit(rear, arrival_offset, factor, params=PARAMS):
+    """_generate_strip's entry by _entry_offset and _entry_speed, in strip_entry's terms."""
+    x_r, v_r = (math.inf, 0.0) if rear is None else rear
+    offset = mobility._entry_offset(x_r, v_r, arrival_offset, params)
+    if offset >= 1.0:
+        return None
+    return offset, mobility._entry_speed(x_r - v_r + v_r * offset, v_r, factor, params)
+
+
+def entry_outcome(rule, *args):
+    """The rule's (offset, speed) as float.hex, None if the arrival waits, or its error."""
+    try:
+        result = rule(*args)
+    except SimulationError as exc:
+        return str(exc)
+    return None if result is None else tuple(float(value).hex() for value in result)
+
+
+CLEARANCE = PARAMS.veh_length + PARAMS.min_gap  # the envelope of a standing rear vehicle
+
+
+@pytest.mark.parametrize(
+    "rear, arrival_offset, enters",
+    [
+        # a standing rear vehicle just inside, at and just beyond the envelope
+        ((math.nextafter(CLEARANCE, 0.0), 0.0), 0.25, False),
+        ((CLEARANCE, 0.0), 0.25, True),
+        ((math.nextafter(CLEARANCE, math.inf), 0.0), 0.25, True),
+        ((CLEARANCE, 0.0), 0.0, True),
+        # an offset of exactly 1.0 waits: an arrival at t + 1, or a rear
+        # vehicle at 2 m/s that leaves its 9.5 m envelope exactly then
+        (None, 1.0, False),
+        ((100.0, 0.0), 1.0, False),
+        ((100.0, 2.0), 1.0, False),
+        ((9.5, 2.0), 0.25, False),
+        ((math.nextafter(9.5, math.inf), 2.0), 0.25, True),
+        ((9.5, 2.0), 1.0, False),
+        # an empty road, and a moving or crawling rear vehicle that holds the entry back
+        (None, 0.0, True),
+        (None, 0.75, True),
+        ((12.0, 4.0), 0.1, True),
+        ((12.0, 4.0), 0.9, True),
+        ((CLEARANCE + 1.5e-9, 1e-9), 0.1, True),
+    ],
+)
+def test_entry_rule_matches_the_inline_rule_it_replaced(rear, arrival_offset, enters):
+    expected = entry_outcome(strip_entry, rear, arrival_offset, 1.1, PARAMS)
+    assert entry_outcome(admit, rear, arrival_offset, 1.1) == expected
+    assert (expected is not None) == enters
+
+
+@st.composite
+def entries(draw):
+    """An arrival's rear vehicle, arrival offset, speed factor and parameters."""
+    params = KraussParams(
+        b_max=draw(st.floats(0.5, 9.0)),
+        tau=draw(st.floats(0.1, 3.0)),
+        min_gap=draw(st.floats(0.1, 5.0)),
+        veh_length=draw(st.floats(0.5, 10.0)),
+    )
+    arrival_offset = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    factor = draw(st.floats(mobility.SPEED_FACTOR_MIN, mobility.SPEED_FACTOR_MAX))
+    if draw(st.integers(0, 9)) == 0:
+        return None, arrival_offset, factor, params
+    v_r = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 60.0)))
+    # where the rear vehicle stood at t, from its envelope: inside, at or beyond
+    # it, or inside by less than it moves in the window
+    beyond = draw(st.one_of(
+        st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-1.0, 1.0), st.floats(-20.0, 200.0),
+        st.floats(-1.0, 0.0).map(lambda share: share * v_r),
+    ))
+    envelope = params.veh_length + params.min_gap + v_r * params.tau
+    return (envelope + beyond + v_r, v_r), arrival_offset, factor, params
+
+
+@settings(max_examples=1000, deadline=None)
+@given(entries())
+def test_entry_rule_matches_the_inline_rule_it_replaced_property(entry):
+    assert entry_outcome(admit, *entry) == entry_outcome(strip_entry, *entry)
 
 
 def random_generator_cases(count: int = 40, seed: int = 15):
@@ -422,6 +505,25 @@ def test_parse_fcd_xml_missing_attribute():
     with pytest.raises(ParseError) as err:
         parse_fcd_xml(io.StringIO(xml))
     assert "speed" in str(err.value) and "vehicle" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "xml, message",
+    [
+        ("<fcd-export><timestep>", "bad FCD XML: no element found: line 1, column 22"),
+        ("<fcd-export><timestep/></fcd-export>", "timestep: missing required attribute 'time'"),
+        ('<fcd-export><timestep time="soon"/></fcd-export>', "timestep[time='soon']: not a number"),
+        (
+            '<fcd-export><timestep time="0">'
+            '<vehicle id="a" x="0" y="north" speed="1"/></timestep></fcd-export>',
+            "timestep[time='0']/vehicle: could not convert string to float: 'north'",
+        ),
+    ],
+)
+def test_parse_fcd_xml_names_what_does_not_parse(xml, message):
+    with pytest.raises(ParseError) as err:
+        parse_fcd_xml(io.StringIO(xml))
+    assert str(err.value) == message
 
 
 def fcd_xml(*timesteps: tuple[str, str]) -> str:

@@ -230,6 +230,23 @@ def test_parse_stations_csv_full_and_defaults():
     assert stations[1].height == 10.0
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("bs1,0,0,high,10", "line 3: could not convert string to float: 'high'"),
+        ("bs1,0,0,15,tall", "line 3: could not convert string to float: 'tall'"),
+        ("bs1,0,0,,tall\r", "line 3: could not convert string to float: 'tall'"),
+    ],
+)
+def test_parse_stations_csv_names_the_line_of_a_gain_or_height_that_does_not_parse(
+    row, message
+):
+    data = f"station_id,x,y,antenna_gain,height\nbs0,0,0,15,10\n{row}\n"
+    with pytest.raises(ParseError) as err:
+        parse_stations_csv(io.StringIO(data))
+    assert str(err.value) == message
+
+
 def test_parse_stations_csv_short_header():
     stations = parse_stations_csv(io.StringIO("station_id,x,y\nbs1,5,6\n"))
     assert stations[0].antenna_gain == 15.0
