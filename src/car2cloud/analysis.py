@@ -6,7 +6,9 @@ reproducible bit-for-bit across implementations.  "Minimum rate in 95 % of
 the cases" therefore reads as the 5th percentile of the rate distribution.
 Statistics pool per-vehicle per-tick samples, not per-vehicle means.
 Rates come as a sequence or array, such as a TickTable's rate_bps column;
-they are sorted stably and summed left to right in sorted order, so the
+sorted_rates sorts them, into the bytes of a stable sort, by numpy's
+quicksort and a fix-up of the values that compare equal but differ in
+their bits, and they are summed left to right in sorted order, so the
 statistics do not depend on how the rates are held; rates that
 sorted_rates returned are not sorted again.  The CDF stays two float64
 columns, steps and probabilities, up to the text write_cdf_csv
@@ -56,16 +58,27 @@ class ScenarioComparison:
 
 
 def sorted_rates(rates: Sequence[float] | np.ndarray) -> np.ndarray:
-    """The rates as float64 in stable ascending order.
+    """The rates as float64 in stable ascending order: np.sort(kind="stable")'s bytes.
 
     Rates already in that order are returned as they are, with no sort,
     since a stable sort would not move them; so rate_stats and cdf, given
-    rates from here, share one sort.
+    rates from here, share one sort.  Others get np.sort's default, unstable
+    sort, which may reorder values that compare equal.  Only two kinds of
+    those differ in their bits, so only they are put back in input order:
+    the run of -0.0 and 0.0, and the NaNs, which both sorts put last.
     """
     values = np.asarray(rates, dtype=np.float64)
     if (values[1:] >= values[:-1]).all():
         return values
-    return np.sort(values, kind="stable")
+    ordered = np.sort(values)
+    zero = values == 0
+    if zero.any():
+        start = int(np.searchsorted(ordered, 0.0))
+        ordered[start:start + int(zero.sum())] = values[zero]
+    nan = np.isnan(values)
+    if nan.any():
+        ordered[len(values) - int(nan.sum()):] = values[nan]
+    return ordered
 
 
 def float_total(values: np.ndarray) -> float:

@@ -5,7 +5,10 @@ are, and numeric columns, written by column_text as str and repr write
 them, from orjson's shortest round-trip digits.  Readers check their header
 line and give the rest to read_columns, which reads the stream once and
 splits each chunk of lines once on commas; a quote, or a CR or LF before
-a line's closing line break, is data.  Each numeric column is converted
+a line's closing line break, is data.  Each string column is coded as it
+is read, by the one id coder that id_codes also runs: one dict lookup per
+field, and one sort of the distinct ids at the end, into IdCodes.  Each
+numeric column is converted
 with convert_column: one orjson.loads call where a byte gate shows that
 orjson reads the column's text as int or float would, else int or float
 field by field, which also raises their errors.  A chunk that does not
@@ -17,11 +20,10 @@ first; RowLines gives any row's line number.
 from __future__ import annotations
 
 import re
-import sys
 from bisect import bisect_right
 from functools import partial
-from itertools import chain, repeat
-from typing import IO, Callable, Sequence
+from itertools import repeat
+from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 import orjson
@@ -59,6 +61,53 @@ _NEGATIVE_ZERO = re.compile(rb"-0(?:[,\r\n]|\Z)")
 
 # The characters of a line break; read_columns skips a line of only these.
 LINE_BREAK = "\r\n"
+
+
+class IdCodes(NamedTuple):
+    """An id column: the distinct ids, each used by some row, and each row's
+    index among them.  Tables hold the ids sorted, as id_codes gives them."""
+
+    names: list[str]
+    codes: np.ndarray  # int64
+
+    def ids(self) -> np.ndarray:
+        """Each row's id, as an object array, by one gather."""
+        return np.array(self.names, dtype=object)[self.codes]
+
+
+class _IdCoder(dict):
+    """Codes ids in the order they are first seen: an unseen id gets the next code.
+
+    names holds the ids by code.  Each field is hashed once, by the dict
+    lookup that codes it.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.names: list[str] = []
+
+    def __missing__(self, name: str) -> int:
+        code = self[name] = len(self.names)
+        self.names.append(name)
+        return code
+
+    def codes(self, ids: Sequence[str]) -> np.ndarray:
+        """Each id's code, as an int64 array."""
+        return np.fromiter(map(self.__getitem__, ids), np.int64, len(ids))
+
+    def sorted(self, codes: np.ndarray) -> IdCodes:
+        """Codes of this coder as IdCodes: the ids sorted once, each code
+        replaced by its id's rank, by one gather."""
+        order = sorted(range(len(self.names)), key=self.names.__getitem__)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        return IdCodes([self.names[i] for i in order], rank[codes])
+
+
+def id_codes(ids: Sequence[str]) -> IdCodes:
+    """The ids coded: the sorted distinct ids, and each id's index among them."""
+    coder = _IdCoder()
+    return coder.sorted(coder.codes(ids))
 
 
 def check_id(value: str, where: str, what: str) -> None:
@@ -137,7 +186,7 @@ def parse_chunk(lines: list[str], text: str, converters: Sequence) -> list:
     text, the lines joined by commas, is split once on commas and each
     column converted as a whole: by convert_column, as int into an int64
     array or as float into a float64 array, and where the converter is
-    None kept as interned strings, so each distinct value is held once.
+    None kept as strings, for read_columns to code once the chunk parsed.
     Raises ValueError if a line has not one field per converter or a field
     does not convert, and OverflowError if an integer does not fit in int64.
     """
@@ -148,10 +197,7 @@ def parse_chunk(lines: list[str], text: str, converters: Sequence) -> list:
     columns: list = []
     for i, convert in enumerate(converters):
         column = fields[i::width]
-        if convert is None:
-            columns.append(list(map(sys.intern, column)))
-        else:
-            columns.append(convert_column(column, convert))
+        columns.append(column if convert is None else convert_column(column, convert))
     return columns
 
 
@@ -202,14 +248,27 @@ def read_columns(
     Lines are read about READ_CHUNK_BYTES at a time, from where the stream
     stands, once.  In each chunk the blank lines (of only CR and LF) are
     skipped and the rest joined by commas once and parsed by parse_chunk.
+    Each column whose converter is None is coded by one id coder over all
+    chunks, and comes back as IdCodes.
     check(columns, start), if given, is called with each chunk's columns
-    and the index of the chunk's first row among all rows, and may raise.
-    A chunk that does not parse raises ParseError naming its first bad
-    line, after check has been given the rows before that line, so the
-    first bad line in file order is the one named.  lines, if given,
-    learns the line number of every row read.
+    and the index of the chunk's first row among all rows, and may raise;
+    there an id column is IdCodes over the ids seen so far, in the order
+    first seen, so the ids new in the chunk are the names past those of
+    the chunks before.  A chunk that does not parse is coded only up to
+    its first bad line, and raises ParseError naming that line, after
+    check has been given the rows before it, so the first bad line in
+    file order is the one named.  lines, if given, learns the line number
+    of every row read.
     """
     lines = RowLines() if lines is None else lines
+    coders = [_IdCoder() if convert is None else None for convert in converters]
+
+    def coded(columns: list) -> list:
+        return [
+            column if coder is None else IdCodes(coder.names, coder.codes(column))
+            for column, coder in zip(columns, coders)
+        ]
+
     parsed: list[list] = []
     start = 0  # rows before this chunk
     for chunk in iter(partial(stream.readlines, READ_CHUNK_BYTES), []):
@@ -228,17 +287,23 @@ def read_columns(
             except (ValueError, OverflowError):
                 bad, reason = _first_bad_row(rows, converters)
                 if check is not None and bad:
-                    check(parse_chunk(rows[:bad], ",".join(rows[:bad]), converters), start)
+                    check(coded(parse_chunk(rows[:bad], ",".join(rows[:bad]), converters)), start)
                 raise ParseError(f"line {lines(start + bad)}: {reason}") from None
+            columns = coded(columns)
             if check is not None:
                 check(columns, start)
             parsed.append(columns)
         start += len(rows)
-    return [
-        list(chain.from_iterable(chunk[i] for chunk in parsed)) if convert is None
-        else np.concatenate([chunk[i] for chunk in parsed] or [np.zeros(0, _DTYPES[convert])])
-        for i, convert in enumerate(converters)
-    ]
+    joined = []
+    for i, (convert, coder) in enumerate(zip(converters, coders)):
+        if coder is None:
+            joined.append(np.concatenate(
+                [chunk[i] for chunk in parsed] or [np.zeros(0, _DTYPES[convert])]
+            ))
+        else:
+            codes = [chunk[i].codes for chunk in parsed]
+            joined.append(coder.sorted(np.concatenate(codes or [np.zeros(0, np.int64)])))
+    return joined
 
 
 def write_columns(stream: IO[str], header: str, columns: Sequence) -> None:

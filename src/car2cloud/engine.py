@@ -43,11 +43,11 @@ import numpy as np
 
 from . import cvim, scheduler
 from .analysis import float_total, json_float
-from .csvio import INT64_BOUND, read_columns, write_columns
+from .csvio import INT64_BOUND, IdCodes, read_columns, write_columns
 from .cvim import PackagingConfig
 from .errors import ConfigError, ParseError, ValidationError
 from .linkrate import RbRateParams, rb_rates
-from .mobility import IdCodes, KraussParams, RoadSpec, TraceTable, id_codes
+from .mobility import KraussParams, RoadSpec, TraceTable
 from .radio import BaseStation, LinkBudgetConfig, best_link, link_snrs, screen_links
 
 RESULTS_CSV_HEADER = (
@@ -61,7 +61,7 @@ RESULTS_CSV_HEADER = (
 # would raise the peak RSS of simulate with the table's size.
 KERNEL_BLOCK_ROWS = 1 << 14
 
-# Conversion of each results CSV field: ids (None) are kept as read.
+# Conversion of each results CSV field: ids (None) are coded as they are read.
 _CONVERTERS = (int, None, None, float, float, float, int, int, int)
 
 
@@ -71,7 +71,7 @@ class TickTable:
 
     One column per RESULTS_CSV_HEADER field, all of one length: int64
     arrays for the counts, float64 arrays for the radio values and
-    mobility.IdCodes for the ids.  Row i is the i-th entry of every column.
+    csvio.IdCodes for the ids.  Row i is the i-th entry of every column.
     """
 
     t: np.ndarray
@@ -346,13 +346,13 @@ def write_results_csv(table: TickTable, stream: IO[str]) -> None:
 def read_results_csv(stream: IO[str]) -> TickTable:
     """Read a results CSV written by write_results_csv, with csvio.read_columns.
 
-    Lines may end in LF or CRLF.  Each id column is coded once, by id_codes.
+    Lines may end in LF or CRLF.  read_columns codes each id field as it
+    reads it, so the two id columns come back as IdCodes.
     """
     header = stream.readline()
     if header not in (RESULTS_CSV_HEADER, RESULTS_CSV_HEADER + "\n", RESULTS_CSV_HEADER + "\r\n"):
         raise ParseError("bad results header: " + repr(header.rstrip("\n")))
-    t, vehicle, station, *counts = read_columns(stream, _CONVERTERS)
-    return TickTable(t, id_codes(vehicle), id_codes(station), *counts)
+    return TickTable(*read_columns(stream, _CONVERTERS))
 
 
 def undelivered_bytes(table: TickTable) -> dict[str, int]:

@@ -5,7 +5,8 @@ one of three sources: an external trace CSV, a SUMO floating-car-data XML
 export, or the built-in car-following generator.  Every source yields one
 TraceTable: id, tick, x, y and speed columns with rows by vehicle id, then
 tick, which emit_trace_csv writes in that order and engine.run takes as is.
-Ids are coded once, where they arrive as strings (id_codes): a table holds
+Ids are coded once, where they arrive as strings, by csvio's one id coder
+(read_columns as it reads a CSV file, id_codes elsewhere): a table holds
 each id column as IdCodes, and writers turn the codes back into ids.
 A trace CSV is read once, in chunks, by csvio.read_columns, with the
 sample rules as array masks; an error names the first bad line, and a
@@ -21,17 +22,19 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import IO, Callable, NamedTuple, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .csvio import INT64_BOUND, RowLines, check_id, read_columns, write_columns
+from .csvio import (
+    INT64_BOUND, IdCodes, RowLines, check_id, id_codes, read_columns, write_columns,
+)
 from .errors import ConfigError, ParseError, SimulationError, ValidationError, check_finite
 
 TRACE_CSV_HEADER = ("vehicle_id", "t", "x", "y", "speed")
 # The header lines parse_trace_csv reads: closed by LF, by CRLF or by the end of the file.
 _TRACE_HEADER_LINES = tuple(",".join(TRACE_CSV_HEADER) + end for end in ("", "\n", "\r\n"))
-# Conversion of each trace CSV field by csvio.parse_chunk: ids (None) are kept as read.
+# Conversion of each trace CSV field by csvio.read_columns: ids (None) are coded.
 _TRACE_CONVERTERS = (None, int, float, float, float)
 _FCD_ATTRIBUTES = ("id", "x", "y", "speed")  # of an FCD <vehicle> element
 
@@ -42,18 +45,6 @@ MAX_TICK = INT64_BOUND - 1
 # draws out of the dynamics; the 0.1 deviation only fixes the spread.
 SPEED_FACTOR_MIN = 0.7
 SPEED_FACTOR_MAX = 1.3
-
-
-class IdCodes(NamedTuple):
-    """An id column: the sorted distinct ids, each used by some row, and each
-    row's index among them, as id_codes gives them."""
-
-    names: list[str]
-    codes: np.ndarray  # int64
-
-    def ids(self) -> np.ndarray:
-        """Each row's id, as an object array, by one gather."""
-        return np.array(self.names, dtype=object)[self.codes]
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,15 +67,6 @@ class TraceTable:
         return len(self.t)
 
 
-def id_codes(ids: Sequence[str]) -> IdCodes:
-    """The ids coded: the sorted distinct ids, and each id's index among them."""
-    distinct = sorted(set(ids))
-    index = {value: i for i, value in enumerate(distinct)}
-    return IdCodes(
-        distinct, np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
-    )
-
-
 def _trace_table(
     names: list[str], code: np.ndarray, t, x, y, speed, where: Callable[[int], str] | None = None
 ) -> TraceTable:
@@ -95,29 +77,31 @@ def _trace_table(
     ``where`` of its row index (``line 7``, or an FCD element's path), the
     first row in input order that repeats an earlier one; only rows read
     from a file, which ``where`` names, can repeat.  Then a 1 Hz gap names
-    the smallest vehicle id that has one, and its first gap.
+    the smallest vehicle id that has one, and its first gap.  Rows already
+    in canonical order, as emit_trace_csv writes them, are not reordered.
     """
     t = np.asarray(t, dtype=np.int64)
-    order = np.lexsort((t, code))
-    sorted_code, sorted_t = code[order], t[order]
-    gaps = np.flatnonzero(
-        (sorted_code[1:] == sorted_code[:-1]) & (sorted_t[1:] - sorted_t[:-1] != 1)
-    )
+    x, y, speed = (np.asarray(c, dtype=np.float64) for c in (x, y, speed))
+    order = None
+    if not ((code[1:] > code[:-1]) | (code[1:] == code[:-1]) & (t[1:] >= t[:-1])).all():
+        order = np.lexsort((t, code))
+        code, t, x, y, speed = (c[order] for c in (code, t, x, y, speed))
+    gaps = np.flatnonzero((code[1:] == code[:-1]) & (t[1:] - t[:-1] != 1))
     if gaps.size:
         # The sort is stable, so of two equal samples the later in input order repeats.
-        repeats = order[gaps[sorted_t[gaps] == sorted_t[gaps + 1]] + 1]
+        repeats = gaps[t[gaps] == t[gaps + 1]] + 1
         if repeats.size:
-            i = int(repeats.min())
+            rows = repeats if order is None else order[repeats]
+            i = int(repeats[rows.argmin()])
             raise ValidationError(
-                f"{where(i)}: duplicate sample ({names[code[i]]!r}, t={t[i]})"
+                f"{where(int(rows.min()))}: duplicate sample ({names[code[i]]!r}, t={t[i]})"
             )
         i = int(gaps[0])
         raise ValidationError(
-            f"vehicle {names[sorted_code[i]]!r}: samples not on a 1 Hz grid "
-            f"(ticks {sorted_t[i]} -> {sorted_t[i + 1]})"
+            f"vehicle {names[code[i]]!r}: samples not on a 1 Hz grid "
+            f"(ticks {t[i]} -> {t[i + 1]})"
         )
-    x, y, speed = (np.asarray(c, dtype=np.float64)[order] for c in (x, y, speed))
-    return TraceTable(IdCodes(names, sorted_code), sorted_t, x, y, speed)
+    return TraceTable(IdCodes(names, code), t, x, y, speed)
 
 
 @dataclass(frozen=True)
@@ -449,12 +433,12 @@ def _check_sample(where: str, t: int, x: float, y: float, speed: float) -> None:
 def parse_trace_csv(stream: IO[str]) -> TraceTable:
     """Read a trace CSV (header ``vehicle_id,t,x,y,speed``), rows in any order.
 
-    The stream is read once, from where it stands, by csvio.read_columns.
-    Each chunk's new ids get check_id and its rows the rules of
-    _check_sample, as array masks; the first bad row names its line, as in
-    ``line 7: negative speed -2.0``, before any later line is parsed.  A
-    repeated sample, found with the 1 Hz gaps by _trace_table's one
-    lexsort, is named only where no line has another error.
+    The stream is read once, from where it stands, by csvio.read_columns,
+    which codes the ids.  The ids each chunk adds to the coder get check_id
+    and its rows the rules of _check_sample, as array masks; the first bad
+    row names its line, as in ``line 7: negative speed -2.0``, before any
+    later line is parsed.  A repeated sample, found with the 1 Hz gaps by
+    _trace_table, is named only where no line has another error.
     """
     header = stream.readline()
     if not header:
@@ -462,27 +446,27 @@ def parse_trace_csv(stream: IO[str]) -> TraceTable:
     if header not in _TRACE_HEADER_LINES:
         shown = header.removesuffix("\r\n").removesuffix("\n")
         raise ParseError(f"bad trace CSV header: {shown!r}")
-    known: set[str] = set()  # ids that passed check_id
+    checked = 0  # ids, by code, that passed check_id
     lines = RowLines()
 
     def check(columns: list, start: int) -> None:
+        nonlocal checked
         vid, t, x, y, speed = columns
         bad = ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(speed)) | (t < 0) | (speed < 0)
-        first = int(bad.argmax()) if bad.any() else len(vid)
-        new = set(vid).difference(known)
-        for value in new:
+        first = int(bad.argmax()) if bad.any() else len(t)
+        for code in range(checked, len(vid.names)):  # the ids new in this chunk
             try:
-                check_id(value, "", "")
+                check_id(vid.names[code], "", "")
             except ValidationError:
-                first = min(first, vid.index(value))
-        if first < len(vid):
+                first = min(first, int((vid.codes == code).argmax()))
+        if first < len(t):
             where = f"line {lines(start + first)}"
-            check_id(vid[first], where, "vehicle_id")
+            check_id(vid.names[vid.codes[first]], where, "vehicle_id")
             _check_sample(where, *(column[first].item() for column in (t, x, y, speed)))
-        known.update(new)
+        checked = len(vid.names)
 
     vid, t, x, y, speed = read_columns(stream, _TRACE_CONVERTERS, check, lines)
-    return _trace_table(*id_codes(vid), t, x, y, speed, lambda i: f"line {lines(i)}")
+    return _trace_table(*vid, t, x, y, speed, lambda i: f"line {lines(i)}")
 
 
 def emit_trace_csv(traces: TraceTable, stream: IO[str]) -> None:

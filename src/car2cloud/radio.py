@@ -304,6 +304,8 @@ def parse_stations_csv(stream: IO[str]) -> list[BaseStation]:
 
     def check(columns: list, start: int) -> None:
         ids, x, y, *optional = columns
+        # The id, gain and height fields come coded; the rows take them as strings.
+        ids, *optional = (map(c.names.__getitem__, c.codes.tolist()) for c in (ids, *optional))
         # A gain or height column the header leaves out reads as empty fields.
         rows = zip(ids, x.tolist(), y.tolist(), *optional, *[repeat("")] * (5 - width))
         for row, (sid, sx, sy, gain, height) in enumerate(rows, start):

@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import random
+import struct
 from functools import reduce
 from unittest import mock
 
@@ -108,6 +109,53 @@ def test_sorted_rates_sorts_once(values):
     if values:
         assert repr(rate_stats(once, "s")) == repr(rate_stats(values, "s"))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(cdf(once), cdf(values)))
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Values that compare equal but differ in their bits (-0.0 and 0.0, NaNs of
+# both signs and of other payloads), and others that sort at the ends.
+UNSTABLE = [
+    0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 5e-324,
+    *map(from_bits, [
+        0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+        0xFFF800000000BEEF, 0x7FF0000000000001, 0xFFF0000000000123,
+    ]),
+]
+
+
+def stats_bytes(stats: RateStats) -> tuple:
+    """stats with its floats as bytes, so that NaN payloads and -0.0 count."""
+    floats = np.array([stats.mean_rate, *stats.percentiles.values()])
+    return stats.scenario_label, stats.sample_count, floats.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.floats() | st.sampled_from(UNSTABLE), max_size=200),
+    st.sampled_from(["as drawn", "sorted", "reversed"]),
+)
+def test_sorted_rates_gives_the_stable_sort_bytes(values, arrangement):
+    values = np.array(values, dtype=np.float64)
+    if arrangement != "as drawn":
+        values = np.sort(values, kind="stable")[:: 1 if arrangement == "sorted" else -1]
+    ordered = sorted_rates(values)
+    assert ordered.tobytes() == np.sort(values, kind="stable").tobytes()
+    if len(values):
+        assert stats_bytes(rate_stats(ordered, "s")) == stats_bytes(rate_stats(values, "s"))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(cdf(ordered), cdf(values)))
+
+
+def test_sorted_rates_gives_the_stable_sort_bytes_of_many_rates():
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=50_000)
+    values[rng.integers(0, len(values), 5_000)] = 0.0
+    values[rng.integers(0, len(values), 5_000)] = -0.0
+    for bits in (0x7FF8000000000001, 0xFFF8000000000000, 0xFFF800000000BEEF):
+        values[rng.integers(0, len(values), 500)] = from_bits(bits)
+    assert sorted_rates(values).tobytes() == np.sort(values, kind="stable").tobytes()
 
 
 def test_cdf_empty_errors():

@@ -10,8 +10,8 @@ Float totals are explicit left-to-right folds, not builtin sum, whose
 rounding changed in Python 3.12.  numpy's transcendental functions may
 differ from math's in the last ulp, so only the association screen, which
 sends every row it cannot decide exactly to best_link, refers to them.
-Ids are coded once, where they arrive as strings, and tables carry the
-codes from there to the writers.
+Ids are coded once, where they arrive as strings, by one id coder, and
+tables carry the codes from there to the writers.
 """
 
 import ast
@@ -126,13 +126,13 @@ def test_only_the_association_screen_refers_to_numpy_transcendentals():
     assert found == {}
 
 
-def id_codes_callers() -> set[str]:
-    """Each function of the package that calls id_codes, by name or as module.id_codes."""
+def callers(name: str) -> set[str]:
+    """Each function of the package that calls name, by name or as module.name."""
     return {
         scope
         for path in sorted(PACKAGE.glob("*.py"))
         for scope, node in scoped_nodes(path)
-        if isinstance(node, ast.Call) and "id_codes" in (
+        if isinstance(node, ast.Call) and name in (
             getattr(node.func, "id", None), getattr(node.func, "attr", None)
         )
     }
@@ -140,7 +140,11 @@ def id_codes_callers() -> set[str]:
 
 def test_ids_are_coded_only_where_they_arrive_as_strings():
     # Tables carry id codes from the readers and the generator to the writers.
-    assert id_codes_callers() == {
-        "mobility.parse_trace_csv", "mobility.parse_fcd_xml", "mobility._Recorder.table",
-        "engine.read_results_csv",
+    # The CSV readers' ids are coded by read_columns as it reads them, the
+    # others by id_codes; both run csvio's one id coder.
+    assert callers("read_columns") == {
+        "mobility.parse_trace_csv", "radio.parse_stations_csv", "engine.read_results_csv",
     }
+    assert callers("id_codes") == {"mobility.parse_fcd_xml", "mobility._Recorder.table"}
+    assert callers("_IdCoder") == {"csvio.id_codes", "csvio.read_columns"}
+    assert users({"sys.intern"}) == {}

@@ -256,7 +256,7 @@ def test_writer_output_is_read_without_the_per_field_path(tmp_path, monkeypatch)
     with open(tmp_path / "stats" / "cell_packages.csv", encoding="utf-8", newline="") as fh:
         assert fh.readline() == "station_id,mean_packages\n"
         ids, means = csvio.read_columns(fh, (None, float))
-    assert ids == sorted(ids) and len(means) == len(ids) == 3
+    assert ids.codes.tolist() == [0, 1, 2] and len(means) == len(ids.names) == 3
 
     values = np.array([-0.0, 0.0, 1.5e-05, -1.5e-05, 1e16, 1e300, 5e-324, -2.5])
     n = len(values)

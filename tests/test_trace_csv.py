@@ -20,6 +20,7 @@ import io
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -338,3 +339,36 @@ def test_valid_input_gives_the_row_readers_table():
     assert outcome(parse_trace_csv, text) == assert_documented_outcome(text)
     table = parse_trace_csv(io.StringIO(text))
     assert len(table.vehicle_id.names) == 100
+
+
+def canonical_lines(n: int) -> list[str]:
+    """n valid rows of 100 vehicles, in canonical order: by vehicle id, then tick."""
+    return sorted(valid_lines(n), key=lambda line: (line[:7], int(line.split(",")[1])))
+
+
+def test_rows_in_canonical_order_are_not_sorted(monkeypatch):
+    lines = canonical_lines(MANY)
+    text = big_text(lines)
+    expected = assert_documented_outcome(text)
+    monkeypatch.setattr(np, "lexsort", mock.Mock(side_effect=AssertionError("sorted")))
+    assert outcome(parse_trace_csv, text) == expected == text
+    with pytest.raises(AssertionError, match="sorted"):
+        parse_trace_csv(io.StringIO(big_text(lines[::-1])))
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["in canonical order", "reversed"])
+@pytest.mark.parametrize(
+    "rows, messages",
+    [
+        (["a,0", "a,1", "a,1", "b,0"], ["line 4: duplicate sample ('a', t=1)"] * 2),
+        (["a,0", "a,0", "b,0", "b,0"],
+         ["line 3: duplicate sample ('a', t=0)", "line 3: duplicate sample ('b', t=0)"]),
+        (["a,0", "a,2", "b,0", "b,3"],
+         ["vehicle 'a': samples not on a 1 Hz grid (ticks 0 -> 2)"] * 2),
+    ],
+    ids=["one repeat", "two repeats", "gaps"],
+)
+def test_repeats_and_gaps_are_named_alike_in_any_row_order(rows, messages, reverse):
+    lines = [f"{row},0.0,0.0,1.0\n" for row in rows]
+    text = HEADER + "".join(lines[::-1] if reverse else lines)
+    assert assert_documented_outcome(text) == (ValidationError, messages[reverse])
