@@ -220,7 +220,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # exit-code contract: anything else is internal
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -3,17 +3,17 @@
 Writers give write_columns their columns: lists of ids, written as they
 are, and numeric columns, written by column_text as str and repr write
 them, from orjson's shortest round-trip digits.  Readers check their header
-line and give the rest to read_columns, which reads the stream once and
-splits each chunk of lines once on commas; a quote, or a CR or LF before
-a line's closing line break, is data.  Each string column is coded as it
-is read, by the one id coder that id_codes also runs: one dict lookup per
-field, and one sort of the distinct ids at the end, into IdCodes.  Each
-numeric column is converted
-with convert_column: one orjson.loads call where a byte gate shows that
-orjson reads the column's text as int or float would, else int or float
-field by field, which also raises their errors.  A chunk that does not
-convert is read again line by line to name its first bad line, as a row
-reader would, and a reader's check of the rows before that line comes
+line with read_header and give the rest to read_columns, which reads the
+stream once and splits each chunk of lines once on commas; a quote, or a
+CR or LF before a line's closing line break, is data.  Each string column
+is coded as it is read, by the one id coder that id_codes also runs: one
+dict lookup per field, and one sort of the distinct ids at the end, into
+IdCodes.  Each numeric column is converted with convert_column: one
+orjson.loads call where a byte gate shows that orjson reads the column's
+text as int or float would, else int or float field by field, which also
+raises their errors.  A chunk that does not convert is read again line by
+line to name its first bad line, as a row reader would.  A reader's check
+sees the whole table read before that line, once, and its errors come
 first; RowLines gives any row's line number.
 """
 
@@ -64,8 +64,8 @@ LINE_BREAK = "\r\n"
 
 
 class IdCodes(NamedTuple):
-    """An id column: the distinct ids, each used by some row, and each row's
-    index among them.  Tables hold the ids sorted, as id_codes gives them."""
+    """An id column: the distinct ids, sorted, each used by some row, and
+    each row's index among them, as id_codes gives them."""
 
     names: list[str]
     codes: np.ndarray  # int64
@@ -237,6 +237,18 @@ def _first_bad_row(rows: list[str], converters: Sequence) -> tuple[int, str]:
     raise AssertionError("parse_chunk failed on rows that each parse")
 
 
+def read_header(stream: IO[str], kind: str, accept: Callable[[str], bool]) -> str:
+    """The header line of a kind CSV without its closing LF or CRLF; a
+    ParseError if the stream is empty or accept rejects the header."""
+    header = stream.readline()
+    if not header:
+        raise ParseError(f"{kind} CSV is empty (missing header)")
+    header = header[:-2] if header.endswith("\r\n") else header.removesuffix("\n")
+    if not accept(header):
+        raise ParseError(f"bad {kind} CSV header: {header!r}")
+    return header
+
+
 def read_columns(
     stream: IO[str],
     converters: Sequence,
@@ -249,61 +261,61 @@ def read_columns(
     stands, once.  In each chunk the blank lines (of only CR and LF) are
     skipped and the rest joined by commas once and parsed by parse_chunk.
     Each column whose converter is None is coded by one id coder over all
-    chunks, and comes back as IdCodes.
-    check(columns, start), if given, is called with each chunk's columns
-    and the index of the chunk's first row among all rows, and may raise;
-    there an id column is IdCodes over the ids seen so far, in the order
-    first seen, so the ids new in the chunk are the names past those of
-    the chunks before.  A chunk that does not parse is coded only up to
-    its first bad line, and raises ParseError naming that line, after
-    check has been given the rows before it, so the first bad line in
-    file order is the one named.  lines, if given, learns the line number
-    of every row read.
+    chunks, and comes back as IdCodes.  The read stops at the first line
+    that does not parse, or that does not decode.  check(columns), if
+    given, is called once, with the columns of every row before that line,
+    and may raise; then that line's error is raised, a ParseError naming
+    it or the UnicodeDecodeError, so the first bad line in file order is
+    the one named.  lines, if given, learns the line number of every row
+    read.
     """
     lines = RowLines() if lines is None else lines
     coders = [_IdCoder() if convert is None else None for convert in converters]
-
-    def coded(columns: list) -> list:
-        return [
-            column if coder is None else IdCodes(coder.names, coder.codes(column))
-            for column, coder in zip(columns, coders)
-        ]
-
     parsed: list[list] = []
+
+    def parse(rows: list[str]) -> None:
+        columns = parse_chunk(rows, ",".join(rows), converters)
+        parsed.append([
+            column if coder is None else coder.codes(column)
+            for column, coder in zip(columns, coders)
+        ])
+
+    error = None
     start = 0  # rows before this chunk
-    for chunk in iter(partial(stream.readlines, READ_CHUNK_BYTES), []):
-        rows = chunk
-        if min(chunk)[0] <= "\r":  # a line starts with CR, LF or a lower character
-            rows = []
-            for line in chunk:
-                if line.strip(LINE_BREAK):
-                    rows.append(line)
-                else:
-                    lines.blanks.append(start + len(rows))
-        if rows:
-            text = ",".join(rows)
-            try:
-                columns = parse_chunk(rows, text, converters)
-            except (ValueError, OverflowError):
-                bad, reason = _first_bad_row(rows, converters)
-                if check is not None and bad:
-                    check(coded(parse_chunk(rows[:bad], ",".join(rows[:bad]), converters)), start)
-                raise ParseError(f"line {lines(start + bad)}: {reason}") from None
-            columns = coded(columns)
-            if check is not None:
-                check(columns, start)
-            parsed.append(columns)
-        start += len(rows)
-    joined = []
+    try:
+        for chunk in iter(partial(stream.readlines, READ_CHUNK_BYTES), []):
+            rows = chunk
+            if min(chunk)[0] <= "\r":  # a line starts with CR, LF or a lower character
+                rows = []
+                for line in chunk:
+                    if line.strip(LINE_BREAK):
+                        rows.append(line)
+                    else:
+                        lines.blanks.append(start + len(rows))
+            if rows:
+                try:
+                    parse(rows)
+                except (ValueError, OverflowError):
+                    bad, reason = _first_bad_row(rows, converters)
+                    if bad:
+                        parse(rows[:bad])
+                    error = ParseError(f"line {lines(start + bad)}: {reason}")
+                    break
+            start += len(rows)
+    except UnicodeDecodeError as exc:
+        error = exc
+    columns = []
     for i, (convert, coder) in enumerate(zip(converters, coders)):
-        if coder is None:
-            joined.append(np.concatenate(
-                [chunk[i] for chunk in parsed] or [np.zeros(0, _DTYPES[convert])]
-            ))
-        else:
-            codes = [chunk[i].codes for chunk in parsed]
-            joined.append(coder.sorted(np.concatenate(codes or [np.zeros(0, np.int64)])))
-    return joined
+        # An id column's codes are int64 too.
+        column = np.concatenate(
+            [chunk[i] for chunk in parsed] or [np.zeros(0, _DTYPES.get(convert, np.int64))]
+        )
+        columns.append(column if coder is None else coder.sorted(column))
+    if check is not None:
+        check(columns)
+    if error is not None:
+        raise error
+    return columns
 
 
 def write_columns(stream: IO[str], header: str, columns: Sequence) -> None:

@@ -43,9 +43,9 @@ import numpy as np
 
 from . import cvim, scheduler
 from .analysis import float_total, json_float
-from .csvio import INT64_BOUND, IdCodes, read_columns, write_columns
+from .csvio import INT64_BOUND, IdCodes, read_columns, read_header, write_columns
 from .cvim import PackagingConfig
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ValidationError
 from .linkrate import RbRateParams, rb_rates
 from .mobility import KraussParams, RoadSpec, TraceTable
 from .radio import BaseStation, LinkBudgetConfig, best_link, link_snrs, screen_links
@@ -349,9 +349,7 @@ def read_results_csv(stream: IO[str]) -> TickTable:
     Lines may end in LF or CRLF.  read_columns codes each id field as it
     reads it, so the two id columns come back as IdCodes.
     """
-    header = stream.readline()
-    if header not in (RESULTS_CSV_HEADER, RESULTS_CSV_HEADER + "\n", RESULTS_CSV_HEADER + "\r\n"):
-        raise ParseError("bad results header: " + repr(header.rstrip("\n")))
+    read_header(stream, "results", RESULTS_CSV_HEADER.__eq__)
     return TickTable(*read_columns(stream, _CONVERTERS))
 
 

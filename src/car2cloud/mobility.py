@@ -22,18 +22,17 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .csvio import (
-    INT64_BOUND, IdCodes, RowLines, check_id, id_codes, read_columns, write_columns,
+    INT64_BOUND, IdCodes, RowLines, check_id, id_codes, read_columns, read_header,
+    write_columns,
 )
 from .errors import ConfigError, ParseError, SimulationError, ValidationError, check_finite
 
 TRACE_CSV_HEADER = ("vehicle_id", "t", "x", "y", "speed")
-# The header lines parse_trace_csv reads: closed by LF, by CRLF or by the end of the file.
-_TRACE_HEADER_LINES = tuple(",".join(TRACE_CSV_HEADER) + end for end in ("", "\n", "\r\n"))
 # Conversion of each trace CSV field by csvio.read_columns: ids (None) are coded.
 _TRACE_CONVERTERS = (None, int, float, float, float)
 _FCD_ATTRIBUTES = ("id", "x", "y", "speed")  # of an FCD <vehicle> element
@@ -266,17 +265,15 @@ def _entry_speed(
     return max(0.0, min(v_free, _safe_speed(gap, rear_speed, rear_speed, params)))
 
 
-def _arrival_times(road: RoadSpec) -> list[float]:
-    """Exponentially spaced arrival times for the strip inflow process."""
+def _arrival_times(road: RoadSpec) -> Iterator[float]:
+    """Exponentially spaced arrival times for the strip inflow process, before
+    the run's end, each drawn as it is taken: a strip whose demand exceeds
+    what can enter draws only the arrivals it reaches."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=road.seed, spawn_key=(0,)))
     rate = road.inflow / 3600.0
-    times: list[float] = []
     t = 0.0
-    while True:
-        t += rng.exponential(1.0 / rate)
-        if t >= road.duration:
-            return times
-        times.append(t)
+    while (t := t + rng.exponential(1.0 / rate)) < road.duration:
+        yield t
 
 
 class _Recorder:
@@ -287,8 +284,7 @@ class _Recorder:
     through np.fromiter; numpy's vectorised versions may miss by an ulp.
     """
 
-    def __init__(self, names: np.ndarray, ring_length: float | None):
-        self.names = names
+    def __init__(self, ring_length: float | None):
         self.radius = None if ring_length is None else ring_length / (2.0 * math.pi)
         self.ticks: list[tuple[np.ndarray, ...]] = []  # (vehicle, t, x, y, speed) per tick
 
@@ -303,16 +299,15 @@ class _Recorder:
             y = self.radius * np.fromiter(map(math.sin, angles), np.float64, n)
         self.ticks.append((vehicles, np.full(n, len(self.ticks), dtype=np.int64), x, y, speed))
 
-    def table(self) -> TraceTable:
-        """Every recorded sample, in canonical order."""
+    def table(self, names: np.ndarray) -> TraceTable:
+        """Every recorded sample, in canonical order; names[k] names vehicle k."""
         if not self.ticks:
             return _trace_table([], np.zeros(0, dtype=np.int64), [], [], [], [])
         vehicle, t, x, y, speed = map(np.concatenate, zip(*self.ticks))
         # Vehicle names are unique, so the codes of those recorded rank them by id string.
-        recorded = np.flatnonzero(np.bincount(vehicle, minlength=len(self.names)))
-        names, rank = id_codes(self.names[recorded].tolist())
-        code = np.zeros(len(self.names), dtype=np.int64)
-        code[recorded] = rank
+        recorded = np.flatnonzero(np.bincount(vehicle, minlength=len(names)))
+        code = np.zeros(len(names), dtype=np.int64)
+        names, code[recorded] = id_codes(names[recorded].tolist())
         return _trace_table(names, code[vehicle], t, x, y, speed)
 
 
@@ -330,17 +325,20 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
     satisfy the safe-speed law at full platoon speed, which lets the road
     reach single-lane capacity under jam demand.  An entrant joins the
     platoon's rear at once and draws its random stream then, so an arrival
-    that never enters draws nothing.
+    that never enters draws nothing.  Arrival times are drawn as they are
+    taken, so at most one is drawn past the last entrant, however high the
+    demand.
     """
     arrivals = _arrival_times(road)
-    names = _vehicle_names(len(arrivals))
-    dawdles = np.zeros((1, road.duration))  # a row per vehicle, filled as it enters
-    recorder = _Recorder(names, ring_length=None)
+    # A row of dawdles and a name per vehicle, grown as vehicles enter.
+    dawdles = np.zeros((1, road.duration))
+    names = _vehicle_names(1)
+    recorder = _Recorder(ring_length=None)
 
     # The platoon, ordered back to front.
     vehicles = np.zeros(0, dtype=np.int64)
     position = speed = factor = np.zeros(0)
-    k = 0  # the next arrival to enter
+    k, arrival = 0, next(arrivals, math.inf)  # the next arrival to enter, and its time
     for t in range(road.duration):
         recorder.record(vehicles, position, speed)
         position, speed = krauss_step(
@@ -349,15 +347,16 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
         # Entries during (t, t+1] appear in the t+1 sample set.  Positions
         # within the window are linear at the post-step speed, matching the
         # discrete position update.
-        while k < len(arrivals) and arrivals[k] <= t + 1 < road.duration:
+        while arrival <= t + 1 < road.duration:
             x_r, v_r = (float(position[0]), float(speed[0])) if len(vehicles) else (math.inf, 0.0)
-            offset = _entry_offset(x_r, v_r, max(arrivals[k] - t, 0.0), params)
+            offset = _entry_offset(x_r, v_r, max(arrival - t, 0.0), params)
             if offset >= 1.0:
                 break
             # one dawdle for each of its steps, at ticks t+1 .. duration-1
             factor_k, row = _vehicle_draws(road.seed, k, params.speed_dev, road.duration - t - 1)
             if k == len(dawdles):
                 dawdles = np.concatenate((dawdles, np.zeros_like(dawdles)))
+                names = _vehicle_names(len(dawdles))
             dawdles[k, t + 1:] = row
             v_in = _entry_speed(x_r - v_r + v_r * offset, v_r, factor_k, params)
             vehicles = np.concatenate(([k], vehicles))
@@ -365,12 +364,13 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
             speed = np.concatenate(([v_in], speed))
             factor = np.concatenate(([factor_k], factor))
             k += 1
+            arrival = next(arrivals, math.inf)
         on_road = position <= road.length
         if not on_road.all():
             vehicles, position, speed, factor = (
                 a[on_road] for a in (vehicles, position, speed, factor)
             )
-    return recorder.table()
+    return recorder.table(names)
 
 
 def _generate_ring(road: RoadSpec, params: KraussParams) -> TraceTable:
@@ -385,7 +385,7 @@ def _generate_ring(road: RoadSpec, params: KraussParams) -> TraceTable:
     factor, dawdles = map(np.array, zip(*(
         _vehicle_draws(road.seed, k, params.speed_dev, road.duration) for k in range(count)
     )))
-    recorder = _Recorder(names, ring_length=road.length)
+    recorder = _Recorder(ring_length=road.length)
 
     # The platoon, ordered back to front.
     vehicles = np.arange(count)
@@ -401,7 +401,7 @@ def _generate_ring(road: RoadSpec, params: KraussParams) -> TraceTable:
         vehicles, position, speed, factor = (
             a[order] for a in (vehicles, position, speed, factor)
         )
-    return recorder.table()
+    return recorder.table(names)
 
 
 def generate_traces(road: RoadSpec, params: KraussParams | None = None) -> TraceTable:
@@ -434,36 +434,29 @@ def parse_trace_csv(stream: IO[str]) -> TraceTable:
     """Read a trace CSV (header ``vehicle_id,t,x,y,speed``), rows in any order.
 
     The stream is read once, from where it stands, by csvio.read_columns,
-    which codes the ids.  The ids each chunk adds to the coder get check_id
-    and its rows the rules of _check_sample, as array masks; the first bad
-    row names its line, as in ``line 7: negative speed -2.0``, before any
-    later line is parsed.  A repeated sample, found with the 1 Hz gaps by
-    _trace_table, is named only where no line has another error.
+    which codes the ids.  Its check marks, as array masks, the rows that
+    break a rule of _check_sample and the rows of every id that fails
+    check_id; the first marked row names its line, as in ``line 7:
+    negative speed -2.0``, unless an earlier line does not parse.  A
+    repeated sample, found with the 1 Hz gaps by _trace_table, is named
+    only where no line has another error.
     """
-    header = stream.readline()
-    if not header:
-        raise ParseError("trace CSV is empty (missing header)")
-    if header not in _TRACE_HEADER_LINES:
-        shown = header.removesuffix("\r\n").removesuffix("\n")
-        raise ParseError(f"bad trace CSV header: {shown!r}")
-    checked = 0  # ids, by code, that passed check_id
+    read_header(stream, "trace", ",".join(TRACE_CSV_HEADER).__eq__)
     lines = RowLines()
 
-    def check(columns: list, start: int) -> None:
-        nonlocal checked
+    def check(columns: list) -> None:
         vid, t, x, y, speed = columns
         bad = ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(speed)) | (t < 0) | (speed < 0)
-        first = int(bad.argmax()) if bad.any() else len(t)
-        for code in range(checked, len(vid.names)):  # the ids new in this chunk
+        for code, name in enumerate(vid.names):
             try:
-                check_id(vid.names[code], "", "")
+                check_id(name, "", "")
             except ValidationError:
-                first = min(first, int((vid.codes == code).argmax()))
-        if first < len(t):
-            where = f"line {lines(start + first)}"
+                bad |= vid.codes == code
+        if bad.any():
+            first = int(bad.argmax())
+            where = f"line {lines(first)}"
             check_id(vid.names[vid.codes[first]], where, "vehicle_id")
             _check_sample(where, *(column[first].item() for column in (t, x, y, speed)))
-        checked = len(vid.names)
 
     vid, t, x, y, speed = read_columns(stream, _TRACE_CONVERTERS, check, lines)
     return _trace_table(*vid, t, x, y, speed, lambda i: f"line {lines(i)}")

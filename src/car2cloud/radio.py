@@ -28,7 +28,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .csvio import LINE_BREAK, RowLines, check_id, read_columns
+from .csvio import LINE_BREAK, RowLines, check_id, read_columns, read_header
 from .errors import ConfigError, ParseError, ValidationError, check_finite
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
@@ -284,36 +284,30 @@ STATION_CSV_FIELDS = ("station_id", "x", "y", "antenna_gain", "height")
 def parse_stations_csv(stream: IO[str]) -> list[BaseStation]:
     """Read base stations from CSV; gain and height columns are optional.
 
-    The header is the first 3, 4 or 5 STATION_CSV_FIELDS, closed by LF,
-    CRLF or the end of the file, and csvio.read_columns reads the rest.
-    Each row gets, in order: check_id, the duplicate check, 15.0 and 10.0
-    for an empty gain and height, the finite check and BaseStation's height
-    check.  The first bad line in file order is named, as in
-    ``line 3: duplicate station_id 'bs1'``.
+    The header is the first 3, 4 or 5 STATION_CSV_FIELDS, and
+    csvio.read_columns reads the rest.  Each row gets, in order: check_id,
+    the duplicate check, 15.0 and 10.0 for an empty gain and height, the
+    finite check and BaseStation's height check.  The first bad line in
+    file order is named, as in ``line 3: duplicate station_id 'bs1'``.
     """
-    header = stream.readline()
-    if not header:
-        raise ParseError("station CSV is empty (missing header)")
-    shown = header.removesuffix("\r\n").removesuffix("\n")
-    width = len(shown.split(","))
-    if shown != ",".join(STATION_CSV_FIELDS[:width]) or width < 3:
-        raise ParseError(f"bad station CSV header: {shown!r}")
-    stations: list[BaseStation] = []
-    seen: set[str] = set()
+    header = read_header(
+        stream, "station", {",".join(STATION_CSV_FIELDS[:w]) for w in (3, 4, 5)}.__contains__
+    )
+    width = header.count(",") + 1
+    stations: dict[str, BaseStation] = {}
     lines = RowLines()
 
-    def check(columns: list, start: int) -> None:
+    def check(columns: list) -> None:
         ids, x, y, *optional = columns
         # The id, gain and height fields come coded; the rows take them as strings.
         ids, *optional = (map(c.names.__getitem__, c.codes.tolist()) for c in (ids, *optional))
         # A gain or height column the header leaves out reads as empty fields.
         rows = zip(ids, x.tolist(), y.tolist(), *optional, *[repeat("")] * (5 - width))
-        for row, (sid, sx, sy, gain, height) in enumerate(rows, start):
+        for row, (sid, sx, sy, gain, height) in enumerate(rows):
             where = f"line {lines(row)}"
             check_id(sid, where, "station_id")
-            if sid in seen:
+            if sid in stations:
                 raise ValidationError(f"{where}: duplicate station_id {sid!r}")
-            seen.add(sid)
             # The last field keeps its line's closing line break.
             gain, height = gain.rstrip(LINE_BREAK), height.rstrip(LINE_BREAK)
             try:
@@ -324,11 +318,11 @@ def parse_stations_csv(stream: IO[str]) -> list[BaseStation]:
             if not all(math.isfinite(v) for v in (sx, sy, gain, height)):
                 raise ValidationError(f"{where}: non-finite station value")
             try:
-                stations.append(BaseStation(sid, sx, sy, antenna_gain=gain, height=height))
+                stations[sid] = BaseStation(sid, sx, sy, antenna_gain=gain, height=height)
             except ConfigError as exc:
                 raise ValidationError(f"{where}: {exc}") from None
 
     read_columns(stream, (None, float, float, None, None)[:width], check, lines)
     if not stations:
         raise ValidationError("station CSV holds no stations")
-    return stations
+    return list(stations.values())

@@ -627,14 +627,18 @@ def test_station_file_without_stations_exits_3(tmp_path, monkeypatch, capsys, st
     [
         ("traces.csv", "trace CSV is empty (missing header)"),
         ("stations.csv", "station CSV is empty (missing header)"),
+        ("results.csv", "results CSV is empty (missing header)"),
     ],
 )
 def test_an_empty_input_csv_exits_3(tmp_path, monkeypatch, capsys, name, message):
     monkeypatch.chdir(tmp_path)
     _write_inputs(tmp_path, **{name: ""})
-    assert main(COMMANDS["simulate"]) == 3
+    assert main(COMMANDS["analyze" if name == "results.csv" else "simulate"]) == 3
     assert capsys.readouterr().err == f"input error: {message}\n"
-    assert not (tmp_path / "out").exists()
+    if name == "results.csv":  # analyze makes its out-dir before it reads; it writes nothing
+        assert list((tmp_path / "out").iterdir()) == []
+    else:
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -665,6 +669,21 @@ def test_an_unexpected_exception_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(engine, "run", run)
     assert main(COMMANDS["simulate"]) == 4
     assert capsys.readouterr().err == "internal error: boom\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_unexpected_exception_without_a_message_is_named_by_its_type(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+
+    def run(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(engine, "run", run)
+    assert main(COMMANDS["simulate"]) == 4
+    assert capsys.readouterr().err == "internal error: MemoryError\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -11,7 +11,8 @@ rounding changed in Python 3.12.  numpy's transcendental functions may
 differ from math's in the last ulp, so only the association screen, which
 sends every row it cannot decide exactly to best_link, refers to them.
 Ids are coded once, where they arrive as strings, by one id coder, and
-tables carry the codes from there to the writers.
+tables carry the codes from there to the writers.  The CSV readers read
+their header lines by one rule, and no module reads the CPU count.
 """
 
 import ast
@@ -148,3 +149,13 @@ def test_ids_are_coded_only_where_they_arrive_as_strings():
     assert callers("id_codes") == {"mobility.parse_fcd_xml", "mobility._Recorder.table"}
     assert callers("_IdCoder") == {"csvio.id_codes", "csvio.read_columns"}
     assert users({"sys.intern"}) == {}
+
+
+def test_the_csv_readers_share_one_header_rule():
+    assert callers("read_header") == callers("read_columns")
+    assert callers("readline") == {"csvio.read_header"}
+
+
+def test_no_module_reads_the_cpu_count():
+    # Results, bytes and errors must not depend on how many CPUs the host reports.
+    assert users({"os.sched_getaffinity", "os.cpu_count", "os.process_cpu_count"}) == {}

@@ -227,6 +227,21 @@ def test_results_csv_rejects_bad_header():
         read_results_csv(io.StringIO("a,b,c\n"))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "results CSV is empty (missing header)"),
+        ("a,b,c\n", "bad results CSV header: 'a,b,c'"),
+        ("a,b,c\r\n0,v,bs,0,0,0,0,0,0\r\n", "bad results CSV header: 'a,b,c'"),
+        (RESULTS_CSV_HEADER + "\r", f"bad results CSV header: {RESULTS_CSV_HEADER + chr(13)!r}"),
+    ],
+)
+def test_results_csv_header_errors_read_as_the_other_readers(text, message):
+    with pytest.raises(ParseError) as err:
+        read_results_csv(io.StringIO(text))
+    assert str(err.value) == message
+
+
 def test_summary_content():
     cfg = SimConfig(scenario_label="unit", seed=5)
     results = run(cfg, trace_table(trace("v1", range(0, 30, 10))), STATION)

@@ -1,9 +1,9 @@
 """csvio's one id coder.
 
 read_columns codes each string column as it reads it, chunk by chunk, into
-the IdCodes that id_codes gives the same strings, and a chunk that does not
-parse leaves the ids after its first bad line uncoded, so the readers still
-name the first bad line in file order.
+the IdCodes that id_codes gives the same strings.  A reader's check sees
+the whole table once, the rows before a line that does not parse and no
+others, so the readers still name the first bad line in file order.
 """
 
 import io
@@ -56,24 +56,35 @@ def test_read_columns_codes_each_string_column_as_id_codes_does(text, chunk_byte
     assert numbers.tolist() == [int(row[1]) for row in rows]
 
 
-def test_check_sees_the_ids_seen_so_far_in_the_order_first_seen():
-    lines = [f"v{k % 3},{k}\n" for k in range(40)] + [f"w{k % 2},{k}\n" for k in range(40)]
-    seen: list[tuple[int, list[str], list[str]]] = []
+# Lines of ids first seen in the first chunks (v0-v2) and in later ones (w0, w1).
+CHECKED_LINES = [f"v{k % 3},{k}\n" for k in range(40)] + [f"w{k % 2},{k}\n" for k in range(40)]
 
-    def check(columns, start):
-        ids, _ = columns
-        seen.append((start, list(ids.names), [ids.names[c] for c in ids.codes.tolist()]))
 
+def test_check_is_called_once_with_the_columns_read_columns_returns():
+    text = "".join(CHECKED_LINES)
+    assert len(text) > 6 * 60  # several chunks
+    calls: list = []
     with mock.patch.object(csvio, "READ_CHUNK_BYTES", 60):
-        ids, values = read_columns(io.StringIO("".join(lines)), (None, int), check)
-    assert len(seen) > 5
-    assert [start for start, _, _ in seen] == [0, *(s + len(c) for s, _, c in seen[:-1])]
-    assert sum((chunk for _, _, chunk in seen), []) == [line.split(",")[0] for line in lines]
-    # Names only grow; w0 and w1, first seen in a later chunk, come last.
-    assert all(b[:len(a)] == a for (_, a, _), (_, b, _) in zip(seen, seen[1:]))
-    assert seen[-1][1] == ["v0", "v1", "v2", "w0", "w1"]
-    assert_codes(ids, [line.split(",")[0] for line in lines])
-    assert ids.codes[-1] == 4 and values.tolist() == list(range(40)) * 2
+        columns = read_columns(io.StringIO(text), (None, int), calls.append)
+    [checked] = calls
+    assert checked is columns
+    ids, values = columns
+    assert ids.names == ["v0", "v1", "v2", "w0", "w1"]
+    assert_codes(ids, [line.split(",")[0] for line in CHECKED_LINES])
+    assert values.tolist() == list(range(40)) * 2
+
+
+@pytest.mark.parametrize("bad", [0, 1, 37, 79])
+def test_check_sees_exactly_the_rows_before_a_bad_line_then_it_raises(bad):
+    lines = CHECKED_LINES.copy()
+    lines[bad] = "w9,oops\n"
+    calls: list = []
+    with mock.patch.object(csvio, "READ_CHUNK_BYTES", 60), pytest.raises(ParseError) as err:
+        read_columns(io.StringIO("".join(lines)), (None, int), calls.append)
+    assert str(err.value) == f"line {bad + 2}: invalid literal for int() with base 10: 'oops'"
+    [(ids, values)] = calls
+    assert_codes(ids, [line.split(",")[0] for line in lines[:bad]])
+    assert values.tolist() == [int(line.split(",")[1]) for line in lines[:bad]]
 
 
 def test_read_columns_of_no_rows_gives_empty_id_codes():
@@ -114,6 +125,22 @@ def test_trace_chunk_names_a_bad_new_id_before_a_later_bad_number(new_id, error,
     with pytest.raises(error) as err:
         parse_trace_csv(io.StringIO(TRACE_HEADER + "".join(lines)))
     assert type(err.value) is error and str(err.value) == message
+
+
+def test_trace_rule_before_an_undecodable_byte_is_named(tmp_path):
+    # The text layer decodes 8 KiB at a time, so the bad byte fails a later chunk.
+    lines = [f"veh{k % 3},{k // 3},0.0,0.0,1.0\n" for k in range(3000)]
+    lines[1] = "veh1,0,0.0,0.0,-2.0\n"  # line 3
+    path = tmp_path / "traces.csv"
+    path.write_bytes((TRACE_HEADER + "".join(lines)).encode() + b"veh\xff,0,0.0,0.0,1.0\n")
+    with mock.patch.object(csvio, "READ_CHUNK_BYTES", 60):
+        with open(path, encoding="utf-8", newline="") as fh, pytest.raises(ValidationError) as err:
+            parse_trace_csv(fh)
+        assert str(err.value) == "line 3: negative speed -2.0"
+        lines[1] = lines[0]
+        path.write_bytes((TRACE_HEADER + "".join(lines)).encode() + b"veh\xff,0,0.0,0.0,1.0\n")
+        with open(path, encoding="utf-8", newline="") as fh, pytest.raises(UnicodeDecodeError):
+            parse_trace_csv(fh)
 
 
 @pytest.mark.parametrize("new_id", ["fresh", "bs0", '"bs"', ""])

@@ -173,12 +173,30 @@ def test_strip_makes_no_random_stream_for_an_arrival_that_never_enters():
     with mock.patch.object(mobility, "_vehicle_draws", wraps=mobility._vehicle_draws) as draws:
         traces = generate_traces(road, config.krauss)
     entered = len(traces.vehicle_id.names)
-    assert (len(mobility._arrival_times(road)), entered) == (658, 429)
+    assert (sum(1 for _ in mobility._arrival_times(road)), entered) == (658, 429)
     assert draws.call_count == entered
     assert sorted(call.args[1] for call in draws.call_args_list) == list(range(entered))
     assert hashlib.sha256(csv_text(traces).encode()).hexdigest() == (
         "32c0f6100d96717a8a3df6a17ed8590f7942b5df5362ffa594f6d03682a8056e"
     )
+
+
+@pytest.mark.parametrize("inflow", [1000.0, 4000.0, 1e9, 1e308])
+def test_strip_draws_at_most_one_arrival_time_past_its_last_entry(inflow):
+    """However high the demand, arrival times are drawn only as the strip takes them."""
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "free_flow.cfg")
+    road = replace(config.road_spec(), inflow=inflow, duration=60)
+    arrival_times, drawn = mobility._arrival_times, []
+
+    def counted(road):
+        for t in arrival_times(road):
+            drawn.append(t)
+            yield t
+
+    with mock.patch.object(mobility, "_arrival_times", counted):
+        traces = generate_traces(road, config.krauss)
+    entered = len(traces.vehicle_id.names)
+    assert entered <= len(drawn) <= entered + 1
 
 
 def test_strip_memory_grows_with_the_vehicles_that_enter_not_with_demand():
