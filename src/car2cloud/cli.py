@@ -96,6 +96,26 @@ def _scenario_label(path: Path, explicit: str | None) -> str:
     return path.stem
 
 
+def _analyze_results(path: Path, label: str) -> tuple:
+    """The rate statistics, CDF points and per-cell packages of one results file."""
+    table = _read(path, engine.read_results_csv)
+    if not len(table):
+        raise ValidationError(f"results file {path} holds no tick rows")
+    bad = np.flatnonzero(~np.isfinite(table.rate_bps))
+    if bad.size:
+        row = bad[0]
+        names, codes = table.vehicle_id
+        raise ValidationError(
+            f"results file {path}: vehicle {names[codes[row]]!r} at t={table.t[row]}: "
+            f"rate {float(table.rate_bps[row])!r} bit/s is not finite"
+        )
+    rates = analysis.sorted_rates(table.rate_bps)
+    # Counted before the CDF is built, so its points and the count's
+    # temporaries are never held at once.
+    per_cell = cvim.count_packages_per_cell(table)
+    return analysis.rate_stats(rates, label), analysis.cdf(rates), per_cell
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     labels = list(args.labels or [])
     if labels and len(labels) != len(args.results):
@@ -108,37 +128,31 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if labels.count(label) > 1:
             raise ConfigError(f"scenario label {label!r} names more than one results file")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # The longest file name a label makes must fit in the out-dir.
-    name_max = os.pathconf(out_dir, "PC_NAME_MAX")
+    # The longest file name a label makes must fit in the out-dir, which is
+    # made only once every results file reads: ask its nearest existing
+    # ancestor, on the same filesystem.
+    probe = out_dir.absolute()
+    while not probe.exists():
+        probe = probe.parent
+    name_max = os.pathconf(probe, "PC_NAME_MAX")
     for label in labels:
         if len(f"cell_packages_{label}.csv".encode()) > name_max:
             raise ConfigError(
                 f"scenario label {label!r} makes file names longer than {name_max} bytes"
             )
-    all_stats: list[analysis.RateStats] = []
-    for i, (path, label) in enumerate(zip(paths, labels)):
-        table = _read(path, engine.read_results_csv)
-        if not len(table):
-            raise ValidationError(f"results file {path} holds no tick rows")
-        bad = np.flatnonzero(~np.isfinite(table.rate_bps))
-        if bad.size:
-            row = bad[0]
-            names, codes = table.vehicle_id
-            raise ValidationError(
-                f"results file {path}: vehicle {names[codes[row]]!r} at t={table.t[row]}: "
-                f"rate {float(table.rate_bps[row])!r} bit/s is not finite"
-            )
-        rates = analysis.sorted_rates(table.rate_bps)
-        all_stats.append(analysis.rate_stats(rates, label))
+    # Every results file is read and checked before the out-dir is made or
+    # written; each table is dropped once its outputs are computed.
+    scenarios = [_analyze_results(path, label) for path, label in zip(paths, labels)]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for i, (label, (_, points, per_cell)) in enumerate(zip(labels, scenarios)):
         suffix = "" if i == 0 else f"_{label}"
         with open(out_dir / f"cdf{suffix}.csv", "w", encoding="utf-8", newline="") as fh:
-            analysis.write_cdf_csv(analysis.cdf(rates), fh)
-        per_cell = cvim.count_packages_per_cell(table)
+            analysis.write_cdf_csv(points, fh)
         with open(
             out_dir / f"cell_packages{suffix}.csv", "w", encoding="utf-8", newline=""
         ) as fh:
             analysis.write_cell_packages_csv(per_cell, fh)
+    all_stats = [stats for stats, _, _ in scenarios]
     comparison = (
         analysis.compare_scenarios(all_stats[0], all_stats[1])
         if len(all_stats) >= 2

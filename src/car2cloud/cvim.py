@@ -407,29 +407,43 @@ def drain_queues(
     arrays of Python ints.  Returns the bits sent and the bytes left
     queued after each row, of their dtype.
 
-    Whole packages leave in order, so the bits a vehicle has sent always
-    equal the running total of its pushed bits at some row.  A row sends
-    up to the largest such total within its capacity of the bits already
-    sent and no more than the bits pushed so far.  Step j drains the j-th
-    row of every vehicle that has one, so the steps are as many as the
-    longest vehicle's rows, however deep its queue.
+    Up to a vehicle's first late row, one whose package does not fit its
+    capacity (8 * pushed > capacity), its queue is empty after every row:
+    each package leaves as it is pushed.  Those rows are filled at once,
+    and the steps start at each vehicle's first late row.  Whole packages
+    leave in order, so from there the bits a vehicle has sent always equal
+    the running total of its pushed bits at some row.  A row sends up to
+    the largest such total within its capacity of the bits already sent
+    and no more than the bits pushed so far.  Step j drains the j-th row
+    from the first late one of every vehicle that has one, so the steps
+    are as many as the longest such tail, however deep its queue; without
+    a late row there is no step.
     """
     n = len(pushed)
+    sent = pushed * 8
+    queued = np.zeros_like(pushed)
+    late = np.flatnonzero(sent > capacity)
+    if not late.size:
+        return sent, queued
+    # The first late row of each vehicle that has one, and its rows from
+    # there, found with no per-row int64 array: the drain's three int64
+    # columns are simulate's peak on a deep backlog.
+    code = vehicle[late]
+    first_late = np.ones(late.size, dtype=bool)
+    first_late[1:] = code[1:] != code[:-1]
+    starts = late[first_late]
+    next_vehicle = np.flatnonzero(vehicle[1:] != vehicle[:-1]) + 1
+    ends = np.append(next_vehicle, n)[np.searchsorted(next_vehicle, starts, "right")]
+    lengths = ends - starts
     # pushed_bits[i + 1] is the bits pushed up to row i, over all vehicles.
     pushed_bits = np.zeros(n + 1, dtype=pushed.dtype)
-    np.multiply(pushed, 8, out=pushed_bits[1:])
+    pushed_bits[1:] = sent
     np.cumsum(pushed_bits, out=pushed_bits)
-    first_row = np.ones(n, dtype=bool)
-    first_row[1:] = vehicle[1:] != vehicle[:-1]
-    starts = np.flatnonzero(first_row)
-    lengths = np.diff(starts, append=n)
     # Longest first: alive[j] vehicles have a j-th row, and they come first.
     longest = np.argsort(-lengths)
     starts, lengths = starts[longest], lengths[longest]
-    alive = np.searchsorted(-lengths, -np.arange(lengths.max(initial=0)))
+    alive = np.searchsorted(-lengths, -np.arange(lengths[0]))
     ahead = pushed_bits[starts]
-    sent = np.empty(n, dtype=pushed.dtype)
-    queued = np.empty(n, dtype=pushed.dtype)
     for j, count in enumerate(alive.tolist()):
         row = starts[:count] + j
         now = pushed_bits[row + 1]

@@ -58,8 +58,11 @@ RESULTS_CSV_HEADER = (
 
 # Values in one block's rows x stations association screen, so it bounds the
 # rows per kernel call: whole-table temporaries and per-element Python lists
-# would raise the peak RSS of simulate with the table's size.
-KERNEL_BLOCK_ROWS = 1 << 14
+# would raise the peak RSS of simulate with the table's size.  Each block
+# also pays about 130 us of fixed kernel set-up, so the bound is the
+# largest that leaves the peak unchanged: 3276 rows under 20 stations.
+# 2**17 raised the 300k-row ring's peak by 3 MB and ran no faster.
+KERNEL_BLOCK_ROWS = 1 << 16
 
 # Conversion of each results CSV field: ids (None) are coded as they are read.
 _CONVERTERS = (int, None, None, float, float, float, int, int, int)

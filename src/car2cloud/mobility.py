@@ -240,14 +240,25 @@ def _entry_offset(
     entry envelope veh_length + min_gap + rear_speed * tau.  The arrival
     enters at arrival_offset or when the envelope clears, whichever is
     later; at 1.0 or more (inf behind a standing rear vehicle inside it) it
-    waits for the next window.  An empty road is a standing rear vehicle at
-    infinity, (math.inf, 0.0), which never blocks.
+    waits for the next window.  The envelope's sum and _entry_gap's
+    differences round apart, so an offset at which _entry_gap, the gap
+    _entry_speed takes, would fall below 0 is inf too.  An empty road is a
+    standing rear vehicle at infinity, (math.inf, 0.0), which never blocks.
     """
     start = rear_position - rear_speed  # the rear vehicle at the window's start
     envelope = params.veh_length + params.min_gap + rear_speed * params.tau
     if rear_speed > 0.0:
-        return max(arrival_offset, (envelope - start) / rear_speed)
-    return arrival_offset if start >= envelope else math.inf
+        offset = max(arrival_offset, (envelope - start) / rear_speed)
+    elif start >= envelope:
+        offset = arrival_offset
+    else:
+        return math.inf
+    return offset if _entry_gap(start + rear_speed * offset, params) >= 0.0 else math.inf
+
+
+def _entry_gap(rear_position: float, params: KraussParams) -> float:
+    """The gap to the rear vehicle at rear_position of a vehicle entering at the origin."""
+    return rear_position - params.veh_length - params.min_gap
 
 
 def _entry_speed(
@@ -259,7 +270,7 @@ def _entry_speed(
     against the rearmost vehicle already on the road.
     """
     v_free = params.v_max * factor
-    gap = rear_position - params.veh_length - params.min_gap
+    gap = _entry_gap(rear_position, params)
     if gap < 0:
         raise SimulationError("injection attempted while origin blocked")
     return max(0.0, min(v_free, _safe_speed(gap, rear_speed, rear_speed, params)))
@@ -271,8 +282,10 @@ def _arrival_times(road: RoadSpec) -> Iterator[float]:
     what can enter draws only the arrivals it reaches."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=road.seed, spawn_key=(0,)))
     rate = road.inflow / 3600.0
+    # A subnormal inflow's rate rounds to 0: its mean spacing is beyond any float.
+    spacing = 1.0 / rate if rate else math.inf
     t = 0.0
-    while (t := t + rng.exponential(1.0 / rate)) < road.duration:
+    while (t := t + rng.exponential(spacing)) < road.duration:
         yield t
 
 

@@ -66,8 +66,9 @@ def rr_shares(t: np.ndarray, cell: np.ndarray, n_rb: int, mode: str) -> np.ndarr
     its position in the cell's attached tuple.  The share depends only on
     the cell load k (and, in integer mode, on whether the vehicle gets one
     of the remainder blocks), so it is computed in Python once per distinct
-    k: n_rb / k, or the floor share n_rb // k plus one block for the
-    n_rb % k vehicles ranked from t % k on, wrapping round the cell.
+    k, into a table that each row indexes by its k: n_rb / k, or the floor
+    share n_rb // k plus one block for the n_rb % k vehicles ranked from
+    t % k on, wrapping round the cell.
     """
     if mode not in MODES:
         raise ConfigError(f"scheduler.mode must be one of {MODES}, got {mode!r}")
@@ -84,14 +85,20 @@ def rr_shares(t: np.ndarray, cell: np.ndarray, n_rb: int, mode: str) -> np.ndarr
     sizes = np.diff(np.append(new, len(t)))
     k = np.empty_like(t)
     k[order] = np.repeat(sizes, sizes)
-    loads, k_index = np.unique(k, return_inverse=True)
+    loads = np.flatnonzero(np.bincount(sizes)).tolist()
     if mode == "fractional":
-        return np.array([n_rb / load for load in loads.tolist()])[k_index]
+        table = np.zeros(loads[-1] + 1)
+        table[loads] = [n_rb / load for load in loads]
+        return table[k]
     rank = np.empty_like(t)
     rank[order] = np.arange(len(t)) - np.repeat(new, sizes)
-    base, remainder = zip(*(divmod(int(n_rb), load) for load in loads.tolist()))
-    share = np.array([float(b) for b in base])[k_index]
-    extra = (rank - t % k) % k < np.array(remainder)[k_index]
+    base = np.zeros(loads[-1] + 1)
+    remainder = np.zeros(loads[-1] + 1, dtype=np.int64)
+    for load in loads:
+        b, remainder[load] = divmod(int(n_rb), load)
+        base[load] = float(b)
+    share = base[k]
+    extra = (rank - t % k) % k < remainder[k]
     return np.where(extra, share + 1.0, share)
 
 

@@ -635,10 +635,15 @@ def test_an_empty_input_csv_exits_3(tmp_path, monkeypatch, capsys, name, message
     _write_inputs(tmp_path, **{name: ""})
     assert main(COMMANDS["analyze" if name == "results.csv" else "simulate"]) == 3
     assert capsys.readouterr().err == f"input error: {message}\n"
-    if name == "results.csv":  # analyze makes its out-dir before it reads; it writes nothing
-        assert list((tmp_path / "out").iterdir()) == []
-    else:
-        assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_writes_nothing_when_a_later_results_file_is_bad(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path, **{"empty.csv": ""})
+    assert main(["analyze", "results.csv", "empty.csv", "--out-dir", "out"]) == 3
+    assert capsys.readouterr().err == "input error: results CSV is empty (missing header)\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -657,6 +662,17 @@ def test_a_bad_override_exits_2_naming_its_rule(tmp_path, monkeypatch, capsys, o
     assert main([*COMMANDS["gen-traces"], "--set", override]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("inflow", ["5e-324", "1e-310"])
+def test_a_subnormal_strip_inflow_runs_with_no_vehicle(tmp_path, monkeypatch, capsys, inflow):
+    # 5e-324 / 3600 rounds to 0, a rate whose mean spacing no float holds.
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+    args = ["--set", f"road.inflow={inflow}", "--set", "road.duration=10"]
+    assert main([*COMMANDS["gen-traces"], *args]) == 0
+    assert capsys.readouterr().err == "wrote 0 traces to out.csv\n"
+    assert (tmp_path / "out.csv").read_text() == "vehicle_id,t,x,y,speed\n"
 
 
 def test_an_unexpected_exception_exits_4(tmp_path, monkeypatch, capsys):

@@ -203,6 +203,20 @@ def test_drain_sizes_match_try_transmit(rows):
     assert drain_sizes(pushed, capacity) == (expected_sent, expected_queued)
 
 
+PACKAGE_SIZES = st.just(0) | st.integers(1, 50) | st.integers(2**60 - 8, 2**60 - 1)
+
+
+@st.composite
+def ample_rows(draw):
+    """Rows of (pushed bytes, capacity bits) whose packages each fit their row."""
+    pushed = draw(st.lists(PACKAGE_SIZES, min_size=1, max_size=40))
+    capacity = [
+        8 * size + draw(st.just(0) | st.integers(0, 1000) | st.sampled_from([2**63, 10**30]))
+        for size in pushed
+    ]
+    return pushed, capacity
+
+
 @st.composite
 def vehicle_queues(draw):
     """Rows of (pushed bytes, capacity bits) of 0 to 5 vehicles, and each vehicle's code.
@@ -210,22 +224,32 @@ def vehicle_queues(draw):
     Packages are small or near 2**60 bytes, whose bits need Python ints;
     capacities are 0, random, the bits of one of the vehicle's packages,
     or at least 2**63.  A vehicle may repeat its rows 5 to 15 times, so
-    that vehicles of a few hundred rows drain beside short ones.
+    that vehicles of a few hundred rows drain beside short ones.  Some
+    vehicles never queue, as every package fits its row, and some have
+    such rows before their first late row, whose package does not fit.
     """
     vehicles = []
     for _ in range(draw(st.integers(0, 5))):
-        pushed = draw(st.lists(
-            st.just(0) | st.integers(1, 50) | st.integers(2**60 - 8, 2**60 - 1), min_size=1,
-            max_size=40,
-        ))
+        kind = draw(st.sampled_from(["random", "ample prefix", "never queues"]))
+        repeats = draw(st.just(1) | st.integers(5, 15))
+        if kind == "never queues":
+            pushed, capacity = draw(ample_rows())
+            vehicles.append((pushed * repeats, capacity * repeats))
+            continue
+        pushed = draw(st.lists(PACKAGE_SIZES, min_size=1, max_size=40))
         bits = [8 * size for size in pushed if size] or [0]
         capacity = [
             draw(st.just(0) | st.integers(0, 1000) | st.sampled_from(bits)
                  | st.sampled_from([2**63, 8 * 2**70, 10**30]))
             for _ in pushed
         ]
-        repeats = draw(st.just(1) | st.integers(5, 15))
-        vehicles.append((pushed * repeats, capacity * repeats))
+        pushed, capacity = pushed * repeats, capacity * repeats
+        if kind == "ample prefix":
+            prefix_pushed, prefix_capacity = draw(ample_rows())
+            late = draw(PACKAGE_SIZES.filter(bool))
+            pushed = prefix_pushed + [late] + pushed
+            capacity = prefix_capacity + [draw(st.integers(0, 8 * late - 1))] + capacity
+        vehicles.append((pushed, capacity))
     n = len(vehicles)
     codes = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
     return vehicles, codes
@@ -293,18 +317,34 @@ def searchsorted_calls(pushed, capacity, vehicle):
 def test_drain_queues_work_does_not_grow_with_the_backlog():
     # 4 vehicles of 3600 rows each push 2 bytes per row and send 24 bits
     # every other row: each queue grows to 1800 packages and every package
-    # waits for the one before it.  The drain makes as many searches as
-    # for the same rows with room for everything.
+    # waits for the one before it.  The drain makes at most one search per
+    # row of the longest vehicle, and none for the same rows with room for
+    # everything, where no package waits.
     rows = 3600
     pushed = np.full(4 * rows, 2, dtype=np.int64)
     capacity = np.tile(np.array([0, 24], dtype=np.int64), 2 * rows)
     vehicle = np.repeat(np.arange(4, dtype=np.int64), rows)
     sent, queued, backlog_calls = searchsorted_calls(pushed, capacity, vehicle)
-    _, _, ample_calls = searchsorted_calls(pushed, np.full_like(capacity, 1000), vehicle)
-    assert backlog_calls == ample_calls <= rows + 2
+    ample_sent, ample_queued, ample_calls = searchsorted_calls(
+        pushed, np.full_like(capacity, 1000), vehicle
+    )
+    assert backlog_calls <= rows + 2
+    assert ample_calls == 0
+    assert ample_sent.tolist() == [16] * (4 * rows) and ample_queued.tolist() == [0] * (4 * rows)
     expected_sent, expected_queued = drain_sizes([2] * rows, [0, 24] * (rows // 2))
     assert sent.tolist() == expected_sent * 4 and queued.tolist() == expected_queued * 4
     assert max(expected_queued) == 1800 * 2
+
+
+def test_a_day_long_vehicle_with_room_for_every_package_takes_no_drain_step():
+    # One vehicle of 86,400 one-second rows whose packages all fit: no
+    # package waits, so the drain makes no search at all.
+    rows = 86_400
+    pushed = np.tile(np.array([112, 0, 224], dtype=np.int64), rows // 3)
+    capacity = np.full(rows, 8 * 224, dtype=np.int64)
+    sent, queued, calls = searchsorted_calls(pushed, capacity, np.zeros(rows, dtype=np.int64))
+    assert calls == 0
+    assert sent.tolist() == (8 * pushed).tolist() and not queued.any()
 
 
 QUEUE_OPS = st.lists(

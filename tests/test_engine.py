@@ -518,6 +518,23 @@ def test_deep_ring_backlog_matches_the_scalar_loop():
     assert_same_text(csv_text(results), csv_text(scalar_run(config, traces, stations)))
 
 
+def test_a_jam_whose_packages_all_fit_takes_no_drain_step():
+    # At 100 RB per cell every package of the jam strip fits its row's
+    # capacity, so no queue forms: the drain fills every row at once and
+    # makes no np.searchsorted call, its one search per step.
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    config = load_config(configs / "traffic_jam.cfg", ["road.duration=150"])
+    traces = generate_traces(config.road_spec(), config.krauss)
+    with open(configs / "stations_10km.csv", encoding="utf-8", newline="") as fh:
+        stations = radio.parse_stations_csv(fh)
+    with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as searchsorted:
+        table = run(config, traces, stations)
+    assert searchsorted.call_count == 0
+    assert len(stations) == 5 and len(table) > 5_000
+    assert not table.queue_bytes.any()
+    assert_same_text(csv_text(table), csv_text(scalar_run(config, traces, stations)))
+
+
 def test_queue_scenario_conserves_bytes():
     cfg, traces, stations = queue_scenario()
     results = run(cfg, traces, stations)
