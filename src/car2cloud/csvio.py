@@ -180,10 +180,10 @@ def _json_numbers(column: list[str], convert) -> np.ndarray | None:
     return array
 
 
-def parse_chunk(lines: list[str], text: str, converters: Sequence) -> list:
+def parse_chunk(lines: list[str], converters: Sequence) -> list:
     """Columns of a chunk of non-blank CSV lines, one per converter.
 
-    text, the lines joined by commas, is split once on commas and each
+    The lines are joined by commas, the text split once on commas and each
     column converted as a whole: by convert_column, as int into an int64
     array or as float into a float64 array, and where the converter is
     None kept as strings, for read_columns to code once the chunk parsed.
@@ -193,7 +193,7 @@ def parse_chunk(lines: list[str], text: str, converters: Sequence) -> list:
     width = len(converters)
     if set(map(str.count, lines, repeat(","))) != {width - 1}:
         raise ValueError(f"a line without {width} fields")
-    fields = text.split(",")
+    fields = ",".join(lines).split(",")
     columns: list = []
     for i, convert in enumerate(converters):
         column = fields[i::width]
@@ -259,9 +259,9 @@ def read_columns(
 
     Lines are read about READ_CHUNK_BYTES at a time, from where the stream
     stands, once.  In each chunk the blank lines (of only CR and LF) are
-    skipped and the rest joined by commas once and parsed by parse_chunk.
-    Each column whose converter is None is coded by one id coder over all
-    chunks, and comes back as IdCodes.  The read stops at the first line
+    skipped and the rest parsed by parse_chunk, which joins them by commas
+    once.  Each column whose converter is None is coded by one id coder
+    over all chunks, and comes back as IdCodes.  The read stops at the first line
     that does not parse, or that does not decode.  check(columns), if
     given, is called once, with the columns of every row before that line,
     and may raise; then that line's error is raised, a ParseError naming
@@ -274,7 +274,7 @@ def read_columns(
     parsed: list[list] = []
 
     def parse(rows: list[str]) -> None:
-        columns = parse_chunk(rows, ",".join(rows), converters)
+        columns = parse_chunk(rows, converters)
         parsed.append([
             column if coder is None else coder.codes(column)
             for column, coder in zip(columns, coders)

@@ -1,9 +1,10 @@
 """Per-second simulation of every trace sample, and its file interfaces.
 
-The traces come in as one mobility.TraceTable, whose rows one lexsort puts
-in (tick, vehicle id) order; its vehicle id codes are the results' too.
-run computes each results column for all rows with array kernels that give
-the scalar formulas' bits:
+The traces come in as one mobility.TraceTable, whose vehicle id codes are
+the results' too.  run works on its rows in canonical (vehicle id, tick)
+order, in place where they are in it, and one lexsort puts the results in
+(tick, vehicle id) order at the end.  It computes each results column for
+all rows with array kernels that give the scalar formulas' bits:
 
 - per block of rows, the station, SNR and block rate: a numpy screen
   (radio.screen_links) takes each vehicle's nearest station of each gain
@@ -11,10 +12,11 @@ the scalar formulas' bits:
   SNR, leaving its unsure rows to one radio.best_link call;
   radio.link_snrs gives the SNR and linkrate.rb_rates one block's rate;
 - scheduler.rr_shares: the vehicle's Round-Robin share of its cell's
-  resource blocks; its rate is the share times the block rate;
-- cvim.drain_queues: over each vehicle's rows in tick order, the package
-  queued at a flush and the whole packages each tick's capacity sends, as
-  cvim.try_transmit sends them.
+  resource blocks, its rank among each cell's rows at a tick being their
+  vehicle order; its rate is the share times the block rate;
+- cvim.drain_queues: over each vehicle's rows, which are consecutive and
+  in tick order, the package queued at a flush and the whole packages
+  each tick's capacity sends, as cvim.try_transmit sends them.
 
 numpy's + - * / and comparisons round exactly as Python's float operations
 do, so the kernels follow the scalar code's operation order on arrays; only
@@ -47,7 +49,7 @@ from .csvio import INT64_BOUND, IdCodes, read_columns, read_header, write_column
 from .cvim import PackagingConfig
 from .errors import ConfigError, ValidationError
 from .linkrate import RbRateParams, rb_rates
-from .mobility import KraussParams, RoadSpec, TraceTable
+from .mobility import KraussParams, RoadSpec, TraceTable, canonical_order
 from .radio import BaseStation, LinkBudgetConfig, best_link, link_snrs, screen_links
 
 RESULTS_CSV_HEADER = (
@@ -228,6 +230,14 @@ def config_echo(config: SimConfig) -> dict[str, str]:
     return echo
 
 
+def _first_row(bad: np.ndarray, vehicle: np.ndarray, ticks: np.ndarray) -> int | None:
+    """The row of the first set entry of bad in (tick, vehicle) order, or None."""
+    rows = np.flatnonzero(bad)
+    if not rows.size:
+        return None
+    return int(rows[np.lexsort((vehicle[rows], ticks[rows]))[0]])
+
+
 def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) -> TickTable:
     """Simulate every trace sample; rows ordered by (t, vehicle_id)."""
     stations = sorted(stations, key=lambda s: str(s.station_id))
@@ -236,16 +246,21 @@ def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) 
     pkg_cfg = config.packaging
 
     names, vehicle = traces.vehicle_id
-    order = np.lexsort((vehicle, traces.t))
-    ticks, vehicle = traces.t[order], vehicle[order]
-    state = np.column_stack((traces.x, traces.y, traces.speed))[order]
-    finite = np.isfinite(state).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValidationError(
-            f"vehicle {names[vehicle[i]]!r} at t={ticks[i]}: non-finite position or speed"
-        )
+    ticks, x, y, speed = traces.t, traces.x, traces.y, traces.speed
+    order = canonical_order(vehicle, ticks)
+    if order is not None:
+        vehicle, ticks, x, y, speed = (c[order] for c in (vehicle, ticks, x, y, speed))
     n = len(ticks)
+    # A vehicle's rows are consecutive: its last row is the one before its
+    # code changes (codes are not negative), and a repeated sample's rows
+    # have equal ticks.
+    last = np.diff(vehicle, append=-1) != 0
+    repeat = ~last & (np.diff(ticks, append=0) == 0)
+    finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(speed)
+    for bad, why in ((~finite, "non-finite position or speed"), (repeat, "repeated sample")):
+        i = _first_row(bad, vehicle, ticks)
+        if i is not None:
+            raise ValidationError(f"vehicle {names[vehicle[i]]!r} at t={ticks[i]}: {why}")
 
     # Each block of rows gets its station (rows the screen cannot decide go
     # to best_link), its SNR and the rate of one resource block.
@@ -255,30 +270,31 @@ def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) 
     step = max(1, KERNEL_BLOCK_ROWS // len(stations))
     for lo in range(0, n, step):
         block = slice(lo, lo + step)
-        positions = state[block, :2]
+        positions = np.column_stack((x[block], y[block]))
         winners, unsure = screen_links(positions, stations, config.link)
         if unsure.any():
             winners[unsure] = best_link(positions[unsure], stations, config.link)
         serving[block] = winners
         snr_db[block] = link_snrs(positions, winners, stations, config.link)
-        rates[block] = rb_rates(snr_db[block], state[block, 2], config.rate)
+        rates[block] = rb_rates(snr_db[block], speed[block], config.rate)
     # The shares' and the drain's whole-table temporaries need not stack on
-    # the trace state.
-    order = state = finite = positions = None
+    # the samples.
+    order = x = y = speed = repeat = finite = bad = positions = None
     # A cell is a station id; the ids that serve no row are left out.
     hits = np.bincount(serving, minlength=len(stations)).tolist()
     cells = sorted({s.station_id for s, hit in zip(stations, hits) if hit})
     index = {sid: i for i, sid in enumerate(cells)}
     cell = np.array([index.get(s.station_id, -1) for s in stations], dtype=np.int64)[serving]
+    serving = None
+    # rr_shares's stable sort keeps each cell's rows at a tick in vehicle order.
     shares = scheduler.rr_shares(ticks, cell, config.effective_n_rb, config.scheduler_mode)
     with np.errstate(all="ignore"):
         np.multiply(shares, rates, out=rates)
     # A one-second tick's capacity is int(rate) bits, which must exist.  No
     # rate is negative: shares and efficiencies are not, and the speed
     # penalty is positive at any speed.
-    bad = ~np.isfinite(rates)
-    if bad.any():
-        i = int(np.argmax(bad))
+    i = _first_row(~np.isfinite(rates), vehicle, ticks)
+    if i is not None:
         raise ConfigError(
             f"vehicle {names[vehicle[i]]!r} at t={ticks[i]}: rate {float(rates[i])!r} bit/s "
             "is not a finite, non-negative capacity"
@@ -286,17 +302,11 @@ def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) 
 
     # A package carries the records of the ticks a vehicle was present since
     # its last flush: at the last tick of each aggregation window, and at
-    # its departure.
-    last_tick = np.full(len(names), np.iinfo(np.int64).min)
-    np.maximum.at(last_tick, vehicle, ticks)
+    # its departure, so buffered[i], the ticks the package pushed at row i
+    # carries (0 if none), never spans two vehicles.
     agg = pkg_cfg.aggregate_ticks
-    flush = (ticks % agg == agg - 1) | (ticks == last_tick[vehicle])
-    # Queues are causal, so they run per vehicle over its rows in tick order.
-    # In that order, buffered[i] is the number of ticks the package pushed at
-    # row i carries, 0 if none; a vehicle's last row flushes, so no count
-    # spans two vehicles.
-    by_vehicle = np.argsort(vehicle, kind="stable")
-    flushed = np.flatnonzero(flush[by_vehicle])
+    flush = (ticks % agg == agg - 1) | last
+    flushed = np.flatnonzero(flush)
     buffered = np.zeros(n, dtype=np.int64)
     buffered[flushed] = np.diff(flushed, prepend=-1)
     package_bytes = np.array([0] + [
@@ -304,38 +314,37 @@ def run(config: SimConfig, traces: TraceTable, stations: Sequence[BaseStation]) 
         for k in range(1, int(buffered.max(initial=0)) + 1)
     ], dtype=np.int64)
     pushed = package_bytes[buffered]
+    last = flushed = buffered = None
     if int(pushed.max(initial=0)) * int(np.count_nonzero(pushed)) < 1 << 59:
         # The pushed bits stay below 2**62, so the drain's sums fit in int64
         # and a capacity of 2**62 bits holds every package, as any larger
         # one does.
-        bits, left = cvim.drain_queues(
-            pushed, np.minimum(rates[by_vehicle], 2.0**62).astype(np.int64), vehicle[by_vehicle]
-        )
+        bits, left = cvim.drain_queues(pushed, np.minimum(rates, 2.0**62).astype(np.int64), vehicle)
     else:
         bits, left = cvim.drain_queues(
-            pushed.astype(object), np.frompyfunc(int, 1, 1)(rates[by_vehicle]), vehicle[by_vehicle]
+            pushed.astype(object), np.frompyfunc(int, 1, 1)(rates), vehicle
         )
         beyond = np.flatnonzero((bits >= INT64_BOUND) | (left >= INT64_BOUND))
-        if beyond.size:
-            k = beyond[0]
-            i = by_vehicle[k]
+        if beyond.size:  # the first such row in canonical order
+            i = beyond[0]
             raise ConfigError(
-                f"vehicle {names[vehicle[i]]!r} at t={ticks[i]}: {left[k]} bytes "
-                f"queued and {bits[k]} bits sent, beyond 64 bits"
+                f"vehicle {names[vehicle[i]]!r} at t={ticks[i]}: {left[i]} bytes "
+                f"queued and {bits[i]} bits sent, beyond 64 bits"
             )
-    sent = np.empty(n, dtype=np.int64)
-    queued = np.empty(n, dtype=np.int64)
-    sent[by_vehicle], queued[by_vehicle] = bits, left
+        bits, left = bits.astype(np.int64), left.astype(np.int64)
+    pushed = None
+
+    # Each results column is gathered on its own, and its working copy
+    # dropped as the next is made: gathering all nine at once raises the peak.
+    order = np.lexsort((vehicle, ticks))
+    columns = [ticks, vehicle, cell, snr_db, shares, rates, flush, bits, left]
+    ticks = vehicle = cell = snr_db = shares = rates = flush = bits = left = None
+    for k, column in enumerate(columns):
+        columns[k] = column[order]
+    ticks, vehicle, cell, snr_db, shares, rates, flush, bits, left = columns
     return TickTable(
-        t=ticks,
-        vehicle_id=IdCodes(names, vehicle),
-        serving_station=IdCodes(cells, cell),
-        snr_db=snr_db,
-        rb_share=shares,
-        rate_bps=rates,
-        packages_generated=flush.astype(np.int64),
-        bits_sent=sent,
-        queue_bytes=queued,
+        ticks, IdCodes(names, vehicle), IdCodes(cells, cell), snr_db, shares, rates,
+        flush.astype(np.int64), bits, left,
     )
 
 

@@ -53,7 +53,8 @@ class TraceTable:
     ``vehicle_id`` is IdCodes, ``t`` an int64 array and ``x``, ``y`` and
     ``speed`` float64 arrays, all of one length; row i is the i-th entry of
     every column.  Producers give rows in canonical order: by vehicle id
-    string, then by tick, with each vehicle's ticks consecutive.
+    string, then by tick, with each vehicle's ticks consecutive.  Consumers
+    may rely on that order; engine.run reads such rows in place.
     """
 
     vehicle_id: IdCodes
@@ -64,6 +65,15 @@ class TraceTable:
 
     def __len__(self) -> int:
         return len(self.t)
+
+
+def canonical_order(code: np.ndarray, t: np.ndarray) -> np.ndarray | None:
+    """None if rows of vehicle codes code at ticks t are in canonical order,
+    by code and then by tick, with equal ticks allowed; else the stable
+    lexsort that puts them in it."""
+    if ((code[1:] > code[:-1]) | (code[1:] == code[:-1]) & (t[1:] >= t[:-1])).all():
+        return None
+    return np.lexsort((t, code))
 
 
 def _trace_table(
@@ -81,9 +91,8 @@ def _trace_table(
     """
     t = np.asarray(t, dtype=np.int64)
     x, y, speed = (np.asarray(c, dtype=np.float64) for c in (x, y, speed))
-    order = None
-    if not ((code[1:] > code[:-1]) | (code[1:] == code[:-1]) & (t[1:] >= t[:-1])).all():
-        order = np.lexsort((t, code))
+    order = canonical_order(code, t)
+    if order is not None:
         code, t, x, y, speed = (c[order] for c in (code, t, x, y, speed))
     gaps = np.flatnonzero((code[1:] == code[:-1]) & (t[1:] - t[:-1] != 1))
     if gaps.size:

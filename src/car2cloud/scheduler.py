@@ -61,9 +61,11 @@ def rr_allocate(
 def rr_shares(t: np.ndarray, cell: np.ndarray, n_rb: int, mode: str) -> np.ndarray:
     """RB share of every row: its cell's Round-Robin deal at rotation offset t.
 
-    Rows are vehicles at ticks ``t`` attached to cells coded ``cell``, in
-    (t, vehicle id) order, so a vehicle's rank within its cell and tick is
-    its position in the cell's attached tuple.  The share depends only on
+    Rows are vehicles at ticks ``t`` attached to cells coded ``cell``.  The
+    rows of each cell at each tick come in vehicle-id order, and rows may
+    come in any order otherwise; a stable sort keeps that order, so a
+    vehicle's rank within its cell and tick is its position in the cell's
+    attached tuple.  The share depends only on
     the cell load k (and, in integer mode, on whether the vehicle gets one
     of the remainder blocks), so it is computed in Python once per distinct
     k, into a table that each row indexes by its k: n_rb / k, or the floor

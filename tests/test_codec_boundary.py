@@ -156,6 +156,12 @@ def test_the_csv_readers_share_one_header_rule():
     assert callers("readline") == {"csvio.read_header"}
 
 
+def test_one_function_tests_the_canonical_row_order():
+    # mobility._trace_table, which makes every trace table, and engine.run,
+    # which reads canonical rows in place, share one test of that order.
+    assert callers("canonical_order") == {"mobility._trace_table", "engine.run"}
+
+
 def test_no_module_reads_the_cpu_count():
     # Results, bytes and errors must not depend on how many CPUs the host reports.
     assert users({"os.sched_getaffinity", "os.cpu_count", "os.process_cpu_count"}) == {}

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -535,6 +536,35 @@ def test_a_jam_whose_packages_all_fit_takes_no_drain_step():
     assert_same_text(csv_text(table), csv_text(scalar_run(config, traces, stations)))
 
 
+def test_run_peak_memory_stays_near_the_table_it_returns():
+    """engine.run reads canonical traces in place, takes every step in their
+    row order and gathers the results one column at a time, so its traced
+    peak stays near the bytes of the TickTable it returns: 1.25 times them
+    here, and 1.24 on ring_backlog's seed-42 traces."""
+    # A 10 km ring of 100 vehicles on narrow blocks: every vehicle queues.
+    config = parse_config_text("", [
+        "road.topology=ring", "road.length=10000", "road.inflow=100", "road.duration=600",
+        "cell.rb_limit=1", "cvim.aggregate_ticks=20", "linkrate.rb_bandwidth_hz=3000",
+    ])
+    radius = 10_000.0 / (2.0 * math.pi) + 25.0
+    angles = [0.4 * math.pi * k for k in range(5)]
+    stations = [
+        BaseStation(f"bs{k}", radius * math.cos(a), radius * math.sin(a))
+        for k, a in enumerate(angles)
+    ]
+    traces = generate_traces(config.road_spec(), config.krauss)
+    tracemalloc.start()
+    try:
+        table = run(config, traces, stations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = [getattr(table, f.name) for f in fields(TickTable)]
+    table_bytes = sum(c.codes.nbytes if isinstance(c, IdCodes) else c.nbytes for c in columns)
+    assert len(table) == 60_000 and np.count_nonzero(table.queue_bytes) > 50_000
+    assert peak <= 1.5 * table_bytes
+
+
 def test_queue_scenario_conserves_bytes():
     cfg, traces, stations = queue_scenario()
     results = run(cfg, traces, stations)
@@ -571,6 +601,26 @@ def test_run_names_first_bad_vehicle_of_first_bad_tick():
     with pytest.raises(ValidationError) as err:
         run(SimConfig(), trace_table(rows), STATION)
     assert str(err.value) == "vehicle 'c' at t=3: non-finite position or speed"
+
+
+def test_run_rejects_a_repeated_sample():
+    # Dealt as a second vehicle of its cell, a repeat would take 1 and 2 of
+    # 3 blocks, and the scalar loop, which deals per vehicle, 2 and 2.
+    config = parse_config_text("", ["scheduler.mode=integer", "cell.n_rb=3"])
+    rows = [("a", 1, 5.0, 0.0, 2.0), ("a", 1, 6.0, 0.0, 2.0)]
+    with pytest.raises(ValidationError) as err:
+        run(config, trace_table(rows), [BaseStation("bs0", 0.0, 25.0)])
+    assert str(err.value) == "vehicle 'a' at t=1: repeated sample"
+
+
+def test_run_names_the_first_repeated_sample_in_results_order():
+    # 'b' repeats t=2 and 'c' t=1: 'b' comes first by vehicle, 'c' by tick.
+    rows = [("a", t, 10.0, 0.0, 5.0) for t in range(4)]
+    rows += [("b", 2, 10.0, 0.0, 5.0)] * 2 + [("c", 1, 10.0, 0.0, 5.0)] * 2
+    for order in (rows, rows[::-1]):
+        with pytest.raises(ValidationError) as err:
+            run(SimConfig(), trace_table(order), STATION)
+        assert str(err.value) == "vehicle 'c' at t=1: repeated sample"
 
 
 @pytest.mark.parametrize(

@@ -479,6 +479,28 @@ def test_parse_trace_csv_rows_in_any_order():
     assert traces.x.tolist() == [0.0, 10.0, 0.0, 5.0]
 
 
+@pytest.mark.parametrize(
+    "code, t",
+    [([], []), ([3], [-5]), ([0, 0, 1, 1], [4, 4, 0, 0]), ([0, 0, 2, 5], [1, 3, -3, 7])],
+    ids=["empty", "one row", "equal ticks", "gaps"],
+)
+def test_canonical_order_is_none_for_canonical_rows(code, t):
+    code, t = (np.array(c, dtype=np.int64) for c in (code, t))
+    assert mobility.canonical_order(code, t) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)), max_size=12))
+def test_canonical_order_is_the_lexsort_of_rows_out_of_order(rows):
+    code, t = (np.array([row[i] for row in rows], dtype=np.int64) for i in (0, 1))
+    expected = np.lexsort((t, code))
+    order = mobility.canonical_order(code, t)
+    if (expected == np.arange(len(rows))).all():
+        assert order is None
+    else:
+        assert order.tolist() == expected.tolist()
+
+
 def test_parse_trace_csv_malformed_row():
     with pytest.raises(ParseError) as err:
         parse_trace_csv(io.StringIO("vehicle_id,t,x,y,speed\na,zero,0,0,1\n"))

@@ -194,6 +194,17 @@ def test_rr_shares_match_rr_allocate(rows, mode, n_rb):
     assert got.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(tick_rows(), st.sampled_from(MODES), st.integers(0, 60))
+def test_rr_shares_of_rows_by_vehicle_are_the_same_shares_permuted(rows, mode, n_rb):
+    # engine.run passes its rows by vehicle, then tick; each cell's rows at
+    # a tick stay in vehicle order.
+    t, vehicle, cell_code = (np.array([r[i] for r in rows], dtype=np.int64) for i in range(3))
+    by_vehicle = np.lexsort((t, vehicle))
+    got = rr_shares(t[by_vehicle], cell_code[by_vehicle], n_rb, mode)
+    assert got.tobytes() == rr_shares(t, cell_code, n_rb, mode)[by_vehicle].tobytes()
+
+
 def test_rr_shares_validate_like_rr_allocate():
     t = np.zeros(1, dtype=np.int64)
     with pytest.raises(ConfigError):
