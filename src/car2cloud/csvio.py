@@ -11,14 +11,18 @@ dict lookup per field, and one sort of the distinct ids at the end, into
 IdCodes.  Each numeric column is converted with convert_column: one
 orjson.loads call where a byte gate shows that orjson reads the column's
 text as int or float would, else int or float field by field, which also
-raises their errors.  A chunk that does not convert is read again line by
-line to name its first bad line, as a row reader would.  A reader's check
-sees the whole table read before that line, once, and its errors come
-first; RowLines gives any row's line number.
+raises their errors.  Each chunk's columns are written straight into the
+table's columns, which double when a chunk does not fit, for a file to no
+more rows than its unread bytes foresee, and are trimmed once at the end,
+so the table is never held twice.  A chunk that does not convert is
+read again line by line to name its first bad line, as a row reader
+would.  A reader's check sees the whole table read before that line,
+once, and its errors come first; RowLines gives any row's line number.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from bisect import bisect_right
 from functools import partial
@@ -36,14 +40,16 @@ ID_FORBIDDEN_CHARS = ',"\r\n'
 # Bytes of CSV lines read, parsed and converted at a time by read_columns;
 # each numeric column of a chunk is one orjson.loads call.  The chunk bounds
 # the parse's temporaries (the lines, their fields, a column's text and
-# orjson's list of numbers).  Reading ring_backlog's results and traces in
-# one process, chunks of 64 KiB and of 1 MiB were no faster and peaked 5 and
-# 7 MB higher.
+# orjson's list of numbers).  Running ring_backlog's three commands in one
+# process, chunks of 64 KiB read its traces and results at the same speed
+# and peak RSS, and chunks of 1 MiB about 15 % slower and 4.7 MB higher.
 READ_CHUNK_BYTES = 1 << 17
 # Rows formatted per chunk by write_columns, about 1 MB of results CSV text.
-# Chunks of 2**11 to 2**14 rows write ring_backlog's 300k rows at one speed
-# and larger ones no faster; their transient column texts and row strings
-# (about 4 MB per chunk of results) only raise the peak RSS.
+# A chunk's transient column texts and row strings (about 4 MB per chunk of
+# results) add to the peak RSS: on ring_backlog, chunks of 2**11 rows
+# lowered the benchmark's peak_rss_mb from 83.2 to 79.6 MB, but made gen_s
+# 2.2 % and simulate_s 1.6 % slower (medians of 10 pairs, 3 of 10 faster
+# each).  Chunks larger than 2**13 rows write no faster.
 WRITE_CHUNK_ROWS = 1 << 13
 
 _DTYPES = {int: np.int64, float: np.float64}
@@ -97,11 +103,14 @@ class _IdCoder(dict):
 
     def sorted(self, codes: np.ndarray) -> IdCodes:
         """Codes of this coder as IdCodes: the ids sorted once, each code
-        replaced by its id's rank, by one gather."""
+        replaced in place by its id's rank."""
         order = sorted(range(len(self.names)), key=self.names.__getitem__)
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order))
-        return IdCodes([self.names[i] for i in order], rank[codes])
+        # Every code indexes rank, so clip clips none; unlike raise, it
+        # gathers into out without a buffer the size of codes.
+        np.take(rank, codes, out=codes, mode="clip")
+        return IdCodes([self.names[i] for i in order], codes)
 
 
 def id_codes(ids: Sequence[str]) -> IdCodes:
@@ -249,6 +258,22 @@ def read_header(stream: IO[str], kind: str, accept: Callable[[str], bool]) -> st
     return header
 
 
+def _capacity(stream: IO[str], end: int, chunk: list[str]) -> int:
+    """The rows read_columns makes room for once its columns must hold end,
+    chunk being the lines it read last.
+
+    A stream with a file descriptor gets end, chunk's lines again for the
+    text its buffer holds, and its unread bytes at chunk's lines per
+    character, but at most twice end; any other stream gets twice end.
+    """
+    try:
+        fd = stream.fileno()
+        unread = os.fstat(fd).st_size - os.lseek(fd, 0, os.SEEK_CUR)
+    except (AttributeError, OSError):
+        return 2 * end
+    return min(2 * end, end + len(chunk) + max(unread, 0) * len(chunk) // len("".join(chunk)))
+
+
 def read_columns(
     stream: IO[str],
     converters: Sequence,
@@ -261,27 +286,37 @@ def read_columns(
     stands, once.  In each chunk the blank lines (of only CR and LF) are
     skipped and the rest parsed by parse_chunk, which joins them by commas
     once.  Each column whose converter is None is coded by one id coder
-    over all chunks, and comes back as IdCodes.  The read stops at the first line
-    that does not parse, or that does not decode.  check(columns), if
-    given, is called once, with the columns of every row before that line,
-    and may raise; then that line's error is raised, a ParseError naming
-    it or the UnicodeDecodeError, so the first bad line in file order is
-    the one named.  lines, if given, learns the line number of every row
-    read.
+    over all chunks, and comes back as IdCodes.  Every chunk's columns, id
+    codes included, are written straight into one int64 or float64 array
+    per column, made larger by _capacity when a chunk does not fit and
+    trimmed once at the end: no chunk's columns are kept or joined, so the
+    table is held once.  The read stops at the first line that does not
+    parse, or that does not decode.
+    check(columns), if given, is called once, with the columns of every
+    row before that line, and may raise; then that line's error is raised,
+    a ParseError naming it or the UnicodeDecodeError, so the first bad line
+    in file order is the one named.  lines, if given, learns the line
+    number of every row read.
     """
     lines = RowLines() if lines is None else lines
     coders = [_IdCoder() if convert is None else None for convert in converters]
-    parsed: list[list] = []
+    # An id column's codes are int64 too.
+    out = [np.empty(0, _DTYPES.get(convert, np.int64)) for convert in converters]
+    size = 0  # rows written
 
-    def parse(rows: list[str]) -> None:
+    def parse(rows: list[str], chunk: list[str]) -> None:
+        nonlocal size
         columns = parse_chunk(rows, converters)
-        parsed.append([
-            column if coder is None else coder.codes(column)
-            for column, coder in zip(columns, coders)
-        ])
+        end = size + len(rows)
+        if end > len(out[0]):
+            capacity = _capacity(stream, end, chunk)
+            for column in out:
+                column.resize(capacity, refcheck=False)
+        for column, values, coder in zip(out, columns, coders):
+            column[size:end] = values if coder is None else coder.codes(values)
+        size = end
 
     error = None
-    start = 0  # rows before this chunk
     try:
         for chunk in iter(partial(stream.readlines, READ_CHUNK_BYTES), []):
             rows = chunk
@@ -291,26 +326,23 @@ def read_columns(
                     if line.strip(LINE_BREAK):
                         rows.append(line)
                     else:
-                        lines.blanks.append(start + len(rows))
+                        lines.blanks.append(size + len(rows))
             if rows:
                 try:
-                    parse(rows)
+                    parse(rows, chunk)
                 except (ValueError, OverflowError):
                     bad, reason = _first_bad_row(rows, converters)
+                    error = ParseError(f"line {lines(size + bad)}: {reason}")
                     if bad:
-                        parse(rows[:bad])
-                    error = ParseError(f"line {lines(start + bad)}: {reason}")
+                        parse(rows[:bad], chunk)
                     break
-            start += len(rows)
     except UnicodeDecodeError as exc:
         error = exc
-    columns = []
-    for i, (convert, coder) in enumerate(zip(converters, coders)):
-        # An id column's codes are int64 too.
-        column = np.concatenate(
-            [chunk[i] for chunk in parsed] or [np.zeros(0, _DTYPES.get(convert, np.int64))]
-        )
-        columns.append(column if coder is None else coder.sorted(column))
+    for column in out:
+        column.resize(size, refcheck=False)
+    columns = [
+        column if coder is None else coder.sorted(column) for column, coder in zip(out, coders)
+    ]
     if check is not None:
         check(columns)
     if error is not None:

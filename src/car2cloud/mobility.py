@@ -299,27 +299,19 @@ def _arrival_times(road: RoadSpec) -> Iterator[float]:
 
 
 class _Recorder:
-    """Platoon snapshots, appended one tick's arrays at a time.
+    """Strip snapshots, appended one tick's arrays at a time, since a strip
+    vehicle's rows are known only once it leaves.  A strip position is x,
+    with y = 0."""
 
-    A strip position is x with y = 0; a ring position is mapped onto a
-    circle of matching circumference with the scalar math.cos and math.sin
-    through np.fromiter; numpy's vectorised versions may miss by an ulp.
-    """
-
-    def __init__(self, ring_length: float | None):
-        self.radius = None if ring_length is None else ring_length / (2.0 * math.pi)
+    def __init__(self) -> None:
         self.ticks: list[tuple[np.ndarray, ...]] = []  # (vehicle, t, x, y, speed) per tick
 
     def record(self, vehicles: np.ndarray, position: np.ndarray, speed: np.ndarray) -> None:
         """Snapshot of the next tick, the first being tick 0."""
         n = len(vehicles)
-        if self.radius is None:
-            x, y = position, np.zeros(n)
-        else:
-            angles = (position / self.radius).tolist()
-            x = self.radius * np.fromiter(map(math.cos, angles), np.float64, n)
-            y = self.radius * np.fromiter(map(math.sin, angles), np.float64, n)
-        self.ticks.append((vehicles, np.full(n, len(self.ticks), dtype=np.int64), x, y, speed))
+        self.ticks.append(
+            (vehicles, np.full(n, len(self.ticks), dtype=np.int64), position, np.zeros(n), speed)
+        )
 
     def table(self, names: np.ndarray) -> TraceTable:
         """Every recorded sample, in canonical order; names[k] names vehicle k."""
@@ -355,7 +347,7 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
     # A row of dawdles and a name per vehicle, grown as vehicles enter.
     dawdles = np.zeros((1, road.duration))
     names = _vehicle_names(1)
-    recorder = _Recorder(ring_length=None)
+    recorder = _Recorder()
 
     # The platoon, ordered back to front.
     vehicles = np.zeros(0, dtype=np.int64)
@@ -396,6 +388,16 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
 
 
 def _generate_ring(road: RoadSpec, params: KraussParams) -> TraceTable:
+    """Ring run: the vehicles start evenly spaced and at rest, and circle the
+    whole run, mapped onto a circle of matching circumference.
+
+    Every vehicle has a sample at every tick, so each tick's samples are
+    written straight into their canonical rows: vehicle k's sample at tick
+    t is row rank[k] * duration + t, where rank[k] is its id's rank, coded
+    once before the run.  Positions are mapped with the scalar math.cos and
+    math.sin, tick by tick through np.fromiter; numpy's vectorised versions
+    may miss by an ulp.
+    """
     count = int(road.inflow)
     spacing = road.length / count
     if spacing < params.veh_length + params.min_gap:
@@ -403,27 +405,37 @@ def _generate_ring(road: RoadSpec, params: KraussParams) -> TraceTable:
             f"ring of {road.length} m cannot hold {count} vehicles "
             f"(need {params.veh_length + params.min_gap} m each)"
         )
-    names = _vehicle_names(count)
+    ids = _vehicle_names(count)
     factor, dawdles = map(np.array, zip(*(
         _vehicle_draws(road.seed, k, params.speed_dev, road.duration) for k in range(count)
     )))
-    recorder = _Recorder(ring_length=road.length)
+    # A run of no ticks records no vehicle.
+    names, rank = id_codes(ids.tolist() if road.duration else [])
+    first_row = rank * road.duration
+    x, y, speed_column = (np.empty(count * road.duration) for _ in range(3))
+    radius = road.length / (2.0 * math.pi)
 
     # The platoon, ordered back to front.
     vehicles = np.arange(count)
     position = np.array([k * spacing for k in range(count)])
     speed = np.zeros(count)
     for t in range(road.duration):
-        recorder.record(vehicles, position, speed)
+        rows = first_row[vehicles] + t
+        angles = (position / radius).tolist()
+        x[rows] = radius * np.fromiter(map(math.cos, angles), np.float64, count)
+        y[rows] = radius * np.fromiter(map(math.sin, angles), np.float64, count)
+        speed_column[rows] = speed
         position, speed = krauss_step(
-            position, speed, factor, dawdles[vehicles, t], params, names[vehicles],
+            position, speed, factor, dawdles[vehicles, t], params, ids[vehicles],
             ring_length=road.length,
         )
         order = np.argsort(position, kind="stable")
         vehicles, position, speed, factor = (
             a[order] for a in (vehicles, position, speed, factor)
         )
-    return recorder.table(names)
+    code = np.repeat(np.arange(len(names)), road.duration)
+    t = np.tile(np.arange(road.duration), len(names))
+    return _trace_table(names, code, t, x, y, speed_column)
 
 
 def generate_traces(road: RoadSpec, params: KraussParams | None = None) -> TraceTable:

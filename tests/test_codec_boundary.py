@@ -140,13 +140,17 @@ def callers(name: str) -> set[str]:
 
 
 def test_ids_are_coded_only_where_they_arrive_as_strings():
-    # Tables carry id codes from the readers and the generator to the writers.
+    # Tables carry id codes from the readers and the generators to the writers.
     # The CSV readers' ids are coded by read_columns as it reads them, the
     # others by id_codes; both run csvio's one id coder.
     assert callers("read_columns") == {
         "mobility.parse_trace_csv", "radio.parse_stations_csv", "engine.read_results_csv",
     }
-    assert callers("id_codes") == {"mobility.parse_fcd_xml", "mobility._Recorder.table"}
+    # The ring generator codes its vehicles' ids before its run, to write
+    # each sample into its canonical row.
+    assert callers("id_codes") == {
+        "mobility.parse_fcd_xml", "mobility._Recorder.table", "mobility._generate_ring",
+    }
     assert callers("_IdCoder") == {"csvio.id_codes", "csvio.read_columns"}
     assert users({"sys.intern"}) == {}
 

@@ -220,6 +220,23 @@ def test_strip_memory_grows_with_the_vehicles_that_enter_not_with_demand():
     ]
 
 
+def test_ring_memory_stays_near_the_table_it_returns():
+    """Each tick's samples go straight into their canonical rows, so a ring
+    run's traced peak is its TraceTable and one tick's temporaries: 1.46 times
+    the table here, and 1.52 on ring_backlog's seed-42 run, where keeping
+    every tick's arrays, joining and then gathering them gave 3.73 and 3.75."""
+    road = RoadSpec("ring", 10_000.0, 200, 600, seed=42)
+    tracemalloc.start()
+    try:
+        traces = generate_traces(road)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = (traces.vehicle_id.codes, traces.t, traces.x, traces.y, traces.speed)
+    assert len(traces) == 120_000
+    assert peak <= 2 * sum(column.nbytes for column in columns)
+
+
 def admit(rear, arrival_offset, factor, params=PARAMS):
     """_generate_strip's entry by _entry_offset and _entry_speed, in strip_entry's terms."""
     x_r, v_r = (math.inf, 0.0) if rear is None else rear
@@ -884,4 +901,14 @@ def test_generated_traces_are_in_id_string_order():
     # that the table replaced.
     assert hashlib.sha256(csv_text(traces).encode()).hexdigest() == (
         "d713bd3a72b86afb47c6509dba646f8dc232d61fecc97b48bb7c7a872ab0a4ac"
+    )
+
+
+def test_ring_samples_land_in_their_id_string_rows():
+    # Over five ticks of 10,001 cars, vehicle k's samples fill the rows of its
+    # id's rank, as ranked by the sort of the joined samples this write replaced.
+    traces = generate_traces(RoadSpec("ring", 100_000.0, 10_001, 5, seed=7))
+    assert traces.t.tolist() == [0, 1, 2, 3, 4] * 10_001
+    assert hashlib.sha256(csv_text(traces).encode()).hexdigest() == (
+        "0a90fc9852830ecce581ef01e473141ed75c55bb4e63c787326fce60937220d6"
     )
