@@ -1,44 +1,37 @@
 """Vehicle mobility: trace ingestion and a single-lane Krauss generator.
 
 Trajectories are 1 Hz samples of (x, y, speed) per vehicle.  They come from
-one of three sources: an external trace CSV, a SUMO floating-car-data XML
-export, or the built-in car-following generator.  Every source yields one
-TraceTable: id, tick, x, y and speed columns with rows by vehicle id, then
-tick, which emit_trace_csv writes in that order and engine.run takes as is.
-Ids are coded once, where they arrive as strings, by csvio's one id coder
-(read_columns as it reads a CSV file, id_codes elsewhere): a table holds
-each id column as IdCodes, and writers turn the codes back into ids.
-A trace CSV is read once, in chunks, by csvio.read_columns, with the
-sample rules as array masks; an error names the first bad line, and a
-quote or a line break inside a line is data.  In both trace readers a
-repeated sample is named only where no sample breaks a rule.  Synthetic
-roads are either a straight strip along the x axis (vehicles injected at
-the origin) or a ring mapped onto a circle in the plane, so radio
-distances are always well defined.
+one of two sources: an external trace CSV or the built-in car-following
+generator.  Both yield one TraceTable: id, tick, x, y and speed columns
+with rows by vehicle id, then tick, which emit_trace_csv writes in that
+order and engine.run takes as is.  Ids are coded once, where they arrive
+as strings, by csvio's one id coder (read_columns as it reads a CSV file,
+id_codes where _sample_rows places a generator's rows): a table holds each
+id column as IdCodes, and writers turn the codes back into ids.  A trace
+CSV is read once, in chunks, by csvio.read_columns, with the sample rules
+as array masks; an error names the first bad line, and a quote or a line
+break inside a line is data.  A repeated sample is named only where no
+sample breaks a rule.  Synthetic roads are either a straight strip along
+the x axis (vehicles injected at the origin) or a ring mapped onto a
+circle in the plane, so radio distances are always well defined.
 """
 
 from __future__ import annotations
 
 import math
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .csvio import (
-    INT64_BOUND, IdCodes, RowLines, check_id, id_codes, read_columns, read_header,
-    write_columns,
+    IdCodes, RowLines, check_id, id_codes, read_columns, read_header, write_columns,
 )
-from .errors import ConfigError, ParseError, SimulationError, ValidationError, check_finite
+from .errors import ConfigError, SimulationError, ValidationError, check_finite
 
 TRACE_CSV_HEADER = ("vehicle_id", "t", "x", "y", "speed")
 # Conversion of each trace CSV field by csvio.read_columns: ids (None) are coded.
 _TRACE_CONVERTERS = (None, int, float, float, float)
-_FCD_ATTRIBUTES = ("id", "x", "y", "speed")  # of an FCD <vehicle> element
-
-# Ticks are held as int64 in the trace and result tables.
-MAX_TICK = INT64_BOUND - 1
 
 # Per-vehicle desired-speed factors are clamped to keep pathological normal
 # draws out of the dynamics; the 0.1 deviation only fixes the spread.
@@ -77,20 +70,17 @@ def canonical_order(code: np.ndarray, t: np.ndarray) -> np.ndarray | None:
 
 
 def _trace_table(
-    names: list[str], code: np.ndarray, t, x, y, speed, where: Callable[[int], str] | None = None
+    names: list[str], code: np.ndarray, t, x, y, speed, where: Callable[[int], str]
 ) -> TraceTable:
-    """Samples of vehicles names[code] as a table in canonical order.
+    """Samples of vehicles names[code], read from a file, as a table in canonical order.
 
-    ``t``, ``x``, ``y`` and ``speed`` are sequences or arrays, row for row
-    with ``code``, and every name has a row.  A repeated sample names, by
-    ``where`` of its row index (``line 7``, or an FCD element's path), the
-    first row in input order that repeats an earlier one; only rows read
-    from a file, which ``where`` names, can repeat.  Then a 1 Hz gap names
-    the smallest vehicle id that has one, and its first gap.  Rows already
-    in canonical order, as emit_trace_csv writes them, are not reordered.
+    ``t`` is an int64 array and ``x``, ``y`` and ``speed`` float64 arrays,
+    row for row with ``code``, and every name has a row.  A repeated sample
+    names, by ``where`` of its row index (``line 7``), the first row in
+    input order that repeats an earlier one.  Then a 1 Hz gap names the
+    smallest vehicle id that has one, and its first gap.  Rows already in
+    canonical order, as emit_trace_csv writes them, are not reordered.
     """
-    t = np.asarray(t, dtype=np.int64)
-    x, y, speed = (np.asarray(c, dtype=np.float64) for c in (x, y, speed))
     order = canonical_order(code, t)
     if order is not None:
         code, t, x, y, speed = (c[order] for c in (code, t, x, y, speed))
@@ -126,9 +116,12 @@ class KraussParams:
     speed_dev: float = 0.1    # per-vehicle speed-factor std deviation
 
     def __post_init__(self) -> None:
-        for name in ("a_max", "b_max", "v_max", "tau", "min_gap", "veh_length"):
+        for name in ("a_max", "b_max", "v_max", "min_gap", "veh_length"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"krauss.{name} must be positive")
+        # Below the step the safe speed no longer keeps a gap (Krauss 1998).
+        if self.tau < 1.0:
+            raise ConfigError(f"krauss.tau must be at least the 1 s time step, got {self.tau}")
         if not 0.0 <= self.sigma <= 1.0:
             raise ConfigError("krauss.sigma must be in [0, 1]")
         if self.speed_dev < 0:
@@ -298,35 +291,31 @@ def _arrival_times(road: RoadSpec) -> Iterator[float]:
         yield t
 
 
-class _Recorder:
-    """Strip snapshots, appended one tick's arrays at a time, since a strip
-    vehicle's rows are known only once it leaves.  A strip position is x,
-    with y = 0."""
-
-    def __init__(self) -> None:
-        self.ticks: list[tuple[np.ndarray, ...]] = []  # (vehicle, t, x, y, speed) per tick
-
-    def record(self, vehicles: np.ndarray, position: np.ndarray, speed: np.ndarray) -> None:
-        """Snapshot of the next tick, the first being tick 0."""
-        n = len(vehicles)
-        self.ticks.append(
-            (vehicles, np.full(n, len(self.ticks), dtype=np.int64), position, np.zeros(n), speed)
-        )
-
-    def table(self, names: np.ndarray) -> TraceTable:
-        """Every recorded sample, in canonical order; names[k] names vehicle k."""
-        if not self.ticks:
-            return _trace_table([], np.zeros(0, dtype=np.int64), [], [], [], [])
-        vehicle, t, x, y, speed = map(np.concatenate, zip(*self.ticks))
-        # Vehicle names are unique, so the codes of those recorded rank them by id string.
-        recorded = np.flatnonzero(np.bincount(vehicle, minlength=len(names)))
-        code = np.zeros(len(names), dtype=np.int64)
-        names, code[recorded] = id_codes(names[recorded].tolist())
-        return _trace_table(names, code[vehicle], t, x, y, speed)
-
-
 def _vehicle_names(count: int) -> np.ndarray:
     return np.array([f"veh{k:04d}" for k in range(count)], dtype=object)
+
+
+def _sample_rows(
+    names: np.ndarray, entry: np.ndarray, count: np.ndarray
+) -> tuple[IdCodes, np.ndarray, np.ndarray]:
+    """Where a generator's samples go in its table: the id and tick columns,
+    and row0, such that vehicle k's sample at tick t is row row0[k] + t.
+
+    names[k] names vehicle k, which has count[k] samples, at ticks
+    entry[k] onwards.  Each vehicle's rows are one block, the blocks in the
+    order of the vehicles' ids, so the rows are in canonical order.  A
+    vehicle with no sample gets no id.
+    """
+    sampled = np.flatnonzero(count)
+    ids, rank = id_codes(names[sampled].tolist())
+    by_id = np.empty_like(sampled)
+    by_id[rank] = sampled
+    counts = count[by_id]
+    row0 = np.zeros(len(names), dtype=np.int64)
+    row0[by_id] = np.cumsum(counts) - counts - entry[by_id]
+    t = np.repeat(-row0[by_id], counts)
+    t += np.arange(len(t))
+    return IdCodes(ids, np.repeat(np.arange(len(ids)), counts)), t, row0
 
 
 def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
@@ -342,27 +331,33 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
     that never enters draws nothing.  Arrival times are drawn as they are
     taken, so at most one is drawn past the last entrant, however high the
     demand.
+
+    With tau at least the step no vehicle passes another, so vehicles leave
+    at the front in the order they entered, and the road holds one run of
+    vehicles, k_lo .. k-1, at every tick.  Each tick keeps only k_lo and the
+    run's positions and speeds.  After the run _sample_rows places each
+    vehicle's rows, from the ticks it was on the road, and each tick's
+    samples are written into theirs; y is 0.
     """
     arrivals = _arrival_times(road)
     # A row of dawdles and a name per vehicle, grown as vehicles enter.
     dawdles = np.zeros((1, road.duration))
     names = _vehicle_names(1)
-    recorder = _Recorder()
+    ticks = []  # (k_lo, position, speed) of each tick
 
-    # The platoon, ordered back to front.
-    vehicles = np.zeros(0, dtype=np.int64)
+    # The platoon, vehicles k-1 down to k_lo, ordered back to front.
     position = speed = factor = np.zeros(0)
-    k, arrival = 0, next(arrivals, math.inf)  # the next arrival to enter, and its time
+    k_lo, k, arrival = 0, 0, next(arrivals, math.inf)  # k: the next arrival to enter
     for t in range(road.duration):
-        recorder.record(vehicles, position, speed)
+        ticks.append((k_lo, position, speed))
         position, speed = krauss_step(
-            position, speed, factor, dawdles[vehicles, t], params, names[vehicles]
+            position, speed, factor, dawdles[k_lo:k, t][::-1], params, names[k_lo:k][::-1]
         )
         # Entries during (t, t+1] appear in the t+1 sample set.  Positions
         # within the window are linear at the post-step speed, matching the
         # discrete position update.
         while arrival <= t + 1 < road.duration:
-            x_r, v_r = (float(position[0]), float(speed[0])) if len(vehicles) else (math.inf, 0.0)
+            x_r, v_r = (float(position[0]), float(speed[0])) if len(position) else (math.inf, 0.0)
             offset = _entry_offset(x_r, v_r, max(arrival - t, 0.0), params)
             if offset >= 1.0:
                 break
@@ -373,30 +368,49 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
                 names = _vehicle_names(len(dawdles))
             dawdles[k, t + 1:] = row
             v_in = _entry_speed(x_r - v_r + v_r * offset, v_r, factor_k, params)
-            vehicles = np.concatenate(([k], vehicles))
             position = np.concatenate(([v_in * (1.0 - offset)], position))
             speed = np.concatenate(([v_in], speed))
             factor = np.concatenate(([factor_k], factor))
             k += 1
             arrival = next(arrivals, math.inf)
         on_road = position <= road.length
-        if not on_road.all():
-            vehicles, position, speed, factor = (
-                a[on_road] for a in (vehicles, position, speed, factor)
-            )
-    return recorder.table(names)
+        n = int(np.count_nonzero(on_road))
+        if n < len(position):
+            if not on_road[:n].all():
+                raise SimulationError(
+                    f"tick {t + 1}: a vehicle past the strip's end trails one on it"
+                )
+            k_lo += len(position) - n
+            position, speed, factor = position[:n], speed[:n], factor[:n]
+    del dawdles  # before the table's columns are made
+
+    # Vehicle k is on the road from the first tick whose run ends past it
+    # until the first tick whose run starts past it.
+    lo = np.array([tick[0] for tick in ticks], dtype=np.int64)
+    hi = lo + [len(tick[1]) for tick in ticks]
+    vehicles = np.arange(k)
+    entry = np.searchsorted(hi, vehicles, side="right")
+    ids, t_column, row0 = _sample_rows(
+        names[:k], entry, np.searchsorted(lo, vehicles, side="right") - entry
+    )
+    x, speed_column = np.empty(len(t_column)), np.empty(len(t_column))
+    while ticks:  # each tick's arrays are freed once written
+        k_lo, position, speed = ticks.pop()
+        rows = row0[k_lo:k_lo + len(position)][::-1] + len(ticks)
+        x[rows] = position
+        speed_column[rows] = speed
+    return TraceTable(ids, t_column, x, np.zeros(len(t_column)), speed_column)
 
 
 def _generate_ring(road: RoadSpec, params: KraussParams) -> TraceTable:
     """Ring run: the vehicles start evenly spaced and at rest, and circle the
     whole run, mapped onto a circle of matching circumference.
 
-    Every vehicle has a sample at every tick, so each tick's samples are
-    written straight into their canonical rows: vehicle k's sample at tick
-    t is row rank[k] * duration + t, where rank[k] is its id's rank, coded
-    once before the run.  Positions are mapped with the scalar math.cos and
-    math.sin, tick by tick through np.fromiter; numpy's vectorised versions
-    may miss by an ulp.
+    Every vehicle enters at tick 0 and has a sample at every tick, so
+    _sample_rows places the rows before the run, and each tick's samples
+    are written straight into them.  Positions are mapped with the scalar
+    math.cos and math.sin, tick by tick through np.fromiter; numpy's
+    vectorised versions may miss by an ulp.
     """
     count = int(road.inflow)
     spacing = road.length / count
@@ -405,14 +419,14 @@ def _generate_ring(road: RoadSpec, params: KraussParams) -> TraceTable:
             f"ring of {road.length} m cannot hold {count} vehicles "
             f"(need {params.veh_length + params.min_gap} m each)"
         )
-    ids = _vehicle_names(count)
+    names = _vehicle_names(count)
     factor, dawdles = map(np.array, zip(*(
         _vehicle_draws(road.seed, k, params.speed_dev, road.duration) for k in range(count)
     )))
-    # A run of no ticks records no vehicle.
-    names, rank = id_codes(ids.tolist() if road.duration else [])
-    first_row = rank * road.duration
-    x, y, speed_column = (np.empty(count * road.duration) for _ in range(3))
+    ids, t_column, row0 = _sample_rows(
+        names, np.zeros(count, dtype=np.int64), np.full(count, road.duration)
+    )
+    x, y, speed_column = (np.empty(len(t_column)) for _ in range(3))
     radius = road.length / (2.0 * math.pi)
 
     # The platoon, ordered back to front.
@@ -420,22 +434,20 @@ def _generate_ring(road: RoadSpec, params: KraussParams) -> TraceTable:
     position = np.array([k * spacing for k in range(count)])
     speed = np.zeros(count)
     for t in range(road.duration):
-        rows = first_row[vehicles] + t
+        rows = row0[vehicles] + t
         angles = (position / radius).tolist()
         x[rows] = radius * np.fromiter(map(math.cos, angles), np.float64, count)
         y[rows] = radius * np.fromiter(map(math.sin, angles), np.float64, count)
         speed_column[rows] = speed
         position, speed = krauss_step(
-            position, speed, factor, dawdles[vehicles, t], params, ids[vehicles],
+            position, speed, factor, dawdles[vehicles, t], params, names[vehicles],
             ring_length=road.length,
         )
         order = np.argsort(position, kind="stable")
         vehicles, position, speed, factor = (
             a[order] for a in (vehicles, position, speed, factor)
         )
-    code = np.repeat(np.arange(len(names)), road.duration)
-    t = np.tile(np.arange(road.duration), len(names))
-    return _trace_table(names, code, t, x, y, speed_column)
+    return TraceTable(ids, t_column, x, y, speed_column)
 
 
 def generate_traces(road: RoadSpec, params: KraussParams | None = None) -> TraceTable:
@@ -502,56 +514,3 @@ def emit_trace_csv(traces: TraceTable, stream: IO[str]) -> None:
         stream, ",".join(TRACE_CSV_HEADER),
         [traces.vehicle_id.ids(), traces.t, traces.x, traces.y, traces.speed],
     )
-
-
-def parse_fcd_xml(stream: IO) -> TraceTable:
-    """Read the SUMO floating-car-data export subset.
-
-    Only ``<timestep time="..">`` elements with ``<vehicle id x y speed/>``
-    children are interpreted; anything else is ignored.  Timesteps must fall
-    on whole seconds.  Each sample gets _check_sample as it is read, and an
-    error names its element's path, as in
-    ``timestep[time='1.00']/vehicle[id='v1']: negative speed -2.0``.  A
-    repeated (id, tick), found by _trace_table, is named only if no element
-    has an error, as parse_trace_csv names it.
-    """
-    try:
-        root = ET.parse(stream).getroot()
-    except ET.ParseError as exc:
-        raise ParseError(f"bad FCD XML: {exc}") from None
-
-    rows = []
-    for timestep in root.iter("timestep"):
-        raw_t = timestep.get("time")
-        if raw_t is None:
-            raise ParseError("timestep: missing required attribute 'time'")
-        element = f"timestep[time={raw_t!r}]"
-        try:
-            t_float = float(raw_t)
-        except ValueError:
-            raise ParseError(f"{element}: not a number") from None
-        if t_float % 1 != 0:  # also true of inf and nan
-            raise ValidationError(
-                f"timestep time={raw_t}: not a whole second (traces are 1 Hz)"
-            )
-        t = int(t_float)
-        if t < 0:
-            raise ValidationError(f"timestep time={raw_t}: negative tick")
-        if t > MAX_TICK:
-            raise ValidationError(f"timestep time={raw_t}: tick exceeds 64 bits")
-        for vehicle in timestep.iter("vehicle"):
-            attrs = [vehicle.get(name) for name in _FCD_ATTRIBUTES]
-            if None in attrs:
-                name = _FCD_ATTRIBUTES[attrs.index(None)]
-                raise ParseError(f"{element}/vehicle: missing required attribute {name!r}")
-            vid, *xys = attrs
-            path = f"{element}/vehicle[id={vid!r}]"
-            check_id(vid, path, "vehicle id")
-            try:
-                x, y, speed = map(float, xys)
-            except ValueError as exc:
-                raise ParseError(f"{element}/vehicle: {exc}") from None
-            _check_sample(path, t, x, y, speed)
-            rows.append((path, vid, t, x, y, speed))
-    paths, vids, *columns = zip(*rows) if rows else [()] * 6
-    return _trace_table(*id_codes(vids), *columns, paths.__getitem__)

@@ -675,6 +675,23 @@ def test_a_subnormal_strip_inflow_runs_with_no_vehicle(tmp_path, monkeypatch, ca
     assert (tmp_path / "out.csv").read_text() == "vehicle_id,t,x,y,speed\n"
 
 
+@pytest.mark.parametrize("tau, code", [("0.5", 2), ("0.99", 2), ("1.0", 0)])
+def test_a_krauss_tau_below_the_step_exits_2(tmp_path, capsys, tau, code):
+    # At tau 0.5 the jam strip's vehicles veh0041 and veh0040 used to overlap (exit 4).
+    out = tmp_path / "traces.csv"
+    config = STATIONS_10KM.parent / "traffic_jam.cfg"
+    args = ["--config", str(config), "--set", f"krauss.tau={tau}", "--out", str(out)]
+    assert main(["gen-traces", *args]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == (
+            f"configuration error: krauss.tau must be at least the 1 s time step, got {tau}\n"
+        )
+        assert not out.exists()
+    else:
+        assert err == f"wrote 429 traces to {out}\n"
+
+
 def test_an_unexpected_exception_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _write_inputs(tmp_path)

@@ -12,7 +12,8 @@ differ from math's in the last ulp, so only the association screen, which
 sends every row it cannot decide exactly to best_link, refers to them.
 Ids are coded once, where they arrive as strings, by one id coder, and
 tables carry the codes from there to the writers.  The CSV readers read
-their header lines by one rule, and no module reads the CPU count.
+their header lines by one rule, no module reads XML, and no module reads
+the CPU count.
 """
 
 import ast
@@ -146,11 +147,9 @@ def test_ids_are_coded_only_where_they_arrive_as_strings():
     assert callers("read_columns") == {
         "mobility.parse_trace_csv", "radio.parse_stations_csv", "engine.read_results_csv",
     }
-    # The ring generator codes its vehicles' ids before its run, to write
-    # each sample into its canonical row.
-    assert callers("id_codes") == {
-        "mobility.parse_fcd_xml", "mobility._Recorder.table", "mobility._generate_ring",
-    }
+    # Both generators place their rows by one helper, which codes their
+    # vehicles' ids.
+    assert callers("id_codes") == {"mobility._sample_rows"}
     assert callers("_IdCoder") == {"csvio.id_codes", "csvio.read_columns"}
     assert users({"sys.intern"}) == {}
 
@@ -161,9 +160,14 @@ def test_the_csv_readers_share_one_header_rule():
 
 
 def test_one_function_tests_the_canonical_row_order():
-    # mobility._trace_table, which makes every trace table, and engine.run,
-    # which reads canonical rows in place, share one test of that order.
+    # mobility._trace_table, which puts a trace file's rows in that order,
+    # and engine.run, which reads canonical rows in place, share one test of it.
     assert callers("canonical_order") == {"mobility._trace_table", "engine.run"}
+
+
+def test_no_module_imports_xml():
+    # The trace CSV is the one trace file format.
+    assert users({"xml"}) == {}
 
 
 def test_no_module_reads_the_cpu_count():

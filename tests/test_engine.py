@@ -32,7 +32,9 @@ from car2cloud.csvio import ID_FORBIDDEN_CHARS, READ_CHUNK_BYTES
 from car2cloud.cvim import PackagingConfig, count_packages_per_cell
 from car2cloud.errors import ConfigError, ParseError, ValidationError
 from car2cloud.linkrate import RbRateParams, rb_rate
-from car2cloud.mobility import IdCodes, KraussParams, RoadSpec, generate_traces, id_codes
+from car2cloud.mobility import (
+    IdCodes, KraussParams, RoadSpec, generate_traces, id_codes, parse_trace_csv,
+)
 from car2cloud.radio import BaseStation, LinkBudgetConfig
 from same_text import assert_same_text
 from scalar_engine import run as scalar_run
@@ -444,16 +446,9 @@ def test_mirrored_sites_resolve_each_block_in_one_best_link_call():
     assert_same_text(csv_text(table), csv_text(scalar_run(config, traces, stations)))
 
 
-def test_run_accepts_fcd_parsed_traces():
-    import io
-
-    from car2cloud.mobility import parse_fcd_xml
-
-    xml = """<fcd-export>
-      <timestep time="0.0"><vehicle id="car" x="5" y="0" speed="4"/></timestep>
-      <timestep time="1.0"><vehicle id="car" x="9" y="0" speed="4"/></timestep>
-    </fcd-export>"""
-    traces = parse_fcd_xml(io.StringIO(xml))
+def test_run_accepts_traces_parsed_from_csv():
+    text = "vehicle_id,t,x,y,speed\ncar,0,5,0,4\ncar,1,9,0,4\n"
+    traces = parse_trace_csv(io.StringIO(text))
     results = run(SimConfig(), traces, STATION)
     assert results.t.tolist() == [0, 1]
     assert results.rb_share[0] == 100.0

@@ -16,8 +16,8 @@ from typing import IO
 import numpy as np
 
 from car2cloud.errors import ParseError, ValidationError
-from car2cloud.csvio import check_id
-from car2cloud.mobility import MAX_TICK, TRACE_CSV_HEADER, IdCodes, TraceTable, id_codes
+from car2cloud.csvio import INT64_BOUND, check_id
+from car2cloud.mobility import TRACE_CSV_HEADER, IdCodes, TraceTable, id_codes
 
 
 def _trace_table(names: list[str], code: np.ndarray, t, x, y, speed) -> TraceTable:
@@ -74,7 +74,7 @@ def parse_trace_csv(stream: IO[str]) -> TraceTable:
             raise ValidationError(f"line {lineno}: non-finite x, y or speed")
         if t < 0:
             raise ValidationError(f"line {lineno}: negative tick {t}")
-        if t > MAX_TICK:
+        if t > INT64_BOUND - 1:
             raise ValidationError(f"line {lineno}: tick {t} exceeds 64 bits")
         if speed < 0:
             raise ValidationError(f"line {lineno}: negative speed {speed}")
