@@ -1,26 +1,14 @@
 """Common vehicle information model: channels, one-second packages, queues.
 
-Proprietary in-vehicle signals stay in the vehicle and are never
-serialized.  Measurement channels harmonize their raw values into SI units
-via an affine map, and data packages bundle one interval's channel records
-together with ownership and privacy metadata.  Each vehicle owns a FIFO
-transmit queue that drains against the uplink capacity of the current tick;
-packages are sent atomically or not at all.
-
-Wire format (little-endian, length-prefixed):
-
-    u32  body length (header + records)
-    64-byte header:
-        16 B package id digest (keyed, so raw vehicle ids never leak)
-         8 B pseudonymous vehicle id (keyed 64-bit hash)
-         4 B interval_start (u32 seconds)
-         1 B duration (u8 seconds)
-         2 B record count (u16)
-         1 B privacy level (u8)
-        16 B owner, zero-padded UTF-8
-         8 B checksum (u64 over records + owner + privacy)
-         8 B reserved
-    16 B per record: channel_id u16, t offset ms u16, value f64, 4 B reserved
+Proprietary in-vehicle signals stay in the vehicle: a package holds only
+brand-independent measurement channels, a keyed pseudonym in place of the
+vehicle id, and ownership and privacy metadata.  The pipeline measures
+traffic by package size, header_bytes plus record_bytes per channel record
+(64 B and 16 B by default), so package() gives one interval's package that
+size and a checksum over its records, each packed as channel id (u16),
+offset into the interval (u16 milliseconds) and value (f64).  Each vehicle
+owns a FIFO transmit queue that drains against the uplink capacity of the
+current tick; packages are sent atomically or not at all.
 """
 
 from __future__ import annotations
@@ -43,28 +31,20 @@ if TYPE_CHECKING:
 
 PRIVACY_LEVELS = ("public", "restricted", "private")
 
-_HEADER_STRUCT = struct.Struct("<16sQIBHB16sQ8x")
 _RECORD_STRUCT = struct.Struct("<HHd4x")
-_LENGTH_STRUCT = struct.Struct("<I")
 
-assert _HEADER_STRUCT.size == 64
 assert _RECORD_STRUCT.size == 16
 
 
 @dataclass(frozen=True)
 class MeasurementChannel:
-    """Brand-independent channel with an affine raw->SI map."""
+    """Brand-independent channel: an id, a name and an SI unit."""
 
     channel_id: int
     name: str
     si_unit: str
-    scale: float = 1.0
-    offset: float = 0.0
-    sample_rate_hz: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.scale == 0:
-            raise ConfigError(f"channel {self.name!r}: scale must be non-zero")
         if not 0 <= self.channel_id <= 0xFFFF:
             raise ConfigError(f"channel {self.name!r}: channel_id must fit u16")
 
@@ -117,8 +97,8 @@ class PackagingConfig:
             raise ConfigError("cvim sizes must be positive")
         if self.n_extra_channels < 0:
             raise ConfigError("cvim.n_extra_channels must be non-negative")
-        # The record t-offset field is u16 milliseconds, so one package can
-        # span at most 65 whole seconds.
+        # checksum packs each record's offset as u16 milliseconds, so one
+        # package can span at most 65 whole seconds.
         if not 1 <= self.aggregate_ticks <= 65:
             raise ConfigError("cvim.aggregate_ticks must be in [1, 65]")
         # BLAKE2b takes keys of at most 64 bytes.
@@ -134,7 +114,8 @@ class PackagingConfig:
                 f"cvim.aggregate_ticks={self.aggregate_ticks} give packages of {bits} bits, "
                 "beyond 64 bits"
             )
-        # The metadata PackageMeta puts on the wire.
+        # PackageMeta's rules, checked as the config is read: checksum takes
+        # the owner as a 16-byte field.
         if len(self.owner.encode("utf-8")) > 16:
             raise ConfigError(f"cvim.owner must be at most 16 bytes of UTF-8, got {self.owner!r}")
         if self.privacy_level not in PRIVACY_LEVELS:
@@ -162,26 +143,13 @@ BASE_CHANNELS = (
 DEFAULT_CONFIG = PackagingConfig()
 
 
-def harmonize(raw_value: float, channel: MeasurementChannel) -> float:
-    """Map a proprietary raw value into the channel's SI unit."""
-    if not math.isfinite(raw_value):
-        raise ValidationError(
-            f"channel {channel.name!r}: non-finite raw value {raw_value!r}"
-        )
-    return raw_value * channel.scale + channel.offset
-
-
 @lru_cache(maxsize=None)
 def pseudonymize(vehicle_id: str, key: str) -> int:
-    """Keyed 64-bit hash that replaces the raw vehicle id on the wire."""
+    """Keyed 64-bit hash that replaces the raw vehicle id in a package."""
     digest = hashlib.blake2b(
         vehicle_id.encode("utf-8"), key=key.encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "little")
-
-
-def _owner_field(owner: str) -> bytes:
-    return owner.encode("utf-8").ljust(16, b"\0")
 
 
 def _records_blob(records: Iterable[ChannelRecord], interval_start: int) -> bytes:
@@ -198,7 +166,7 @@ def checksum(
     """64-bit integrity checksum over the records and metadata."""
     h = hashlib.blake2b(digest_size=8)
     h.update(_records_blob(records, interval_start))
-    h.update(_owner_field(meta_owner))
+    h.update(meta_owner.encode("utf-8").ljust(16, b"\0"))
     h.update(bytes([PRIVACY_LEVELS.index(privacy_level)]))
     return int.from_bytes(h.digest(), "little")
 
@@ -253,88 +221,6 @@ def tick_records(
     for i in range(config.n_extra_channels):
         records.append(ChannelRecord(1000 + i, float(t), 0.0))
     return records
-
-
-def _package_id_digest(package_id: str, key: str) -> bytes:
-    return hashlib.blake2b(
-        package_id.encode("utf-8"), key=key.encode("utf-8"), digest_size=16
-    ).digest()
-
-
-def serialize_package(
-    pkg: CvimDataPackage, config: PackagingConfig = DEFAULT_CONFIG
-) -> bytes:
-    """Serialize to the length-prefixed binary wire format.
-
-    The readable package id is replaced by a keyed digest so serialized
-    bytes never contain the raw vehicle id.
-    """
-    blob = _records_blob(pkg.records, pkg.interval_start)
-    header = _HEADER_STRUCT.pack(
-        _package_id_digest(pkg.package_id, config.pseudonym_key),
-        pkg.pseudonymous_vehicle_id,
-        pkg.interval_start,
-        pkg.duration,
-        len(pkg.records),
-        PRIVACY_LEVELS.index(pkg.meta.privacy_level),
-        _owner_field(pkg.meta.owner),
-        pkg.meta.checksum,
-    )
-    return _LENGTH_STRUCT.pack(len(header) + len(blob)) + header + blob
-
-
-def parse_package(
-    data: bytes, config: PackagingConfig = DEFAULT_CONFIG
-) -> CvimDataPackage:
-    """Parse one serialized package and verify its checksum."""
-    if len(data) < _LENGTH_STRUCT.size:
-        raise ValidationError("truncated package: missing length prefix")
-    (body_len,) = _LENGTH_STRUCT.unpack_from(data, 0)
-    body = data[_LENGTH_STRUCT.size : _LENGTH_STRUCT.size + body_len]
-    if len(body) != body_len:
-        raise ValidationError("truncated package body")
-    if body_len < _HEADER_STRUCT.size:
-        raise ValidationError("package body shorter than header")
-    (
-        pid_digest,
-        pseudonym,
-        interval_start,
-        duration,
-        count,
-        privacy_idx,
-        owner_raw,
-        stored_checksum,
-    ) = _HEADER_STRUCT.unpack_from(body, 0)
-    if privacy_idx >= len(PRIVACY_LEVELS):
-        raise ValidationError(f"unknown privacy level code {privacy_idx}")
-    expected = _HEADER_STRUCT.size + count * _RECORD_STRUCT.size
-    if body_len != expected:
-        raise ValidationError(
-            f"package body length {body_len} does not match {count} records"
-        )
-    records = []
-    for i in range(count):
-        channel_id, offset_ms, value = _RECORD_STRUCT.unpack_from(
-            body, _HEADER_STRUCT.size + i * _RECORD_STRUCT.size
-        )
-        records.append(ChannelRecord(channel_id, interval_start + offset_ms / 1000.0, value))
-    owner = owner_raw.rstrip(b"\0").decode("utf-8")
-    privacy = PRIVACY_LEVELS[privacy_idx]
-    actual = checksum(records, owner, privacy, interval_start)
-    if actual != stored_checksum:
-        raise ValidationError(
-            f"package checksum mismatch (stored {stored_checksum:#x}, "
-            f"computed {actual:#x})"
-        )
-    return CvimDataPackage(
-        package_id=pid_digest.hex(),
-        pseudonymous_vehicle_id=pseudonym,
-        interval_start=interval_start,
-        duration=duration,
-        records=tuple(records),
-        payload_bytes=config.payload_bytes(count),
-        meta=PackageMeta(owner=owner, privacy_level=privacy, checksum=stored_checksum),
-    )
 
 
 class TransmitQueue:

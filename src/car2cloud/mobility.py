@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -67,39 +67,6 @@ def canonical_order(code: np.ndarray, t: np.ndarray) -> np.ndarray | None:
     if ((code[1:] > code[:-1]) | (code[1:] == code[:-1]) & (t[1:] >= t[:-1])).all():
         return None
     return np.lexsort((t, code))
-
-
-def _trace_table(
-    names: list[str], code: np.ndarray, t, x, y, speed, where: Callable[[int], str]
-) -> TraceTable:
-    """Samples of vehicles names[code], read from a file, as a table in canonical order.
-
-    ``t`` is an int64 array and ``x``, ``y`` and ``speed`` float64 arrays,
-    row for row with ``code``, and every name has a row.  A repeated sample
-    names, by ``where`` of its row index (``line 7``), the first row in
-    input order that repeats an earlier one.  Then a 1 Hz gap names the
-    smallest vehicle id that has one, and its first gap.  Rows already in
-    canonical order, as emit_trace_csv writes them, are not reordered.
-    """
-    order = canonical_order(code, t)
-    if order is not None:
-        code, t, x, y, speed = (c[order] for c in (code, t, x, y, speed))
-    gaps = np.flatnonzero((code[1:] == code[:-1]) & (t[1:] - t[:-1] != 1))
-    if gaps.size:
-        # The sort is stable, so of two equal samples the later in input order repeats.
-        repeats = gaps[t[gaps] == t[gaps + 1]] + 1
-        if repeats.size:
-            rows = repeats if order is None else order[repeats]
-            i = int(repeats[rows.argmin()])
-            raise ValidationError(
-                f"{where(int(rows.min()))}: duplicate sample ({names[code[i]]!r}, t={t[i]})"
-            )
-        i = int(gaps[0])
-        raise ValidationError(
-            f"vehicle {names[code[i]]!r}: samples not on a 1 Hz grid "
-            f"(ticks {t[i]} -> {t[i + 1]})"
-        )
-    return TraceTable(IdCodes(names, code), t, x, y, speed)
 
 
 @dataclass(frozen=True)
@@ -363,12 +330,18 @@ def _generate_strip(road: RoadSpec, params: KraussParams) -> TraceTable:
                 break
             # one dawdle for each of its steps, at ticks t+1 .. duration-1
             factor_k, row = _vehicle_draws(road.seed, k, params.speed_dev, road.duration - t - 1)
+            v_in = _entry_speed(x_r - v_r + v_r * offset, v_r, factor_k, params)
+            x_in = v_in * (1.0 - offset)
+            # _entry_gap(x_r - x_in) is the gap the next step takes.  An
+            # entrant that stops at exactly its safe distance may round
+            # below it; then it waits, as _entry_offset's entrants do.
+            if _entry_gap(x_r - x_in, params) < 0.0:
+                break
             if k == len(dawdles):
                 dawdles = np.concatenate((dawdles, np.zeros_like(dawdles)))
                 names = _vehicle_names(len(dawdles))
             dawdles[k, t + 1:] = row
-            v_in = _entry_speed(x_r - v_r + v_r * offset, v_r, factor_k, params)
-            position = np.concatenate(([v_in * (1.0 - offset)], position))
+            position = np.concatenate(([x_in], position))
             speed = np.concatenate(([v_in], speed))
             factor = np.concatenate(([factor_k], factor))
             k += 1
@@ -477,15 +450,18 @@ def _check_sample(where: str, t: int, x: float, y: float, speed: float) -> None:
 
 
 def parse_trace_csv(stream: IO[str]) -> TraceTable:
-    """Read a trace CSV (header ``vehicle_id,t,x,y,speed``), rows in any order.
+    """Read a trace CSV (header ``vehicle_id,t,x,y,speed``), rows in any order,
+    as a table in canonical order.
 
     The stream is read once, from where it stands, by csvio.read_columns,
     which codes the ids.  Its check marks, as array masks, the rows that
     break a rule of _check_sample and the rows of every id that fails
     check_id; the first marked row names its line, as in ``line 7:
-    negative speed -2.0``, unless an earlier line does not parse.  A
-    repeated sample, found with the 1 Hz gaps by _trace_table, is named
-    only where no line has another error.
+    negative speed -2.0``, unless an earlier line does not parse.  Only
+    then are the 1 Hz gaps looked for: a repeated sample names the first
+    line that repeats an earlier one; else a gap names the smallest vehicle
+    id that has one, and its first gap.  Rows already in canonical order,
+    as emit_trace_csv writes them, are not reordered.
     """
     read_header(stream, "trace", ",".join(TRACE_CSV_HEADER).__eq__)
     lines = RowLines()
@@ -504,8 +480,26 @@ def parse_trace_csv(stream: IO[str]) -> TraceTable:
             check_id(vid.names[vid.codes[first]], where, "vehicle_id")
             _check_sample(where, *(column[first].item() for column in (t, x, y, speed)))
 
-    vid, t, x, y, speed = read_columns(stream, _TRACE_CONVERTERS, check, lines)
-    return _trace_table(*vid, t, x, y, speed, lambda i: f"line {lines(i)}")
+    (names, code), t, x, y, speed = read_columns(stream, _TRACE_CONVERTERS, check, lines)
+    order = canonical_order(code, t)
+    if order is not None:
+        code, t, x, y, speed = (c[order] for c in (code, t, x, y, speed))
+    gaps = np.flatnonzero((code[1:] == code[:-1]) & (t[1:] - t[:-1] != 1))
+    if gaps.size:
+        # The sort is stable, so of two equal samples the later in input order repeats.
+        repeats = gaps[t[gaps] == t[gaps + 1]] + 1
+        if repeats.size:
+            rows = repeats if order is None else order[repeats]
+            i = int(repeats[rows.argmin()])
+            raise ValidationError(
+                f"line {lines(int(rows.min()))}: duplicate sample ({names[code[i]]!r}, t={t[i]})"
+            )
+        i = int(gaps[0])
+        raise ValidationError(
+            f"vehicle {names[code[i]]!r}: samples not on a 1 Hz grid "
+            f"(ticks {t[i]} -> {t[i + 1]})"
+        )
+    return TraceTable(IdCodes(names, code), t, x, y, speed)
 
 
 def emit_trace_csv(traces: TraceTable, stream: IO[str]) -> None:

@@ -4,9 +4,12 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from car2cloud import engine
 from car2cloud.cli import main
@@ -690,6 +693,68 @@ def test_a_krauss_tau_below_the_step_exits_2(tmp_path, capsys, tau, code):
         assert not out.exists()
     else:
         assert err == f"wrote 429 traces to {out}\n"
+
+
+# traffic_jam.cfg with these values once exited 4: veh0074 entered behind
+# veh0073, which stood at 1.1806 m, and stopped at exactly its safe distance,
+# a gap that rounded to -2.8e-17 m.
+ROUNDING_GAP = {
+    "krauss.veh_length": 0.5, "krauss.min_gap": 0.1, "krauss.v_max": 100.0,
+    "krauss.a_max": 5.0, "road.inflow": 5000.0, "road.length": 1000.0,
+}
+
+
+def _sets(values):
+    return [arg for key, value in values.items() for arg in ("--set", f"{key}={value}")]
+
+
+def test_an_entrant_whose_gap_would_round_below_0_waits(tmp_path, capsys):
+    out = tmp_path / "traces.csv"
+    args = ["--config", str(STATIONS_10KM.parent / "traffic_jam.cfg"), *_sets(ROUNDING_GAP)]
+    assert main(["gen-traces", *args, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == f"wrote 453 traces to {out}\n"
+    simulate = ["--traces", str(out), "--stations", str(STATIONS_10KM), "--out-dir", str(tmp_path)]
+    assert main(["simulate", *args, *simulate]) == 0
+
+
+@st.composite
+def small_roads(draw):
+    """Config values of random Krauss parameters on a small strip or ring.
+
+    Some break a config rule: a_max of 0, tau below 1 s, or a ring too short
+    for its vehicles.
+    """
+    topology = draw(st.sampled_from(["strip", "ring"]))
+    inflow = st.floats(1.0, 20_000.0) if topology == "strip" else st.integers(1, 40).map(float)
+    return {
+        "road.topology": topology,
+        "road.length": draw(st.floats(1.0, 1000.0)),
+        "road.inflow": draw(inflow),
+        "road.duration": draw(st.integers(0, 60)),
+        "sim.seed": draw(st.integers(0, 2**32)),
+        "krauss.a_max": draw(st.floats(0.0, 10.0)),
+        "krauss.b_max": draw(st.floats(0.1, 10.0)),
+        "krauss.v_max": draw(st.floats(0.1, 100.0)),
+        "krauss.sigma": draw(st.floats(0.0, 1.0)),
+        "krauss.tau": draw(st.just(1.0) | st.floats(0.9, 3.0)),
+        "krauss.min_gap": draw(st.floats(0.01, 5.0)),
+        "krauss.veh_length": draw(st.floats(0.1, 10.0)),
+        "krauss.speed_dev": draw(st.floats(0.0, 1.0)),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_roads())
+@example({**ROUNDING_GAP, "road.topology": "strip", "road.duration": 600, "sim.seed": 42})
+def test_every_small_road_runs_or_exits_2(values):
+    # The exit-code contract: a config either runs or fails its check (2), never 4.
+    with tempfile.TemporaryDirectory() as work:
+        traces = Path(work) / "traces.csv"
+        code = main(["gen-traces", *_sets(values), "--out", str(traces)])
+        assert code in (0, 2)
+        if code == 0:
+            simulate = ["--traces", str(traces), "--stations", str(STATIONS_10KM), "--out-dir", work]
+            assert main(["simulate", *_sets(values), *simulate]) in (0, 2)
 
 
 def test_an_unexpected_exception_exits_4(tmp_path, monkeypatch, capsys):

@@ -160,9 +160,9 @@ def test_the_csv_readers_share_one_header_rule():
 
 
 def test_one_function_tests_the_canonical_row_order():
-    # mobility._trace_table, which puts a trace file's rows in that order,
+    # mobility.parse_trace_csv, which puts a trace file's rows in that order,
     # and engine.run, which reads canonical rows in place, share one test of it.
-    assert callers("canonical_order") == {"mobility._trace_table", "engine.run"}
+    assert callers("canonical_order") == {"mobility.parse_trace_csv", "engine.run"}
 
 
 def test_no_module_imports_xml():
